@@ -40,7 +40,6 @@ from .protocol import (
     PvkTable,
     SessionLog,
     generate_table,
-    next_key,
     node_step,
     run_session,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "load_config",
     "load_preset",
     "measure_dynamic_range",
-    "next_key",
     "node_step",
     "read_trace",
     "recover_bits",

@@ -35,7 +35,7 @@ from .waveform import (
     build_frame,
     check_bit_rate,
     frame_to_bits,
-    synthesize_envelope,
+    render_envelope,
     write_trace,
 )
 
@@ -88,16 +88,12 @@ def _probe_bits(n: int) -> np.ndarray:
 
 def _probe_trace(cfg: ScenarioConfig, seed: int) -> EnvelopeTrace:
     check_bit_rate(cfg.bit_rate_hz)
+    return _render(cfg, seed, _probe_bits(cfg.probe_bits))
+
+
+def _render(cfg: ScenarioConfig, seed: int, bits) -> EnvelopeTrace:
     scenario = build_scenario(cfg, noise_seed=seed)
-    return synthesize_envelope(
-        _probe_bits(cfg.probe_bits),
-        scenario.state_level_dbm(True),
-        scenario.state_level_dbm(False),
-        cfg.bit_rate_hz,
-        cfg.bit_rate_hz * cfg.oversampling,
-        scenario.noise,
-        meta=cfg.setup,
-    )
+    return render_envelope(scenario, bits, cfg.bit_rate_hz, cfg.bit_rate_hz * cfg.oversampling)
 
 
 def _payload_ber(expected: bytes | None, got: bytes | None) -> float | None:
@@ -238,18 +234,8 @@ def emit_trace(cfg: ScenarioConfig) -> EnvelopeTrace:
     seed = point_seed(cfg.seed, 0)
     if not cfg.protocol_enabled:
         return _probe_trace(cfg, seed)
-    scenario = build_scenario(cfg, noise_seed=seed)
     table, _ = build_tables(cfg)
-    frame = build_frame(table.entries[0], cfg.bit_rate_hz)
-    return synthesize_envelope(
-        frame_to_bits(frame),
-        scenario.state_level_dbm(True),
-        scenario.state_level_dbm(False),
-        cfg.bit_rate_hz,
-        cfg.bit_rate_hz * cfg.oversampling,
-        scenario.noise,
-        meta=cfg.setup,
-    )
+    return _render(cfg, seed, frame_to_bits(build_frame(table.entries[0], cfg.bit_rate_hz)))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -35,44 +35,98 @@ from .protocol import (
 )
 
 
+# A key whose use hangs on another key is required while that selector holds
+# the given value and not applicable while it holds any other; None as the
+# value means "required whenever the selector is set".
+_RADIATED = ("topology", "radiated")
+_CIRCULATOR = ("leakage_kind", "circulator")
+_COUPLING = ("leakage_kind", "coupling")
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+
+
+def _key(key: str, kind: str, required=True, *, preset=None, check=None):
+    """ScenarioConfig field that declares one config key.
+
+    ``key`` is the dotted name in config text. ``kind`` drives conversion and
+    sweepability: float, int, bool, choice:<a|b|..>, curve, floats or str.
+    ``required`` is True or a (selector attribute, value) condition.
+    ``preset`` is the default every preset shares (None: each preset sets
+    its own or leaves it unset). ``check`` is a (predicate, message) range
+    rule; the message may show the value through ``{!r}``.
+    """
+    return dataclasses.field(
+        metadata=dict(key=key, kind=kind, required=required, preset=preset, check=check)
+    )
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved experiment description."""
+    """Fully resolved experiment description; each field declares its key."""
 
-    setup: str
-    seed: int
-    topology: str | None
-    p_tx_dbm: float | None
-    frequency_hz: float | None
-    distance_dl_m: float | None
-    distance_ul_m: float | None
-    gain_src_dbi: float | None
-    gain_node_dbi: float | None
-    gain_mon_dbi: float | None
-    gamma_low_db: float | None
-    gamma_high_db: float | None
-    efficiency_curve: tuple[tuple[float, float], ...] | None
-    load_ohms: float | None
-    leakage_kind: str | None
-    circulator_isolation_db: float | None
-    coupling_floor_dbm: float | None
-    coupling_ref_tx_dbm: float | None
-    noise_power_dbm: float | None
-    bit_rate_hz: float | None
-    oversampling: int | None
-    probe_bits: int | None
-    protocol_enabled: bool | None
-    n_keys: int | None
-    key_len_bytes: int | None
-    key_policy: str | None
-    storage_capacity_j: float | None
-    wake_threshold_j: float | None
-    tx_cost_j_per_bit: float | None
-    dt_s: float | None
-    max_time_s: float | None
-    attacker: str | None
-    sweep_param: str | None
-    sweep_values: tuple[float, ...] | None
+    setup: str = _key("setup", "choice:wired|anechoic|custom")
+    seed: int = _key("seed", "int", preset=0)
+    topology: str | None = _key("channel.topology", "choice:radiated|wired")
+    p_tx_dbm: float | None = _key("channel.p_tx_dbm", "float")
+    frequency_hz: float | None = _key("channel.frequency_hz", "float", check=_POSITIVE)
+    distance_dl_m: float | None = _key("channel.distance_dl_m", "float", _RADIATED)
+    distance_ul_m: float | None = _key("channel.distance_ul_m", "float", _RADIATED)
+    gain_src_dbi: float | None = _key("channel.gain_src_dbi", "float", _RADIATED)
+    gain_node_dbi: float | None = _key("channel.gain_node_dbi", "float", _RADIATED)
+    gain_mon_dbi: float | None = _key("channel.gain_mon_dbi", "float", _RADIATED)
+    gamma_low_db: float | None = _key("channel.gamma_low_db", "float", preset=-20.0)
+    gamma_high_db: float | None = _key("channel.gamma_high_db", "float", preset=-3.0)
+    efficiency_curve: tuple[tuple[float, float], ...] | None = _key(
+        "channel.efficiency_curve", "curve", preset=DEFAULT_EFFICIENCY_CURVE
+    )
+    load_ohms: float | None = _key("channel.load_ohms", "float", preset=10e3)
+    leakage_kind: str | None = _key("channel.leakage_kind", "choice:circulator|coupling")
+    circulator_isolation_db: float | None = _key(
+        "channel.circulator_isolation_db", "float", _CIRCULATOR
+    )
+    coupling_floor_dbm: float | None = _key("channel.coupling_floor_dbm", "float", _COUPLING)
+    coupling_ref_tx_dbm: float | None = _key("channel.coupling_ref_tx_dbm", "float", _COUPLING)
+    noise_power_dbm: float | None = _key("channel.noise_power_dbm", "float", preset=-90.0)
+    bit_rate_hz: float | None = _key(
+        "waveform.bit_rate_hz", "float", check=(lambda v: 0 < v <= 100e3, "must be in (0, 100000]")
+    )
+    oversampling: int | None = _key(
+        "waveform.oversampling", "int", preset=16, check=(lambda v: v >= 8, "must be >= 8")
+    )
+    probe_bits: int | None = _key(
+        "waveform.probe_bits", "int", preset=64, check=(lambda v: v >= 2, "must be >= 2")
+    )
+    protocol_enabled: bool | None = _key("protocol.enabled", "bool")
+    n_keys: int | None = _key(
+        "protocol.n_keys", "int", preset=16, check=(lambda v: v >= 1, "must be >= 1")
+    )
+    key_len_bytes: int | None = _key(
+        "protocol.key_len_bytes",
+        "int",
+        preset=2,
+        check=(lambda v: 1 <= v <= 64, "must be in [1, 64]"),
+    )
+    key_policy: str | None = _key(
+        "protocol.key_policy", "choice:sequential|random", preset="sequential"
+    )
+    storage_capacity_j: float | None = _key(
+        "protocol.storage_capacity_j", "float", preset=DEFAULT_STORAGE_CAPACITY_J
+    )
+    wake_threshold_j: float | None = _key(
+        "protocol.wake_threshold_j", "float", preset=DEFAULT_WAKE_THRESHOLD_J
+    )
+    tx_cost_j_per_bit: float | None = _key(
+        "protocol.tx_cost_j_per_bit", "float", preset=DEFAULT_TX_COST_J_PER_BIT
+    )
+    dt_s: float | None = _key("protocol.dt_s", "float", preset=DEFAULT_DT_S, check=_POSITIVE)
+    max_time_s: float | None = _key("protocol.max_time_s", "float", preset=30.0, check=_POSITIVE)
+    attacker: str | None = _key("protocol.attacker", "choice:none|replay", preset="none")
+    sweep_param: str | None = _key(
+        "sweep.param",
+        "str",
+        ("sweep_values", None),
+        check=(lambda v: v in _SCALAR_KEYS, "{!r} is not a sweepable scalar key"),
+    )
+    sweep_values: tuple[float, ...] | None = _key("sweep.values", "floats", ("sweep_param", None))
 
     def with_override(self, key: str, value: float) -> "ScenarioConfig":
         """Copy with one scalar config key replaced (used by sweeps)."""
@@ -81,103 +135,16 @@ class ScenarioConfig:
         return dataclasses.replace(self, **{attr: coerced})
 
 
-# key -> (attribute, kind); kind drives conversion and sweepability.
-# Kinds: float, int, bool, choice:<a|b|..>, curve, floats, str
+_FIELDS = dataclasses.fields(ScenarioConfig)
+# key -> (attribute, kind); the float and int keys are the sweepable scalars
 _SCHEMA: dict[str, tuple[str, str]] = {
-    "setup": ("setup", "choice:wired|anechoic|custom"),
-    "seed": ("seed", "int"),
-    "channel.topology": ("topology", "choice:radiated|wired"),
-    "channel.p_tx_dbm": ("p_tx_dbm", "float"),
-    "channel.frequency_hz": ("frequency_hz", "float"),
-    "channel.distance_dl_m": ("distance_dl_m", "float"),
-    "channel.distance_ul_m": ("distance_ul_m", "float"),
-    "channel.gain_src_dbi": ("gain_src_dbi", "float"),
-    "channel.gain_node_dbi": ("gain_node_dbi", "float"),
-    "channel.gain_mon_dbi": ("gain_mon_dbi", "float"),
-    "channel.gamma_low_db": ("gamma_low_db", "float"),
-    "channel.gamma_high_db": ("gamma_high_db", "float"),
-    "channel.efficiency_curve": ("efficiency_curve", "curve"),
-    "channel.load_ohms": ("load_ohms", "float"),
-    "channel.leakage_kind": ("leakage_kind", "choice:circulator|coupling"),
-    "channel.circulator_isolation_db": ("circulator_isolation_db", "float"),
-    "channel.coupling_floor_dbm": ("coupling_floor_dbm", "float"),
-    "channel.coupling_ref_tx_dbm": ("coupling_ref_tx_dbm", "float"),
-    "channel.noise_power_dbm": ("noise_power_dbm", "float"),
-    "waveform.bit_rate_hz": ("bit_rate_hz", "float"),
-    "waveform.oversampling": ("oversampling", "int"),
-    "waveform.probe_bits": ("probe_bits", "int"),
-    "protocol.enabled": ("protocol_enabled", "bool"),
-    "protocol.n_keys": ("n_keys", "int"),
-    "protocol.key_len_bytes": ("key_len_bytes", "int"),
-    "protocol.key_policy": ("key_policy", "choice:sequential|random"),
-    "protocol.storage_capacity_j": ("storage_capacity_j", "float"),
-    "protocol.wake_threshold_j": ("wake_threshold_j", "float"),
-    "protocol.tx_cost_j_per_bit": ("tx_cost_j_per_bit", "float"),
-    "protocol.dt_s": ("dt_s", "float"),
-    "protocol.max_time_s": ("max_time_s", "float"),
-    "protocol.attacker": ("attacker", "choice:none|replay"),
-    "sweep.param": ("sweep_param", "str"),
-    "sweep.values": ("sweep_values", "floats"),
+    f.metadata["key"]: (f.name, f.metadata["kind"]) for f in _FIELDS
 }
-
 _SCALAR_KEYS = {k: (a, t) for k, (a, t) in _SCHEMA.items() if t in ("float", "int")}
-_ATTR_FOR_KEY = {k: a for k, (a, _) in _SCHEMA.items()}
-
-# Keys every custom config must set, before topology/leakage conditionals.
-_BASE_REQUIRED = [
-    "seed",
-    "channel.topology",
-    "channel.p_tx_dbm",
-    "channel.frequency_hz",
-    "channel.gamma_low_db",
-    "channel.gamma_high_db",
-    "channel.efficiency_curve",
-    "channel.load_ohms",
-    "channel.leakage_kind",
-    "channel.noise_power_dbm",
-    "waveform.bit_rate_hz",
-    "waveform.oversampling",
-    "waveform.probe_bits",
-    "protocol.enabled",
-    "protocol.n_keys",
-    "protocol.key_len_bytes",
-    "protocol.key_policy",
-    "protocol.storage_capacity_j",
-    "protocol.wake_threshold_j",
-    "protocol.tx_cost_j_per_bit",
-    "protocol.dt_s",
-    "protocol.max_time_s",
-    "protocol.attacker",
-]
-_RADIATED_KEYS = [
-    "channel.distance_dl_m",
-    "channel.distance_ul_m",
-    "channel.gain_src_dbi",
-    "channel.gain_node_dbi",
-    "channel.gain_mon_dbi",
-]
-
-_COMMON_DEFAULTS = dict(
-    seed=0,
-    gamma_low_db=-20.0,
-    gamma_high_db=-3.0,
-    efficiency_curve=DEFAULT_EFFICIENCY_CURVE,
-    load_ohms=10e3,
-    noise_power_dbm=-90.0,
-    oversampling=16,
-    probe_bits=64,
-    n_keys=16,
-    key_len_bytes=2,
-    key_policy="sequential",
-    storage_capacity_j=DEFAULT_STORAGE_CAPACITY_J,
-    wake_threshold_j=DEFAULT_WAKE_THRESHOLD_J,
-    tx_cost_j_per_bit=DEFAULT_TX_COST_J_PER_BIT,
-    dt_s=DEFAULT_DT_S,
-    max_time_s=30.0,
-    attacker="none",
-    sweep_param=None,
-    sweep_values=None,
-)
+_KEY_OF = {a: k for k, (a, _) in _SCHEMA.items()}
+_COMMON_DEFAULTS = {
+    f.name: f.metadata["preset"] for f in _FIELDS if f.metadata["preset"] is not None
+}
 
 PRESETS: dict[str, dict] = {
     # Three-antenna radiated setup: +15 dBm at 868 MHz over 3.4 m, residual
@@ -193,7 +160,6 @@ PRESETS: dict[str, dict] = {
         gain_node_dbi=9.2,
         gain_mon_dbi=9.2,
         leakage_kind="coupling",
-        circulator_isolation_db=None,
         coupling_floor_dbm=-57.0,
         coupling_ref_tx_dbm=15.0,
         bit_rate_hz=20e3,
@@ -206,15 +172,8 @@ PRESETS: dict[str, dict] = {
         topology="wired",
         p_tx_dbm=-15.0,
         frequency_hz=876e6,
-        distance_dl_m=None,
-        distance_ul_m=None,
-        gain_src_dbi=None,
-        gain_node_dbi=None,
-        gain_mon_dbi=None,
         leakage_kind="circulator",
         circulator_isolation_db=20.0,
-        coupling_floor_dbm=None,
-        coupling_ref_tx_dbm=None,
         bit_rate_hz=100e3,
         protocol_enabled=False,
     ),
@@ -228,7 +187,7 @@ PRESET_SUMMARIES = {
 }
 
 
-def _convert(key: str, kind: str, raw: str):
+def _convert(kind: str, raw: str):
     if kind == "float":
         value = float(raw)
         if math.isnan(value):
@@ -294,67 +253,25 @@ def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
 def _validate(values: dict) -> list[str]:
     """Collect every schema violation for the resolved value dict."""
     bad: list[str] = []
-
-    def missing(key: str) -> bool:
-        return values.get(_ATTR_FOR_KEY[key]) is None
-
-    def forbid(key: str, why: str) -> None:
-        if not missing(key):
-            bad.append(f"{key}: not applicable {why}")
-
-    for key in _BASE_REQUIRED:
-        if missing(key):
-            bad.append(f"{key}: missing")
-
-    topology = values.get("topology")
-    if topology == "radiated":
-        for key in _RADIATED_KEYS:
-            if missing(key):
-                bad.append(f"{key}: missing (required for radiated topology)")
-    elif topology == "wired":
-        for key in _RADIATED_KEYS:
-            forbid(key, "to wired topology")
-
-    kind = values.get("leakage_kind")
-    if kind == "circulator":
-        if missing("channel.circulator_isolation_db"):
-            bad.append("channel.circulator_isolation_db: missing (required for circulator)")
-        forbid("channel.coupling_floor_dbm", "to circulator leakage")
-        forbid("channel.coupling_ref_tx_dbm", "to circulator leakage")
-    elif kind == "coupling":
-        for key in ("channel.coupling_floor_dbm", "channel.coupling_ref_tx_dbm"):
-            if missing(key):
-                bad.append(f"{key}: missing (required for coupling)")
-        forbid("channel.circulator_isolation_db", "to coupling leakage")
-
-    def check(cond: bool, msg: str) -> None:
-        if not cond:
-            bad.append(msg)
-
-    if values.get("bit_rate_hz") is not None:
-        check(0 < values["bit_rate_hz"] <= 100e3, "waveform.bit_rate_hz: must be in (0, 100000]")
-    if values.get("oversampling") is not None:
-        check(values["oversampling"] >= 8, "waveform.oversampling: must be >= 8")
-    if values.get("probe_bits") is not None:
-        check(values["probe_bits"] >= 2, "waveform.probe_bits: must be >= 2")
-    if values.get("n_keys") is not None:
-        check(values["n_keys"] >= 1, "protocol.n_keys: must be >= 1")
-    if values.get("key_len_bytes") is not None:
-        check(1 <= values["key_len_bytes"] <= 64, "protocol.key_len_bytes: must be in [1, 64]")
-    for key in ("protocol.dt_s", "protocol.max_time_s", "channel.frequency_hz"):
-        v = values.get(_ATTR_FOR_KEY[key])
-        if v is not None:
-            check(v > 0, f"{key}: must be > 0")
-
-    sweep_param = values.get("sweep_param")
-    sweep_values = values.get("sweep_values")
-    if sweep_param is not None:
-        if sweep_param not in _SCALAR_KEYS:
-            bad.append(f"sweep.param: {sweep_param!r} is not a sweepable scalar key")
-        if sweep_values is None:
-            bad.append("sweep.values: missing (required when sweep.param is set)")
-    elif sweep_values is not None:
-        bad.append("sweep.param: missing (required when sweep.values is set)")
+    for f in _FIELDS:
+        key, required, check = (f.metadata[m] for m in ("key", "required", "check"))
+        value = values[f.name]
+        why = ""
+        if required is not True:
+            selector, wanted = required
+            chosen = values[selector]
+            if chosen is not None and wanted not in (None, chosen):
+                if value is not None:
+                    bad.append(f"{key}: not applicable when {_KEY_OF[selector]} = {chosen}")
+                continue
+            required = chosen is not None
+            condition = "is set" if wanted is None else f"= {wanted}"
+            why = f" (required when {_KEY_OF[selector]} {condition})"
+        if value is None:
+            if required:
+                bad.append(f"{key}: missing{why}")
+        elif check is not None and not check[0](value):
+            bad.append(f"{key}: {check[1].format(value)}")
     return bad
 
 
@@ -375,11 +292,11 @@ def load_config(source: str | Path) -> ScenarioConfig:
         raise ValidationError(["setup: missing"])
     setup_raw, setup_line = pairs.pop("setup")
     try:
-        setup = _convert("setup", _SCHEMA["setup"][1], setup_raw)
+        setup = _convert(_SCHEMA["setup"][1], setup_raw)
     except ValueError as exc:
         raise ParseError(f"line {setup_line}: setup: {exc}") from None
 
-    values: dict = {a: None for _, (a, _) in _SCHEMA.items()}
+    values: dict = {f.name: None for f in _FIELDS}
     values.update(PRESETS.get(setup, {}))
     values["setup"] = setup
 
@@ -387,7 +304,7 @@ def load_config(source: str | Path) -> ScenarioConfig:
     for key, (raw, lineno) in pairs.items():
         attr, kind = _SCHEMA[key]
         try:
-            values[attr] = _convert(key, kind, raw)
+            values[attr] = _convert(kind, raw)
         except ValueError as exc:
             conversion_problems.append(f"line {lineno}: {key}: {exc}")
     if conversion_problems:

@@ -24,10 +24,7 @@ from .monitor import (
     DecodeResult,
     authenticate,
 )
-from .waveform import EnvelopeTrace, Frame, build_frame, frame_to_bits, synthesize_envelope
-
-HARVESTING = "harvesting"
-BACKSCATTERING = "backscattering"
+from .waveform import EnvelopeTrace, Frame, build_frame, frame_to_bits, render_envelope
 
 DEFAULT_STORAGE_CAPACITY_J = 100e-6
 DEFAULT_WAKE_THRESHOLD_J = 10e-6
@@ -70,10 +67,6 @@ class PvkTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def remaining(self) -> int:
-        return sum(1 for u in self.used if not u)
-
     def find(self, code: bytes) -> int | None:
         return self._index.get(bytes(code))
 
@@ -95,11 +88,6 @@ class PvkTable:
 
     def copy(self) -> "PvkTable":
         return PvkTable(entries=list(self.entries), used=list(self.used))
-
-
-def next_key(table: PvkTable) -> tuple[int, bytes]:
-    """Sequential-cursor key selection; does not consume the entry."""
-    return table.peek_next()
 
 
 def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
@@ -135,30 +123,24 @@ class NodeState:
     """Sensor-node energy ledger and key material."""
 
     table: PvkTable
-    mode: str = HARVESTING
     stored_energy_j: float = 0.0
     storage_capacity_j: float = DEFAULT_STORAGE_CAPACITY_J
     wake_threshold_j: float = DEFAULT_WAKE_THRESHOLD_J
     tx_cost_j_per_bit: float = DEFAULT_TX_COST_J_PER_BIT
 
     def __post_init__(self) -> None:
-        if self.mode not in (HARVESTING, BACKSCATTERING):
-            raise ValueError(f"unknown mode: {self.mode!r}")
         if self.storage_capacity_j <= 0 or self.wake_threshold_j <= 0:
             raise ValueError("storage_capacity_j and wake_threshold_j must be > 0")
         if not 0 <= self.stored_energy_j <= self.storage_capacity_j:
             raise ValueError("stored_energy_j outside [0, storage_capacity_j]")
         if self.tx_cost_j_per_bit < 0:
             raise ValueError("tx_cost_j_per_bit must be >= 0")
-        if self.mode == BACKSCATTERING and self.stored_energy_j <= 0:
-            raise ValueError("backscattering mode requires stored energy > 0")
 
 
 @dataclass(frozen=True)
 class NodeStep:
     """What one node_step call did."""
 
-    state: NodeState
     frame: Frame | None
     key_index: int | None
     harvested_j: float
@@ -196,7 +178,7 @@ def node_step(
     bs_time = 0.0
     if state.stored_energy_j >= state.wake_threshold_j:
         if key_policy == "sequential":
-            key_index, code = next_key(state.table)
+            key_index, code = state.table.peek_next()
         elif key_policy == "random":
             pool = state.table.unused_indices()
             if not pool:
@@ -212,13 +194,10 @@ def node_step(
             raise ValueError(
                 f"frame cost {tx_cost} J exceeds stored energy {state.stored_energy_j} J"
             )
-        state.mode = BACKSCATTERING
         state.stored_energy_j -= tx_cost
         state.table.mark_used(key_index)
         bs_time = frame.duration_s
-        state.mode = HARVESTING
     return NodeStep(
-        state=state,
         frame=frame,
         key_index=key_index,
         harvested_j=banked,
@@ -358,7 +337,12 @@ def run_session(
     events.append(SessionEvent(0.0, "session_start", stored_energy_j=node.stored_energy_j))
 
     p_in = scenario.node_input_dbm()
-    key_rng = np.random.default_rng(scenario.noise.rng_seed) if key_policy == "random" else None
+    key_rng = None
+    if key_policy == "random":
+        # a spawned child keeps the key draws independent of the noise stream,
+        # which NoiseSpec.generator() seeds from the same rng_seed
+        (child,) = np.random.SeedSequence(scenario.noise.rng_seed).spawn(1)
+        key_rng = np.random.default_rng(child)
     t = 0.0
     total_harvested = 0.0
     total_cost = 0.0
@@ -414,14 +398,8 @@ def run_session(
     events.append(SessionEvent(t_emit, "frame_emitted", stored_energy_j=node.stored_energy_j))
     energy.append((t_emit, node.stored_energy_j))
 
-    trace = synthesize_envelope(
-        frame_to_bits(frame),
-        scenario.state_level_dbm(True),
-        scenario.state_level_dbm(False),
-        monitor.bit_rate_hz,
-        monitor.sample_rate_hz,
-        scenario.noise,
-        meta=scenario.name,
+    trace = render_envelope(
+        scenario, frame_to_bits(frame), monitor.bit_rate_hz, monitor.sample_rate_hz
     )
     attacker.record(trace)
 

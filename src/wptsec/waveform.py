@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import NoiseSpec
+from .channel import LinkScenario, NoiseSpec
 from .errors import (
     BitRateTooHigh,
     InvertedLevels,
@@ -94,14 +94,6 @@ def build_frame(payload_bytes: bytes, bit_rate_hz: float) -> Frame:
 def bytes_to_bits(data: bytes) -> np.ndarray:
     """MSB-first bit expansion."""
     return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
-
-
-def bits_to_bytes(bits) -> bytes:
-    """Inverse of bytes_to_bits; length must be a whole number of bytes."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size % 8 != 0:
-        raise ValueError("bit count is not a whole number of bytes")
-    return np.packbits(arr).tobytes()
 
 
 def frame_to_bits(frame: Frame) -> np.ndarray:
@@ -184,6 +176,22 @@ def synthesize_envelope(
     total_w = np.maximum(signal_w, POWER_FLOOR_W)
     samples_dbm = 10.0 * np.log10(total_w) + 30.0
     return EnvelopeTrace(sample_rate_hz=sample_rate_hz, samples=samples_dbm, meta=meta)
+
+
+def render_envelope(
+    scenario: LinkScenario, bits, bit_rate_hz: float, sample_rate_hz: float
+) -> EnvelopeTrace:
+    """Envelope the monitor receives while the node backscatters ``bits`` over
+    ``scenario``: its two state levels, its noise, and its name as meta."""
+    return synthesize_envelope(
+        bits,
+        scenario.state_level_dbm(True),
+        scenario.state_level_dbm(False),
+        bit_rate_hz,
+        sample_rate_hz,
+        scenario.noise,
+        meta=scenario.name,
+    )
 
 
 def generate_square_cmd(freq_hz: float, duration_s: float, sample_rate_hz: float) -> np.ndarray:

@@ -7,9 +7,18 @@ from wptsec.cli import (
     emit_trace,
     format_csv,
     main,
+    point_seed,
     run_experiment,
 )
-from wptsec.config import load_config, load_preset
+from wptsec.config import (
+    build_monitor,
+    build_node,
+    build_scenario,
+    build_tables,
+    load_config,
+    load_preset,
+)
+from wptsec.protocol import Attacker, run_session
 from wptsec.monitor import decode_trace
 from wptsec.waveform import read_trace, write_trace
 
@@ -135,6 +144,24 @@ class TestEmitTrace:
         result = decode_trace(read_trace(path), cfg.bit_rate_hz)
         assert result.status == "decoded"
         assert len(result.payload) == cfg.key_len_bytes
+
+    def test_matches_first_session_trace(self):
+        # the CLI trace and the session driver render the first key the same way
+        cfg = load_preset("anechoic")
+        node_table, monitor_table = build_tables(cfg)
+        log = run_session(
+            build_scenario(cfg, noise_seed=point_seed(cfg.seed, 0)),
+            build_node(cfg, node_table),
+            Attacker(),
+            build_monitor(cfg, monitor_table),
+            dt_s=cfg.dt_s,
+            max_time_s=cfg.max_time_s,
+        )
+        assert log.emitted_key_index == 0
+        trace = emit_trace(cfg)
+        assert trace.sample_rate_hz == log.trace.sample_rate_hz
+        assert trace.meta == log.trace.meta == cfg.setup
+        assert np.array_equal(trace.samples, log.trace.samples)
 
 
 class TestMain:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from wptsec import config
 from wptsec.config import (
     build_monitor,
     build_node,
@@ -11,6 +12,135 @@ from wptsec.config import (
     load_preset,
 )
 from wptsec.errors import ParseError, ValidationError
+
+
+FLOAT_KEYS = {
+    "channel.p_tx_dbm",
+    "channel.frequency_hz",
+    "channel.distance_dl_m",
+    "channel.distance_ul_m",
+    "channel.gain_src_dbi",
+    "channel.gain_node_dbi",
+    "channel.gain_mon_dbi",
+    "channel.gamma_low_db",
+    "channel.gamma_high_db",
+    "channel.load_ohms",
+    "channel.circulator_isolation_db",
+    "channel.coupling_floor_dbm",
+    "channel.coupling_ref_tx_dbm",
+    "channel.noise_power_dbm",
+    "waveform.bit_rate_hz",
+    "protocol.storage_capacity_j",
+    "protocol.wake_threshold_j",
+    "protocol.tx_cost_j_per_bit",
+    "protocol.dt_s",
+    "protocol.max_time_s",
+}
+INT_KEYS = {
+    "seed",
+    "waveform.oversampling",
+    "waveform.probe_bits",
+    "protocol.n_keys",
+    "protocol.key_len_bytes",
+}
+OTHER_KEYS = {
+    "setup",
+    "channel.topology",
+    "channel.efficiency_curve",
+    "channel.leakage_kind",
+    "protocol.enabled",
+    "protocol.key_policy",
+    "protocol.attacker",
+    "sweep.param",
+    "sweep.values",
+}
+ALL_KEYS = FLOAT_KEYS | INT_KEYS | OTHER_KEYS
+RADIATED_KEYS = {
+    "channel.distance_dl_m",
+    "channel.distance_ul_m",
+    "channel.gain_src_dbi",
+    "channel.gain_node_dbi",
+    "channel.gain_mon_dbi",
+}
+CIRCULATOR_KEYS = {"channel.circulator_isolation_db"}
+COUPLING_KEYS = {"channel.coupling_floor_dbm", "channel.coupling_ref_tx_dbm"}
+# keys a bare setup=custom reports as missing: everything but the setup
+# itself, the sweep pair and the keys that hang on topology or leakage kind
+CUSTOM_MISSING = (
+    ALL_KEYS
+    - {"setup", "sweep.param", "sweep.values"}
+    - RADIATED_KEYS
+    - CIRCULATOR_KEYS
+    - COUPLING_KEYS
+)
+
+
+def violations_of(text: str) -> list[str]:
+    with pytest.raises(ValidationError) as info:
+        load_config(text)
+    return info.value.violations
+
+
+def keys_with(violations: list[str], what: str) -> set[str]:
+    return {v.split(":", 1)[0] for v in violations if v.split(": ", 1)[1].startswith(what)}
+
+
+class TestSchema:
+    def test_accepted_keys(self):
+        assert len(ALL_KEYS) == 34
+        assert set(config._SCHEMA) == ALL_KEYS
+        for key in ALL_KEYS:
+            try:
+                load_config(f"setup=wired\n{key} = ?")
+            except (ParseError, ValidationError) as exc:
+                assert "unknown key" not in str(exc)
+
+    def test_sweepable_keys_are_the_float_and_int_keys(self):
+        for key in ALL_KEYS:
+            text = f"setup=wired\nsweep.param = {key}\nsweep.values = 1"
+            if key in FLOAT_KEYS | INT_KEYS:
+                assert load_config(text).sweep_param == key
+            else:
+                assert violations_of(text) == [
+                    f"sweep.param: {key!r} is not a sweepable scalar key"
+                ]
+
+    def test_custom_reports_exactly_the_unconditional_keys(self):
+        violations = violations_of("setup=custom")
+        assert len(violations) == len(CUSTOM_MISSING) == 23
+        assert keys_with(violations, "missing") == CUSTOM_MISSING
+
+    @pytest.mark.parametrize(
+        "selector, needed",
+        [
+            ("channel.topology = radiated\nchannel.leakage_kind = circulator",
+             RADIATED_KEYS | CIRCULATOR_KEYS),
+            ("channel.topology = wired\nchannel.leakage_kind = coupling", COUPLING_KEYS),
+        ],
+    )
+    def test_custom_conditional_keys_missing(self, selector, needed):
+        violations = violations_of(f"setup=custom\n{selector}")
+        expected = CUSTOM_MISSING - {"channel.topology", "channel.leakage_kind"}
+        assert keys_with(violations, "missing") == expected | needed
+        assert not keys_with(violations, "not applicable")
+
+    @pytest.mark.parametrize(
+        "setup, key",
+        [("wired", k) for k in sorted(RADIATED_KEYS | COUPLING_KEYS)]
+        + [("anechoic", k) for k in sorted(CIRCULATOR_KEYS)],
+    )
+    def test_conditional_key_not_applicable(self, setup, key):
+        violations = violations_of(f"setup={setup}\n{key} = 1")
+        assert len(violations) == 1
+        assert violations[0].startswith(f"{key}: not applicable")
+
+    def test_sweep_pair_requires_both(self):
+        assert keys_with(
+            violations_of("setup=wired\nsweep.param = seed"), "missing"
+        ) == {"sweep.values"}
+        assert keys_with(
+            violations_of("setup=wired\nsweep.values = 1,2"), "missing"
+        ) == {"sweep.param"}
 
 
 class TestPresets:

@@ -20,7 +20,6 @@ from wptsec.protocol import (
     PvkTable,
     fresh_session_scenario,
     generate_table,
-    next_key,
     node_step,
     run_session,
 )
@@ -81,15 +80,15 @@ class TestPvkTable:
 
     def test_cursor_policy(self):
         table = PvkTable(entries=[b"\x01", b"\x02", b"\x03"])
-        assert next_key(table) == (0, b"\x01")
-        assert next_key(table) == (0, b"\x01")  # peek does not consume
+        assert table.peek_next() == (0, b"\x01")
+        assert table.peek_next() == (0, b"\x01")  # peek does not consume
         table.mark_used(0)
-        assert next_key(table) == (1, b"\x02")
+        assert table.peek_next() == (1, b"\x02")
         table.mark_used(2)  # out-of-order use keeps the cursor at 1
-        assert next_key(table) == (1, b"\x02")
+        assert table.peek_next() == (1, b"\x02")
         table.mark_used(1)
         with pytest.raises(TableExhausted):
-            next_key(table)
+            table.peek_next()
 
     def test_entries_unique_and_sized(self):
         with pytest.raises(ValueError):
@@ -245,6 +244,18 @@ class TestRunSession:
         )
         assert log.final.verdict == ACCEPTED
 
+    def test_random_key_stream_independent_of_noise_stream(self):
+        # the key draw must not replay the first draw of the noise generator
+        same = 0
+        for seed in range(20):
+            node = NodeState(table=generate_table(1000, 2, rng_seed=3))
+            monitor = MonitorConfig(table=node.table.copy())
+            log = run_session(
+                anechoic_scenario(seed=seed), node, Attacker(), monitor, key_policy="random"
+            )
+            same += log.emitted_key_index == np.random.default_rng(seed).integers(0, 1000)
+        assert same <= 1
+
     def test_record_field_names(self):
         node, monitor = session_parts()
         log = run_session(anechoic_scenario(seed=52), node, Attacker(), monitor)
@@ -263,8 +274,6 @@ class TestStateValidation:
             NodeState(table=table, stored_energy_j=-1.0)
         with pytest.raises(ValueError):
             NodeState(table=table, stored_energy_j=2.0, storage_capacity_j=1.0)
-        with pytest.raises(ValueError):
-            NodeState(table=table, mode="backscattering", stored_energy_j=0.0)
 
     def test_attacker_contract(self):
         with pytest.raises(ValueError):
