@@ -30,6 +30,7 @@ from .monitor import (
     decode_trace,
     estimate_threshold,
     measure_dynamic_range,
+    measure_levels,
     recover_bits,
     verify,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "load_config",
     "load_preset",
     "measure_dynamic_range",
+    "measure_levels",
     "node_step",
     "read_trace",
     "recover_bits",

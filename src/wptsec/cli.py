@@ -28,7 +28,7 @@ from .config import (
     load_preset,
 )
 from .errors import ParseError, ValidationError
-from .monitor import estimate_threshold, measure_dynamic_range
+from .monitor import measure_levels
 from .protocol import Attacker, run_session
 from .waveform import (
     EnvelopeTrace,
@@ -81,14 +81,10 @@ class Summary:
         ]
 
 
-def _probe_bits(n: int) -> np.ndarray:
-    """Alternating CMD pattern used for protocol-free level measurement."""
-    return np.resize(np.array([1, 0], dtype=np.uint8), n)
-
-
 def _probe_trace(cfg: ScenarioConfig, seed: int) -> EnvelopeTrace:
+    """Alternating CMD pattern used for protocol-free level measurement."""
     check_bit_rate(cfg.bit_rate_hz)
-    return _render(cfg, seed, _probe_bits(cfg.probe_bits))
+    return _render(cfg, seed, np.resize(np.array([1, 0], dtype=np.uint8), cfg.probe_bits))
 
 
 def _render(cfg: ScenarioConfig, seed: int, bits) -> EnvelopeTrace:
@@ -112,8 +108,7 @@ def _run_point(cfg: ScenarioConfig, seed: int) -> dict:
     row["seed"] = seed
     if not cfg.protocol_enabled:
         trace = _probe_trace(cfg, seed)
-        row["dr_db"] = measure_dynamic_range(trace)
-        row["threshold_dbm"] = estimate_threshold(trace)
+        row["threshold_dbm"], row["dr_db"] = measure_levels(trace)
         row["status"] = "ok"
         return row
 

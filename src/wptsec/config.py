@@ -33,6 +33,7 @@ from .protocol import (
     PvkTable,
     generate_table,
 )
+from .waveform import MAX_PAYLOAD_BYTES
 
 
 # A key whose use hangs on another key is required while that selector holds
@@ -103,7 +104,7 @@ class ScenarioConfig:
         "protocol.key_len_bytes",
         "int",
         preset=2,
-        check=(lambda v: 1 <= v <= 64, "must be in [1, 64]"),
+        check=(lambda v: 1 <= v <= MAX_PAYLOAD_BYTES, f"must be in [1, {MAX_PAYLOAD_BYTES}]"),
     )
     key_policy: str | None = _key(
         "protocol.key_policy", "choice:sequential|random", preset="sequential"
@@ -217,7 +218,7 @@ def _convert(kind: str, raw: str):
             raise ValueError("efficiency curve needs at least one p_dbm:eta pair")
         return tuple(pairs)
     if kind == "floats":
-        values = tuple(float(v) for v in raw.split(",") if v.strip())
+        values = tuple(_convert("float", v) for v in raw.split(",") if v.strip())
         if not values:
             raise ValueError("expected a comma-separated list of numbers")
         return values
@@ -254,7 +255,17 @@ def _validate(values: dict) -> list[str]:
     """Collect every schema violation for the resolved value dict."""
     bad: list[str] = []
     for f in _FIELDS:
-        key, required, check = (f.metadata[m] for m in ("key", "required", "check"))
+        key, kind, required, check = (f.metadata[m] for m in ("key", "kind", "required", "check"))
+        if key == values["sweep_param"] and key in _SCALAR_KEYS:
+            # each swept value must be one the key itself would accept
+            for point in values["sweep_values"] or ():
+                if kind == "int":
+                    if not point.is_integer():
+                        bad.append(f"sweep.values: {point!r}: {key} must be an integer")
+                        continue
+                    point = int(point)
+                if check is not None and not check[0](point):
+                    bad.append(f"sweep.values: {point!r}: {key} {check[1].format(point)}")
         value = values[f.name]
         why = ""
         if required is not True:
@@ -341,29 +352,24 @@ def build_scenario(cfg: ScenarioConfig, noise_seed: int | None = None) -> LinkSc
         noise_power_dbm=cfg.noise_power_dbm,
         rng_seed=cfg.seed if noise_seed is None else noise_seed,
     )
-    if cfg.topology == "wired":
-        return LinkScenario(
-            name=cfg.setup,
-            topology="wired",
-            p_tx_dbm=cfg.p_tx_dbm,
-            frequency_hz=cfg.frequency_hz,
-            rect=rect,
-            leakage=leakage,
-            noise=noise,
+    antennas = {}
+    if cfg.topology == "radiated":
+        antennas = dict(
+            src_tx=AntennaSpec(cfg.gain_src_dbi),
+            node_antenna=AntennaSpec(cfg.gain_node_dbi),
+            mon_rx=AntennaSpec(cfg.gain_mon_dbi),
+            dl=LinkGeometry(cfg.distance_dl_m, cfg.frequency_hz),
+            ul=LinkGeometry(cfg.distance_ul_m, cfg.frequency_hz),
         )
     return LinkScenario(
         name=cfg.setup,
-        topology="radiated",
+        topology=cfg.topology,
         p_tx_dbm=cfg.p_tx_dbm,
         frequency_hz=cfg.frequency_hz,
         rect=rect,
         leakage=leakage,
         noise=noise,
-        src_tx=AntennaSpec(cfg.gain_src_dbi),
-        node_antenna=AntennaSpec(cfg.gain_node_dbi),
-        mon_rx=AntennaSpec(cfg.gain_mon_dbi),
-        dl=LinkGeometry(cfg.distance_dl_m, cfg.frequency_hz),
-        ul=LinkGeometry(cfg.distance_ul_m, cfg.frequency_hz),
+        **antennas,
     )
 
 

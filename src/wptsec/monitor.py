@@ -16,7 +16,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import EmptyTrace, NoSync, UndersampledError
-from .waveform import MIN_OVERSAMPLING, PREAMBLE_BITS, SYNC_BYTE, EnvelopeTrace, bytes_to_bits
+from .waveform import (
+    MAX_PAYLOAD_BYTES,
+    MIN_OVERSAMPLING,
+    PREAMBLE_BITS,
+    SYNC_BYTE,
+    EnvelopeTrace,
+    bytes_to_bits,
+)
 
 if TYPE_CHECKING:
     from .protocol import PvkTable
@@ -33,6 +40,7 @@ ACCEPTED = "accepted"
 REJECTED_UNKNOWN_KEY = "rejected_unknown_key"
 REJECTED_REPLAY = "rejected_replay"
 REJECTED_NO_SIGNAL = "rejected_no_signal"
+_VERDICTS = (ACCEPTED, REJECTED_UNKNOWN_KEY, REJECTED_REPLAY, REJECTED_NO_SIGNAL)
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,7 @@ class DecodeResult:
     bit_errors_in_preamble: int
     measured_dr_db: float
     threshold_dbm: float
+    sync_offset: int | None  # first sample of the preamble; None without sync
 
     def __post_init__(self) -> None:
         if self.status not in (DECODED, NO_SYNC, PAYLOAD_INVALID):
@@ -63,12 +72,7 @@ class AuthDecision:
     decode: DecodeResult
 
     def __post_init__(self) -> None:
-        if self.verdict not in (
-            ACCEPTED,
-            REJECTED_UNKNOWN_KEY,
-            REJECTED_REPLAY,
-            REJECTED_NO_SIGNAL,
-        ):
+        if self.verdict not in _VERDICTS:
             raise ValueError(f"unknown verdict: {self.verdict!r}")
         if self.verdict == ACCEPTED and self.matched_key_index is None:
             raise ValueError("accepted decision requires matched_key_index")
@@ -85,48 +89,46 @@ class AuthDecision:
         }
 
 
-def _cluster_means_w(trace: EnvelopeTrace) -> tuple[float, float]:
-    """2-means cluster means of the trace in linear watts, initialized
-    deterministically at (min, max)."""
+def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
+    """(threshold_dbm, dr_db) from one 2-means clustering of the trace in
+    linear watts, initialized at (min, max): the midpoint of the two cluster
+    means, and their dB spacing (0 for a degenerate trace)."""
     if len(trace) == 0:
         raise EmptyTrace("cannot analyze an empty trace")
     lin = 10.0 ** ((trace.samples - 30.0) / 10.0)
     c_lo = float(lin.min())
     c_hi = float(lin.max())
-    if c_lo == c_hi:
-        return c_lo, c_hi
-    for _ in range(100):
-        mid = 0.5 * (c_lo + c_hi)
-        low = lin <= mid
-        new_lo = float(lin[low].mean())
-        new_hi = float(lin[~low].mean())
-        if new_lo == c_lo and new_hi == c_hi:
-            break
-        c_lo, c_hi = new_lo, new_hi
-    return c_lo, c_hi
+    if c_lo != c_hi:
+        for _ in range(100):
+            low = lin <= 0.5 * (c_lo + c_hi)
+            new_lo = float(lin[low].mean())
+            new_hi = float(lin[~low].mean())
+            if new_lo == c_lo and new_hi == c_hi:
+                break
+            c_lo, c_hi = new_lo, new_hi
+    threshold_dbm = 10.0 * math.log10(0.5 * (c_lo + c_hi)) + 30.0
+    return threshold_dbm, 0.0 if c_lo == c_hi else 10.0 * math.log10(c_hi / c_lo)
 
 
 def estimate_threshold(trace: EnvelopeTrace) -> float:
-    """Slicing threshold in dBm: midpoint of the two cluster means in the
-    linear power domain."""
-    c_lo, c_hi = _cluster_means_w(trace)
-    return 10.0 * math.log10(0.5 * (c_lo + c_hi)) + 30.0
+    """Slicing threshold in dBm (see measure_levels)."""
+    return measure_levels(trace)[0]
 
 
 def measure_dynamic_range(trace: EnvelopeTrace) -> float:
-    """dB spacing of the two cluster means; 0 for a degenerate trace."""
-    c_lo, c_hi = _cluster_means_w(trace)
-    if c_lo == c_hi:
-        return 0.0
-    return 10.0 * math.log10(c_hi / c_lo)
+    """dB spacing of the two cluster means (see measure_levels)."""
+    return measure_levels(trace)[1]
 
 
 def _bit_centers(n_bits: int, samples_per_bit: float) -> np.ndarray:
     return np.rint((np.arange(n_bits) + 0.5) * samples_per_bit).astype(np.int64)
 
 
-def recover_bits(trace: EnvelopeTrace, bit_rate_hz: float) -> tuple[np.ndarray, int]:
-    """Slice the trace and acquire bit sync on the frame preamble.
+def recover_bits(
+    trace: EnvelopeTrace, bit_rate_hz: float, threshold_dbm: float
+) -> tuple[np.ndarray, int]:
+    """Slice the trace at threshold_dbm and acquire bit sync on the frame
+    preamble.
 
     Returns (bits, sync_offset): bits sampled at bit centers starting at the
     first sample offset where at least 15 of the 16 preamble bits match, and
@@ -138,8 +140,7 @@ def recover_bits(trace: EnvelopeTrace, bit_rate_hz: float) -> tuple[np.ndarray, 
         raise UndersampledError(
             f"trace at {trace.sample_rate_hz} Hz undersamples bit rate {bit_rate_hz} Hz"
         )
-    threshold = estimate_threshold(trace)
-    sliced = (trace.samples > threshold).astype(np.uint8)
+    sliced = (trace.samples > threshold_dbm).astype(np.uint8)
 
     spb = trace.sample_rate_hz / bit_rate_hz
     centers = _bit_centers(len(PREAMBLE_BITS), spb)
@@ -178,9 +179,9 @@ def decode_frame(
     """Strip framing from a recovered bit sequence.
 
     ``bits`` starts at the preamble (as returned by recover_bits);
-    ``sync_offset`` is carried for provenance only. The payload is every
-    whole byte after the sync byte; anything malformed downgrades the status
-    to payload_invalid rather than raising.
+    ``sync_offset`` is carried into the result for provenance. The payload
+    is every whole byte after the sync byte; anything malformed downgrades
+    the status to payload_invalid rather than raising.
     """
     arr = np.asarray(bits, dtype=np.uint8)
     n_pre = len(PREAMBLE_BITS)
@@ -188,41 +189,27 @@ def decode_frame(
     errors = int(np.sum(pre != np.array(PREAMBLE_BITS[: pre.size], dtype=np.uint8)))
     errors += n_pre - pre.size  # missing preamble bits count as errors
 
-    def invalid() -> DecodeResult:
-        return DecodeResult(
-            status=PAYLOAD_INVALID,
-            payload=None,
-            bit_errors_in_preamble=errors,
-            measured_dr_db=measured_dr_db,
-            threshold_dbm=threshold_dbm,
-        )
-
-    if arr.size < n_pre + 8:
-        return invalid()
     sync_bits = bytes_to_bits(bytes([SYNC_BYTE]))
-    if not np.array_equal(arr[n_pre : n_pre + 8], sync_bits):
-        return invalid()
-    payload_bits = arr[n_pre + 8 :]
-    n_bytes = payload_bits.size // 8
-    if n_bytes == 0 or n_bytes > 64:
-        return invalid()
-    payload = np.packbits(payload_bits[: n_bytes * 8]).tobytes()
+    n_bytes = (arr.size - n_pre - 8) // 8
+    payload = None
+    if np.array_equal(arr[n_pre : n_pre + 8], sync_bits) and 0 < n_bytes <= MAX_PAYLOAD_BYTES:
+        payload = np.packbits(arr[n_pre + 8 : n_pre + 8 + 8 * n_bytes]).tobytes()
     return DecodeResult(
-        status=DECODED,
+        status=PAYLOAD_INVALID if payload is None else DECODED,
         payload=payload,
         bit_errors_in_preamble=errors,
         measured_dr_db=measured_dr_db,
         threshold_dbm=threshold_dbm,
+        sync_offset=sync_offset,
     )
 
 
 def decode_trace(trace: EnvelopeTrace, bit_rate_hz: float) -> DecodeResult:
     """Full demodulation chain for one trace; sync failure becomes a
     no_sync result instead of an exception."""
-    threshold = estimate_threshold(trace)
-    dr = measure_dynamic_range(trace)
+    threshold, dr = measure_levels(trace)
     try:
-        bits, sync_offset = recover_bits(trace, bit_rate_hz)
+        bits, sync_offset = recover_bits(trace, bit_rate_hz, threshold)
     except NoSync:
         return DecodeResult(
             status=NO_SYNC,
@@ -230,6 +217,7 @@ def decode_trace(trace: EnvelopeTrace, bit_rate_hz: float) -> DecodeResult:
             bit_errors_in_preamble=0,
             measured_dr_db=dr,
             threshold_dbm=threshold,
+            sync_offset=None,
         )
     return decode_frame(bits, sync_offset, measured_dr_db=dr, threshold_dbm=threshold)
 

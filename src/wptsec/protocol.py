@@ -24,7 +24,14 @@ from .monitor import (
     DecodeResult,
     authenticate,
 )
-from .waveform import EnvelopeTrace, Frame, build_frame, frame_to_bits, render_envelope
+from .waveform import (
+    MAX_PAYLOAD_BYTES,
+    EnvelopeTrace,
+    Frame,
+    build_frame,
+    frame_to_bits,
+    render_envelope,
+)
 
 DEFAULT_STORAGE_CAPACITY_J = 100e-6
 DEFAULT_WAKE_THRESHOLD_J = 10e-6
@@ -47,8 +54,8 @@ class PvkTable:
     def __post_init__(self) -> None:
         self.entries = [bytes(e) for e in self.entries]
         for e in self.entries:
-            if not 1 <= len(e) <= 64:
-                raise ValueError(f"key length {len(e)} outside [1, 64] bytes")
+            if not 1 <= len(e) <= MAX_PAYLOAD_BYTES:
+                raise ValueError(f"key length {len(e)} outside [1, {MAX_PAYLOAD_BYTES}] bytes")
         if len(set(self.entries)) != len(self.entries):
             raise ValueError("key table entries must be unique")
         if self.used is None:
@@ -99,8 +106,8 @@ def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
     """
     if n_keys < 1:
         raise ValueError(f"n_keys must be >= 1, got {n_keys}")
-    if not 1 <= key_len_bytes <= 64:
-        raise ValueError(f"key_len_bytes must be in [1, 64], got {key_len_bytes}")
+    if not 1 <= key_len_bytes <= MAX_PAYLOAD_BYTES:
+        raise ValueError(f"key_len_bytes must be in [1, {MAX_PAYLOAD_BYTES}], got {key_len_bytes}")
     capacity = 256**key_len_bytes
     if n_keys > capacity:
         raise TableCapacityError(
@@ -305,6 +312,7 @@ def _no_signal_decision() -> AuthDecision:
         bit_errors_in_preamble=0,
         measured_dr_db=0.0,
         threshold_dbm=float("nan"),
+        sync_offset=None,
     )
     return AuthDecision(verdict=REJECTED_NO_SIGNAL, matched_key_index=None, decode=decode)
 

@@ -1,5 +1,7 @@
 """Experiment runner rows/checks, trace emission, and the CLI contract."""
 
+import dataclasses
+
 import numpy as np
 
 from wptsec.cli import (
@@ -19,7 +21,7 @@ from wptsec.config import (
     load_preset,
 )
 from wptsec.protocol import Attacker, run_session
-from wptsec.monitor import decode_trace
+from wptsec.monitor import decode_trace, estimate_threshold, measure_dynamic_range
 from wptsec.waveform import read_trace, write_trace
 
 POWER_SWEEP = (
@@ -64,9 +66,11 @@ class TestRunExperiment:
         assert any(c.name == "dr_spread_le_0.1db" and c.passed for c in summary.checks)
 
     def test_failed_point_recorded_as_row(self):
-        cfg = load_config(
-            "setup=wired\nsweep.param=waveform.bit_rate_hz\n"
-            "sweep.values=1000,150000\n"
+        # load_config rejects a 150 kHz sweep value, so the config is built
+        # directly to reach a point that fails at run time
+        cfg = dataclasses.replace(
+            load_config("setup=wired\nsweep.param=waveform.bit_rate_hz\nsweep.values=1000\n"),
+            sweep_values=(1000.0, 150000.0),
         )
         rows, summary = run_experiment(cfg)
         assert len(rows) == 2
@@ -79,6 +83,12 @@ class TestRunExperiment:
         assert rows[0]["verdict"] == "rejected_replay"
         assert any(c.name == "replay_rejected" and c.passed for c in summary.checks)
         assert summary.all_passed
+
+    def test_probe_point_clusters_once(self, clustering_calls):
+        rows, _ = run_experiment(load_preset("wired"))
+        assert len(clustering_calls) == 1
+        assert rows[0]["threshold_dbm"] == estimate_threshold(clustering_calls[0])
+        assert rows[0]["dr_db"] == measure_dynamic_range(clustering_calls[0])
 
     def test_rows_deterministic_per_seed(self):
         cfg = load_config(POWER_SWEEP + "seed=12\n")
@@ -196,11 +206,27 @@ class TestMain:
         assert captured.out.startswith(",".join(CSV_COLUMNS))
 
     def test_exit_one_on_failed_check(self, tmp_path):
+        # 300 distinct 1-byte keys overflow the table at run time, so the
+        # second point becomes an error row and the no_errors check fails
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(
-            "setup=wired\nsweep.param=waveform.bit_rate_hz\nsweep.values=1000,150000\n"
+            "setup=anechoic\nprotocol.key_len_bytes=1\n"
+            "sweep.param=protocol.n_keys\nsweep.values=16,300\n"
         )
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
+
+    def test_exit_two_on_bad_sweep_value_writes_nothing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(
+            "setup=wired\nsweep.param=waveform.oversampling\nsweep.values=16,16.9,4\n"
+        )
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
+        argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
+        assert main(argv) == 2
+        assert not out_csv.exists() and not trace_path.exists()
+        err = capsys.readouterr().err
+        assert "sweep.values: 16.9: waveform.oversampling must be an integer" in err
+        assert "sweep.values: 4: waveform.oversampling must be >= 8" in err
 
     def test_exit_two_on_config_errors(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.cfg")]) == 2

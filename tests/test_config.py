@@ -97,7 +97,7 @@ class TestSchema:
 
     def test_sweepable_keys_are_the_float_and_int_keys(self):
         for key in ALL_KEYS:
-            text = f"setup=wired\nsweep.param = {key}\nsweep.values = 1"
+            text = f"setup=wired\nsweep.param = {key}\nsweep.values = 8"
             if key in FLOAT_KEYS | INT_KEYS:
                 assert load_config(text).sweep_param == key
             else:
@@ -316,6 +316,27 @@ class TestValidation:
             "setup=wired\nsweep.param = channel.p_tx_dbm\nsweep.values = -15,0,15"
         )
         assert cfg.sweep_values == (-15.0, 0.0, 15.0)
+
+    def test_sweep_values_checked_against_the_swept_key(self):
+        # an int key truncated 16.9 to 16 under a 16.9 label, and values out
+        # of the key's range failed only when their point ran
+        assert violations_of(
+            "setup=wired\nsweep.param = waveform.oversampling\nsweep.values = 16,16.9,4"
+        ) == [
+            "sweep.values: 16.9: waveform.oversampling must be an integer",
+            "sweep.values: 4: waveform.oversampling must be >= 8",
+        ]
+        assert violations_of(
+            "setup=wired\nsweep.param = waveform.bit_rate_hz\nsweep.values = 1000,150000"
+        ) == ["sweep.values: 150000.0: waveform.bit_rate_hz must be in (0, 100000]"]
+        assert violations_of(
+            "setup=wired\nsweep.param = protocol.key_len_bytes\nsweep.values = 2,65"
+        ) == ["sweep.values: 65: protocol.key_len_bytes must be in [1, 64]"]
+        with pytest.raises(ParseError, match="sweep.values: nan is not a valid value"):
+            load_config("setup=wired\nsweep.param = channel.p_tx_dbm\nsweep.values = 0,nan")
+        cfg = load_config("setup=wired\nsweep.param = waveform.oversampling\nsweep.values = 8,32")
+        points = [cfg.with_override(cfg.sweep_param, v) for v in cfg.sweep_values]
+        assert [p.oversampling for p in points] == [8, 32]
 
 
 class TestBuilders:
