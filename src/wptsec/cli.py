@@ -33,7 +33,6 @@ from .protocol import Attacker, run_session
 from .waveform import (
     EnvelopeTrace,
     build_frame,
-    check_bit_rate,
     frame_to_bits,
     render_envelope,
     write_trace,
@@ -83,7 +82,6 @@ class Summary:
 
 def _probe_trace(cfg: ScenarioConfig, seed: int) -> EnvelopeTrace:
     """Alternating CMD pattern used for protocol-free level measurement."""
-    check_bit_rate(cfg.bit_rate_hz)
     return _render(cfg, seed, np.resize(np.array([1, 0], dtype=np.uint8), cfg.probe_bits))
 
 

@@ -33,7 +33,7 @@ from .protocol import (
     PvkTable,
     generate_table,
 )
-from .waveform import MAX_PAYLOAD_BYTES
+from .waveform import MAX_BIT_RATE_HZ, MAX_PAYLOAD_BYTES, MIN_OVERSAMPLING
 
 
 # A key whose use hangs on another key is required while that selector holds
@@ -43,6 +43,9 @@ _RADIATED = ("topology", "radiated")
 _CIRCULATOR = ("leakage_kind", "circulator")
 _COUPLING = ("leakage_kind", "coupling")
 _POSITIVE = (lambda v: v > 0, "must be > 0")
+# the on-air limits, as range rules (waveform.check_oversampling enforces them)
+_BIT_RATE = (lambda v: 0 < v <= MAX_BIT_RATE_HZ, f"must be in (0, {MAX_BIT_RATE_HZ:.0f}]")
+_OVERSAMPLING = (lambda v: v >= MIN_OVERSAMPLING, f"must be >= {MIN_OVERSAMPLING}")
 
 
 def _key(key: str, kind: str, required=True, *, preset=None, check=None):
@@ -87,12 +90,8 @@ class ScenarioConfig:
     coupling_floor_dbm: float | None = _key("channel.coupling_floor_dbm", "float", _COUPLING)
     coupling_ref_tx_dbm: float | None = _key("channel.coupling_ref_tx_dbm", "float", _COUPLING)
     noise_power_dbm: float | None = _key("channel.noise_power_dbm", "float", preset=-90.0)
-    bit_rate_hz: float | None = _key(
-        "waveform.bit_rate_hz", "float", check=(lambda v: 0 < v <= 100e3, "must be in (0, 100000]")
-    )
-    oversampling: int | None = _key(
-        "waveform.oversampling", "int", preset=16, check=(lambda v: v >= 8, "must be >= 8")
-    )
+    bit_rate_hz: float | None = _key("waveform.bit_rate_hz", "float", check=_BIT_RATE)
+    oversampling: int | None = _key("waveform.oversampling", "int", preset=16, check=_OVERSAMPLING)
     probe_bits: int | None = _key(
         "waveform.probe_bits", "int", preset=64, check=(lambda v: v >= 2, "must be >= 2")
     )

@@ -15,14 +15,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyTrace, NoSync, UndersampledError
+from .errors import EmptyTrace, NoSync
 from .waveform import (
+    FRAME_HEADER_BITS,
     MAX_PAYLOAD_BYTES,
-    MIN_OVERSAMPLING,
     PREAMBLE_BITS,
-    SYNC_BYTE,
     EnvelopeTrace,
-    bytes_to_bits,
+    check_oversampling,
 )
 
 if TYPE_CHECKING:
@@ -35,6 +34,8 @@ PREAMBLE_MATCH_MIN = 15
 DECODED = "decoded"
 NO_SYNC = "no_sync"
 PAYLOAD_INVALID = "payload_invalid"
+# the node never woke, so no trace exists and no level was measured
+WAKE_TIMEOUT = "wake_timeout"
 
 ACCEPTED = "accepted"
 REJECTED_UNKNOWN_KEY = "rejected_unknown_key"
@@ -50,16 +51,19 @@ class DecodeResult:
     status: str
     payload: bytes | None
     bit_errors_in_preamble: int
-    measured_dr_db: float
-    threshold_dbm: float
+    measured_dr_db: float | None  # None exactly for wake_timeout, as is threshold_dbm
+    threshold_dbm: float | None
     sync_offset: int | None  # first sample of the preamble; None without sync
 
     def __post_init__(self) -> None:
-        if self.status not in (DECODED, NO_SYNC, PAYLOAD_INVALID):
+        if self.status not in (DECODED, NO_SYNC, PAYLOAD_INVALID, WAKE_TIMEOUT):
             raise ValueError(f"unknown decode status: {self.status!r}")
         if (self.payload is not None) != (self.status == DECODED):
             raise ValueError("payload must be present exactly when status is decoded")
-        if self.measured_dr_db < 0:
+        unmeasured = self.status == WAKE_TIMEOUT
+        if (self.measured_dr_db is None, self.threshold_dbm is None) != (unmeasured, unmeasured):
+            raise ValueError("levels must be None exactly when status is wake_timeout")
+        if not unmeasured and self.measured_dr_db < 0:
             raise ValueError("measured_dr_db must be >= 0")
 
 
@@ -136,10 +140,7 @@ def recover_bits(
     """
     if len(trace) == 0:
         raise EmptyTrace("cannot recover bits from an empty trace")
-    if trace.sample_rate_hz < MIN_OVERSAMPLING * bit_rate_hz:
-        raise UndersampledError(
-            f"trace at {trace.sample_rate_hz} Hz undersamples bit rate {bit_rate_hz} Hz"
-        )
+    check_oversampling(trace.sample_rate_hz, bit_rate_hz)
     sliced = (trace.samples > threshold_dbm).astype(np.uint8)
 
     spb = trace.sample_rate_hz / bit_rate_hz
@@ -184,16 +185,16 @@ def decode_frame(
     the status to payload_invalid rather than raising.
     """
     arr = np.asarray(bits, dtype=np.uint8)
-    n_pre = len(PREAMBLE_BITS)
+    n_pre, n_head = len(PREAMBLE_BITS), FRAME_HEADER_BITS.size
     pre = arr[:n_pre]
-    errors = int(np.sum(pre != np.array(PREAMBLE_BITS[: pre.size], dtype=np.uint8)))
+    errors = int(np.sum(pre != FRAME_HEADER_BITS[: pre.size]))
     errors += n_pre - pre.size  # missing preamble bits count as errors
 
-    sync_bits = bytes_to_bits(bytes([SYNC_BYTE]))
-    n_bytes = (arr.size - n_pre - 8) // 8
+    n_bytes = (arr.size - n_head) // 8
+    sync_ok = np.array_equal(arr[n_pre:n_head], FRAME_HEADER_BITS[n_pre:])
     payload = None
-    if np.array_equal(arr[n_pre : n_pre + 8], sync_bits) and 0 < n_bytes <= MAX_PAYLOAD_BYTES:
-        payload = np.packbits(arr[n_pre + 8 : n_pre + 8 + 8 * n_bytes]).tobytes()
+    if sync_ok and 0 < n_bytes <= MAX_PAYLOAD_BYTES:
+        payload = np.packbits(arr[n_head : n_head + 8 * n_bytes]).tobytes()
     return DecodeResult(
         status=PAYLOAD_INVALID if payload is None else DECODED,
         payload=payload,

@@ -11,15 +11,15 @@ is needed and a missed frame simply costs a key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import LinkScenario, RectifierModel, harvested_dc
 from .errors import TableCapacityError, TableExhausted
 from .monitor import (
-    NO_SYNC,
     REJECTED_NO_SIGNAL,
+    WAKE_TIMEOUT,
     AuthDecision,
     DecodeResult,
     authenticate,
@@ -29,6 +29,7 @@ from .waveform import (
     EnvelopeTrace,
     Frame,
     build_frame,
+    check_oversampling,
     frame_to_bits,
     render_envelope,
 )
@@ -49,7 +50,7 @@ class PvkTable:
 
     entries: list[bytes]
     used: list[bool] | None = None
-    cursor: int = 0
+    cursor: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.entries = [bytes(e) for e in self.entries]
@@ -63,7 +64,7 @@ class PvkTable:
         if len(self.used) != len(self.entries):
             raise ValueError("used flags must match entries")
         self._index = {code: i for i, code in enumerate(self.entries)}
-        self._advance_cursor(0)  # cursor is derived from the flags, never trusted
+        self._advance_cursor(0)
 
     def _advance_cursor(self, start: int) -> None:
         i = start
@@ -136,11 +137,11 @@ class NodeState:
     tx_cost_j_per_bit: float = DEFAULT_TX_COST_J_PER_BIT
 
     def __post_init__(self) -> None:
-        if self.storage_capacity_j <= 0 or self.wake_threshold_j <= 0:
+        if not (self.storage_capacity_j > 0 and self.wake_threshold_j > 0):
             raise ValueError("storage_capacity_j and wake_threshold_j must be > 0")
         if not 0 <= self.stored_energy_j <= self.storage_capacity_j:
             raise ValueError("stored_energy_j outside [0, storage_capacity_j]")
-        if self.tx_cost_j_per_bit < 0:
+        if not self.tx_cost_j_per_bit >= 0:
             raise ValueError("tx_cost_j_per_bit must be >= 0")
 
 
@@ -171,9 +172,12 @@ def node_step(
     Harvest that would overflow the storage is lost; the returned
     harvested_j is the banked amount, so the energy ledger stays exact. The
     node marks its key used at emission (no acknowledgment channel exists).
+    The random policy draws from key_rng, which it requires.
     """
-    if dt_s <= 0:
+    if not dt_s > 0:
         raise ValueError(f"dt_s must be > 0, got {dt_s}")
+    if key_policy == "random" and key_rng is None:
+        raise ValueError("the random key policy needs a seeded key_rng")
     p_dc_w, _ = harvested_dc(p_in_dbm, rect)
     banked = min(state.stored_energy_j + p_dc_w * dt_s, state.storage_capacity_j)
     banked -= state.stored_energy_j
@@ -190,8 +194,7 @@ def node_step(
             pool = state.table.unused_indices()
             if not pool:
                 raise TableExhausted("no unused key left in the table")
-            rng = key_rng if key_rng is not None else np.random.default_rng()
-            key_index = int(pool[rng.integers(0, len(pool))])
+            key_index = int(pool[key_rng.integers(0, len(pool))])
             code = state.table.entries[key_index]
         else:
             raise ValueError(f"unknown key policy: {key_policy!r}")
@@ -244,8 +247,7 @@ class MonitorConfig:
     oversampling: int = 16
 
     def __post_init__(self) -> None:
-        if self.oversampling < 8:
-            raise ValueError("oversampling must be >= 8")
+        check_oversampling(self.sample_rate_hz, self.bit_rate_hz)
 
     @property
     def sample_rate_hz(self) -> float:
@@ -305,13 +307,13 @@ class SessionLog:
         return [e.record() for e in self.events]
 
 
-def _no_signal_decision() -> AuthDecision:
+def _wake_timeout_decision() -> AuthDecision:
     decode = DecodeResult(
-        status=NO_SYNC,
+        status=WAKE_TIMEOUT,
         payload=None,
         bit_errors_in_preamble=0,
-        measured_dr_db=0.0,
-        threshold_dbm=float("nan"),
+        measured_dr_db=None,
+        threshold_dbm=None,
         sync_offset=None,
     )
     return AuthDecision(verdict=REJECTED_NO_SIGNAL, matched_key_index=None, decode=decode)
@@ -337,14 +339,13 @@ def run_session(
     dt-sized chunks computed in closed form, which keeps the energy ledger
     identical to per-step simulation.
     """
-    if dt_s <= 0:
+    if not dt_s > 0:
         raise ValueError("dt_s must be > 0")
-    events: list[SessionEvent] = []
+    events = [SessionEvent(0.0, "session_start", stored_energy_j=node.stored_energy_j)]
     energy: list[tuple[float, float]] = [(0.0, node.stored_energy_j)]
-    decisions: list[AuthDecision] = []
-    events.append(SessionEvent(0.0, "session_start", stored_energy_j=node.stored_energy_j))
 
     p_in = scenario.node_input_dbm()
+    p_dc_w, _ = harvested_dc(p_in, scenario.rect)
     key_rng = None
     if key_policy == "random":
         # a spawned child keeps the key draws independent of the noise stream,
@@ -353,32 +354,13 @@ def run_session(
         key_rng = np.random.default_rng(child)
     t = 0.0
     total_harvested = 0.0
-    total_cost = 0.0
-    bs_time = 0.0
-    step: NodeStep | None = None
-
-    while step is None or step.frame is None:
+    # only the last pass can emit, so its step alone carries the frame and its
+    # costs; before the first pass nothing has been emitted or spent
+    step = NodeStep(None, None, 0.0, 0.0, 0.0)
+    while step.frame is None:
         steps_left = int(math.floor((max_time_s - t) / dt_s + 1e-9))
         if steps_left <= 0:
-            # bookkeeping events land one step apart so the timeline stays
-            # strictly increasing even when max_time_s < dt_s
-            events.append(
-                SessionEvent(t + dt_s, "wake_timeout", stored_energy_j=node.stored_energy_j)
-            )
-            decisions.append(_no_signal_decision())
-            events.append(
-                SessionEvent(t + 2 * dt_s, "session_end", stored_energy_j=node.stored_energy_j)
-            )
-            return SessionLog(
-                events=events,
-                decisions=decisions,
-                energy_trace=energy,
-                total_harvested_j=total_harvested,
-                total_tx_cost_j=total_cost,
-                backscatter_time_s=0.0,
-                duration_s=t + 2 * dt_s,
-            )
-        p_dc_w, _ = harvested_dc(p_in, scenario.rect)
+            break
         if node.stored_energy_j >= node.wake_threshold_j or p_dc_w <= 0.0:
             k = 1 if node.stored_energy_j >= node.wake_threshold_j else steps_left
         else:
@@ -396,58 +378,65 @@ def run_session(
         )
         t += k * dt_s
         total_harvested += step.harvested_j
-        total_cost += step.tx_cost_j
-        bs_time += step.backscatter_time_s
         energy.append((t, node.stored_energy_j))
 
     frame = step.frame
-    events.append(SessionEvent(t, "node_wake"))
-    t_emit = t + frame.duration_s
-    events.append(SessionEvent(t_emit, "frame_emitted", stored_energy_j=node.stored_energy_j))
-    energy.append((t_emit, node.stored_energy_j))
+    decisions: list[AuthDecision] = []
+    trace = None
+    if frame is None:
+        # bookkeeping events land one step apart so the timeline stays
+        # strictly increasing even when max_time_s < dt_s
+        events.append(SessionEvent(t + dt_s, WAKE_TIMEOUT, stored_energy_j=node.stored_energy_j))
+        decisions.append(_wake_timeout_decision())
+        t_end = t + 2 * dt_s
+    else:
+        events.append(SessionEvent(t, "node_wake"))
+        t_emit = t + frame.duration_s
+        events.append(SessionEvent(t_emit, "frame_emitted", stored_energy_j=node.stored_energy_j))
+        energy.append((t_emit, node.stored_energy_j))
 
-    trace = render_envelope(
-        scenario, frame_to_bits(frame), monitor.bit_rate_hz, monitor.sample_rate_hz
-    )
-    attacker.record(trace)
-
-    decision = authenticate(trace, monitor.bit_rate_hz, monitor.table)
-    decisions.append(decision)
-    t_verify = t_emit + dt_s
-    events.append(
-        SessionEvent(
-            t_verify,
-            "verify",
-            verdict=decision.verdict,
-            measured_dr_db=decision.decode.measured_dr_db,
+        trace = render_envelope(
+            scenario, frame_to_bits(frame), monitor.bit_rate_hz, monitor.sample_rate_hz
         )
-    )
+        attacker.record(trace)
 
-    if attacker.kind == "replay":
-        replay = authenticate(attacker.replayed_trace(), monitor.bit_rate_hz, monitor.table)
-        decisions.append(replay)
-        events.append(SessionEvent(t_verify + dt_s, "replay_presented"))
+        decision = authenticate(trace, monitor.bit_rate_hz, monitor.table)
+        decisions.append(decision)
+        t_verify = t_emit + dt_s
         events.append(
             SessionEvent(
-                t_verify + 2 * dt_s,
+                t_verify,
                 "verify",
-                verdict=replay.verdict,
-                measured_dr_db=replay.decode.measured_dr_db,
+                verdict=decision.verdict,
+                measured_dr_db=decision.decode.measured_dr_db,
             )
         )
 
-    t_end = events[-1].time_s + dt_s
+        if attacker.kind == "replay":
+            replay = authenticate(attacker.replayed_trace(), monitor.bit_rate_hz, monitor.table)
+            decisions.append(replay)
+            events.append(SessionEvent(t_verify + dt_s, "replay_presented"))
+            events.append(
+                SessionEvent(
+                    t_verify + 2 * dt_s,
+                    "verify",
+                    verdict=replay.verdict,
+                    measured_dr_db=replay.decode.measured_dr_db,
+                )
+            )
+        t_end = events[-1].time_s + dt_s
+
     events.append(SessionEvent(t_end, "session_end", stored_energy_j=node.stored_energy_j))
     return SessionLog(
         events=events,
         decisions=decisions,
         energy_trace=energy,
         total_harvested_j=total_harvested,
-        total_tx_cost_j=total_cost,
-        backscatter_time_s=bs_time,
+        total_tx_cost_j=step.tx_cost_j,
+        backscatter_time_s=step.backscatter_time_s,
         duration_s=t_end,
         emitted_key_index=step.key_index,
-        emitted_code=frame.payload,
+        emitted_code=None if frame is None else frame.payload,
         trace=trace,
     )
 

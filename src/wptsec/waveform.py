@@ -4,7 +4,8 @@ A key code goes on the air as NRZ OOK: CMD high selects the mismatched
 (strongly reflecting) rectifier state, so a 1-bit shows up as the high power
 level at the monitor. Frames carry a fixed 16-bit alternating preamble and a
 sync byte ahead of the payload so the monitor can estimate its threshold and
-bit clock without prior level knowledge.
+bit clock without prior level knowledge. This module owns that on-air
+contract: FRAME_HEADER_BITS and the two rate checks every layer calls.
 """
 
 from __future__ import annotations
@@ -32,13 +33,20 @@ MAX_PAYLOAD_BYTES = 64
 
 PREAMBLE_BITS: tuple[int, ...] = (1, 0) * 8
 SYNC_BYTE = 0xD3
+# Preamble, then SYNC_BYTE MSB-first: the fixed 24 bits ahead of every payload.
+FRAME_HEADER_BITS = np.concatenate(
+    [np.array(PREAMBLE_BITS, dtype=np.uint8), np.unpackbits(np.uint8([SYNC_BYTE]))]
+)
+FRAME_HEADER_BITS.flags.writeable = False
 
 # Floor applied after noise addition so dBm values stay finite.
 POWER_FLOOR_W = 1e-18
 
 
+# Both checks are written so that NaN fails them.
 def check_bit_rate(bit_rate_hz: float) -> None:
-    if bit_rate_hz <= 0:
+    """Reject a modulation rate that is not positive or above the ceiling."""
+    if not bit_rate_hz > 0:
         raise ValueError(f"bit rate must be > 0, got {bit_rate_hz}")
     if bit_rate_hz > MAX_BIT_RATE_HZ:
         raise BitRateTooHigh(
@@ -46,8 +54,10 @@ def check_bit_rate(bit_rate_hz: float) -> None:
         )
 
 
-def _check_oversampling(sample_rate_hz: float, bit_rate_hz: float) -> None:
-    if sample_rate_hz < MIN_OVERSAMPLING * bit_rate_hz:
+def check_oversampling(sample_rate_hz: float, bit_rate_hz: float) -> None:
+    """check_bit_rate, then reject a sample rate below MIN_OVERSAMPLING per bit."""
+    check_bit_rate(bit_rate_hz)
+    if not sample_rate_hz >= MIN_OVERSAMPLING * bit_rate_hz:
         raise UndersampledError(
             f"sample rate {sample_rate_hz} Hz below {MIN_OVERSAMPLING}x bit rate "
             f"{bit_rate_hz} Hz"
@@ -60,8 +70,6 @@ class Frame:
 
     payload: bytes
     bit_rate_hz: float
-    preamble_bits: tuple[int, ...] = PREAMBLE_BITS
-    sync_byte: int = SYNC_BYTE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "payload", bytes(self.payload))
@@ -72,14 +80,10 @@ class Frame:
                 f"payload of {len(self.payload)} bytes exceeds {MAX_PAYLOAD_BYTES}"
             )
         check_bit_rate(self.bit_rate_hz)
-        if any(b not in (0, 1) for b in self.preamble_bits):
-            raise ValueError("preamble_bits must be 0/1")
-        if not 0 <= self.sync_byte <= 0xFF:
-            raise ValueError("sync_byte must be one byte")
 
     @property
     def n_bits(self) -> int:
-        return len(self.preamble_bits) + 8 + 8 * len(self.payload)
+        return FRAME_HEADER_BITS.size + 8 * len(self.payload)
 
     @property
     def duration_s(self) -> float:
@@ -97,14 +101,8 @@ def bytes_to_bits(data: bytes) -> np.ndarray:
 
 
 def frame_to_bits(frame: Frame) -> np.ndarray:
-    """On-air bit sequence: preamble, sync byte, payload."""
-    return np.concatenate(
-        [
-            np.array(frame.preamble_bits, dtype=np.uint8),
-            bytes_to_bits(bytes([frame.sync_byte])),
-            bytes_to_bits(frame.payload),
-        ]
-    )
+    """On-air bit sequence: FRAME_HEADER_BITS, then the payload."""
+    return np.concatenate([FRAME_HEADER_BITS, bytes_to_bits(frame.payload)])
 
 
 @dataclass
@@ -116,7 +114,7 @@ class EnvelopeTrace:
     meta: str = ""
 
     def __post_init__(self) -> None:
-        if self.sample_rate_hz <= 0:
+        if not self.sample_rate_hz > 0:
             raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
@@ -156,7 +154,7 @@ def synthesize_envelope(
     bit_arr = np.asarray(bits, dtype=np.uint8)
     if bit_arr.size == 0:
         raise ValueError("bits must not be empty")
-    _check_oversampling(sample_rate_hz, bit_rate_hz)
+    check_oversampling(sample_rate_hz, bit_rate_hz)
     if p_high_dbm < p_low_dbm:
         raise InvertedLevels(f"p_high {p_high_dbm} dBm below p_low {p_low_dbm} dBm")
 
@@ -200,14 +198,8 @@ def generate_square_cmd(freq_hz: float, duration_s: float, sample_rate_hz: float
     Duty cycle over whole periods is exactly 0.5 when sample_rate_hz is a
     multiple of 2*freq_hz (the usual oversampled case).
     """
-    if freq_hz <= 0:
-        raise ValueError(f"freq_hz must be > 0, got {freq_hz}")
-    if freq_hz > MAX_BIT_RATE_HZ:
-        raise BitRateTooHigh(
-            f"switching frequency {freq_hz} Hz exceeds the {MAX_BIT_RATE_HZ:.0f} Hz ceiling"
-        )
-    _check_oversampling(sample_rate_hz, freq_hz)
-    if duration_s <= 0:
+    check_oversampling(sample_rate_hz, freq_hz)
+    if not duration_s > 0:
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
     n = int(round(duration_s * sample_rate_hz))
     half_periods = np.floor(np.arange(n) * (2.0 * freq_hz / sample_rate_hz)).astype(np.int64)

@@ -78,6 +78,20 @@ class TestRunExperiment:
         assert rows[1]["status"] == "error:BitRateTooHigh"
         assert not summary.all_passed
 
+    def test_node_that_never_woke_has_empty_levels(self):
+        cfg = "setup=anechoic\nsweep.param=channel.p_tx_dbm\nsweep.values=-15,15\n"
+        rows, summary = run_experiment(load_config(cfg))
+        assert rows[0]["status"] == "wake_timeout"
+        assert rows[0]["dr_db"] is None and rows[0]["threshold_dbm"] is None
+        assert format_csv(rows).splitlines()[1].startswith("channel.p_tx_dbm,-15.0,,,")
+        assert rows[1]["status"] == "decoded"
+        # only the measured point enters the spread; the timeout still fails
+        # the verdict check, because that node did not authenticate
+        checks = {c.name: c for c in summary.checks}
+        assert checks["dr_spread_le_1.5db"].detail.endswith("over 1 points, limit 1.5 dB")
+        assert checks["dr_spread_le_1.5db"].passed
+        assert not checks["verdict_accepted"].passed
+
     def test_replay_attacker_scenario_check(self):
         rows, summary = run_experiment(load_config("setup=anechoic\nprotocol.attacker=replay"))
         assert rows[0]["verdict"] == "rejected_replay"

@@ -20,6 +20,7 @@ from wptsec.monitor import (
     REJECTED_NO_SIGNAL,
     REJECTED_REPLAY,
     REJECTED_UNKNOWN_KEY,
+    WAKE_TIMEOUT,
     AuthDecision,
     DecodeResult,
     authenticate,
@@ -362,6 +363,15 @@ class TestResultInvariants:
             DecodeResult(NO_SYNC, b"\x01", 0, 1.0, -40.0, None)
         with pytest.raises(ValueError):
             DecodeResult(DECODED, b"\x01", 0, -1.0, -40.0, 0)
+
+    def test_levels_none_exactly_for_wake_timeout(self):
+        DecodeResult(WAKE_TIMEOUT, None, 0, None, None, None)
+        with pytest.raises(ValueError):
+            DecodeResult(WAKE_TIMEOUT, None, 0, 0.0, None, None)
+        with pytest.raises(ValueError):
+            DecodeResult(WAKE_TIMEOUT, None, 0, None, -40.0, None)
+        with pytest.raises(ValueError):
+            DecodeResult(NO_SYNC, None, 0, None, None, None)
 
     def test_accept_needs_index(self):
         ok = DecodeResult(DECODED, b"\x01", 0, 1.0, -40.0, 0)

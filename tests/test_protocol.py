@@ -1,5 +1,7 @@
 """Key tables, node energy state machine, and session-level behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,13 @@ from wptsec.channel import (
     RectifierModel,
 )
 from wptsec.errors import TableCapacityError, TableExhausted
-from wptsec.monitor import ACCEPTED, REJECTED_NO_SIGNAL, REJECTED_REPLAY, REJECTED_UNKNOWN_KEY
+from wptsec.monitor import (
+    ACCEPTED,
+    REJECTED_NO_SIGNAL,
+    REJECTED_REPLAY,
+    REJECTED_UNKNOWN_KEY,
+    WAKE_TIMEOUT,
+)
 from wptsec.protocol import (
     Attacker,
     MonitorConfig,
@@ -162,6 +170,18 @@ class TestNodeStep:
         assert step.frame is not None
         assert table.is_used(step.key_index)
 
+    def test_random_key_policy_needs_key_rng(self):
+        node = NodeState(table=generate_table(16, 2, rng_seed=3), stored_energy_j=50e-6)
+        with pytest.raises(ValueError, match="key_rng"):
+            node_step(node, 0.01, -10.0, FLAT_RECT, key_policy="random")
+        assert node.stored_energy_j == 50e-6 and not any(node.table.used)
+
+    def test_nan_dt_rejected(self):
+        node = NodeState(table=generate_table(4, 2, rng_seed=3))
+        with pytest.raises(ValueError, match="dt_s must be > 0"):
+            node_step(node, math.nan, -10.0, FLAT_RECT)
+        assert node.stored_energy_j == 0.0
+
 
 class TestRunSession:
     def test_legitimate_session_accepted(self):
@@ -220,6 +240,48 @@ class TestRunSession:
         assert log.final.verdict == REJECTED_NO_SIGNAL
         assert any(e.event == "wake_timeout" for e in log.events)
 
+    def test_replay_session_event_order(self):
+        node, monitor = session_parts()
+        log = run_session(anechoic_scenario(seed=43), node, Attacker(kind="replay"), monitor)
+        assert [e.event for e in log.events] == [
+            "session_start",
+            "node_wake",
+            "frame_emitted",
+            "verify",
+            "replay_presented",
+            "verify",
+            "session_end",
+        ]
+        assert [e.verdict for e in log.events if e.event == "verify"] == [
+            ACCEPTED,
+            REJECTED_REPLAY,
+        ]
+
+    def test_timeout_session_event_order_and_record(self):
+        scenario = anechoic_scenario(seed=49, p_tx_dbm=-15.0)
+        node, monitor = session_parts()
+        log = run_session(scenario, node, Attacker(kind="replay"), monitor, max_time_s=0.5)
+        assert [e.event for e in log.events] == ["session_start", WAKE_TIMEOUT, "session_end"]
+        assert log.duration_s == log.events[-1].time_s
+        assert (log.emitted_key_index, log.emitted_code, log.trace) == (None, None, None)
+        assert log.total_tx_cost_j == 0.0 and log.backscatter_time_s == 0.0
+        assert log.total_harvested_j == node.stored_energy_j > 0.0
+        # the node never woke, so no level was measured: the record says so
+        assert [d.record() for d in log.decisions] == [
+            {
+                "verdict": REJECTED_NO_SIGNAL,
+                "matched_key_index": None,
+                "measured_dr_db": None,
+                "threshold_dbm": None,
+                "status": WAKE_TIMEOUT,
+            }
+        ]
+
+    def test_nan_dt_rejected(self):
+        node, monitor = session_parts()
+        with pytest.raises(ValueError, match="dt_s must be > 0"):
+            run_session(anechoic_scenario(), node, Attacker(), monitor, dt_s=math.nan)
+
     def test_immediate_timeout_keeps_timeline_strict(self):
         node, monitor = session_parts()
         log = run_session(
@@ -275,6 +337,13 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             NodeState(table=table, stored_energy_j=2.0, storage_capacity_j=1.0)
 
+    @pytest.mark.parametrize(
+        "name", ["wake_threshold_j", "storage_capacity_j", "tx_cost_j_per_bit"]
+    )
+    def test_node_state_rejects_nan(self, name):
+        with pytest.raises(ValueError, match="must be"):
+            NodeState(table=PvkTable(entries=[b"\x01"]), **{name: math.nan})
+
     def test_attacker_contract(self):
         with pytest.raises(ValueError):
             Attacker(kind="mitm")
@@ -285,3 +354,8 @@ class TestStateValidation:
     def test_monitor_config_oversampling(self):
         with pytest.raises(ValueError):
             MonitorConfig(table=PvkTable(entries=[b"\x01"]), oversampling=4)
+
+    def test_table_cursor_is_derived_not_accepted(self):
+        with pytest.raises(TypeError):
+            PvkTable(entries=[b"\x01", b"\x02"], cursor=1)
+        assert PvkTable(entries=[b"\x01", b"\x02"], used=[True, False]).cursor == 1

@@ -1,5 +1,7 @@
-"""Framing, envelope synthesis, square CMD generation, and trace file I/O."""
+"""Framing, the on-air rate contract, envelope synthesis, square CMD
+generation, and trace file I/O."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +15,15 @@ from wptsec.errors import (
     TraceFormatError,
     UndersampledError,
 )
+from wptsec.monitor import decode_trace, recover_bits
+from wptsec.protocol import MonitorConfig, PvkTable
 from wptsec.waveform import (
+    FRAME_HEADER_BITS,
     MAX_BIT_RATE_HZ,
     PREAMBLE_BITS,
     SYNC_BYTE,
     EnvelopeTrace,
+    Frame,
     build_frame,
     format_trace,
     frame_to_bits,
@@ -29,6 +35,29 @@ from wptsec.waveform import (
 )
 
 SILENT = NoiseSpec.silent()
+
+# A valid 16x trace at 20 kHz; the rate under test is what makes a call bad.
+GOOD_TRACE = synthesize_envelope(
+    frame_to_bits(build_frame(b"\x5a", 20e3)), -40.0, -50.0, 20e3, 320e3, SILENT
+)
+
+# Every entry point that takes a bit rate, called with a bit rate and an
+# oversampling factor k; where it also takes a sample rate, that is k x 20 kHz.
+RATE_ENTRY_POINTS = {
+    "decode_trace": lambda br, k: decode_trace(EnvelopeTrace(k * 20e3, GOOD_TRACE.samples), br),
+    "recover_bits": lambda br, k: recover_bits(
+        EnvelopeTrace(k * 20e3, GOOD_TRACE.samples), br, -45.0
+    ),
+    "synthesize_envelope": lambda br, k: synthesize_envelope(
+        [1, 0, 1], -40.0, -50.0, br, k * 20e3, SILENT
+    ),
+    "generate_square_cmd": lambda br, k: generate_square_cmd(br, 1e-3, k * 20e3),
+    "MonitorConfig": lambda br, k: MonitorConfig(
+        table=PvkTable(entries=[b"\x01"]), bit_rate_hz=br, oversampling=k
+    ),
+    "build_frame": lambda br, k: build_frame(b"\x01", br),
+}
+SAMPLED_ENTRY_POINTS = [e for e in RATE_ENTRY_POINTS if e != "build_frame"]
 
 
 class TestFrame:
@@ -58,6 +87,43 @@ class TestFrame:
     def test_preamble_and_sync_constants(self):
         assert PREAMBLE_BITS == (1, 0) * 8
         assert SYNC_BYTE == 0xD3
+
+
+class TestOnAirContract:
+    @pytest.mark.parametrize("bit_rate", [0.0, -20e3, math.nan])
+    @pytest.mark.parametrize("entry", RATE_ENTRY_POINTS)
+    def test_non_positive_or_nan_rate_rejected(self, entry, bit_rate):
+        with pytest.raises(ValueError, match="bit rate must be > 0"):
+            RATE_ENTRY_POINTS[entry](bit_rate, 16)
+
+    @pytest.mark.parametrize("entry", RATE_ENTRY_POINTS)
+    def test_rate_above_ceiling_rejected(self, entry):
+        # the rate is checked before the sample rate
+        with pytest.raises(BitRateTooHigh):
+            RATE_ENTRY_POINTS[entry](150e3, 16)
+
+    @pytest.mark.parametrize("entry", SAMPLED_ENTRY_POINTS)
+    def test_below_8x_rejected(self, entry):
+        with pytest.raises(UndersampledError):
+            RATE_ENTRY_POINTS[entry](20e3, 7)
+
+    def test_nan_sample_rate_rejected(self):
+        with pytest.raises(ValueError, match="sample_rate_hz must be > 0"):
+            EnvelopeTrace(math.nan, [-40.0])
+        with pytest.raises(UndersampledError):
+            synthesize_envelope([1, 0], -40.0, -50.0, 20e3, math.nan, SILENT)
+
+    def test_header_is_preamble_then_sync_and_read_only(self):
+        assert list(FRAME_HEADER_BITS) == [*PREAMBLE_BITS, 1, 1, 0, 1, 0, 0, 1, 1]
+        bits = frame_to_bits(build_frame(b"\x12\x34", 20e3))
+        assert np.array_equal(bits[:24], FRAME_HEADER_BITS)
+        with pytest.raises(ValueError):
+            FRAME_HEADER_BITS[0] = 0
+        bits[0] ^= 1  # a frame's bits are its own copy
+        assert FRAME_HEADER_BITS[0] == 1
+
+    def test_frame_has_no_header_knobs(self):
+        assert [f.name for f in dataclasses.fields(Frame)] == ["payload", "bit_rate_hz"]
 
 
 class TestFrameBits:
