@@ -131,46 +131,26 @@ class RectifierModel:
 class LeakageModel:
     """Power reaching the monitor without the backscatter contribution.
 
-    ``circulator`` kind models a wired bench: leakage = TX power minus the
-    circulator isolation. ``coupling`` kind models residual antenna coupling
-    in a radiated setup, anchored at one calibration point and scaled
-    dB-for-dB with TX power.
+    Leakage is the TX power minus one fixed, calibrated loss: it reads
+    ``floor_dbm_at_ref`` at TX power ``ref_tx_power_dbm`` and scales
+    dB-for-dB with TX power. A wired bench leaks through the circulator
+    (``circulator``: TX power minus the isolation); a radiated setup leaks
+    through residual antenna coupling (``coupling``: one calibration point).
     """
 
-    kind: str
-    circulator_isolation_db: float | None = None
-    coupling_floor_dbm_at_ref: float | None = None
-    ref_tx_power_dbm: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "circulator":
-            if self.circulator_isolation_db is None:
-                raise ValueError("circulator kind requires circulator_isolation_db")
-            if self.circulator_isolation_db < 0:
-                raise ValueError("circulator_isolation_db must be >= 0")
-            if self.coupling_floor_dbm_at_ref is not None or self.ref_tx_power_dbm is not None:
-                raise ValueError("circulator kind must not set coupling parameters")
-        elif self.kind == "coupling":
-            if self.coupling_floor_dbm_at_ref is None or self.ref_tx_power_dbm is None:
-                raise ValueError(
-                    "coupling kind requires coupling_floor_dbm_at_ref and ref_tx_power_dbm"
-                )
-            if self.circulator_isolation_db is not None:
-                raise ValueError("coupling kind must not set circulator_isolation_db")
-        else:
-            raise ValueError(f"unknown leakage kind: {self.kind!r}")
+    floor_dbm_at_ref: float
+    ref_tx_power_dbm: float
 
     @classmethod
     def circulator(cls, isolation_db: float) -> "LeakageModel":
-        return cls(kind="circulator", circulator_isolation_db=isolation_db)
+        # -iso + (p_tx - 0.0) is p_tx - iso bit for bit under IEEE-754
+        if not isolation_db >= 0:
+            raise ValueError("circulator_isolation_db must be >= 0")
+        return cls(floor_dbm_at_ref=-isolation_db, ref_tx_power_dbm=0.0)
 
     @classmethod
     def coupling(cls, floor_dbm: float, ref_tx_power_dbm: float) -> "LeakageModel":
-        return cls(
-            kind="coupling",
-            coupling_floor_dbm_at_ref=floor_dbm,
-            ref_tx_power_dbm=ref_tx_power_dbm,
-        )
+        return cls(floor_dbm_at_ref=floor_dbm, ref_tx_power_dbm=ref_tx_power_dbm)
 
 
 @dataclass(frozen=True)
@@ -241,9 +221,7 @@ def backscatter_received_power(
 
 def leakage_power(p_tx_dbm: float, model: LeakageModel) -> float:
     """Monitor-side leakage level for a given TX power."""
-    if model.kind == "circulator":
-        return p_tx_dbm - model.circulator_isolation_db
-    return model.coupling_floor_dbm_at_ref + (p_tx_dbm - model.ref_tx_power_dbm)
+    return model.floor_dbm_at_ref + (p_tx_dbm - model.ref_tx_power_dbm)
 
 
 def combine_noncoherent(powers_dbm) -> float:
@@ -283,13 +261,12 @@ class LinkScenario:
     ``topology`` selects the power budget: "wired" feeds the TX power
     straight into the rectifier through a circulator, "radiated" applies the
     two-hop free-space budget. Antennas and geometries are required only for
-    the radiated case.
+    the radiated case; its hops carry the carrier, which a reflection shares.
     """
 
     name: str
     topology: str
     p_tx_dbm: float
-    frequency_hz: float
     rect: RectifierModel = field(default_factory=RectifierModel)
     leakage: LeakageModel = field(default_factory=lambda: LeakageModel.circulator(20.0))
     noise: NoiseSpec = field(default_factory=NoiseSpec)
@@ -302,8 +279,6 @@ class LinkScenario:
     def __post_init__(self) -> None:
         if self.topology not in ("wired", "radiated"):
             raise ValueError(f"unknown topology: {self.topology!r}")
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency_hz must be > 0")
         if self.topology == "radiated":
             missing = [
                 n
@@ -312,9 +287,8 @@ class LinkScenario:
             ]
             if missing:
                 raise ValueError(f"radiated scenario missing: {', '.join(missing)}")
-            for hop in (self.dl, self.ul):
-                if hop.frequency_hz != self.frequency_hz:
-                    raise ValueError("hop frequency differs from scenario frequency")
+            if self.dl.frequency_hz != self.ul.frequency_hz:
+                raise ValueError("downlink and uplink carriers differ")
 
     def node_input_dbm(self) -> float:
         """RF power arriving at the rectifier input."""

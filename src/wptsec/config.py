@@ -24,10 +24,12 @@ from .channel import (
 )
 from .errors import ParseError, ValidationError
 from .protocol import (
+    ATTACKER_KINDS,
     DEFAULT_DT_S,
     DEFAULT_STORAGE_CAPACITY_J,
     DEFAULT_TX_COST_J_PER_BIT,
     DEFAULT_WAKE_THRESHOLD_J,
+    KEY_POLICIES,
     MonitorConfig,
     NodeState,
     PvkTable,
@@ -48,11 +50,11 @@ _BIT_RATE = (lambda v: 0 < v <= MAX_BIT_RATE_HZ, f"must be in (0, {MAX_BIT_RATE_
 _OVERSAMPLING = (lambda v: v >= MIN_OVERSAMPLING, f"must be >= {MIN_OVERSAMPLING}")
 
 
-def _key(key: str, kind: str, required=True, *, preset=None, check=None):
+def _key(key: str, kind: str | tuple[str, ...], required=True, *, preset=None, check=None):
     """ScenarioConfig field that declares one config key.
 
     ``key`` is the dotted name in config text. ``kind`` drives conversion and
-    sweepability: float, int, bool, choice:<a|b|..>, curve, floats or str.
+    sweepability: float, int, bool, curve, floats, str, or a tuple of choices.
     ``required`` is True or a (selector attribute, value) condition.
     ``preset`` is the default every preset shares (None: each preset sets
     its own or leaves it unset). ``check`` is a (predicate, message) range
@@ -67,9 +69,9 @@ def _key(key: str, kind: str, required=True, *, preset=None, check=None):
 class ScenarioConfig:
     """Fully resolved experiment description; each field declares its key."""
 
-    setup: str = _key("setup", "choice:wired|anechoic|custom")
+    setup: str = _key("setup", ("wired", "anechoic", "custom"))
     seed: int = _key("seed", "int", preset=0)
-    topology: str | None = _key("channel.topology", "choice:radiated|wired")
+    topology: str | None = _key("channel.topology", ("radiated", "wired"))
     p_tx_dbm: float | None = _key("channel.p_tx_dbm", "float")
     frequency_hz: float | None = _key("channel.frequency_hz", "float", check=_POSITIVE)
     distance_dl_m: float | None = _key("channel.distance_dl_m", "float", _RADIATED)
@@ -83,7 +85,7 @@ class ScenarioConfig:
         "channel.efficiency_curve", "curve", preset=DEFAULT_EFFICIENCY_CURVE
     )
     load_ohms: float | None = _key("channel.load_ohms", "float", preset=10e3)
-    leakage_kind: str | None = _key("channel.leakage_kind", "choice:circulator|coupling")
+    leakage_kind: str | None = _key("channel.leakage_kind", ("circulator", "coupling"))
     circulator_isolation_db: float | None = _key(
         "channel.circulator_isolation_db", "float", _CIRCULATOR
     )
@@ -105,9 +107,7 @@ class ScenarioConfig:
         preset=2,
         check=(lambda v: 1 <= v <= MAX_PAYLOAD_BYTES, f"must be in [1, {MAX_PAYLOAD_BYTES}]"),
     )
-    key_policy: str | None = _key(
-        "protocol.key_policy", "choice:sequential|random", preset="sequential"
-    )
+    key_policy: str | None = _key("protocol.key_policy", KEY_POLICIES, preset="sequential")
     storage_capacity_j: float | None = _key(
         "protocol.storage_capacity_j", "float", preset=DEFAULT_STORAGE_CAPACITY_J
     )
@@ -119,7 +119,7 @@ class ScenarioConfig:
     )
     dt_s: float | None = _key("protocol.dt_s", "float", preset=DEFAULT_DT_S, check=_POSITIVE)
     max_time_s: float | None = _key("protocol.max_time_s", "float", preset=30.0, check=_POSITIVE)
-    attacker: str | None = _key("protocol.attacker", "choice:none|replay", preset="none")
+    attacker: str | None = _key("protocol.attacker", ATTACKER_KINDS, preset="none")
     sweep_param: str | None = _key(
         "sweep.param",
         "str",
@@ -137,7 +137,7 @@ class ScenarioConfig:
 
 _FIELDS = dataclasses.fields(ScenarioConfig)
 # key -> (attribute, kind); the float and int keys are the sweepable scalars
-_SCHEMA: dict[str, tuple[str, str]] = {
+_SCHEMA: dict[str, tuple[str, str | tuple[str, ...]]] = {
     f.metadata["key"]: (f.name, f.metadata["kind"]) for f in _FIELDS
 }
 _SCALAR_KEYS = {k: (a, t) for k, (a, t) in _SCHEMA.items() if t in ("float", "int")}
@@ -187,7 +187,11 @@ PRESET_SUMMARIES = {
 }
 
 
-def _convert(kind: str, raw: str):
+def _convert(kind: str | tuple[str, ...], raw: str):
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ValueError(f"expected one of {list(kind)}, got {raw!r}")
+        return raw
     if kind == "float":
         value = float(raw)
         if math.isnan(value):
@@ -200,11 +204,6 @@ def _convert(kind: str, raw: str):
         if lowered not in ("true", "false"):
             raise ValueError(f"expected true/false, got {raw!r}")
         return lowered == "true"
-    if kind.startswith("choice:"):
-        choices = kind.split(":", 1)[1].split("|")
-        if raw not in choices:
-            raise ValueError(f"expected one of {choices}, got {raw!r}")
-        return raw
     if kind == "curve":
         pairs = []
         for chunk in raw.split(";"):
@@ -364,7 +363,6 @@ def build_scenario(cfg: ScenarioConfig, noise_seed: int | None = None) -> LinkSc
         name=cfg.setup,
         topology=cfg.topology,
         p_tx_dbm=cfg.p_tx_dbm,
-        frequency_hz=cfg.frequency_hz,
         rect=rect,
         leakage=leakage,
         noise=noise,

@@ -38,6 +38,8 @@ DEFAULT_STORAGE_CAPACITY_J = 100e-6
 DEFAULT_WAKE_THRESHOLD_J = 10e-6
 DEFAULT_TX_COST_J_PER_BIT = 1e-9
 DEFAULT_DT_S = 100e-6
+KEY_POLICIES = ("sequential", "random")
+ATTACKER_KINDS = ("none", "replay")
 
 
 @dataclass
@@ -145,6 +147,11 @@ class NodeState:
             raise ValueError("tx_cost_j_per_bit must be >= 0")
 
 
+def _check_key_policy(key_policy: str) -> None:
+    if key_policy not in KEY_POLICIES:
+        raise ValueError(f"unknown key policy: {key_policy!r}")
+
+
 @dataclass(frozen=True)
 class NodeStep:
     """What one node_step call did."""
@@ -176,65 +183,44 @@ def node_step(
     """
     if not dt_s > 0:
         raise ValueError(f"dt_s must be > 0, got {dt_s}")
+    _check_key_policy(key_policy)
     if key_policy == "random" and key_rng is None:
         raise ValueError("the random key policy needs a seeded key_rng")
     p_dc_w, _ = harvested_dc(p_in_dbm, rect)
     banked = min(state.stored_energy_j + p_dc_w * dt_s, state.storage_capacity_j)
     banked -= state.stored_energy_j
     state.stored_energy_j += banked
+    if not state.stored_energy_j >= state.wake_threshold_j:
+        return NodeStep(None, None, banked, 0.0, 0.0)
 
-    frame = None
-    key_index = None
-    tx_cost = 0.0
-    bs_time = 0.0
-    if state.stored_energy_j >= state.wake_threshold_j:
-        if key_policy == "sequential":
-            key_index, code = state.table.peek_next()
-        elif key_policy == "random":
-            pool = state.table.unused_indices()
-            if not pool:
-                raise TableExhausted("no unused key left in the table")
-            key_index = int(pool[key_rng.integers(0, len(pool))])
-            code = state.table.entries[key_index]
-        else:
-            raise ValueError(f"unknown key policy: {key_policy!r}")
-        frame = build_frame(code, bit_rate_hz)
-        tx_cost = state.tx_cost_j_per_bit * frame.n_bits
-        if tx_cost > state.stored_energy_j:
-            raise ValueError(
-                f"frame cost {tx_cost} J exceeds stored energy {state.stored_energy_j} J"
-            )
-        state.stored_energy_j -= tx_cost
-        state.table.mark_used(key_index)
-        bs_time = frame.duration_s
-    return NodeStep(
-        frame=frame,
-        key_index=key_index,
-        harvested_j=banked,
-        tx_cost_j=tx_cost,
-        backscatter_time_s=bs_time,
-    )
+    if key_policy == "sequential":
+        key_index, code = state.table.peek_next()
+    else:
+        pool = state.table.unused_indices()
+        if not pool:
+            raise TableExhausted("no unused key left in the table")
+        key_index = int(pool[key_rng.integers(0, len(pool))])
+        code = state.table.entries[key_index]
+    frame = build_frame(code, bit_rate_hz)
+    tx_cost = state.tx_cost_j_per_bit * frame.n_bits
+    if tx_cost > state.stored_energy_j:
+        raise ValueError(f"frame cost {tx_cost} J exceeds stored energy {state.stored_energy_j} J")
+    state.stored_energy_j -= tx_cost
+    state.table.mark_used(key_index)
+    return NodeStep(frame, key_index, banked, tx_cost, frame.duration_s)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Attacker:
-    """Eavesdropper that can capture the monitor-side envelope and replay it."""
+    """Eavesdropper on the monitor-side envelope: "replay" re-presents the
+    session's captured envelope for a second verification, "none" stays
+    passive."""
 
     kind: str = "none"
-    recorded_trace: EnvelopeTrace | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "replay"):
+        if self.kind not in ATTACKER_KINDS:
             raise ValueError(f"unknown attacker kind: {self.kind!r}")
-
-    def record(self, trace: EnvelopeTrace) -> None:
-        if self.kind == "replay":
-            self.recorded_trace = trace
-
-    def replayed_trace(self) -> EnvelopeTrace:
-        if self.recorded_trace is None:
-            raise ValueError("replay attacker has not recorded a trace yet")
-        return self.recorded_trace
 
 
 @dataclass
@@ -263,6 +249,10 @@ class SessionEvent:
     verdict: str | None = None
     measured_dr_db: float | None = None
     stored_energy_j: float | None = None
+
+    @classmethod
+    def verify(cls, time_s: float, decision: AuthDecision) -> "SessionEvent":
+        return cls(time_s, "verify", decision.verdict, decision.decode.measured_dr_db)
 
     def record(self) -> str:
         parts = [f"time_s={self.time_s!r}", f"event={self.event}"]
@@ -341,11 +331,16 @@ def run_session(
     """
     if not dt_s > 0:
         raise ValueError("dt_s must be > 0")
+    if not max_time_s >= 0:
+        raise ValueError("max_time_s must be >= 0")
+    _check_key_policy(key_policy)
     events = [SessionEvent(0.0, "session_start", stored_energy_j=node.stored_energy_j)]
     energy: list[tuple[float, float]] = [(0.0, node.stored_energy_j)]
 
     p_in = scenario.node_input_dbm()
     p_dc_w, _ = harvested_dc(p_in, scenario.rect)
+    # a node that cannot reach its threshold charges to max_time_s in one chunk
+    never_wakes = p_dc_w <= 0.0 or node.storage_capacity_j < node.wake_threshold_j
     key_rng = None
     if key_policy == "random":
         # a spawned child keeps the key draws independent of the noise stream,
@@ -361,8 +356,10 @@ def run_session(
         steps_left = int(math.floor((max_time_s - t) / dt_s + 1e-9))
         if steps_left <= 0:
             break
-        if node.stored_energy_j >= node.wake_threshold_j or p_dc_w <= 0.0:
-            k = 1 if node.stored_energy_j >= node.wake_threshold_j else steps_left
+        if node.stored_energy_j >= node.wake_threshold_j:
+            k = 1
+        elif never_wakes:
+            k = steps_left
         else:
             deficit = node.wake_threshold_j - node.stored_energy_j
             k = max(1, int(math.ceil(deficit / (p_dc_w * dt_s))))
@@ -398,32 +395,18 @@ def run_session(
         trace = render_envelope(
             scenario, frame_to_bits(frame), monitor.bit_rate_hz, monitor.sample_rate_hz
         )
-        attacker.record(trace)
 
         decision = authenticate(trace, monitor.bit_rate_hz, monitor.table)
         decisions.append(decision)
         t_verify = t_emit + dt_s
-        events.append(
-            SessionEvent(
-                t_verify,
-                "verify",
-                verdict=decision.verdict,
-                measured_dr_db=decision.decode.measured_dr_db,
-            )
-        )
+        events.append(SessionEvent.verify(t_verify, decision))
 
         if attacker.kind == "replay":
-            replay = authenticate(attacker.replayed_trace(), monitor.bit_rate_hz, monitor.table)
+            # the attacker re-presents the envelope it captured: this session's trace
+            replay = authenticate(trace, monitor.bit_rate_hz, monitor.table)
             decisions.append(replay)
             events.append(SessionEvent(t_verify + dt_s, "replay_presented"))
-            events.append(
-                SessionEvent(
-                    t_verify + 2 * dt_s,
-                    "verify",
-                    verdict=replay.verdict,
-                    measured_dr_db=replay.decode.measured_dr_db,
-                )
-            )
+            events.append(SessionEvent.verify(t_verify + 2 * dt_s, replay))
         t_end = events[-1].time_s + dt_s
 
     events.append(SessionEvent(t_end, "session_end", stored_energy_j=node.stored_energy_j))

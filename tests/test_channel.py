@@ -1,9 +1,12 @@
 """Channel power-budget tests against independent linear-domain oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wptsec.channel import (
     AntennaSpec,
@@ -151,13 +154,24 @@ class TestLeakage:
 
     def test_kind_parameterization_is_exclusive(self):
         with pytest.raises(ValueError):
-            LeakageModel(kind="circulator", circulator_isolation_db=20.0, ref_tx_power_dbm=15.0)
-        with pytest.raises(ValueError):
-            LeakageModel(kind="coupling", coupling_floor_dbm_at_ref=-57.0)
-        with pytest.raises(ValueError):
-            LeakageModel(kind="circulator", circulator_isolation_db=-1.0)
-        with pytest.raises(ValueError):
-            LeakageModel(kind="magic")
+            LeakageModel.circulator(-1.0)
+        with pytest.raises(ValueError, match="circulator_isolation_db must be >= 0"):
+            LeakageModel.circulator(math.nan)
+
+    @given(
+        p_tx=st.floats(allow_nan=False, allow_infinity=False),
+        iso=st.floats(min_value=0.0, allow_infinity=False),
+        floor=st.floats(allow_nan=False, allow_infinity=False),
+        ref=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_one_formula_is_exact_for_both_setups(self, p_tx, iso, floor, ref):
+        assert leakage_power(p_tx, LeakageModel.circulator(iso)) == p_tx - iso
+        assert leakage_power(p_tx, LeakageModel.coupling(floor, ref)) == floor + (p_tx - ref)
+
+    def test_model_is_two_numbers(self):
+        names = [f.name for f in dataclasses.fields(LeakageModel)]
+        assert names == ["floor_dbm_at_ref", "ref_tx_power_dbm"]
+        assert LeakageModel.circulator(20.0) == LeakageModel(-20.0, 0.0)
 
 
 class TestCombine:
@@ -277,6 +291,24 @@ class TestHarvestedDc:
             harvested_dc(0.0, rect)
 
 
+class TestScenarioValidation:
+    def test_hops_carry_the_carrier(self):
+        assert "frequency_hz" not in {f.name for f in dataclasses.fields(LinkScenario)}
+
+    @pytest.mark.parametrize("missing", ["src_tx", "node_antenna", "mon_rx", "dl", "ul"])
+    def test_radiated_part_missing(self, missing):
+        with pytest.raises(ValueError, match=f"radiated scenario missing: {missing}"):
+            dataclasses.replace(_anechoic_scenario(), **{missing: None})
+
+    def test_radiated_carriers_must_match(self):
+        with pytest.raises(ValueError, match="downlink and uplink carriers differ"):
+            dataclasses.replace(_anechoic_scenario(), ul=LinkGeometry(3.4, 915e6))
+
+    def test_unknown_topology(self):
+        with pytest.raises(ValueError, match="unknown topology: 'optical'"):
+            dataclasses.replace(_anechoic_scenario(), topology="optical")
+
+
 class TestValidation:
     def test_antenna_gain_warning_not_error(self):
         with pytest.warns(UserWarning):
@@ -316,7 +348,6 @@ def _anechoic_scenario(p_tx_dbm: float = 15.0) -> LinkScenario:
         name="anechoic",
         topology="radiated",
         p_tx_dbm=p_tx_dbm,
-        frequency_hz=868e6,
         rect=RectifierModel(),
         leakage=LeakageModel.coupling(-57.0, 15.0),
         noise=NoiseSpec(-90.0, 0),

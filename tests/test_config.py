@@ -1,5 +1,7 @@
 """Config parsing, preset defaults, and strict validation."""
 
+import re
+
 import pytest
 
 from wptsec import config
@@ -12,6 +14,7 @@ from wptsec.config import (
     load_preset,
 )
 from wptsec.errors import ParseError, ValidationError
+from wptsec.protocol import ATTACKER_KINDS, KEY_POLICIES
 
 
 FLOAT_KEYS = {
@@ -206,6 +209,16 @@ class TestParsing:
             load_config("setup=wired\nprotocol.enabled = yes")
         with pytest.raises(ParseError, match="leakage_kind"):
             load_config("setup=wired\nchannel.leakage_kind = wishful")
+
+    @pytest.mark.parametrize(
+        "key, options",
+        [("protocol.key_policy", KEY_POLICIES), ("protocol.attacker", ATTACKER_KINDS)],
+    )
+    def test_protocol_choices_come_from_protocol(self, key, options):
+        for option in options:
+            load_config(f"setup=anechoic\n{key} = {option}")
+        with pytest.raises(ParseError, match=re.escape(f"expected one of {list(options)}")):
+            load_config(f"setup=anechoic\n{key} = bogus")
 
     def test_missing_setup(self):
         with pytest.raises(ValidationError, match="setup"):

@@ -1,5 +1,6 @@
 """Key tables, node energy state machine, and session-level behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -41,7 +42,6 @@ def anechoic_scenario(seed=0, **overrides) -> LinkScenario:
         name="anechoic",
         topology="radiated",
         p_tx_dbm=15.0,
-        frequency_hz=868e6,
         rect=RectifierModel(),
         leakage=LeakageModel.coupling(-57.0, 15.0),
         noise=NoiseSpec(-90.0, seed),
@@ -176,6 +176,12 @@ class TestNodeStep:
             node_step(node, 0.01, -10.0, FLAT_RECT, key_policy="random")
         assert node.stored_energy_j == 50e-6 and not any(node.table.used)
 
+    def test_unknown_key_policy_rejected_before_charging(self):
+        node = NodeState(table=generate_table(4, 2, rng_seed=3))
+        with pytest.raises(ValueError, match="unknown key policy: 'bogus'"):
+            node_step(node, 1.0, -10.0, FLAT_RECT, key_policy="bogus")
+        assert node.stored_energy_j == 0.0 and not any(node.table.used)
+
     def test_nan_dt_rejected(self):
         node = NodeState(table=generate_table(4, 2, rng_seed=3))
         with pytest.raises(ValueError, match="dt_s must be > 0"):
@@ -277,6 +283,46 @@ class TestRunSession:
             }
         ]
 
+    def test_replay_re_presents_the_session_trace(self):
+        node, monitor = session_parts()
+        log = run_session(anechoic_scenario(seed=43), node, Attacker(kind="replay"), monitor)
+        first, replay = log.decisions
+        assert replay.decode == first.decode and first.decode.payload == log.emitted_code
+
+    def test_unreachable_wake_threshold_costs_one_chunk(self):
+        # storage tops out below the threshold, so the node can never wake
+        node = NodeState(
+            table=generate_table(4, 2, rng_seed=0),
+            storage_capacity_j=100e-6,
+            wake_threshold_j=100.0001e-6,
+        )
+        _, monitor = session_parts()
+        log = run_session(anechoic_scenario(seed=54), node, Attacker(), monitor)
+        assert log.final.decode.status == WAKE_TIMEOUT
+        assert len(log.energy_trace) <= 3
+        assert node.stored_energy_j == log.total_harvested_j == 100e-6
+
+    def test_nan_max_time_rejected(self):
+        node, monitor = session_parts()
+        with pytest.raises(ValueError, match="max_time_s must be >= 0"):
+            run_session(anechoic_scenario(), node, Attacker(), monitor, max_time_s=math.nan)
+
+    def test_zero_max_time_times_out_at_once(self):
+        node, monitor = session_parts()
+        log = run_session(anechoic_scenario(), node, Attacker(), monitor, max_time_s=0.0)
+        assert [e.event for e in log.events] == ["session_start", WAKE_TIMEOUT, "session_end"]
+        assert log.energy_trace == [(0.0, 0.0)]
+
+    @pytest.mark.parametrize("efficiency", [0.0, 0.2])
+    def test_unknown_key_policy_rejected_before_charging(self, efficiency):
+        scenario = anechoic_scenario(
+            rect=RectifierModel(efficiency_curve=((-60.0, efficiency), (60.0, efficiency)))
+        )
+        node, monitor = session_parts()
+        with pytest.raises(ValueError, match="unknown key policy: 'bogus'"):
+            run_session(scenario, node, Attacker(), monitor, key_policy="bogus")
+        assert node.stored_energy_j == 0.0 and not any(node.table.used)
+
     def test_nan_dt_rejected(self):
         node, monitor = session_parts()
         with pytest.raises(ValueError, match="dt_s must be > 0"):
@@ -347,9 +393,11 @@ class TestStateValidation:
     def test_attacker_contract(self):
         with pytest.raises(ValueError):
             Attacker(kind="mitm")
-        replayer = Attacker(kind="replay")
-        with pytest.raises(ValueError):
-            replayer.replayed_trace()
+
+    def test_attacker_holds_only_its_kind(self):
+        assert [f.name for f in dataclasses.fields(Attacker)] == ["kind"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Attacker().kind = "replay"
 
     def test_monitor_config_oversampling(self):
         with pytest.raises(ValueError):
