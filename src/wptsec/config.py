@@ -87,7 +87,10 @@ class ScenarioConfig:
     load_ohms: float | None = _key("channel.load_ohms", "float", preset=10e3)
     leakage_kind: str | None = _key("channel.leakage_kind", ("circulator", "coupling"))
     circulator_isolation_db: float | None = _key(
-        "channel.circulator_isolation_db", "float", _CIRCULATOR
+        "channel.circulator_isolation_db",
+        "float",
+        _CIRCULATOR,
+        check=(lambda v: v >= 0, "must be >= 0"),
     )
     coupling_floor_dbm: float | None = _key("channel.coupling_floor_dbm", "float", _COUPLING)
     coupling_ref_tx_dbm: float | None = _key("channel.coupling_ref_tx_dbm", "float", _COUPLING)

@@ -10,8 +10,9 @@ is needed and a missed frame simply costs a key.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,36 +47,46 @@ ATTACKER_KINDS = ("none", "replay")
 class PvkTable:
     """Ordered table of one-time key codes with per-entry used flags.
 
-    The cursor always points at the first unused entry (or one past the end
-    when exhausted); it is derived from the flags, not set by callers.
+    A Fenwick tree over the unused flags (P. M. Fenwick, Softw. Pract.
+    Exper. 24(3), 1994) finds the k-th unused entry in O(log n); mark_used
+    is its only writer. The cursor is the first unused entry (one past the
+    end when exhausted), derived from the flags, not set by callers.
     """
 
     entries: list[bytes]
     used: list[bool] | None = None
-    cursor: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.entries = [bytes(e) for e in self.entries]
-        for e in self.entries:
-            if not 1 <= len(e) <= MAX_PAYLOAD_BYTES:
-                raise ValueError(f"key length {len(e)} outside [1, {MAX_PAYLOAD_BYTES}] bytes")
-        if len(set(self.entries)) != len(self.entries):
+        self.entries = list(map(bytes, self.entries))
+        n = len(self.entries)
+        for size in set(map(len, self.entries)):
+            if not 1 <= size <= MAX_PAYLOAD_BYTES:
+                raise ValueError(f"key length {size} outside [1, {MAX_PAYLOAD_BYTES}] bytes")
+        self._index = dict(zip(self.entries, range(n)))
+        if len(self._index) != n:
             raise ValueError("key table entries must be unique")
         if self.used is None:
-            self.used = [False] * len(self.entries)
-        if len(self.used) != len(self.entries):
+            self.used = [False] * n
+        if len(self.used) != n:
             raise ValueError("used flags must match entries")
-        self._index = {code: i for i, code in enumerate(self.entries)}
-        self._advance_cursor(0)
-
-    def _advance_cursor(self, start: int) -> None:
-        i = start
-        while i < len(self.entries) and self.used[i]:
-            i += 1
-        self.cursor = i
+        # prefix[i] counts the unused entries among the first i; the 1-based
+        # tree[i] counts those in (i - lowbit(i), i]
+        prefix = np.zeros(n + 1, dtype=np.int64)
+        prefix[1:] = np.cumsum(np.logical_not(np.asarray(self.used, dtype=bool)))
+        i = np.arange(n + 1)
+        self._tree = (prefix - prefix[i - (i & -i)]).tolist()
+        self._n_unused = int(prefix[-1])
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def cursor(self) -> int:
+        return self.select_unused(0) if self._n_unused else len(self.entries)
+
+    @property
+    def n_unused(self) -> int:
+        return self._n_unused
 
     def find(self, code: bytes) -> int | None:
         return self._index.get(bytes(code))
@@ -84,20 +95,48 @@ class PvkTable:
         return self.used[index]
 
     def mark_used(self, index: int) -> None:
+        n = len(self.entries)
+        if not 0 <= index < n:
+            raise IndexError(f"key index {index} outside [0, {n})")
+        if self.used[index]:
+            return
         self.used[index] = True
-        if index == self.cursor:
-            self._advance_cursor(self.cursor)
+        self._n_unused -= 1
+        tree, i = self._tree, index + 1
+        while i <= n:
+            tree[i] -= 1
+            i += i & -i
+
+    def select_unused(self, k: int) -> int:
+        """Index of the k-th (0-based) unused entry: unused_indices()[k]."""
+        if not 0 <= k < self._n_unused:
+            raise IndexError(f"rank {k} outside [0, {self._n_unused})")
+        tree, n, pos = self._tree, len(self.entries), 0
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= n and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            step >>= 1
+        return pos
 
     def peek_next(self) -> tuple[int, bytes]:
-        if self.cursor >= len(self.entries):
+        if not self._n_unused:
             raise TableExhausted("no unused key left in the table")
-        return self.cursor, self.entries[self.cursor]
+        index = self.select_unused(0)
+        return index, self.entries[index]
 
     def unused_indices(self) -> list[int]:
         return [i for i, u in enumerate(self.used) if not u]
 
     def copy(self) -> "PvkTable":
-        return PvkTable(entries=list(self.entries), used=list(self.used))
+        """Clone with its own used flags. No method mutates the entries or
+        their index, so the clone shares them without validating again."""
+        clone = copy.copy(self)
+        clone.used = list(self.used)
+        clone._tree = list(self._tree)
+        return clone
 
 
 def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
@@ -106,6 +145,12 @@ def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
     Both sides of the link run this with the same seed to provision
     identical tables. Uniqueness comes from rejection sampling, so the key
     space must be able to hold n_keys distinct codes.
+
+    Codes come from bulk uint32 draws, read as little-endian bytes with
+    key_len_bytes cut from each ceil(key_len_bytes / 4) words. That is the
+    stream a per-key ``integers(0, 256, size=key_len_bytes, dtype=uint8)``
+    draws, so the table is the same as drawing one key at a time and keeping
+    the first occurrence of each code.
     """
     if n_keys < 1:
         raise ValueError(f"n_keys must be >= 1, got {n_keys}")
@@ -118,14 +163,16 @@ def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
             f"{capacity}-code space"
         )
     rng = np.random.default_rng(rng_seed)
-    seen: set[bytes] = set()
-    codes: list[bytes] = []
+    words = -(-key_len_bytes // 4)
+    codes: dict[bytes, None] = {}
     while len(codes) < n_keys:
-        code = rng.integers(0, 256, size=key_len_bytes, dtype=np.uint8).tobytes()
-        if code not in seen:
-            seen.add(code)
-            codes.append(code)
-    return PvkTable(entries=codes)
+        need = n_keys - len(codes)
+        draw = rng.integers(0, 2**32, size=need * words, dtype=np.uint32)
+        rows = draw.astype("<u4").view(np.uint8).reshape(need, 4 * words)
+        flat = rows[:, :key_len_bytes].tobytes()
+        for off in range(0, len(flat), key_len_bytes):
+            codes.setdefault(flat[off : off + key_len_bytes])
+    return PvkTable(entries=list(codes))
 
 
 @dataclass
@@ -183,6 +230,8 @@ def node_step(
     """
     if not dt_s > 0:
         raise ValueError(f"dt_s must be > 0, got {dt_s}")
+    if math.isnan(p_in_dbm):
+        raise ValueError("p_in_dbm must not be NaN")
     _check_key_policy(key_policy)
     if key_policy == "random" and key_rng is None:
         raise ValueError("the random key policy needs a seeded key_rng")
@@ -196,10 +245,10 @@ def node_step(
     if key_policy == "sequential":
         key_index, code = state.table.peek_next()
     else:
-        pool = state.table.unused_indices()
-        if not pool:
+        n_unused = state.table.n_unused
+        if not n_unused:
             raise TableExhausted("no unused key left in the table")
-        key_index = int(pool[key_rng.integers(0, len(pool))])
+        key_index = state.table.select_unused(int(key_rng.integers(0, n_unused)))
         code = state.table.entries[key_index]
     frame = build_frame(code, bit_rate_hz)
     tx_cost = state.tx_cost_j_per_bit * frame.n_bits

@@ -242,6 +242,17 @@ class TestMain:
         assert "sweep.values: 16.9: waveform.oversampling must be an integer" in err
         assert "sweep.values: 4: waveform.oversampling must be >= 8" in err
 
+    def test_exit_two_on_negative_isolation_writes_nothing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(
+            "setup=wired\nsweep.param=channel.circulator_isolation_db\nsweep.values=-5,10\n"
+        )
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
+        argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
+        assert main(argv) == 2
+        assert not out_csv.exists() and not trace_path.exists()
+        assert "channel.circulator_isolation_db must be >= 0" in capsys.readouterr().err
+
     def test_exit_two_on_config_errors(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.cfg")]) == 2
         bad = tmp_path / "bad.cfg"

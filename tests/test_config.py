@@ -317,6 +317,8 @@ class TestValidation:
             load_config("setup=wired\nwaveform.oversampling = 4")
         with pytest.raises(ValidationError, match="key_len_bytes"):
             load_config("setup=wired\nprotocol.key_len_bytes = 65")
+        with pytest.raises(ValidationError, match="circulator_isolation_db: must be >= 0"):
+            load_config("setup=wired\nchannel.circulator_isolation_db = -5")
 
     def test_sweep_must_name_scalar(self):
         with pytest.raises(ValidationError, match="sweepable scalar"):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wptsec.channel import (
     AntennaSpec,
@@ -111,6 +113,54 @@ class TestPvkTable:
         assert not clone.is_used(0)
         assert clone.cursor == 0
 
+    @given(
+        st.lists(st.booleans(), min_size=1, max_size=70).flatmap(
+            lambda used: st.tuples(
+                st.just(used),
+                st.lists(st.integers(0, len(used) - 1), max_size=2 * len(used)),
+            )
+        )
+    )
+    def test_select_matches_the_unused_pool(self, case):
+        used, marks = case
+        table = PvkTable(entries=[i.to_bytes(1, "big") for i in range(len(used))], used=used)
+        for index in [None, *marks, *marks[:3]]:  # the tail marks entries again
+            if index is not None:
+                table.mark_used(index)
+            pool = table.unused_indices()
+            assert table.n_unused == len(pool)
+            assert [table.select_unused(k) for k in range(len(pool))] == pool
+            assert table.cursor == (pool[0] if pool else len(table))
+            with pytest.raises(IndexError):
+                table.select_unused(len(pool))
+        clone = table.copy()
+        if pool:
+            table.mark_used(pool[0])
+            assert clone.n_unused == len(pool) and clone.select_unused(0) == pool[0]
+
+    def test_mark_used_rejects_out_of_range_indices(self):
+        table = PvkTable(entries=[b"\x01", b"\x02"])
+        for index in (-1, 2):
+            with pytest.raises(IndexError):
+                table.mark_used(index)
+        assert table.unused_indices() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "n_keys, key_len",
+        [(250, 1), (300, 2), (300, 3), (300, 4), (300, 5), (300, 7), (300, 8), (300, 64)],
+    )
+    def test_bulk_draw_matches_per_key_draws(self, n_keys, key_len):
+        # the per-key reference: one uint8 draw per key, first occurrence
+        # kept; 250 of the 256 one-byte codes makes most draws duplicates
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            codes: list[bytes] = []
+            while len(codes) < n_keys:
+                code = rng.integers(0, 256, size=key_len, dtype=np.uint8).tobytes()
+                if code not in codes:
+                    codes.append(code)
+            assert generate_table(n_keys, key_len, rng_seed=seed).entries == codes
+
 
 class TestNodeStep:
     def test_zero_efficiency_never_wakes(self):
@@ -169,6 +219,27 @@ class TestNodeStep:
         step = node_step(node, 0.01, -10.0, FLAT_RECT, key_policy="random", key_rng=rng)
         assert step.frame is not None
         assert table.is_used(step.key_index)
+
+    def test_random_key_policy_keeps_the_pool_order(self):
+        # the pick the policy made by indexing the list of unused entries
+        table = generate_table(5000, 2, rng_seed=8)
+        node = NodeState(table=table)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        pool = list(range(len(table)))
+        emitted, expected = [], []
+        while pool:
+            step = node_step(node, 1.0, -10.0, FLAT_RECT, key_policy="random", key_rng=rng)
+            emitted.append(step.key_index)
+            expected.append(pool.pop(ref_rng.integers(0, len(pool))))
+        assert emitted == expected
+        with pytest.raises(TableExhausted):
+            node_step(node, 1.0, -10.0, FLAT_RECT, key_policy="random", key_rng=rng)
+
+    def test_nan_input_power_rejected_before_the_ledger(self):
+        node = NodeState(table=generate_table(4, 2, rng_seed=3), stored_energy_j=5e-6)
+        with pytest.raises(ValueError, match="p_in_dbm"):
+            node_step(node, 0.01, math.nan, FLAT_RECT)
+        assert node.stored_energy_j == 5e-6 and not any(node.table.used)
 
     def test_random_key_policy_needs_key_rng(self):
         node = NodeState(table=generate_table(16, 2, rng_seed=3), stored_energy_j=50e-6)
