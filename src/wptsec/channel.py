@@ -29,7 +29,6 @@ DEFAULT_EFFICIENCY_CURVE = (
     (10.0, 0.50),
     (20.0, 0.55),
 )
-DEFAULT_LOAD_OHMS = 10e3
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -97,7 +96,6 @@ class RectifierModel:
     gamma_low_db: float = DEFAULT_GAMMA_LOW_DB
     gamma_high_db: float = DEFAULT_GAMMA_HIGH_DB
     efficiency_curve: tuple[tuple[float, float], ...] = DEFAULT_EFFICIENCY_CURVE
-    load_ohms: float = DEFAULT_LOAD_OHMS
 
     def __post_init__(self) -> None:
         if self.gamma_low_db > 0 or self.gamma_high_db > 0:
@@ -120,8 +118,6 @@ class RectifierModel:
         for _, eta in pts:
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"efficiency {eta} outside [0, 1]")
-        if self.load_ohms <= 0:
-            raise ValueError(f"load_ohms must be > 0, got {self.load_ohms}")
 
     def gamma_db(self, cmd_high: bool) -> float:
         return self.gamma_high_db if cmd_high else self.gamma_low_db
@@ -238,8 +234,8 @@ def dynamic_range_db(p_high_state_dbm: float, p_low_state_dbm: float) -> float:
     return p_high_state_dbm - p_low_state_dbm
 
 
-def harvested_dc(p_in_dbm: float, rect: RectifierModel) -> tuple[float, float]:
-    """DC output (power in watts, voltage across the load) for an RF input.
+def harvested_dc(p_in_dbm: float, rect: RectifierModel) -> float:
+    """DC output power in watts for an RF input.
 
     Efficiency is piecewise-linear in (dBm, eta) space, clamped at the curve
     endpoints.
@@ -249,9 +245,7 @@ def harvested_dc(p_in_dbm: float, rect: RectifierModel) -> tuple[float, float]:
     xs = [p for p, _ in rect.efficiency_curve]
     ys = [e for _, e in rect.efficiency_curve]
     eta = float(np.interp(p_in_dbm, xs, ys))
-    p_dc = eta * dbm_to_watts(p_in_dbm)
-    v_out = math.sqrt(p_dc * rect.load_ohms)
-    return p_dc, v_out
+    return eta * dbm_to_watts(p_in_dbm)
 
 
 @dataclass(frozen=True)

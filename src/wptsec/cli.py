@@ -82,7 +82,9 @@ class Summary:
 
 def _probe_trace(cfg: ScenarioConfig, seed: int) -> EnvelopeTrace:
     """Alternating CMD pattern used for protocol-free level measurement."""
-    return _render(cfg, seed, np.resize(np.array([1, 0], dtype=np.uint8), cfg.probe_bits))
+    bits = np.zeros(cfg.probe_bits, dtype=np.uint8)
+    bits[::2] = 1
+    return _render(cfg, seed, bits)
 
 
 def _render(cfg: ScenarioConfig, seed: int, bits) -> EnvelopeTrace:

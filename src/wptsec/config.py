@@ -73,7 +73,9 @@ class ScenarioConfig:
     seed: int = _key("seed", "int", preset=0)
     topology: str | None = _key("channel.topology", ("radiated", "wired"))
     p_tx_dbm: float | None = _key("channel.p_tx_dbm", "float")
-    frequency_hz: float | None = _key("channel.frequency_hz", "float", check=_POSITIVE)
+    frequency_hz: float | None = _key(
+        "channel.frequency_hz", "float", _RADIATED, check=_POSITIVE
+    )
     distance_dl_m: float | None = _key("channel.distance_dl_m", "float", _RADIATED)
     distance_ul_m: float | None = _key("channel.distance_ul_m", "float", _RADIATED)
     gain_src_dbi: float | None = _key("channel.gain_src_dbi", "float", _RADIATED)
@@ -84,7 +86,6 @@ class ScenarioConfig:
     efficiency_curve: tuple[tuple[float, float], ...] | None = _key(
         "channel.efficiency_curve", "curve", preset=DEFAULT_EFFICIENCY_CURVE
     )
-    load_ohms: float | None = _key("channel.load_ohms", "float", preset=10e3)
     leakage_kind: str | None = _key("channel.leakage_kind", ("circulator", "coupling"))
     circulator_isolation_db: float | None = _key(
         "channel.circulator_isolation_db",
@@ -170,11 +171,11 @@ PRESETS: dict[str, dict] = {
     ),
     # Circulator bench: -15 dBm CW at 876 MHz straight into the rectifier,
     # 20 dB minimum isolation, 100 kHz modulation, level measurement only.
+    # The wired budget does not depend on the carrier, so no frequency is set.
     "wired": dict(
         _COMMON_DEFAULTS,
         topology="wired",
         p_tx_dbm=-15.0,
-        frequency_hz=876e6,
         leakage_kind="circulator",
         circulator_isolation_db=20.0,
         bit_rate_hz=100e3,
@@ -343,7 +344,6 @@ def build_scenario(cfg: ScenarioConfig, noise_seed: int | None = None) -> LinkSc
         gamma_low_db=cfg.gamma_low_db,
         gamma_high_db=cfg.gamma_high_db,
         efficiency_curve=cfg.efficiency_curve,
-        load_ohms=cfg.load_ohms,
     )
     if cfg.leakage_kind == "circulator":
         leakage = LeakageModel.circulator(cfg.circulator_isolation_db)

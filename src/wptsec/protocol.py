@@ -235,7 +235,7 @@ def node_step(
     _check_key_policy(key_policy)
     if key_policy == "random" and key_rng is None:
         raise ValueError("the random key policy needs a seeded key_rng")
-    p_dc_w, _ = harvested_dc(p_in_dbm, rect)
+    p_dc_w = harvested_dc(p_in_dbm, rect)
     banked = min(state.stored_energy_j + p_dc_w * dt_s, state.storage_capacity_j)
     banked -= state.stored_energy_j
     state.stored_energy_j += banked
@@ -387,7 +387,7 @@ def run_session(
     energy: list[tuple[float, float]] = [(0.0, node.stored_energy_j)]
 
     p_in = scenario.node_input_dbm()
-    p_dc_w, _ = harvested_dc(p_in, scenario.rect)
+    p_dc_w = harvested_dc(p_in, scenario.rect)
     # a node that cannot reach its threshold charges to max_time_s in one chunk
     never_wakes = p_dc_w <= 0.0 or node.storage_capacity_j < node.wake_threshold_j
     key_rng = None

@@ -165,15 +165,20 @@ def synthesize_envelope(
         10.0 ** ((p_high_dbm - 30.0) / 10.0),
         10.0 ** ((p_low_dbm - 30.0) / 10.0),
     )
-    signal_w = np.repeat(levels_w, counts)
+    # np.repeat returns a fresh array: every step below works in place on it,
+    # in the order of 10*log10(max(signal + floor + noise, POWER_FLOOR_W)) + 30
+    samples = np.repeat(levels_w, counts)
 
     floor_w = noise.mean_power_w
     if floor_w > 0.0:
         rng = noise.generator()
-        signal_w = signal_w + floor_w + rng.normal(0.0, floor_w, signal_w.size)
-    total_w = np.maximum(signal_w, POWER_FLOOR_W)
-    samples_dbm = 10.0 * np.log10(total_w) + 30.0
-    return EnvelopeTrace(sample_rate_hz=sample_rate_hz, samples=samples_dbm, meta=meta)
+        samples += floor_w
+        samples += rng.normal(0.0, floor_w, samples.size)
+    np.maximum(samples, POWER_FLOOR_W, out=samples)
+    np.log10(samples, out=samples)
+    samples *= 10.0
+    samples += 30.0
+    return EnvelopeTrace(sample_rate_hz=sample_rate_hz, samples=samples, meta=meta)
 
 
 def render_envelope(
@@ -214,15 +219,28 @@ def generate_square_cmd(freq_hz: float, duration_s: float, sample_rate_hz: float
 # bit-exact.
 
 _HEADER_RE = re.compile(r"^sample_rate_hz=(\d+),unit=dbm,meta=(.*)$")
+# Samples formatted at a time: write_trace holds one chunk's text, so its
+# memory does not grow with the trace length.
+TRACE_CHUNK_SAMPLES = 8192
 
 
-def format_trace(trace: EnvelopeTrace) -> str:
+def _trace_header(trace: EnvelopeTrace) -> str:
     rate = trace.sample_rate_hz
     if rate != int(rate):
         raise ValueError(f"sample rate must be integral for the file format, got {rate}")
-    lines = [f"sample_rate_hz={int(rate)},unit=dbm,meta={trace.meta}"]
-    lines.extend(repr(float(s)) for s in trace.samples)
-    return "\n".join(lines) + "\n"
+    return f"sample_rate_hz={int(rate)},unit=dbm,meta={trace.meta}\n"
+
+
+def _sample_chunks(samples: np.ndarray):
+    """The sample lines, TRACE_CHUNK_SAMPLES at a time, each chunk ending in a newline."""
+    for start in range(0, samples.size, TRACE_CHUNK_SAMPLES):
+        chunk = samples[start : start + TRACE_CHUNK_SAMPLES]
+        yield "\n".join(map(repr, chunk.tolist())) + "\n"
+
+
+def format_trace(trace: EnvelopeTrace) -> str:
+    """The trace file text, as write_trace writes it."""
+    return _trace_header(trace) + "".join(_sample_chunks(trace.samples))
 
 
 def parse_trace(text: str) -> EnvelopeTrace:
@@ -242,7 +260,12 @@ def parse_trace(text: str) -> EnvelopeTrace:
 
 
 def write_trace(trace: EnvelopeTrace, path) -> None:
-    Path(path).write_text(format_trace(trace), encoding="ascii", newline="\n")
+    """Write the trace file one chunk at a time; a non-integral sample rate
+    raises before the file is opened."""
+    header = _trace_header(trace)
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(header)
+        f.writelines(_sample_chunks(trace.samples))
 
 
 def read_trace(path) -> EnvelopeTrace:

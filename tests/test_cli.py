@@ -3,7 +3,9 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
+from wptsec import cli
 from wptsec.cli import (
     CSV_COLUMNS,
     emit_trace,
@@ -168,6 +170,14 @@ class TestEmitTrace:
         result = decode_trace(read_trace(path), cfg.bit_rate_hz)
         assert result.status == "decoded"
         assert len(result.payload) == cfg.key_len_bytes
+
+    @pytest.mark.parametrize("probe_bits", [2, 3, 64, 6251])
+    def test_probe_bits_alternate_from_high(self, monkeypatch, probe_bits):
+        monkeypatch.setattr(cli, "_render", lambda cfg, seed, bits: bits)
+        cfg = load_config(f"setup=wired\nwaveform.probe_bits={probe_bits}")
+        bits = cli._probe_trace(cfg, 0)
+        want = np.resize(np.array([1, 0], dtype=np.uint8), probe_bits)
+        assert bits.dtype == np.uint8 and np.array_equal(bits, want)
 
     def test_matches_first_session_trace(self):
         # the CLI trace and the session driver render the first key the same way

@@ -27,7 +27,6 @@ FLOAT_KEYS = {
     "channel.gain_mon_dbi",
     "channel.gamma_low_db",
     "channel.gamma_high_db",
-    "channel.load_ohms",
     "channel.circulator_isolation_db",
     "channel.coupling_floor_dbm",
     "channel.coupling_ref_tx_dbm",
@@ -59,6 +58,7 @@ OTHER_KEYS = {
 }
 ALL_KEYS = FLOAT_KEYS | INT_KEYS | OTHER_KEYS
 RADIATED_KEYS = {
+    "channel.frequency_hz",
     "channel.distance_dl_m",
     "channel.distance_ul_m",
     "channel.gain_src_dbi",
@@ -90,7 +90,7 @@ def keys_with(violations: list[str], what: str) -> set[str]:
 
 class TestSchema:
     def test_accepted_keys(self):
-        assert len(ALL_KEYS) == 34
+        assert len(ALL_KEYS) == 33
         assert set(config._SCHEMA) == ALL_KEYS
         for key in ALL_KEYS:
             try:
@@ -110,7 +110,7 @@ class TestSchema:
 
     def test_custom_reports_exactly_the_unconditional_keys(self):
         violations = violations_of("setup=custom")
-        assert len(violations) == len(CUSTOM_MISSING) == 23
+        assert len(violations) == len(CUSTOM_MISSING) == 21
         assert keys_with(violations, "missing") == CUSTOM_MISSING
 
     @pytest.mark.parametrize(
@@ -137,6 +137,32 @@ class TestSchema:
         assert len(violations) == 1
         assert violations[0].startswith(f"{key}: not applicable")
 
+    def test_removed_load_resistance_is_an_unknown_key(self):
+        with pytest.raises(ParseError, match="line 2: unknown key 'channel.load_ohms'"):
+            load_config("setup=anechoic\nchannel.load_ohms = 1e4")
+
+    def test_wired_needs_no_carrier(self):
+        # the wired budget reads no frequency: custom wired omits it, the
+        # preset sets none, and setting one is an error
+        custom = load_config(
+            "setup=custom\nchannel.topology=wired\nchannel.leakage_kind=circulator\n"
+            "channel.circulator_isolation_db=20\nchannel.p_tx_dbm=-15\n"
+            "channel.gamma_low_db=-20\nchannel.gamma_high_db=-3\n"
+            "channel.efficiency_curve=-20:0.05;20:0.5\nchannel.noise_power_dbm=-90\n"
+            "waveform.bit_rate_hz=100e3\nwaveform.oversampling=16\nwaveform.probe_bits=64\n"
+            "protocol.enabled=false\nprotocol.n_keys=4\nprotocol.key_len_bytes=2\n"
+            "protocol.key_policy=sequential\nprotocol.storage_capacity_j=100e-6\n"
+            "protocol.wake_threshold_j=10e-6\nprotocol.tx_cost_j_per_bit=1e-9\n"
+            "protocol.dt_s=1e-4\nprotocol.max_time_s=30\nprotocol.attacker=none\nseed=1"
+        )
+        assert custom.frequency_hz is None
+        assert build_scenario(custom).state_level_dbm(True) == build_scenario(
+            load_preset("wired")
+        ).state_level_dbm(True)
+        assert violations_of("setup=wired\nchannel.frequency_hz = 876e6") == [
+            "channel.frequency_hz: not applicable when channel.topology = wired"
+        ]
+
     def test_sweep_pair_requires_both(self):
         assert keys_with(
             violations_of("setup=wired\nsweep.param = seed"), "missing"
@@ -162,7 +188,7 @@ class TestPresets:
     def test_wired_defaults(self):
         cfg = load_config("setup=wired")
         assert cfg.p_tx_dbm == -15.0
-        assert cfg.frequency_hz == 876e6
+        assert cfg.frequency_hz is None
         assert cfg.leakage_kind == "circulator"
         assert cfg.circulator_isolation_db == 20.0
         assert cfg.bit_rate_hz == 100e3
@@ -267,7 +293,6 @@ class TestValidation:
                 "channel.gamma_low_db=-20",
                 "channel.gamma_high_db=-3",
                 "channel.efficiency_curve=-20:0.05;20:0.5",
-                "channel.load_ohms=1e4",
                 "channel.leakage_kind=coupling",
                 "channel.coupling_floor_dbm=-57",
                 "channel.coupling_ref_tx_dbm=15",

@@ -3,6 +3,7 @@ generation, and trace file I/O."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from wptsec.protocol import MonitorConfig, PvkTable
 from wptsec.waveform import (
     FRAME_HEADER_BITS,
     MAX_BIT_RATE_HZ,
+    POWER_FLOOR_W,
     PREAMBLE_BITS,
     SYNC_BYTE,
     EnvelopeTrace,
     Frame,
+    _bit_boundaries,
     build_frame,
     format_trace,
     frame_to_bits,
@@ -216,6 +219,41 @@ class TestSynthesizeEnvelope:
         assert mean_w == pytest.approx(expect, rel=0.02)
 
 
+def synthesize_reference(bits, p_high_dbm, p_low_dbm, bit_rate_hz, sample_rate_hz, noise):
+    """synthesize_envelope's samples in expression form, one new array per step."""
+    bit_arr = np.asarray(bits, dtype=np.uint8)
+    counts = np.diff(_bit_boundaries(bit_arr.size, sample_rate_hz, bit_rate_hz))
+    levels_w = np.where(
+        bit_arr == 1,
+        10.0 ** ((p_high_dbm - 30.0) / 10.0),
+        10.0 ** ((p_low_dbm - 30.0) / 10.0),
+    )
+    signal_w = np.repeat(levels_w, counts)
+    floor_w = noise.mean_power_w
+    if floor_w > 0.0:
+        rng = noise.generator()
+        signal_w = signal_w + floor_w + rng.normal(0.0, floor_w, signal_w.size)
+    total_w = np.maximum(signal_w, POWER_FLOOR_W)
+    return 10.0 * np.log10(total_w) + 30.0
+
+
+class TestSynthesizeReference:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+    @pytest.mark.parametrize("noise_dbm", [-math.inf, -80.0, -45.0])
+    def test_in_place_equals_expression_form(self, noise_dbm, seed):
+        # -45 dBm noise on -50/-60 dBm levels drives some samples under the
+        # power floor, so the clip is exercised too
+        noise = NoiseSpec(noise_dbm, rng_seed=seed)
+        bits = np.random.default_rng(seed).integers(0, 2, 97)
+        for bit_rate, sample_rate in ((20e3, 320e3), (3e3, 25e3)):
+            args = (bits, -50.0, -60.0, bit_rate, sample_rate, noise)
+            got = synthesize_envelope(*args).samples
+            want = synthesize_reference(*args)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if noise_dbm == -45.0:
+            assert np.any(got == 10.0 * math.log10(POWER_FLOOR_W) + 30.0)
+
+
 class TestSquareCmd:
     def test_ten_periods_at_1khz(self):
         cmd = generate_square_cmd(1e3, 10e-3, 16e3)
@@ -285,6 +323,36 @@ class TestTraceFile:
         trace = EnvelopeTrace(16000.5, np.array([-40.0]))
         with pytest.raises(ValueError):
             format_trace(trace)
+
+    @pytest.mark.parametrize("n_samples", [0, 250_000])
+    def test_write_equals_format(self, tmp_path, n_samples):
+        # 250k samples span 31 chunks and end in a partial one; the reference
+        # is the file written one line per sample
+        samples = np.random.default_rng(5).uniform(-90, -20, size=n_samples)
+        trace = EnvelopeTrace(320000.0, samples, meta="chunks")
+        path = tmp_path / "t.txt"
+        write_trace(trace, path)
+        lines = "".join(f"{float(s)!r}\n" for s in samples)
+        want = f"sample_rate_hz=320000,unit=dbm,meta=chunks\n{lines}".encode("ascii")
+        assert path.read_bytes() == format_trace(trace).encode("ascii") == want
+
+    def test_write_memory_does_not_grow_with_length(self, tmp_path):
+        samples = np.random.default_rng(5).uniform(-90, -20, size=250_000)
+        trace = EnvelopeTrace(320000.0, samples, meta="chunks")
+        tracemalloc.start()
+        try:
+            write_trace(trace, tmp_path / "t.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # the whole text is 4.6 MB
+
+    def test_write_non_integral_rate_leaves_file_alone(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"keep me\n")
+        with pytest.raises(ValueError, match="sample rate must be integral"):
+            write_trace(EnvelopeTrace(16000.5, np.array([-40.0])), path)
+        assert path.read_bytes() == b"keep me\n"
 
     def test_write_read_synthesized(self, tmp_path):
         noise = NoiseSpec(-75.0, rng_seed=99)
