@@ -270,10 +270,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
 
+        trace_failed = ()
         if args.trace_out:
-            write_trace(emit_trace(cfg), args.trace_out)
+            try:
+                write_trace(emit_trace(cfg), args.trace_out)
+            except ValueError as exc:  # unrenderable, like a failed sweep point: a check fails
+                detail = f"not written: {type(exc).__name__}: {exc}"
+                trace_failed = (Check(name="trace_out", passed=False, detail=detail),)
 
         rows, summary = run_experiment(cfg)
+        summary = Summary(checks=summary.checks + trace_failed)
         csv_text = format_csv(rows)
         if args.out:
             Path(args.out).write_text(csv_text, encoding="ascii", newline="\n")

@@ -169,9 +169,9 @@ PRESETS: dict[str, dict] = {
         bit_rate_hz=20e3,
         protocol_enabled=True,
     ),
-    # Circulator bench: -15 dBm CW at 876 MHz straight into the rectifier,
-    # 20 dB minimum isolation, 100 kHz modulation, level measurement only.
-    # The wired budget does not depend on the carrier, so no frequency is set.
+    # Circulator bench: -15 dBm CW straight into the rectifier, 20 dB minimum
+    # isolation, 100 kHz modulation, level measurement only. The wired budget
+    # does not depend on the carrier, so the bench's carrier is not modelled.
     "wired": dict(
         _COMMON_DEFAULTS,
         topology="wired",
@@ -186,7 +186,7 @@ PRESETS: dict[str, dict] = {
 PRESET_SUMMARIES = {
     "anechoic": "radiated 3-antenna setup: +15 dBm TX, 868 MHz, 3.4 m hops, "
     "coupling floor -57 dBm @ +15 dBm, 20 kHz keyed sessions",
-    "wired": "circulator bench: -15 dBm CW, 876 MHz, 20 dB isolation, "
+    "wired": "circulator bench: -15 dBm CW (carrier not modelled), 20 dB isolation, "
     "100 kHz modulation, dynamic-range measurement only",
 }
 
@@ -274,8 +274,11 @@ def _validate(values: dict) -> list[str]:
             selector, wanted = required
             chosen = values[selector]
             if chosen is not None and wanted not in (None, chosen):
+                why = f"not applicable when {_KEY_OF[selector]} = {chosen}"
                 if value is not None:
-                    bad.append(f"{key}: not applicable when {_KEY_OF[selector]} = {chosen}")
+                    bad.append(f"{key}: {why}")
+                if key == values["sweep_param"]:
+                    bad.append(f"sweep.param: {key!r} {why}")
                 continue
             required = chosen is not None
             condition = "is set" if wanted is None else f"= {wanted}"

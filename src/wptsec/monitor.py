@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .channel import dbm_to_watts, watts_to_dbm
 from .errors import EmptyTrace, NoSync
 from .waveform import (
     FRAME_HEADER_BITS,
@@ -99,7 +100,7 @@ def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
     means, and their dB spacing (0 for a degenerate trace)."""
     if len(trace) == 0:
         raise EmptyTrace("cannot analyze an empty trace")
-    lin = 10.0 ** ((trace.samples - 30.0) / 10.0)
+    lin = dbm_to_watts(trace.samples)
     c_lo = float(lin.min())
     c_hi = float(lin.max())
     if c_lo != c_hi:
@@ -110,7 +111,7 @@ def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
             if new_lo == c_lo and new_hi == c_hi:
                 break
             c_lo, c_hi = new_lo, new_hi
-    threshold_dbm = 10.0 * math.log10(0.5 * (c_lo + c_hi)) + 30.0
+    threshold_dbm = watts_to_dbm(0.5 * (c_lo + c_hi))
     return threshold_dbm, 0.0 if c_lo == c_hi else 10.0 * math.log10(c_hi / c_lo)
 
 

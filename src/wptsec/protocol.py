@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,14 +47,14 @@ ATTACKER_KINDS = ("none", "replay")
 class PvkTable:
     """Ordered table of one-time key codes with per-entry used flags.
 
-    A Fenwick tree over the unused flags (P. M. Fenwick, Softw. Pract.
-    Exper. 24(3), 1994) finds the k-th unused entry in O(log n); mark_used
-    is its only writer. The cursor is the first unused entry (one past the
-    end when exhausted), derived from the flags, not set by callers.
+    A table is built from its entries alone and starts with every entry
+    unused. A Fenwick tree over the unused flags (P. M. Fenwick, Softw.
+    Pract. Exper. 24(3), 1994) finds the k-th unused entry in O(log n);
+    mark_used is its only writer.
     """
 
     entries: list[bytes]
-    used: list[bool] | None = None
+    used: list[bool] = field(init=False)
 
     def __post_init__(self) -> None:
         self.entries = list(map(bytes, self.entries))
@@ -65,24 +65,14 @@ class PvkTable:
         self._index = dict(zip(self.entries, range(n)))
         if len(self._index) != n:
             raise ValueError("key table entries must be unique")
-        if self.used is None:
-            self.used = [False] * n
-        if len(self.used) != n:
-            raise ValueError("used flags must match entries")
-        # prefix[i] counts the unused entries among the first i; the 1-based
-        # tree[i] counts those in (i - lowbit(i), i]
-        prefix = np.zeros(n + 1, dtype=np.int64)
-        prefix[1:] = np.cumsum(np.logical_not(np.asarray(self.used, dtype=bool)))
+        self.used = [False] * n
+        # the 1-based tree[i] counts the unused entries in (i - lowbit(i), i]
         i = np.arange(n + 1)
-        self._tree = (prefix - prefix[i - (i & -i)]).tolist()
-        self._n_unused = int(prefix[-1])
+        self._tree = (i & -i).tolist()
+        self._n_unused = n
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def cursor(self) -> int:
-        return self.select_unused(0) if self._n_unused else len(self.entries)
 
     @property
     def n_unused(self) -> int:
@@ -120,12 +110,6 @@ class PvkTable:
                 k -= tree[nxt]
             step >>= 1
         return pos
-
-    def peek_next(self) -> tuple[int, bytes]:
-        if not self._n_unused:
-            raise TableExhausted("no unused key left in the table")
-        index = self.select_unused(0)
-        return index, self.entries[index]
 
     def unused_indices(self) -> list[int]:
         return [i for i, u in enumerate(self.used) if not u]
@@ -242,15 +226,12 @@ def node_step(
     if not state.stored_energy_j >= state.wake_threshold_j:
         return NodeStep(None, None, banked, 0.0, 0.0)
 
-    if key_policy == "sequential":
-        key_index, code = state.table.peek_next()
-    else:
-        n_unused = state.table.n_unused
-        if not n_unused:
-            raise TableExhausted("no unused key left in the table")
-        key_index = state.table.select_unused(int(key_rng.integers(0, n_unused)))
-        code = state.table.entries[key_index]
-    frame = build_frame(code, bit_rate_hz)
+    n_unused = state.table.n_unused
+    if not n_unused:
+        raise TableExhausted("no unused key left in the table")
+    rank = 0 if key_policy == "sequential" else int(key_rng.integers(0, n_unused))
+    key_index = state.table.select_unused(rank)
+    frame = build_frame(state.table.entries[key_index], bit_rate_hz)
     tx_cost = state.tx_cost_j_per_bit * frame.n_bits
     if tx_cost > state.stored_energy_j:
         raise ValueError(f"frame cost {tx_cost} J exceeds stored energy {state.stored_energy_j} J")
@@ -346,16 +327,11 @@ class SessionLog:
         return [e.record() for e in self.events]
 
 
-def _wake_timeout_decision() -> AuthDecision:
-    decode = DecodeResult(
-        status=WAKE_TIMEOUT,
-        payload=None,
-        bit_errors_in_preamble=0,
-        measured_dr_db=None,
-        threshold_dbm=None,
-        sync_offset=None,
-    )
-    return AuthDecision(verdict=REJECTED_NO_SIGNAL, matched_key_index=None, decode=decode)
+# the one decision of every session whose node never woke: nothing was sent,
+# so nothing was decoded or measured
+_WAKE_TIMEOUT_DECISION = AuthDecision(
+    REJECTED_NO_SIGNAL, None, DecodeResult(WAKE_TIMEOUT, None, 0, None, None, None)
+)
 
 
 def run_session(
@@ -433,7 +409,7 @@ def run_session(
         # bookkeeping events land one step apart so the timeline stays
         # strictly increasing even when max_time_s < dt_s
         events.append(SessionEvent(t + dt_s, WAKE_TIMEOUT, stored_energy_j=node.stored_energy_j))
-        decisions.append(_wake_timeout_decision())
+        decisions.append(_WAKE_TIMEOUT_DECISION)
         t_end = t + 2 * dt_s
     else:
         events.append(SessionEvent(t, "node_wake"))

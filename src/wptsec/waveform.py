@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 
-from .channel import LinkScenario, NoiseSpec
+from .channel import LinkScenario, NoiseSpec, dbm_to_watts
 from .errors import (
     BitRateTooHigh,
     InvertedLevels,
@@ -95,14 +95,10 @@ def build_frame(payload_bytes: bytes, bit_rate_hz: float) -> Frame:
     return Frame(payload=bytes(payload_bytes), bit_rate_hz=bit_rate_hz)
 
 
-def bytes_to_bits(data: bytes) -> np.ndarray:
-    """MSB-first bit expansion."""
-    return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
-
-
 def frame_to_bits(frame: Frame) -> np.ndarray:
-    """On-air bit sequence: FRAME_HEADER_BITS, then the payload."""
-    return np.concatenate([FRAME_HEADER_BITS, bytes_to_bits(frame.payload)])
+    """On-air bit sequence: FRAME_HEADER_BITS, then the payload, MSB-first."""
+    payload_bits = np.unpackbits(np.frombuffer(frame.payload, dtype=np.uint8))
+    return np.concatenate([FRAME_HEADER_BITS, payload_bits])
 
 
 @dataclass
@@ -123,6 +119,8 @@ class EnvelopeTrace:
             raise ValueError("trace samples must be finite (no NaN/Inf)")
         if "\n" in self.meta:
             raise ValueError("meta must not contain newlines")
+        if not self.meta.isascii():
+            raise ValueError("meta must be ASCII, as the trace file is")
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -160,11 +158,7 @@ def synthesize_envelope(
 
     edges = _bit_boundaries(bit_arr.size, sample_rate_hz, bit_rate_hz)
     counts = np.diff(edges)
-    levels_w = np.where(
-        bit_arr == 1,
-        10.0 ** ((p_high_dbm - 30.0) / 10.0),
-        10.0 ** ((p_low_dbm - 30.0) / 10.0),
-    )
+    levels_w = np.where(bit_arr == 1, dbm_to_watts(p_high_dbm), dbm_to_watts(p_low_dbm))
     # np.repeat returns a fresh array: every step below works in place on it,
     # in the order of 10*log10(max(signal + floor + noise, POWER_FLOOR_W)) + 30
     samples = np.repeat(levels_w, counts)
@@ -243,20 +237,25 @@ def format_trace(trace: EnvelopeTrace) -> str:
     return _trace_header(trace) + "".join(_sample_chunks(trace.samples))
 
 
-def parse_trace(text: str) -> EnvelopeTrace:
-    lines = text.splitlines()
-    if not lines:
+def _parse_lines(lines) -> EnvelopeTrace:
+    """The trace from an iterator over its lines, split as str.splitlines
+    splits them: the header, then one sample per non-blank line, converted
+    as they come so only the samples array is held."""
+    header = next(lines, None)
+    if header is None:
         raise TraceFormatError("empty trace file")
-    m = _HEADER_RE.match(lines[0])
+    m = _HEADER_RE.match(header)
     if m is None:
-        raise TraceFormatError(f"bad trace header: {lines[0]!r}")
-    rate = float(int(m.group(1)))
-    meta = m.group(2)
+        raise TraceFormatError(f"bad trace header: {header!r}")
     try:
-        samples = np.array([float(s) for s in lines[1:] if s], dtype=np.float64)
+        samples = np.fromiter(map(float, filter(None, lines)), dtype=np.float64)
     except ValueError as exc:
         raise TraceFormatError(f"bad sample line: {exc}") from None
-    return EnvelopeTrace(sample_rate_hz=rate, samples=samples, meta=meta)
+    return EnvelopeTrace(sample_rate_hz=float(int(m.group(1))), samples=samples, meta=m.group(2))
+
+
+def parse_trace(text: str) -> EnvelopeTrace:
+    return _parse_lines(iter(text.splitlines()))
 
 
 def write_trace(trace: EnvelopeTrace, path) -> None:
@@ -269,4 +268,7 @@ def write_trace(trace: EnvelopeTrace, path) -> None:
 
 
 def read_trace(path) -> EnvelopeTrace:
-    return parse_trace(Path(path).read_text(encoding="ascii"))
+    """Read the trace file about 64 KB of whole lines at a time (see _parse_lines)."""
+    with open(path, encoding="ascii") as f:
+        blocks = iter(lambda: "".join(f.readlines(1 << 16)), "")
+        return _parse_lines(chain.from_iterable(map(str.splitlines, blocks)))

@@ -239,6 +239,23 @@ class TestMain:
         )
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
 
+    def test_unrenderable_trace_is_a_failed_check(self, tmp_path, capsys):
+        # the table overflow that makes the session an error row also stops
+        # the trace: the run still writes its CSV and exits 1, not 2
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("setup=anechoic\nprotocol.n_keys=300\nprotocol.key_len_bytes=1\n")
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
+        argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
+        assert main(argv) == 1
+        assert ",error:TableCapacityError," in out_csv.read_text().splitlines()[1]
+        assert not trace_path.exists()
+        err = capsys.readouterr().err
+        assert "check no_errors: FAIL" in err
+        assert "check trace_out: FAIL (not written: TableCapacityError: 300 distinct keys" in err
+        # an I/O error on a renderable trace is still exit 2
+        missing_dir = str(tmp_path / "missing" / "t.txt")
+        assert main(["run", "--preset", "wired", "--trace-out", missing_dir]) == 2
+
     def test_exit_two_on_bad_sweep_value_writes_nothing(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(
@@ -262,6 +279,21 @@ class TestMain:
         assert main(argv) == 2
         assert not out_csv.exists() and not trace_path.exists()
         assert "channel.circulator_isolation_db must be >= 0" in capsys.readouterr().err
+
+    def test_exit_two_on_sweep_over_inapplicable_key_writes_nothing(self, tmp_path, capsys):
+        # the wired budget reads no hop distance, so every row would be the same
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(
+            "setup=wired\nsweep.param=channel.distance_dl_m\nsweep.values=1,3.4,1e6\n"
+        )
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
+        argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
+        assert main(argv) == 2
+        assert not out_csv.exists() and not trace_path.exists()
+        assert (
+            "sweep.param: 'channel.distance_dl_m' not applicable when channel.topology = wired"
+            in capsys.readouterr().err
+        )
 
     def test_exit_two_on_config_errors(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.cfg")]) == 2

@@ -100,7 +100,9 @@ class TestSchema:
 
     def test_sweepable_keys_are_the_float_and_int_keys(self):
         for key in ALL_KEYS:
-            text = f"setup=wired\nsweep.param = {key}\nsweep.values = 8"
+            # each key is swept under a setup it applies to
+            setup = "anechoic" if key in RADIATED_KEYS | COUPLING_KEYS else "wired"
+            text = f"setup={setup}\nsweep.param = {key}\nsweep.values = 8"
             if key in FLOAT_KEYS | INT_KEYS:
                 assert load_config(text).sweep_param == key
             else:
@@ -136,6 +138,9 @@ class TestSchema:
         violations = violations_of(f"setup={setup}\n{key} = 1")
         assert len(violations) == 1
         assert violations[0].startswith(f"{key}: not applicable")
+        # a sweep over the key is rejected for the same reason
+        swept = violations_of(f"setup={setup}\nsweep.param = {key}\nsweep.values = 1,2")
+        assert swept == [violations[0].replace(f"{key}:", f"sweep.param: {key!r}", 1)]
 
     def test_removed_load_resistance_is_an_unknown_key(self):
         with pytest.raises(ParseError, match="line 2: unknown key 'channel.load_ohms'"):

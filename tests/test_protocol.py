@@ -89,16 +89,17 @@ class TestPvkTable:
             generate_table(1, 65, rng_seed=0)
 
     def test_cursor_policy(self):
+        # a sequential node emits the first unused key, wherever that is
         table = PvkTable(entries=[b"\x01", b"\x02", b"\x03"])
-        assert table.peek_next() == (0, b"\x01")
-        assert table.peek_next() == (0, b"\x01")  # peek does not consume
-        table.mark_used(0)
-        assert table.peek_next() == (1, b"\x02")
-        table.mark_used(2)  # out-of-order use keeps the cursor at 1
-        assert table.peek_next() == (1, b"\x02")
-        table.mark_used(1)
+        node = NodeState(table=table, stored_energy_j=50e-6)
+        step = node_step(node, 0.01, -10.0, FLAT_RECT)
+        assert (step.key_index, step.frame.payload) == (0, b"\x01")
+        table.mark_used(2)  # out-of-order use leaves index 1 first
+        step = node_step(node, 0.01, -10.0, FLAT_RECT)
+        assert (step.key_index, step.frame.payload) == (1, b"\x02")
+        assert table.n_unused == 0
         with pytest.raises(TableExhausted):
-            table.peek_next()
+            node_step(node, 0.01, -10.0, FLAT_RECT)
 
     def test_entries_unique_and_sized(self):
         with pytest.raises(ValueError):
@@ -111,7 +112,7 @@ class TestPvkTable:
         clone = table.copy()
         table.mark_used(0)
         assert not clone.is_used(0)
-        assert clone.cursor == 0
+        assert clone.select_unused(0) == 0
 
     @given(
         st.lists(st.booleans(), min_size=1, max_size=70).flatmap(
@@ -123,14 +124,17 @@ class TestPvkTable:
     )
     def test_select_matches_the_unused_pool(self, case):
         used, marks = case
-        table = PvkTable(entries=[i.to_bytes(1, "big") for i in range(len(used))], used=used)
+        table = PvkTable(entries=[i.to_bytes(1, "big") for i in range(len(used))])
+        for index in np.flatnonzero(used):
+            table.mark_used(int(index))
         for index in [None, *marks, *marks[:3]]:  # the tail marks entries again
             if index is not None:
                 table.mark_used(index)
             pool = table.unused_indices()
             assert table.n_unused == len(pool)
             assert [table.select_unused(k) for k in range(len(pool))] == pool
-            assert table.cursor == (pool[0] if pool else len(table))
+            if pool:
+                assert table.select_unused(0) == pool[0]
             with pytest.raises(IndexError):
                 table.select_unused(len(pool))
         clone = table.copy()
@@ -207,7 +211,8 @@ class TestNodeStep:
         assert step.frame is None
 
     def test_table_exhausted_at_wake(self):
-        table = PvkTable(entries=[b"\x01\x02"], used=[True])
+        table = PvkTable(entries=[b"\x01\x02"])
+        table.mark_used(0)
         node = NodeState(table=table, stored_energy_j=50e-6)
         with pytest.raises(TableExhausted):
             node_step(node, 0.01, -10.0, FLAT_RECT)
@@ -477,4 +482,6 @@ class TestStateValidation:
     def test_table_cursor_is_derived_not_accepted(self):
         with pytest.raises(TypeError):
             PvkTable(entries=[b"\x01", b"\x02"], cursor=1)
-        assert PvkTable(entries=[b"\x01", b"\x02"], used=[True, False]).cursor == 1
+        with pytest.raises(TypeError):
+            PvkTable(entries=[b"\x01", b"\x02"], used=[True, False])
+        assert PvkTable(entries=[b"\x01", b"\x02"]).used == [False, False]

@@ -4,6 +4,7 @@ generation, and trace file I/O."""
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,11 @@ class TestTrace:
         with pytest.raises(ValueError):
             EnvelopeTrace(1e3, np.array([1.0]), meta="a\nb")
 
+    def test_meta_ascii_only(self):
+        # the file is ASCII, so such a trace could not be written
+        with pytest.raises(ValueError, match="meta must be ASCII"):
+            EnvelopeTrace(1e3, np.array([1.0]), meta="b\u00e4nk")
+
 
 class TestTraceFile:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -319,6 +325,25 @@ class TestTraceFile:
         with pytest.raises(TraceFormatError):
             parse_trace("sample_rate_hz=16000,unit=dbm,meta=x\nnot-a-number\n")
 
+    @pytest.mark.parametrize("read", ["text", "file"])
+    def test_sample_lines_accepted_and_rejected(self, tmp_path, read):
+        def load(body):
+            text = "sample_rate_hz=16000,unit=dbm,meta=x\n" + body
+            if read == "text":
+                return parse_trace(text)
+            path = tmp_path / "t.txt"
+            path.write_text(text, encoding="ascii")
+            return read_trace(path)
+
+        assert load("\n-40.0\n\n -50.5 \n\n").samples.tolist() == [-40.0, -50.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header_only = load("")
+        assert header_only.samples.shape == (0,)
+        for bad in ("# comment\n", "-40.0 -50.0\n", "-40.0,-50.0\n", "  \n", "x\n"):
+            with pytest.raises(TraceFormatError, match="bad sample line"):
+                load("-40.0\n" + bad)
+
     def test_non_integral_rate_rejected(self):
         trace = EnvelopeTrace(16000.5, np.array([-40.0]))
         with pytest.raises(ValueError):
@@ -346,6 +371,19 @@ class TestTraceFile:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20  # the whole text is 4.6 MB
+
+    def test_read_memory_does_not_grow_with_length(self, tmp_path):
+        samples = np.random.default_rng(5).uniform(-90, -20, size=250_000)
+        path = tmp_path / "t.txt"
+        write_trace(EnvelopeTrace(320000.0, samples, meta="chunks"), path)
+        tracemalloc.start()
+        try:
+            back = read_trace(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # the samples alone are 2 MB, the text 4.6 MB
+        assert np.array_equal(back.samples, samples)
 
     def test_write_non_integral_rate_leaves_file_alone(self, tmp_path):
         path = tmp_path / "t.txt"
