@@ -26,17 +26,12 @@ from .config import (
     build_tables,
     load_config,
     load_preset,
+    validated,
 )
-from .errors import ParseError, ValidationError
+from .errors import EmptyTrace, ParseError, ValidationError
 from .monitor import measure_levels
-from .protocol import Attacker, run_session
-from .waveform import (
-    EnvelopeTrace,
-    build_frame,
-    frame_to_bits,
-    render_envelope,
-    write_trace,
-)
+from .protocol import Attacker, SessionLog, run_session
+from .waveform import EnvelopeTrace, render_envelope, write_trace
 
 CSV_COLUMNS = (
     "sweep_param",
@@ -84,12 +79,23 @@ def _probe_trace(cfg: ScenarioConfig, seed: int) -> EnvelopeTrace:
     """Alternating CMD pattern used for protocol-free level measurement."""
     bits = np.zeros(cfg.probe_bits, dtype=np.uint8)
     bits[::2] = 1
-    return _render(cfg, seed, bits)
-
-
-def _render(cfg: ScenarioConfig, seed: int, bits) -> EnvelopeTrace:
     scenario = build_scenario(cfg, noise_seed=seed)
     return render_envelope(scenario, bits, cfg.bit_rate_hz, cfg.bit_rate_hz * cfg.oversampling)
+
+
+def _session(cfg: ScenarioConfig, seed: int) -> SessionLog:
+    """The keyed session of one point, on freshly provisioned tables."""
+    scenario = build_scenario(cfg, noise_seed=seed)
+    node_table, monitor_table = build_tables(cfg)
+    return run_session(
+        scenario,
+        build_node(cfg, node_table),
+        Attacker(kind=cfg.attacker),
+        build_monitor(cfg, monitor_table),
+        dt_s=cfg.dt_s,
+        max_time_s=cfg.max_time_s,
+        key_policy=cfg.key_policy,
+    )
 
 
 def _payload_ber(expected: bytes | None, got: bytes | None) -> float | None:
@@ -104,36 +110,20 @@ def _payload_ber(expected: bytes | None, got: bytes | None) -> float | None:
 
 
 def _run_point(cfg: ScenarioConfig, seed: int) -> dict:
-    row = {c: None for c in CSV_COLUMNS}
-    row["seed"] = seed
+    """The measured cells of one point's row."""
     if not cfg.protocol_enabled:
-        trace = _probe_trace(cfg, seed)
-        row["threshold_dbm"], row["dr_db"] = measure_levels(trace)
-        row["status"] = "ok"
-        return row
-
-    scenario = build_scenario(cfg, noise_seed=seed)
-    node_table, monitor_table = build_tables(cfg)
-    node = build_node(cfg, node_table)
-    monitor = build_monitor(cfg, monitor_table)
-    attacker = Attacker(kind=cfg.attacker)
-    log = run_session(
-        scenario,
-        node,
-        attacker,
-        monitor,
-        dt_s=cfg.dt_s,
-        max_time_s=cfg.max_time_s,
-        key_policy=cfg.key_policy,
-    )
+        threshold_dbm, dr_db = measure_levels(_probe_trace(cfg, seed))
+        return dict(dr_db=dr_db, threshold_dbm=threshold_dbm, status="ok")
+    log = _session(cfg, seed)
     final = log.final.record()
-    row["dr_db"] = final["measured_dr_db"]
-    row["threshold_dbm"] = final["threshold_dbm"]
-    row["verdict"] = final["verdict"]
-    row["ber"] = _payload_ber(log.emitted_code, log.final.decode.payload)
-    row["stored_energy_j"] = node.stored_energy_j
-    row["status"] = final["status"]
-    return row
+    return dict(
+        dr_db=final["measured_dr_db"],
+        threshold_dbm=final["threshold_dbm"],
+        verdict=final["verdict"],
+        ber=_payload_ber(log.emitted_code, log.final.decode.payload),
+        stored_energy_j=log.events[-1].stored_energy_j,  # at session_end
+        status=final["status"],
+    )
 
 
 def run_experiment(cfg: ScenarioConfig) -> tuple[list[dict], Summary]:
@@ -152,15 +142,12 @@ def run_experiment(cfg: ScenarioConfig) -> tuple[list[dict], Summary]:
 
     rows = []
     for i, (point_cfg, value) in enumerate(points):
-        seed = point_seed(cfg.seed, i)
+        row = dict.fromkeys(CSV_COLUMNS)
+        row.update(sweep_param=cfg.sweep_param, sweep_value=value, seed=point_seed(cfg.seed, i))
         try:
-            row = _run_point(point_cfg, seed)
+            row.update(_run_point(point_cfg, row["seed"]))
         except Exception as exc:  # recorded, not raised: sweeps must finish
-            row = {c: None for c in CSV_COLUMNS}
-            row["seed"] = seed
             row["status"] = f"error:{type(exc).__name__}"
-        row["sweep_param"] = cfg.sweep_param
-        row["sweep_value"] = value
         rows.append(row)
 
     checks = [_check_no_errors(rows)]
@@ -224,13 +211,17 @@ def format_csv(rows: list[dict]) -> str:
 
 
 def emit_trace(cfg: ScenarioConfig) -> EnvelopeTrace:
-    """Envelope trace for the base config: the first key frame when the
-    protocol is enabled, otherwise the alternating probe."""
+    """Envelope trace of the base config at the first point's seed: the
+    alternating probe when the protocol is off, otherwise the trace of that
+    point's own keyed session (``SessionLog.trace``), whichever key its
+    policy drew. A node that never woke sent nothing: ``EmptyTrace``."""
     seed = point_seed(cfg.seed, 0)
     if not cfg.protocol_enabled:
         return _probe_trace(cfg, seed)
-    table, _ = build_tables(cfg)
-    return _render(cfg, seed, frame_to_bits(build_frame(table.entries[0], cfg.bit_rate_hz)))
+    trace = _session(cfg, seed).trace
+    if trace is None:
+        raise EmptyTrace("the node never woke, so it sent no frame")
+    return trace
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -244,8 +235,8 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("config", nargs="?", help="config file path")
     run_parser.add_argument("--preset", choices=sorted(PRESETS), help="run a preset instead")
     run_parser.add_argument("--out", help="CSV output path (default: stdout)")
-    run_parser.add_argument("--trace-out", help="also write the scenario envelope trace")
-    run_parser.add_argument("--seed", type=int, help="override the config seed")
+    run_parser.add_argument("--trace-out", help="also write the base point's envelope trace")
+    run_parser.add_argument("--seed", type=int, help="override the config seed (>= 0)")
     args = parser.parse_args(argv)
 
     if args.list_presets:
@@ -268,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
             print("error: a config path or --preset is required", file=sys.stderr)
             return 2
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            cfg = validated(dataclasses.replace(cfg, seed=args.seed))
 
         trace_failed = ()
         if args.trace_out:

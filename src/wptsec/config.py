@@ -1,9 +1,9 @@
 """Scenario configuration: flat key=value text with section prefixes.
 
-Two presets populate every parameter (``anechoic`` radiated setup and
-``wired`` circulator bench); ``custom`` requires every applicable key to be
-explicit. Unknown keys are rejected loudly, since a typo in an RF parameter
-would otherwise produce plausible-but-wrong physics.
+Two presets (``anechoic`` radiated setup and ``wired`` circulator bench)
+fill every key that applies to them; ``custom`` requires every applicable
+key to be explicit. Unknown keys are rejected loudly, since a typo in an RF
+parameter would otherwise produce plausible-but-wrong physics.
 """
 
 from __future__ import annotations
@@ -44,10 +44,18 @@ from .waveform import MAX_BIT_RATE_HZ, MAX_PAYLOAD_BYTES, MIN_OVERSAMPLING
 _RADIATED = ("topology", "radiated")
 _CIRCULATOR = ("leakage_kind", "circulator")
 _COUPLING = ("leakage_kind", "coupling")
+_KEYED = ("protocol_enabled", True)
+_PROBE = ("protocol_enabled", False)
 _POSITIVE = (lambda v: v > 0, "must be > 0")
+
+
+def _at_least(bound) -> tuple:
+    return (lambda v: v >= bound, f"must be >= {bound}")
+
+
 # the on-air limits, as range rules (waveform.check_oversampling enforces them)
 _BIT_RATE = (lambda v: 0 < v <= MAX_BIT_RATE_HZ, f"must be in (0, {MAX_BIT_RATE_HZ:.0f}]")
-_OVERSAMPLING = (lambda v: v >= MIN_OVERSAMPLING, f"must be >= {MIN_OVERSAMPLING}")
+_OVERSAMPLING = _at_least(MIN_OVERSAMPLING)
 
 
 def _key(key: str, kind: str | tuple[str, ...], required=True, *, preset=None, check=None):
@@ -70,7 +78,7 @@ class ScenarioConfig:
     """Fully resolved experiment description; each field declares its key."""
 
     setup: str = _key("setup", ("wired", "anechoic", "custom"))
-    seed: int = _key("seed", "int", preset=0)
+    seed: int = _key("seed", "int", preset=0, check=_at_least(0))
     topology: str | None = _key("channel.topology", ("radiated", "wired"))
     p_tx_dbm: float | None = _key("channel.p_tx_dbm", "float")
     frequency_hz: float | None = _key(
@@ -88,10 +96,7 @@ class ScenarioConfig:
     )
     leakage_kind: str | None = _key("channel.leakage_kind", ("circulator", "coupling"))
     circulator_isolation_db: float | None = _key(
-        "channel.circulator_isolation_db",
-        "float",
-        _CIRCULATOR,
-        check=(lambda v: v >= 0, "must be >= 0"),
+        "channel.circulator_isolation_db", "float", _CIRCULATOR, check=_at_least(0)
     )
     coupling_floor_dbm: float | None = _key("channel.coupling_floor_dbm", "float", _COUPLING)
     coupling_ref_tx_dbm: float | None = _key("channel.coupling_ref_tx_dbm", "float", _COUPLING)
@@ -99,31 +104,36 @@ class ScenarioConfig:
     bit_rate_hz: float | None = _key("waveform.bit_rate_hz", "float", check=_BIT_RATE)
     oversampling: int | None = _key("waveform.oversampling", "int", preset=16, check=_OVERSAMPLING)
     probe_bits: int | None = _key(
-        "waveform.probe_bits", "int", preset=64, check=(lambda v: v >= 2, "must be >= 2")
+        "waveform.probe_bits", "int", _PROBE, preset=64, check=_at_least(2)
     )
     protocol_enabled: bool | None = _key("protocol.enabled", "bool")
-    n_keys: int | None = _key(
-        "protocol.n_keys", "int", preset=16, check=(lambda v: v >= 1, "must be >= 1")
-    )
+    n_keys: int | None = _key("protocol.n_keys", "int", _KEYED, preset=16, check=_at_least(1))
     key_len_bytes: int | None = _key(
         "protocol.key_len_bytes",
         "int",
+        _KEYED,
         preset=2,
         check=(lambda v: 1 <= v <= MAX_PAYLOAD_BYTES, f"must be in [1, {MAX_PAYLOAD_BYTES}]"),
     )
-    key_policy: str | None = _key("protocol.key_policy", KEY_POLICIES, preset="sequential")
+    key_policy: str | None = _key(
+        "protocol.key_policy", KEY_POLICIES, _KEYED, preset="sequential"
+    )
     storage_capacity_j: float | None = _key(
-        "protocol.storage_capacity_j", "float", preset=DEFAULT_STORAGE_CAPACITY_J
+        "protocol.storage_capacity_j", "float", _KEYED, preset=DEFAULT_STORAGE_CAPACITY_J
     )
     wake_threshold_j: float | None = _key(
-        "protocol.wake_threshold_j", "float", preset=DEFAULT_WAKE_THRESHOLD_J
+        "protocol.wake_threshold_j", "float", _KEYED, preset=DEFAULT_WAKE_THRESHOLD_J
     )
     tx_cost_j_per_bit: float | None = _key(
-        "protocol.tx_cost_j_per_bit", "float", preset=DEFAULT_TX_COST_J_PER_BIT
+        "protocol.tx_cost_j_per_bit", "float", _KEYED, preset=DEFAULT_TX_COST_J_PER_BIT
     )
-    dt_s: float | None = _key("protocol.dt_s", "float", preset=DEFAULT_DT_S, check=_POSITIVE)
-    max_time_s: float | None = _key("protocol.max_time_s", "float", preset=30.0, check=_POSITIVE)
-    attacker: str | None = _key("protocol.attacker", ATTACKER_KINDS, preset="none")
+    dt_s: float | None = _key(
+        "protocol.dt_s", "float", _KEYED, preset=DEFAULT_DT_S, check=_POSITIVE
+    )
+    max_time_s: float | None = _key(
+        "protocol.max_time_s", "float", _KEYED, preset=30.0, check=_POSITIVE
+    )
+    attacker: str | None = _key("protocol.attacker", ATTACKER_KINDS, _KEYED, preset="none")
     sweep_param: str | None = _key(
         "sweep.param",
         "str",
@@ -253,8 +263,21 @@ def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def _validate(values: dict) -> list[str]:
-    """Collect every schema violation for the resolved value dict."""
+def _not_applicable(required, values: dict) -> str:
+    """Why a key with this requirement does not apply to ``values`` ("" if it
+    does), with the selector's value spelt as in config text."""
+    if required is True:
+        return ""
+    selector, wanted = required
+    chosen = values[selector]
+    if chosen is None or wanted in (None, chosen):
+        return ""
+    return f"not applicable when {_KEY_OF[selector]} = {str(chosen).lower()}"
+
+
+def validated(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg`` itself, or a ValidationError that names every schema violation."""
+    values = vars(cfg)
     bad: list[str] = []
     for f in _FIELDS:
         key, kind, required, check = (f.metadata[m] for m in ("key", "kind", "required", "check"))
@@ -269,55 +292,35 @@ def _validate(values: dict) -> list[str]:
                 if check is not None and not check[0](point):
                     bad.append(f"sweep.values: {point!r}: {key} {check[1].format(point)}")
         value = values[f.name]
-        why = ""
+        why = _not_applicable(required, values)
+        if why:
+            if value is not None:
+                bad.append(f"{key}: {why}")
+            if key == values["sweep_param"]:
+                bad.append(f"sweep.param: {key!r} {why}")
+            continue
         if required is not True:
             selector, wanted = required
-            chosen = values[selector]
-            if chosen is not None and wanted not in (None, chosen):
-                why = f"not applicable when {_KEY_OF[selector]} = {chosen}"
-                if value is not None:
-                    bad.append(f"{key}: {why}")
-                if key == values["sweep_param"]:
-                    bad.append(f"sweep.param: {key!r} {why}")
-                continue
-            required = chosen is not None
-            condition = "is set" if wanted is None else f"= {wanted}"
+            required = values[selector] is not None
+            condition = "is set" if wanted is None else f"= {str(wanted).lower()}"
             why = f" (required when {_KEY_OF[selector]} {condition})"
         if value is None:
             if required:
                 bad.append(f"{key}: missing{why}")
         elif check is not None and not check[0](value):
             bad.append(f"{key}: {check[1].format(value)}")
-    return bad
+    if bad:
+        raise ValidationError(bad)
+    return cfg
 
 
 def load_config(source: str | Path) -> ScenarioConfig:
-    """Parse config text (or a file path) into a validated ScenarioConfig."""
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif "\n" in source or "=" in source:
-        text = source
-    else:
-        path = Path(source)
-        if not path.exists():
-            raise ParseError(f"config source {source!r} is not a file and not key=value text")
-        text = path.read_text(encoding="utf-8")
-
-    pairs = _parse_pairs(text)
-    if "setup" not in pairs:
-        raise ValidationError(["setup: missing"])
-    setup_raw, setup_line = pairs.pop("setup")
-    try:
-        setup = _convert(_SCHEMA["setup"][1], setup_raw)
-    except ValueError as exc:
-        raise ParseError(f"line {setup_line}: setup: {exc}") from None
-
+    """Parse config text (a ``str``) or a config file (a ``Path``) into a
+    validated ScenarioConfig."""
+    text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
     values: dict = {f.name: None for f in _FIELDS}
-    values.update(PRESETS.get(setup, {}))
-    values["setup"] = setup
-
     conversion_problems = []
-    for key, (raw, lineno) in pairs.items():
+    for key, (raw, lineno) in _parse_pairs(text).items():
         attr, kind = _SCHEMA[key]
         try:
             values[attr] = _convert(kind, raw)
@@ -325,11 +328,16 @@ def load_config(source: str | Path) -> ScenarioConfig:
             conversion_problems.append(f"line {lineno}: {key}: {exc}")
     if conversion_problems:
         raise ParseError("; ".join(conversion_problems))
+    if values["setup"] is None:
+        raise ValidationError(["setup: missing"])
 
-    violations = _validate(values)
-    if violations:
-        raise ValidationError(violations)
-    return ScenarioConfig(**values)
+    # a preset default fills an unset key only where that key applies; the
+    # unconditional keys come first, since they hold the selectors
+    preset = PRESETS.get(values["setup"], {})
+    for f in sorted(_FIELDS, key=lambda f: f.metadata["required"] is not True):
+        if values[f.name] is None and not _not_applicable(f.metadata["required"], values):
+            values[f.name] = preset.get(f.name)
+    return validated(ScenarioConfig(**values))
 
 
 def load_preset(name: str) -> ScenarioConfig:

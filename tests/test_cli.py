@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wptsec import cli
 from wptsec.cli import (
     CSV_COLUMNS,
     emit_trace,
@@ -172,26 +171,37 @@ class TestEmitTrace:
         assert len(result.payload) == cfg.key_len_bytes
 
     @pytest.mark.parametrize("probe_bits", [2, 3, 64, 6251])
-    def test_probe_bits_alternate_from_high(self, monkeypatch, probe_bits):
-        monkeypatch.setattr(cli, "_render", lambda cfg, seed, bits: bits)
-        cfg = load_config(f"setup=wired\nwaveform.probe_bits={probe_bits}")
-        bits = cli._probe_trace(cfg, 0)
-        want = np.resize(np.array([1, 0], dtype=np.uint8), probe_bits)
-        assert bits.dtype == np.uint8 and np.array_equal(bits, want)
+    def test_probe_bits_alternate_from_high(self, probe_bits):
+        cfg = load_config(
+            f"setup=wired\nchannel.noise_power_dbm=-inf\nwaveform.probe_bits={probe_bits}"
+        )
+        trace = emit_trace(cfg)
+        assert len(trace) == probe_bits * cfg.oversampling
+        # noise-free, the first sample of each bit is the bit's level
+        bits = trace.samples[:: cfg.oversampling] == trace.samples.max()
+        want = np.resize(np.array([True, False]), probe_bits)
+        assert np.array_equal(bits, want)
 
-    def test_matches_first_session_trace(self):
-        # the CLI trace and the session driver render the first key the same way
-        cfg = load_preset("anechoic")
+    @pytest.mark.parametrize("attacker", ["none", "replay"])
+    @pytest.mark.parametrize("key_policy", ["sequential", "random"])
+    def test_matches_first_session_trace(self, key_policy, attacker):
+        # the CLI trace is the first session's own trace, whichever key the
+        # policy drew
+        cfg = load_config(
+            f"setup=anechoic\nprotocol.n_keys=64\nprotocol.key_policy={key_policy}\n"
+            f"protocol.attacker={attacker}"
+        )
         node_table, monitor_table = build_tables(cfg)
         log = run_session(
             build_scenario(cfg, noise_seed=point_seed(cfg.seed, 0)),
             build_node(cfg, node_table),
-            Attacker(),
+            Attacker(kind=attacker),
             build_monitor(cfg, monitor_table),
             dt_s=cfg.dt_s,
             max_time_s=cfg.max_time_s,
+            key_policy=key_policy,
         )
-        assert log.emitted_key_index == 0
+        assert (log.emitted_key_index == 0) == (key_policy == "sequential")
         trace = emit_trace(cfg)
         assert trace.sample_rate_hz == log.trace.sample_rate_hz
         assert trace.meta == log.trace.meta == cfg.setup
@@ -255,6 +265,55 @@ class TestMain:
         # an I/O error on a renderable trace is still exit 2
         missing_dir = str(tmp_path / "missing" / "t.txt")
         assert main(["run", "--preset", "wired", "--trace-out", missing_dir]) == 2
+
+    def test_never_woke_trace_is_a_failed_check(self, tmp_path, capsys):
+        # a node that never woke sent no frame, so there is no trace to write;
+        # the CSV is the same as without --trace-out
+        cfg_path = tmp_path / "dark.cfg"
+        cfg_path.write_text("setup=anechoic\nchannel.p_tx_dbm=-15\n")
+        plain, with_trace = tmp_path / "a.csv", tmp_path / "b.csv"
+        trace_path = tmp_path / "t.txt"
+        assert main(["run", str(cfg_path), "--out", str(plain)]) == 1
+        assert "trace_out" not in capsys.readouterr().err
+        argv = ["run", str(cfg_path), "--out", str(with_trace), "--trace-out", str(trace_path)]
+        assert main(argv) == 1
+        assert with_trace.read_bytes() == plain.read_bytes()
+        assert ",wake_timeout," in plain.read_text()
+        assert not trace_path.exists()
+        assert "check trace_out: FAIL (not written: EmptyTrace: the node never woke" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("setup=wired\nprotocol.n_keys=5\n", "protocol.n_keys: not applicable"),
+            ("setup=anechoic\nwaveform.probe_bits=128\n", "waveform.probe_bits: not applicable"),
+            (
+                "setup=wired\nsweep.param=protocol.n_keys\nsweep.values=1,2,300\n",
+                "sweep.param: 'protocol.n_keys' not applicable",
+            ),
+            (
+                "setup=anechoic\nsweep.param=waveform.probe_bits\nsweep.values=64,128\n",
+                "sweep.param: 'waveform.probe_bits' not applicable",
+            ),
+        ],
+    )
+    def test_exit_two_on_key_the_mode_never_reads(self, tmp_path, capsys, text, problem):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
+        argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
+        assert main(argv) == 2
+        assert not out_csv.exists() and not trace_path.exists()
+        assert problem in capsys.readouterr().err
+
+    def test_exit_two_on_negative_seed_writes_nothing(self, tmp_path, capsys):
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
+        argv = ["run", "--preset", "anechoic", "--out", str(out_csv), "--trace-out"]
+        assert main(argv + [str(trace_path), "--seed", "-1"]) == 2
+        assert not out_csv.exists() and not trace_path.exists()
+        assert "seed: must be >= 0" in capsys.readouterr().err
 
     def test_exit_two_on_bad_sweep_value_writes_nothing(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

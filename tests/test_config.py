@@ -67,14 +67,31 @@ RADIATED_KEYS = {
 }
 CIRCULATOR_KEYS = {"channel.circulator_isolation_db"}
 COUPLING_KEYS = {"channel.coupling_floor_dbm", "channel.coupling_ref_tx_dbm"}
+# the keys read only by a keyed session (protocol.enabled = true) and only by
+# the level probe (protocol.enabled = false)
+KEYED_KEYS = {
+    "protocol.n_keys",
+    "protocol.key_len_bytes",
+    "protocol.key_policy",
+    "protocol.storage_capacity_j",
+    "protocol.wake_threshold_j",
+    "protocol.tx_cost_j_per_bit",
+    "protocol.dt_s",
+    "protocol.max_time_s",
+    "protocol.attacker",
+}
+PROBE_KEYS = {"waveform.probe_bits"}
 # keys a bare setup=custom reports as missing: everything but the setup
-# itself, the sweep pair and the keys that hang on topology or leakage kind
+# itself, the sweep pair and the keys that hang on topology, leakage kind or
+# protocol.enabled
 CUSTOM_MISSING = (
     ALL_KEYS
     - {"setup", "sweep.param", "sweep.values"}
     - RADIATED_KEYS
     - CIRCULATOR_KEYS
     - COUPLING_KEYS
+    - KEYED_KEYS
+    - PROBE_KEYS
 )
 
 
@@ -101,7 +118,7 @@ class TestSchema:
     def test_sweepable_keys_are_the_float_and_int_keys(self):
         for key in ALL_KEYS:
             # each key is swept under a setup it applies to
-            setup = "anechoic" if key in RADIATED_KEYS | COUPLING_KEYS else "wired"
+            setup = "anechoic" if key in RADIATED_KEYS | COUPLING_KEYS | KEYED_KEYS else "wired"
             text = f"setup={setup}\nsweep.param = {key}\nsweep.values = 8"
             if key in FLOAT_KEYS | INT_KEYS:
                 assert load_config(text).sweep_param == key
@@ -112,7 +129,7 @@ class TestSchema:
 
     def test_custom_reports_exactly_the_unconditional_keys(self):
         violations = violations_of("setup=custom")
-        assert len(violations) == len(CUSTOM_MISSING) == 21
+        assert len(violations) == len(CUSTOM_MISSING) == 11
         assert keys_with(violations, "missing") == CUSTOM_MISSING
 
     @pytest.mark.parametrize(
@@ -142,25 +159,37 @@ class TestSchema:
         swept = violations_of(f"setup={setup}\nsweep.param = {key}\nsweep.values = 1,2")
         assert swept == [violations[0].replace(f"{key}:", f"sweep.param: {key!r}", 1)]
 
+    @pytest.mark.parametrize(
+        "setup, key",
+        [("wired", k) for k in sorted(KEYED_KEYS)] + [("anechoic", k) for k in sorted(PROBE_KEYS)],
+    )
+    def test_mode_key_not_applicable(self, setup, key):
+        # set or swept on the other point mode, a key that mode never reads
+        # is rejected
+        value = {"protocol.key_policy": "random", "protocol.attacker": "replay"}.get(key, "2")
+        why = f"not applicable when protocol.enabled = {str(setup == 'anechoic').lower()}"
+        assert violations_of(f"setup={setup}\n{key} = {value}") == [f"{key}: {why}"]
+        if key in FLOAT_KEYS | INT_KEYS:
+            swept = violations_of(f"setup={setup}\nsweep.param = {key}\nsweep.values = 2,3")
+            assert swept == [f"sweep.param: {key!r} {why}"]
+
     def test_removed_load_resistance_is_an_unknown_key(self):
         with pytest.raises(ParseError, match="line 2: unknown key 'channel.load_ohms'"):
             load_config("setup=anechoic\nchannel.load_ohms = 1e4")
 
     def test_wired_needs_no_carrier(self):
         # the wired budget reads no frequency: custom wired omits it, the
-        # preset sets none, and setting one is an error
+        # preset sets none, and setting one is an error; a probe-only point
+        # reads no protocol.* key either, so none is given
         custom = load_config(
             "setup=custom\nchannel.topology=wired\nchannel.leakage_kind=circulator\n"
             "channel.circulator_isolation_db=20\nchannel.p_tx_dbm=-15\n"
             "channel.gamma_low_db=-20\nchannel.gamma_high_db=-3\n"
             "channel.efficiency_curve=-20:0.05;20:0.5\nchannel.noise_power_dbm=-90\n"
             "waveform.bit_rate_hz=100e3\nwaveform.oversampling=16\nwaveform.probe_bits=64\n"
-            "protocol.enabled=false\nprotocol.n_keys=4\nprotocol.key_len_bytes=2\n"
-            "protocol.key_policy=sequential\nprotocol.storage_capacity_j=100e-6\n"
-            "protocol.wake_threshold_j=10e-6\nprotocol.tx_cost_j_per_bit=1e-9\n"
-            "protocol.dt_s=1e-4\nprotocol.max_time_s=30\nprotocol.attacker=none\nseed=1"
+            "protocol.enabled=false\nseed=1"
         )
-        assert custom.frequency_hz is None
+        assert custom.frequency_hz is None and custom.n_keys is None
         assert build_scenario(custom).state_level_dbm(True) == build_scenario(
             load_preset("wired")
         ).state_level_dbm(True)
@@ -178,6 +207,49 @@ class TestSchema:
 
 
 class TestPresets:
+    @pytest.mark.parametrize(
+        "setup, unread",
+        [
+            ("wired", RADIATED_KEYS | COUPLING_KEYS | KEYED_KEYS),
+            ("anechoic", CIRCULATOR_KEYS | PROBE_KEYS),
+        ],
+    )
+    def test_preset_resolves_only_the_keys_it_reads(self, setup, unread):
+        cfg = load_preset(setup)
+        for key, (attr, _) in config._SCHEMA.items():
+            if key in unread | {"sweep.param", "sweep.values"}:
+                assert getattr(cfg, attr) is None, key
+            else:
+                assert getattr(cfg, attr) is not None, key
+
+    @pytest.mark.parametrize(
+        "setup, flip, needed, unset",
+        [
+            ("anechoic", "channel.topology = wired", "", "frequency_hz"),
+            ("anechoic", "protocol.enabled = false", "", "n_keys"),
+            ("wired", "protocol.enabled = true", "", "probe_bits"),
+            (
+                "anechoic",
+                "channel.leakage_kind = circulator",
+                "channel.circulator_isolation_db = 20",
+                "coupling_floor_dbm",
+            ),
+            (
+                "wired",
+                "channel.leakage_kind = coupling",
+                "channel.coupling_floor_dbm = -57\nchannel.coupling_ref_tx_dbm = -15",
+                "circulator_isolation_db",
+            ),
+        ],
+    )
+    def test_flipped_selector_on_a_preset_loads(self, setup, flip, needed, unset):
+        # the preset's keys for the old selector value step aside: only the
+        # keys the new value needs and the preset does not hold must be given
+        cfg = load_config(f"setup={setup}\n{flip}\n{needed}")
+        assert getattr(cfg, unset) is None
+        build_scenario(cfg)
+
+
     def test_anechoic_defaults(self):
         cfg = load_config("setup=anechoic")
         assert cfg.p_tx_dbm == 15.0
@@ -256,12 +328,14 @@ class TestParsing:
             load_config("seed = 1")
 
     def test_text_vs_path(self, tmp_path):
-        path = tmp_path / "exp.cfg"
+        path = tmp_path / "p=15.cfg"
         path.write_text("setup=wired\nseed=11\n")
         assert load_config(path).seed == 11
-        assert load_config(str(path)).seed == 11
-        with pytest.raises(ParseError, match="not a file"):
-            load_config(str(tmp_path / "nope.cfg"))
+        # a str is config text, never a path, whatever it looks like
+        with pytest.raises(ParseError, match="line 1: expected 'key = value'"):
+            load_config(str(tmp_path / "exp.cfg"))
+        with pytest.raises(FileNotFoundError):
+            load_config(tmp_path / "nope.cfg")
 
     def test_efficiency_curve_value(self):
         cfg = load_config(
@@ -275,7 +349,7 @@ class TestValidation:
         with pytest.raises(ValidationError) as info:
             load_config("setup=custom")
         violations = info.value.violations
-        assert len(violations) >= 20
+        assert len(violations) >= 11
         for key in (
             "seed",
             "channel.topology",
@@ -283,9 +357,10 @@ class TestValidation:
             "channel.leakage_kind",
             "waveform.bit_rate_hz",
             "protocol.enabled",
-            "protocol.n_keys",
         ):
             assert any(v.startswith(f"{key}:") for v in violations)
+        # the mode keys hang on protocol.enabled, which is not set
+        assert not any(v.startswith("protocol.n_keys:") for v in violations)
 
     def test_custom_radiated_needs_geometry(self):
         text = "\n".join(
@@ -304,8 +379,7 @@ class TestValidation:
                 "channel.noise_power_dbm=-90",
                 "waveform.bit_rate_hz=20e3",
                 "waveform.oversampling=16",
-                "waveform.probe_bits=64",
-                "protocol.enabled=false",
+                "protocol.enabled=true",
                 "protocol.n_keys=4",
                 "protocol.key_len_bytes=2",
                 "protocol.key_policy=sequential",
@@ -331,6 +405,11 @@ class TestValidation:
         )
         cfg = load_config(full)
         assert cfg.topology == "radiated"
+        # a keyed point reads no probe length, so none is given
+        assert cfg.probe_bits is None
+        assert violations_of(full + "\nwaveform.probe_bits=64") == [
+            "waveform.probe_bits: not applicable when protocol.enabled = true"
+        ]
 
     def test_cross_kind_keys_rejected(self):
         with pytest.raises(ValidationError, match="not applicable"):
@@ -349,6 +428,11 @@ class TestValidation:
             load_config("setup=wired\nprotocol.key_len_bytes = 65")
         with pytest.raises(ValidationError, match="circulator_isolation_db: must be >= 0"):
             load_config("setup=wired\nchannel.circulator_isolation_db = -5")
+
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng rejects it, so every keyed point would fail at run time
+        for setup in ("wired", "anechoic"):
+            assert violations_of(f"setup={setup}\nseed = -1") == ["seed: must be >= 0"]
 
     def test_sweep_must_name_scalar(self):
         with pytest.raises(ValidationError, match="sweepable scalar"):
@@ -375,8 +459,11 @@ class TestValidation:
             "setup=wired\nsweep.param = waveform.bit_rate_hz\nsweep.values = 1000,150000"
         ) == ["sweep.values: 150000.0: waveform.bit_rate_hz must be in (0, 100000]"]
         assert violations_of(
-            "setup=wired\nsweep.param = protocol.key_len_bytes\nsweep.values = 2,65"
+            "setup=anechoic\nsweep.param = protocol.key_len_bytes\nsweep.values = 2,65"
         ) == ["sweep.values: 65: protocol.key_len_bytes must be in [1, 64]"]
+        assert violations_of("setup=wired\nsweep.param = seed\nsweep.values = 0,-1") == [
+            "sweep.values: -1: seed must be >= 0"
+        ]
         with pytest.raises(ParseError, match="sweep.values: nan is not a valid value"):
             load_config("setup=wired\nsweep.param = channel.p_tx_dbm\nsweep.values = 0,nan")
         cfg = load_config("setup=wired\nsweep.param = waveform.oversampling\nsweep.values = 8,32")
