@@ -126,6 +126,16 @@ def _run_point(cfg: ScenarioConfig, seed: int) -> dict:
     )
 
 
+def _points(cfg: ScenarioConfig):
+    """(point config, sweep value, seed) of each row, in row order: one per
+    sweep value in ascending order, or the config itself with value None."""
+    if cfg.sweep_param is None:
+        yield cfg, None, point_seed(cfg.seed, 0)
+        return
+    for i, value in enumerate(sorted(cfg.sweep_values)):
+        yield cfg.with_override(cfg.sweep_param, value), value, point_seed(cfg.seed, i)
+
+
 def run_experiment(cfg: ScenarioConfig) -> tuple[list[dict], Summary]:
     """Execute the configured sweep (or single point) and evaluate the
     scenario's built-in checks.
@@ -133,19 +143,12 @@ def run_experiment(cfg: ScenarioConfig) -> tuple[list[dict], Summary]:
     A failing sweep point becomes a row with an error status, never a crash;
     rows are ordered by sweep value.
     """
-    if cfg.sweep_param is not None:
-        points = [
-            (cfg.with_override(cfg.sweep_param, v), v) for v in sorted(cfg.sweep_values)
-        ]
-    else:
-        points = [(cfg, None)]
-
     rows = []
-    for i, (point_cfg, value) in enumerate(points):
+    for point_cfg, value, seed in _points(cfg):
         row = dict.fromkeys(CSV_COLUMNS)
-        row.update(sweep_param=cfg.sweep_param, sweep_value=value, seed=point_seed(cfg.seed, i))
+        row.update(sweep_param=cfg.sweep_param, sweep_value=value, seed=seed)
         try:
-            row.update(_run_point(point_cfg, row["seed"]))
+            row.update(_run_point(point_cfg, seed))
         except Exception as exc:  # recorded, not raised: sweeps must finish
             row["status"] = f"error:{type(exc).__name__}"
         rows.append(row)
@@ -211,14 +214,15 @@ def format_csv(rows: list[dict]) -> str:
 
 
 def emit_trace(cfg: ScenarioConfig) -> EnvelopeTrace:
-    """Envelope trace of the base config at the first point's seed: the
-    alternating probe when the protocol is off, otherwise the trace of that
-    point's own keyed session (``SessionLog.trace``), whichever key its
-    policy drew. A node that never woke sent nothing: ``EmptyTrace``."""
-    seed = point_seed(cfg.seed, 0)
-    if not cfg.protocol_enabled:
-        return _probe_trace(cfg, seed)
-    trace = _session(cfg, seed).trace
+    """Envelope trace of the first CSV row's point (the lowest sweep value,
+    or the config itself): the alternating probe when the protocol is off,
+    otherwise the trace of that point's own keyed session
+    (``SessionLog.trace``), whichever key its policy drew. A node that never
+    woke sent nothing: ``EmptyTrace``."""
+    point_cfg, _, seed = next(_points(cfg))
+    if not point_cfg.protocol_enabled:
+        return _probe_trace(point_cfg, seed)
+    trace = _session(point_cfg, seed).trace
     if trace is None:
         raise EmptyTrace("the node never woke, so it sent no frame")
     return trace
@@ -235,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("config", nargs="?", help="config file path")
     run_parser.add_argument("--preset", choices=sorted(PRESETS), help="run a preset instead")
     run_parser.add_argument("--out", help="CSV output path (default: stdout)")
-    run_parser.add_argument("--trace-out", help="also write the base point's envelope trace")
+    run_parser.add_argument("--trace-out", help="also write the first row's envelope trace")
     run_parser.add_argument("--seed", type=int, help="override the config seed (>= 0)")
     args = parser.parse_args(argv)
 

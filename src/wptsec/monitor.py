@@ -9,6 +9,7 @@ centers, which is sufficient at the mandated 8x oversampling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -22,6 +23,7 @@ from .waveform import (
     MAX_PAYLOAD_BYTES,
     PREAMBLE_BITS,
     EnvelopeTrace,
+    as_bits,
     check_oversampling,
 )
 
@@ -31,6 +33,14 @@ if TYPE_CHECKING:
 # 15/16 tolerates one slicing error during acquisition while keeping the
 # false-sync probability on random noise below 2^-11 per offset.
 PREAMBLE_MATCH_MIN = 15
+# 1 where the preamble bit is 0, one row per preamble bit: XOR with the
+# sliced bits at the bit centres gives 1 for every bit that matches.
+_PREAMBLE_MISMATCH = 1 - np.array(PREAMBLE_BITS, dtype=np.uint8)[:, np.newaxis]
+_PREAMBLE_MISMATCH.flags.writeable = False
+# The sync byte's bits as bytes, compared with the 8 bits after the preamble.
+_SYNC_BITS = FRAME_HEADER_BITS[len(PREAMBLE_BITS) :].tobytes()
+# Offsets scored at a time in recover_bits, at 18 bytes of temporaries each.
+SYNC_BLOCK = 1 << 13
 
 DECODED = "decoded"
 NO_SYNC = "no_sync"
@@ -94,20 +104,30 @@ class AuthDecision:
         }
 
 
+def _mean(x: np.ndarray) -> float:
+    # one temporary at a time: holding both clusters' copies at once makes
+    # each 2-means step on a long trace fault in fresh pages
+    return float(np.add.reduce(x) / x.size)
+
+
 def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
     """(threshold_dbm, dr_db) from one 2-means clustering of the trace in
     linear watts, initialized at (min, max): the midpoint of the two cluster
-    means, and their dB spacing (0 for a degenerate trace)."""
+    means, and their dB spacing (0 for a degenerate trace).
+
+    The reductions are the kernels that ``min``, ``max`` and ``mean`` run,
+    called without numpy's Python wrappers, so the figures are bit-identical
+    to theirs."""
     if len(trace) == 0:
         raise EmptyTrace("cannot analyze an empty trace")
     lin = dbm_to_watts(trace.samples)
-    c_lo = float(lin.min())
-    c_hi = float(lin.max())
+    c_lo = float(np.minimum.reduce(lin))
+    c_hi = float(np.maximum.reduce(lin))
     if c_lo != c_hi:
         for _ in range(100):
             low = lin <= 0.5 * (c_lo + c_hi)
-            new_lo = float(lin[low].mean())
-            new_hi = float(lin[~low].mean())
+            new_lo = _mean(lin[low])
+            new_hi = _mean(lin[~low])
             if new_lo == c_lo and new_hi == c_hi:
                 break
             c_lo, c_hi = new_lo, new_hi
@@ -125,8 +145,24 @@ def measure_dynamic_range(trace: EnvelopeTrace) -> float:
     return measure_levels(trace)[1]
 
 
+@functools.lru_cache(maxsize=16)
 def _bit_centers(n_bits: int, samples_per_bit: float) -> np.ndarray:
-    return np.rint((np.arange(n_bits) + 0.5) * samples_per_bit).astype(np.int64)
+    """Sample index of the centre of each of ``n_bits`` bits; read-only,
+    since one array is shared by every trace of the same frame shape."""
+    centers = np.rint((np.arange(n_bits) + 0.5) * samples_per_bit).astype(np.int64)
+    centers.flags.writeable = False
+    return centers
+
+
+def _preamble_scores(sliced: np.ndarray, centers: np.ndarray, start: int, stop: int):
+    """Preamble bits matched at each offset in [start, stop): the 16
+    bit-centre rows are gathered in one step from a strided view whose row i
+    is ``sliced[start + i : start + i + (stop - start)]``."""
+    rows = np.ndarray(
+        (int(centers[-1]) + 1, stop - start), np.uint8, sliced, start, (1, 1)
+    )[centers]
+    rows ^= _PREAMBLE_MISMATCH  # 1 where the sliced bit is the preamble's
+    return np.add.reduce(rows, axis=0, dtype=np.uint8)
 
 
 def recover_bits(
@@ -138,11 +174,15 @@ def recover_bits(
     Returns (bits, sync_offset): bits sampled at bit centers starting at the
     first sample offset where at least 15 of the 16 preamble bits match, and
     that offset. Raises NoSync when no offset qualifies.
+
+    Offsets are scored SYNC_BLOCK at a time, and scoring stops at the first
+    block that holds a match, so the temporaries stay bounded whatever the
+    trace length.
     """
     if len(trace) == 0:
         raise EmptyTrace("cannot recover bits from an empty trace")
     check_oversampling(trace.sample_rate_hz, bit_rate_hz)
-    sliced = (trace.samples > threshold_dbm).astype(np.uint8)
+    sliced = np.greater(trace.samples, threshold_dbm).view(np.uint8)
 
     spb = trace.sample_rate_hz / bit_rate_hz
     centers = _bit_centers(len(PREAMBLE_BITS), spb)
@@ -150,25 +190,29 @@ def recover_bits(
     if n_offsets <= 0:
         raise NoSync("trace shorter than one preamble")
 
-    scores = np.zeros(n_offsets, dtype=np.int32)
-    for center, want in zip(centers, PREAMBLE_BITS):
-        scores += sliced[center : center + n_offsets] == want
-    hits = np.nonzero(scores >= PREAMBLE_MATCH_MIN)[0]
-    if hits.size == 0:
+    # The alternating preamble matches itself 15/16 one period (2 bits) early
+    # when preceded by steady padding, so refine the first crossing by a peak
+    # search over the next two bit periods; earliest best score wins. Each
+    # block also scores the window after its last offset.
+    window = int(math.ceil(2 * spb)) + 1
+    for start in range(0, n_offsets, SYNC_BLOCK):
+        scores = _preamble_scores(
+            sliced, centers, start, min(n_offsets, start + SYNC_BLOCK + window)
+        )
+        hits = scores[:SYNC_BLOCK] >= PREAMBLE_MATCH_MIN
+        first = int(hits.argmax())
+        if hits[first]:
+            sync_offset = start + first + int(scores[first : first + window].argmax())
+            break
+    else:
         raise NoSync(
             f"no offset reached {PREAMBLE_MATCH_MIN}/{len(PREAMBLE_BITS)} preamble match"
         )
-    # The alternating preamble matches itself 15/16 one period (2 bits) early
-    # when preceded by steady padding, so refine the first crossing by a peak
-    # search over the next two bit periods; earliest best score wins.
-    first = int(hits[0])
-    window_end = min(n_offsets, first + int(math.ceil(2 * spb)) + 1)
-    sync_offset = first + int(np.argmax(scores[first:window_end]))
 
-    n_bits = int((sliced.size - sync_offset) / spb) + 1
-    idx = sync_offset + _bit_centers(n_bits, spb)
-    idx = idx[idx < sliced.size]
-    return sliced[idx], sync_offset
+    rest = sliced[sync_offset:]
+    centers = _bit_centers(int(rest.size / spb) + 1, spb)
+    # at 8 or more samples per bit only the last centre can fall past the end
+    return rest[centers[:-1] if centers[-1] >= rest.size else centers], sync_offset
 
 
 def decode_frame(
@@ -183,16 +227,17 @@ def decode_frame(
     ``bits`` starts at the preamble (as returned by recover_bits);
     ``sync_offset`` is carried into the result for provenance. The payload
     is every whole byte after the sync byte; anything malformed downgrades
-    the status to payload_invalid rather than raising.
+    the status to payload_invalid rather than raising. A bit other than 0
+    or 1 is not malformed framing but a bad argument: ``ValueError``.
     """
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = as_bits(bits)
     n_pre, n_head = len(PREAMBLE_BITS), FRAME_HEADER_BITS.size
     pre = arr[:n_pre]
-    errors = int(np.sum(pre != FRAME_HEADER_BITS[: pre.size]))
+    errors = int(np.count_nonzero(pre != FRAME_HEADER_BITS[: pre.size]))
     errors += n_pre - pre.size  # missing preamble bits count as errors
 
     n_bytes = (arr.size - n_head) // 8
-    sync_ok = np.array_equal(arr[n_pre:n_head], FRAME_HEADER_BITS[n_pre:])
+    sync_ok = arr[n_pre:n_head].tobytes() == _SYNC_BITS
     payload = None
     if sync_ok and 0 < n_bytes <= MAX_PAYLOAD_BYTES:
         payload = np.packbits(arr[n_head : n_head + 8 * n_bytes]).tobytes()

@@ -10,6 +10,7 @@ contract: FRAME_HEADER_BITS and the two rate checks every layer calls.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -115,7 +116,7 @@ class EnvelopeTrace:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
+        if self.samples.size and not np.isfinite(self.samples).all():
             raise ValueError("trace samples must be finite (no NaN/Inf)")
         if "\n" in self.meta:
             raise ValueError("meta must not contain newlines")
@@ -126,11 +127,32 @@ class EnvelopeTrace:
         return int(self.samples.size)
 
 
-def _bit_boundaries(n_bits: int, sample_rate_hz: float, bit_rate_hz: float) -> np.ndarray:
+def as_bits(bits) -> np.ndarray:
+    """``bits`` as a uint8 array; any value other than 0 and 1 is a
+    ``ValueError``. Integer, bool and float input holding only 0s and 1s is
+    accepted; a uint8 array is returned as it is."""
+    arr = np.asarray(bits)
+    if arr.dtype == np.uint8:
+        ok = arr.size == 0 or np.maximum.reduce(arr, axis=None) <= 1
+    else:
+        ok = ((arr == 0) | (arr == 1)).all()
+        if ok:
+            arr = arr.astype(np.uint8)
+    if not ok:
+        raise ValueError("bits must be 0 or 1")
+    return arr
+
+
+@functools.lru_cache(maxsize=16)
+def _bit_counts(n_bits: int, samples_per_bit: float) -> np.ndarray:
+    """Samples in each of ``n_bits`` bits; read-only, since one array is
+    shared by every envelope of the same frame shape."""
     # Per-bit rounding of the cumulative sample position keeps the total
-    # sample count within one sample of n_bits * sample_rate / bit_rate.
-    edges = np.rint(np.arange(n_bits + 1) * (sample_rate_hz / bit_rate_hz))
-    return edges.astype(np.int64)
+    # sample count within one sample of n_bits * samples_per_bit.
+    edges = np.rint(np.arange(n_bits + 1) * samples_per_bit).astype(np.int64)
+    counts = np.diff(edges)
+    counts.flags.writeable = False
+    return counts
 
 
 def synthesize_envelope(
@@ -147,18 +169,18 @@ def synthesize_envelope(
     Each bit holds its state level for one bit period; seeded noise is added
     in the linear power domain (mean floor plus zero-mean Gaussian
     fluctuation) and the result converted back to dBm. Identical inputs and
-    seed give bit-identical traces.
+    seed give bit-identical traces. A bit other than 0 or 1 is a
+    ``ValueError``.
     """
-    bit_arr = np.asarray(bits, dtype=np.uint8)
+    bit_arr = as_bits(bits)
     if bit_arr.size == 0:
         raise ValueError("bits must not be empty")
     check_oversampling(sample_rate_hz, bit_rate_hz)
     if p_high_dbm < p_low_dbm:
         raise InvertedLevels(f"p_high {p_high_dbm} dBm below p_low {p_low_dbm} dBm")
 
-    edges = _bit_boundaries(bit_arr.size, sample_rate_hz, bit_rate_hz)
-    counts = np.diff(edges)
-    levels_w = np.where(bit_arr == 1, dbm_to_watts(p_high_dbm), dbm_to_watts(p_low_dbm))
+    counts = _bit_counts(bit_arr.size, sample_rate_hz / bit_rate_hz)
+    levels_w = np.where(bit_arr, dbm_to_watts(p_high_dbm), dbm_to_watts(p_low_dbm))
     # np.repeat returns a fresh array: every step below works in place on it,
     # in the order of 10*log10(max(signal + floor + noise, POWER_FLOOR_W)) + 30
     samples = np.repeat(levels_w, counts)

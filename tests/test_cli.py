@@ -207,6 +207,42 @@ class TestEmitTrace:
         assert trace.meta == log.trace.meta == cfg.setup
         assert np.array_equal(trace.samples, log.trace.samples)
 
+    @pytest.mark.parametrize("protocol", ["true", "false"])
+    def test_sweep_trace_is_the_first_rows_own(self, protocol):
+        # the first row is the lowest sweep value at point_seed(seed, 0); the
+        # trace measures to exactly that row's cells, whichever mode it runs
+        cfg = load_config(
+            f"setup=anechoic\nprotocol.enabled={protocol}\n"
+            "sweep.param=channel.p_tx_dbm\nsweep.values=24,20\n"
+        )
+        rows, _ = run_experiment(cfg)
+        assert rows[0]["sweep_value"] == 20.0
+        trace = emit_trace(cfg)
+        if protocol == "true":
+            result = decode_trace(trace, cfg.bit_rate_hz)
+            assert result.status == rows[0]["status"] == "decoded"
+            levels = (result.measured_dr_db, result.threshold_dbm)
+        else:
+            levels = (measure_dynamic_range(trace), estimate_threshold(trace))
+        assert levels == (rows[0]["dr_db"], rows[0]["threshold_dbm"])
+
+    def test_sweep_whose_first_node_never_woke_writes_no_trace(self, tmp_path, capsys):
+        # -15 dBm never wakes the node: the first row has no trace to write,
+        # although a later row decodes
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(
+            "setup=anechoic\nsweep.param=channel.p_tx_dbm\nsweep.values=15,-15\n"
+        )
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
+        argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
+        assert main(argv) == 1
+        lines = out_csv.read_text().splitlines()
+        assert ",wake_timeout," in lines[1] and ",decoded," in lines[2]
+        assert not trace_path.exists()
+        assert "check trace_out: FAIL (not written: EmptyTrace: the node never woke" in (
+            capsys.readouterr().err
+        )
+
 
 class TestMain:
     def test_list_presets(self, capsys):

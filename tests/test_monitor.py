@@ -5,14 +5,18 @@ whatever bytes went in must come back out bit-exact under the stated noise
 margins.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wptsec.channel import NoiseSpec
+from wptsec.channel import NoiseSpec, RectifierModel, _curve_arrays, harvested_dc
 from wptsec.errors import EmptyTrace, NoSync, UndersampledError
 from wptsec.monitor import (
+    SYNC_BLOCK,
     ACCEPTED,
     DECODED,
     NO_SYNC,
@@ -23,18 +27,22 @@ from wptsec.monitor import (
     WAKE_TIMEOUT,
     AuthDecision,
     DecodeResult,
+    _bit_centers,
     authenticate,
     decode_frame,
     decode_trace,
     estimate_threshold,
     measure_dynamic_range,
+    measure_levels,
     recover_bits,
     verify,
 )
 from wptsec.protocol import PvkTable, generate_table
 from wptsec.waveform import (
     MAX_PAYLOAD_BYTES,
+    PREAMBLE_BITS,
     EnvelopeTrace,
+    _bit_counts,
     build_frame,
     frame_to_bits,
     synthesize_envelope,
@@ -173,6 +181,23 @@ class TestDecodeFrame:
         result = decode_frame(bits)
         assert result.status == DECODED
         assert result.bit_errors_in_preamble == 1
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_bit_other_than_zero_or_one_rejected(self, bad):
+        bits = frame_to_bits(build_frame(b"\x11", 10e3)).tolist()
+        bits[30] = bad
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            decode_frame(bits)
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            decode_frame(np.array(bits))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool, np.float64])
+    def test_zero_one_bits_of_any_dtype_decode(self, dtype):
+        bits = frame_to_bits(build_frame(b"\x11\xa5", 10e3))
+        result = decode_frame(bits.astype(dtype), 7)
+        assert result == decode_frame(bits, 7)
+        assert result.payload == b"\x11\xa5" and result.sync_offset == 7
+        assert type(result.bit_errors_in_preamble) is int
 
 
 class TestSinglePass:
@@ -377,3 +402,171 @@ class TestResultInvariants:
         ok = DecodeResult(DECODED, b"\x01", 0, 1.0, -40.0, 0)
         with pytest.raises(ValueError):
             AuthDecision(ACCEPTED, None, ok)
+
+
+# --- differential oracles --------------------------------------------------
+#
+# Reference forms of recover_bits, which scores the preamble one bit at a
+# time over every offset, and of measure_levels, through the min, max and
+# mean wrappers. The library must agree with them bit for bit.
+
+
+def oracle_measure_levels(trace):
+    if len(trace) == 0:
+        raise EmptyTrace("cannot analyze an empty trace")
+    lin = 10.0 ** ((trace.samples - 30.0) / 10.0)
+    c_lo = float(lin.min())
+    c_hi = float(lin.max())
+    if c_lo != c_hi:
+        for _ in range(100):
+            low = lin <= 0.5 * (c_lo + c_hi)
+            new_lo = float(lin[low].mean())
+            new_hi = float(lin[~low].mean())
+            if new_lo == c_lo and new_hi == c_hi:
+                break
+            c_lo, c_hi = new_lo, new_hi
+    threshold_dbm = 10.0 * math.log10(0.5 * (c_lo + c_hi)) + 30.0
+    return threshold_dbm, 0.0 if c_lo == c_hi else 10.0 * math.log10(c_hi / c_lo)
+
+
+def oracle_recover_bits(trace, bit_rate_hz, threshold_dbm):
+    if len(trace) == 0:
+        raise EmptyTrace("cannot recover bits from an empty trace")
+    sliced = (trace.samples > threshold_dbm).astype(np.uint8)
+
+    def centers_of(n_bits):
+        return np.rint((np.arange(n_bits) + 0.5) * spb).astype(np.int64)
+
+    spb = trace.sample_rate_hz / bit_rate_hz
+    centers = centers_of(len(PREAMBLE_BITS))
+    n_offsets = sliced.size - int(centers[-1])
+    if n_offsets <= 0:
+        raise NoSync("trace shorter than one preamble")
+    scores = np.zeros(n_offsets, dtype=np.int32)
+    for center, want in zip(centers, PREAMBLE_BITS):
+        scores += sliced[center : center + n_offsets] == want
+    hits = np.nonzero(scores >= 15)[0]
+    if hits.size == 0:
+        raise NoSync("no offset reached 15/16 preamble match")
+    first = int(hits[0])
+    window_end = min(n_offsets, first + int(math.ceil(2 * spb)) + 1)
+    sync_offset = first + int(np.argmax(scores[first:window_end]))
+    n_bits = int((sliced.size - sync_offset) / spb) + 1
+    idx = sync_offset + centers_of(n_bits)
+    idx = idx[idx < sliced.size]
+    return sliced[idx], sync_offset
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (EmptyTrace, NoSync) as exc:
+        return type(exc)
+
+
+def assert_same_decode(trace, bit_rate_hz, threshold_dbm):
+    got = outcome(recover_bits, trace, bit_rate_hz, threshold_dbm)
+    want = outcome(oracle_recover_bits, trace, bit_rate_hz, threshold_dbm)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        (bits, offset), (want_bits, want_offset) = got, want
+        assert offset == want_offset
+        assert bits.dtype == want_bits.dtype and np.array_equal(bits, want_bits)
+
+
+@st.composite
+def captures(draw):
+    """A frame with idle samples before and after it, cut to at most 10^4
+    samples, at 8x to 33x oversampling, integral or not."""
+    bit_rate = 10e3
+    oversampling = draw(
+        st.one_of(st.integers(8, 33), st.floats(8.0, 33.0, allow_nan=False))
+    )
+    sample_rate = bit_rate * oversampling
+    payload = draw(st.binary(min_size=1, max_size=16))
+    noise = NoiseSpec(draw(st.sampled_from([-math.inf, -60.0, -42.0])), draw(SEEDS))
+    frame = synthesize_envelope(
+        frame_to_bits(build_frame(payload, bit_rate)), -30.0, -40.0, bit_rate, sample_rate, noise
+    )
+    idle_level = draw(st.sampled_from([-40.0, -30.0, -35.0]))
+    before = np.full(draw(st.integers(0, 9000)), idle_level)
+    after = np.full(draw(st.integers(0, 2000)), idle_level)
+    samples = np.concatenate([before, frame.samples, after])
+    samples = samples[: draw(st.integers(0, 10_000))]
+    return EnvelopeTrace(sample_rate, samples), bit_rate
+
+
+class TestDifferentialDecode:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        capture=captures(),
+        threshold=st.one_of(st.none(), st.floats(-45.0, -25.0, allow_nan=False)),
+    )
+    def test_matches_loop_oracle(self, capture, threshold):
+        trace, bit_rate = capture
+        levels = outcome(measure_levels, trace)
+        want_levels = outcome(oracle_measure_levels, trace)
+        if isinstance(want_levels, type):
+            assert levels is want_levels
+            threshold = -35.0 if threshold is None else threshold
+        else:
+            assert repr(levels) == repr(want_levels)
+            threshold = levels[0] if threshold is None else threshold
+        assert_same_decode(trace, bit_rate, threshold)
+
+    @pytest.mark.parametrize("shift", range(-40, 80, 3))
+    def test_first_hit_near_a_block_edge(self, shift):
+        # the early 15/16 match lands two bit periods before the frame, so
+        # across these shifts the first match and the best score fall in one
+        # block, on either side of its edge, or both past it
+        frame = clean_frame_trace(b"\x5a\xc3\x01", p_high=-30.0, p_low=-40.0)
+        idle = np.full(SYNC_BLOCK + shift, -40.0)
+        trace = EnvelopeTrace(frame.sample_rate_hz, np.concatenate([idle, frame.samples]))
+        assert_same_decode(trace, 20e3, estimate_threshold(trace))
+        assert decode_trace(trace, 20e3).payload == b"\x5a\xc3\x01"
+
+
+GEOMETRY_CACHES = (_bit_centers, _bit_counts, _curve_arrays)
+
+
+class TestGeometryCaches:
+    def test_bounded_after_300_lengths(self):
+        for n in range(300):
+            trace = clean_frame_trace(b"\x5a", oversampling=8 + n % 7)
+            trace = EnvelopeTrace(trace.sample_rate_hz, trace.samples[: 200 + n])
+            decode_trace(trace, 20e3)
+            synthesize_envelope([1, 0] * (n + 1), -40.0, -50.0, 20e3, 160e3, SILENT)
+            harvested_dc(0.0, RectifierModel(efficiency_curve=((0.0, 0.5), (1.0 + n, 0.6))))
+        for cache in GEOMETRY_CACHES:
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_cached_arrays_read_only(self):
+        arrays = [
+            _bit_centers(16, 16.0),
+            _bit_counts(40, 8.3),
+            *_curve_arrays(RectifierModel().efficiency_curve),
+        ]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def test_recover_bits_memory_per_sample():
+    # a 10^6-sample capture with the frame at its end: every block is scored
+    frame = clean_frame_trace(b"\x5a\xc3", p_high=-30.0, p_low=-40.0)
+    samples = np.full(10**6, -40.0)
+    samples[-len(frame) :] = frame.samples
+    trace = EnvelopeTrace(frame.sample_rate_hz, samples)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        bits, sync_offset = recover_bits(trace, 20e3, -35.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decode_frame(bits, sync_offset).payload == b"\x5a\xc3"
+    assert peak < 20 * samples.size

@@ -27,7 +27,6 @@ from wptsec.waveform import (
     SYNC_BYTE,
     EnvelopeTrace,
     Frame,
-    _bit_boundaries,
     build_frame,
     format_trace,
     frame_to_bits,
@@ -189,6 +188,23 @@ class TestSynthesizeEnvelope:
         with pytest.raises(InvertedLevels):
             synthesize_envelope([1, 0], -50.0, -40.0, 1e3, 16e3, SILENT)
 
+    @pytest.mark.parametrize(
+        "bits",
+        [[1, 2, 0], [1, 0.5], [-1, 1], np.array([1, 255], dtype=np.uint8), [1.0, np.nan]],
+        ids=["two", "half", "minus_one", "uint8_255", "nan"],
+    )
+    def test_bit_other_than_zero_or_one_rejected(self, bits):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            synthesize_envelope(bits, -40.0, -50.0, 1e3, 16e3, SILENT)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.int8, bool, np.float64])
+    def test_zero_one_bits_of_any_dtype_render_alike(self, dtype):
+        bits = [1, 0, 0, 1, 1, 0]
+        noise = NoiseSpec(-60.0, rng_seed=4)
+        want = synthesize_envelope(bits, -40.0, -50.0, 1e3, 16e3, noise).samples
+        got = synthesize_envelope(np.array(bits, dtype=dtype), -40.0, -50.0, 1e3, 16e3, noise)
+        assert np.array_equal(got.samples, want)
+
     def test_zero_noise_two_values(self):
         trace = synthesize_envelope([1, 0, 1, 1, 0, 0], -41.0, -54.0, 1e3, 16e3, SILENT)
         assert np.unique(trace.samples).size == 2
@@ -223,7 +239,8 @@ class TestSynthesizeEnvelope:
 def synthesize_reference(bits, p_high_dbm, p_low_dbm, bit_rate_hz, sample_rate_hz, noise):
     """synthesize_envelope's samples in expression form, one new array per step."""
     bit_arr = np.asarray(bits, dtype=np.uint8)
-    counts = np.diff(_bit_boundaries(bit_arr.size, sample_rate_hz, bit_rate_hz))
+    edges = np.rint(np.arange(bit_arr.size + 1) * (sample_rate_hz / bit_rate_hz))
+    counts = np.diff(edges.astype(np.int64))
     levels_w = np.where(
         bit_arr == 1,
         10.0 ** ((p_high_dbm - 30.0) / 10.0),
