@@ -128,12 +128,14 @@ def _run_point(cfg: ScenarioConfig, seed: int) -> dict:
 
 def _points(cfg: ScenarioConfig):
     """(point config, sweep value, seed) of each row, in row order: one per
-    sweep value in ascending order, or the config itself with value None."""
+    sweep value in ascending order, or the config itself with value None.
+    The value is the one the point runs with, so an int key's is an int."""
     if cfg.sweep_param is None:
         yield cfg, None, point_seed(cfg.seed, 0)
         return
     for i, value in enumerate(sorted(cfg.sweep_values)):
-        yield cfg.with_override(cfg.sweep_param, value), value, point_seed(cfg.seed, i)
+        point_cfg = cfg.with_override(cfg.sweep_param, value)
+        yield point_cfg, point_cfg.scalar(cfg.sweep_param), point_seed(cfg.seed, i)
 
 
 def run_experiment(cfg: ScenarioConfig) -> tuple[list[dict], Summary]:

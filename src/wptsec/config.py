@@ -148,6 +148,10 @@ class ScenarioConfig:
         coerced = int(value) if kind == "int" else float(value)
         return dataclasses.replace(self, **{attr: coerced})
 
+    def scalar(self, key: str) -> float | int | None:
+        """Value of one scalar config key, as the point runs with it."""
+        return getattr(self, _SCALAR_KEYS[key][0])
+
 
 _FIELDS = dataclasses.fields(ScenarioConfig)
 # key -> (attribute, kind); the float and int keys are the sweepable scalars

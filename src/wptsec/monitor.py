@@ -41,6 +41,8 @@ _PREAMBLE_MISMATCH.flags.writeable = False
 _SYNC_BITS = FRAME_HEADER_BITS[len(PREAMBLE_BITS) :].tobytes()
 # Offsets scored at a time in recover_bits, at 18 bytes of temporaries each.
 SYNC_BLOCK = 1 << 13
+# Cap on 2-means passes in measure_levels; traces settle in a handful.
+LEVEL_PASSES = 100
 
 DECODED = "decoded"
 NO_SYNC = "no_sync"
@@ -117,15 +119,22 @@ def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
 
     The reductions are the kernels that ``min``, ``max`` and ``mean`` run,
     called without numpy's Python wrappers, so the figures are bit-identical
-    to theirs."""
+    to theirs. Iteration stops at the first repeated partition: the same
+    mask gives the same means, which is where the loop would stop anyway."""
     if len(trace) == 0:
         raise EmptyTrace("cannot analyze an empty trace")
     lin = dbm_to_watts(trace.samples)
     c_lo = float(np.minimum.reduce(lin))
     c_hi = float(np.maximum.reduce(lin))
     if c_lo != c_hi:
-        for _ in range(100):
+        prev = b""
+        for _ in range(LEVEL_PASSES):
             low = lin <= 0.5 * (c_lo + c_hi)
+            # a bytes compare costs less than np.array_equal on short traces
+            mask = low.tobytes()
+            if mask == prev:
+                break
+            prev = mask
             new_lo = _mean(lin[low])
             new_hi = _mean(lin[~low])
             if new_lo == c_lo and new_hi == c_hi:

@@ -24,6 +24,7 @@ from .monitor import (
     AuthDecision,
     DecodeResult,
     authenticate,
+    verify,
 )
 from .waveform import (
     MAX_PAYLOAD_BYTES,
@@ -350,9 +351,10 @@ def run_session(
     wake threshold, emits the next key frame, and the monitor demodulates
     the combined backscatter + leakage + noise envelope and verifies the
     code. A replay attacker captures that envelope and re-presents it for a
-    second verification. Charging under constant input is advanced in
-    dt-sized chunks computed in closed form, which keeps the energy ledger
-    identical to per-step simulation.
+    second verification: the capture's own decode is verified again against
+    the live table, so the one-time-key check alone rejects it. Charging
+    under constant input is advanced in dt-sized chunks computed in closed
+    form, which keeps the energy ledger identical to per-step simulation.
     """
     if not dt_s > 0:
         raise ValueError("dt_s must be > 0")
@@ -368,9 +370,10 @@ def run_session(
     never_wakes = p_dc_w <= 0.0 or node.storage_capacity_j < node.wake_threshold_j
     key_rng = None
     if key_policy == "random":
-        # a spawned child keeps the key draws independent of the noise stream,
-        # which NoiseSpec.generator() seeds from the same rng_seed
-        (child,) = np.random.SeedSequence(scenario.noise.rng_seed).spawn(1)
+        # the first spawned child of the noise seed (built here without its
+        # parent) keeps the key draws independent of the noise stream, which
+        # NoiseSpec.generator() seeds from the same rng_seed
+        child = np.random.SeedSequence(scenario.noise.rng_seed, spawn_key=(0,))
         key_rng = np.random.default_rng(child)
     t = 0.0
     total_harvested = 0.0
@@ -427,8 +430,10 @@ def run_session(
         events.append(SessionEvent.verify(t_verify, decision))
 
         if attacker.kind == "replay":
-            # the attacker re-presents the envelope it captured: this session's trace
-            replay = authenticate(trace, monitor.bit_rate_hz, monitor.table)
+            # the attacker re-presents the envelope it captured: this session's
+            # trace. Decoding is a pure function of the samples and the bit
+            # rate, so only the check against the live table can differ.
+            replay = verify(decision.decode, monitor.table)
             decisions.append(replay)
             events.append(SessionEvent(t_verify + dt_s, "replay_presented"))
             events.append(SessionEvent.verify(t_verify + 2 * dt_s, replay))

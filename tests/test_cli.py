@@ -105,6 +105,18 @@ class TestRunExperiment:
         assert rows[0]["threshold_dbm"] == estimate_threshold(clustering_calls[0])
         assert rows[0]["dr_db"] == measure_dynamic_range(clustering_calls[0])
 
+    def test_int_sweep_rows_carry_the_applied_int(self):
+        # each row is labelled with the value the point ran at: the int an
+        # int key was set to, and the float of a float key
+        cfg = "setup=wired\nsweep.param=waveform.oversampling\nsweep.values=16,8\n"
+        rows, _ = run_experiment(load_config(cfg))
+        assert [r["sweep_value"] for r in rows] == [8, 16]
+        assert all(type(r["sweep_value"]) is int for r in rows)
+        cells = [line.split(",")[:2] for line in format_csv(rows).splitlines()[1:]]
+        assert cells == [["waveform.oversampling", "8"], ["waveform.oversampling", "16"]]
+        rows, _ = run_experiment(load_config(MOD_SWEEP))
+        assert [type(r["sweep_value"]) for r in rows] == [float] * 3
+
     def test_rows_deterministic_per_seed(self):
         cfg = load_config(POWER_SWEEP + "seed=12\n")
         rows_a, _ = run_experiment(cfg)

@@ -3,6 +3,9 @@ build, so any change to one decoded bit, level or sync offset fails here."""
 
 import hashlib
 
+import pytest
+
+from wptsec.cli import main
 from wptsec.config import build_monitor, build_node, build_scenario, build_tables, load_config
 from wptsec.protocol import Attacker, fresh_session_scenario, run_session
 
@@ -55,3 +58,31 @@ def test_keyed_and_replay_sessions_match_golden_digest():
     assert len(lines) == 220
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+# sha256 of (CSV, --trace-out file) of `wptsec run --preset <name>`
+PRESET_SHA256 = {
+    "anechoic": (
+        "44b155df6c22b9515b4c5a6197a069f11023f123b2bdeb75bfb704c5ec175319",
+        "76ba22288e553df72b2aca69eb4cd749a1ab0dd7957a4a502aaefdcad7b5672a",
+    ),
+    "wired": (
+        "00c305a46457e27b3b2cadf046baca845f466b242e0922b6410aca56ccc194de",
+        "a9d465428c6e5f82193eb84ba1c156ded130596271aa4e692182977ede3b76cc",
+    ),
+}
+PRESET_STDERR = {
+    "anechoic": "check no_errors: pass (all rows completed)\n"
+    "check verdict_accepted: pass (all sessions accepted)\n",
+    "wired": "check no_errors: pass (all rows completed)\n",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_SHA256))
+def test_preset_outputs_match_golden_digests(preset, tmp_path, capsys):
+    csv_path, trace_path = tmp_path / "out.csv", tmp_path / "out.trace"
+    argv = ["run", "--preset", preset, "--out", str(csv_path), "--trace-out", str(trace_path)]
+    assert main(argv) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, trace_path))
+    assert digests == PRESET_SHA256[preset]
+    assert capsys.readouterr().err == PRESET_STDERR[preset]

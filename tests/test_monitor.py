@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wptsec import monitor
 from wptsec.channel import NoiseSpec, RectifierModel, _curve_arrays, harvested_dc
 from wptsec.errors import EmptyTrace, NoSync, UndersampledError
 from wptsec.monitor import (
@@ -411,14 +412,16 @@ class TestResultInvariants:
 # mean wrappers. The library must agree with them bit for bit.
 
 
-def oracle_measure_levels(trace):
+def oracle_measure_levels(trace, max_passes=100):
+    """The 2-means loop that recomputes both means on every pass and stops
+    when they no longer move."""
     if len(trace) == 0:
         raise EmptyTrace("cannot analyze an empty trace")
     lin = 10.0 ** ((trace.samples - 30.0) / 10.0)
     c_lo = float(lin.min())
     c_hi = float(lin.max())
     if c_lo != c_hi:
-        for _ in range(100):
+        for _ in range(max_passes):
             low = lin <= 0.5 * (c_lo + c_hi)
             new_lo = float(lin[low].mean())
             new_hi = float(lin[~low].mean())
@@ -526,6 +529,67 @@ class TestDifferentialDecode:
         trace = EnvelopeTrace(frame.sample_rate_hz, np.concatenate([idle, frame.samples]))
         assert_same_decode(trace, 20e3, estimate_threshold(trace))
         assert decode_trace(trace, 20e3).payload == b"\x5a\xc3\x01"
+
+
+def skewed_trace(n=400, seed=0):
+    """Uniform dBm levels over 90 dB: 2-means takes several passes to settle."""
+    samples = np.sort(np.random.default_rng(seed).uniform(-90.0, 0.0, n))
+    return EnvelopeTrace(16e3, samples)
+
+
+class TestLevelsOracle:
+    """measure_levels stops at the first repeated partition; the oracle
+    recomputes the means once more. Their figures must be repr-equal."""
+
+    def assert_matches(self, trace):
+        assert repr(measure_levels(trace)) == repr(oracle_measure_levels(trace))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_two_level_traces(self, seed):
+        rng = np.random.default_rng(seed)
+        n_high, n_low = rng.integers(1, 300, size=2)
+        p_low = rng.uniform(-90.0, -20.0)
+        trace = two_level_trace(n_high, n_low, p_low + rng.uniform(0.1, 40.0), p_low)
+        trace = EnvelopeTrace(trace.sample_rate_hz, rng.permutation(trace.samples))
+        self.assert_matches(trace)
+        noisy = trace.samples + rng.normal(0.0, rng.uniform(0.01, 3.0), len(trace))
+        self.assert_matches(EnvelopeTrace(trace.sample_rate_hz, noisy))
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [-42.0] * 50,  # constant: c_lo == c_hi
+            [-42.0],
+            [-40.0, -50.0],
+            [-50.0, -40.0],
+            [-45.0, -45.0],
+            [-40.0] * 99 + [-10.0],  # one level, one outlier above it
+            [-40.0] * 99 + [-80.0],  # and below it
+            [-40.0] * 50 + [-40.0 + 1e-12] + [-40.0] * 49,  # nearly constant
+        ],
+    )
+    def test_degenerate_traces(self, samples):
+        self.assert_matches(EnvelopeTrace(16e3, np.array(samples)))
+
+    def test_long_probe(self):
+        # the alternating probe of a power sweep point: 10^5 noisy samples
+        bits = np.tile([1, 0], 3125)
+        noise = NoiseSpec(-60.0, 7)
+        trace = synthesize_envelope(bits, -30.0, -45.0, 20e3, 320e3, noise)
+        assert len(trace) == 10**5
+        self.assert_matches(trace)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pass_cap(self, monkeypatch, seed):
+        # the cap binds on these traces, and cutting the loop at any pass
+        # gives the figures the oracle reaches in as many passes
+        trace = skewed_trace(seed=seed)
+        settled = oracle_measure_levels(trace)
+        assert repr(measure_levels(trace)) == repr(settled)
+        assert oracle_measure_levels(trace, 2) != settled
+        for cap in range(1, 12):
+            monkeypatch.setattr(monitor, "LEVEL_PASSES", cap)
+            assert repr(measure_levels(trace)) == repr(oracle_measure_levels(trace, cap))
 
 
 GEOMETRY_CACHES = (_bit_centers, _bit_counts, _curve_arrays)

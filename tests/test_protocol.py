@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wptsec import monitor as monitor_module
+from wptsec import protocol
 from wptsec.channel import (
     AntennaSpec,
     LeakageModel,
@@ -19,10 +21,15 @@ from wptsec.channel import (
 from wptsec.errors import TableCapacityError, TableExhausted
 from wptsec.monitor import (
     ACCEPTED,
+    DECODED,
+    NO_SYNC,
+    PAYLOAD_INVALID,
     REJECTED_NO_SIGNAL,
     REJECTED_REPLAY,
     REJECTED_UNKNOWN_KEY,
     WAKE_TIMEOUT,
+    decode_trace,
+    verify,
 )
 from wptsec.protocol import (
     Attacker,
@@ -439,6 +446,70 @@ class TestRunSession:
             )
             same += log.emitted_key_index == np.random.default_rng(seed).integers(0, 1000)
         assert same <= 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**63, 2**64 - 1])
+    def test_random_key_stream_is_the_noise_seeds_first_child(self, seed):
+        node = NodeState(table=generate_table(1000, 2, rng_seed=3))
+        monitor = MonitorConfig(table=node.table.copy())
+        log = run_session(
+            anechoic_scenario(seed=seed), node, Attacker(), monitor, key_policy="random"
+        )
+        (child,) = np.random.SeedSequence(seed).spawn(1)
+        assert log.emitted_key_index == np.random.default_rng(child).integers(0, 1000)
+
+    def test_replay_decides_as_a_fresh_decode_of_the_capture(self, monkeypatch):
+        # the replay is verified on the first decision's decode; it must
+        # decide exactly as decoding the capture again would, against a copy
+        # of the monitor table taken just before the replay
+        tables_seen = []
+
+        def spying_verify(decode, table):
+            tables_seen.append(table.copy())
+            return verify(decode, table)
+
+        monkeypatch.setattr(monitor_module, "verify", spying_verify)
+        monkeypatch.setattr(protocol, "verify", spying_verify)
+        outcomes = set()
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            table = generate_table(64, 2, rng_seed=seed)
+            node = NodeState(table=table)
+            # the node's own table, another provisioning (unknown keys), or
+            # one with every even index spent already, so that the first
+            # presentation can itself be a replay
+            monitor = MonitorConfig(
+                table=generate_table(64, 2, rng_seed=seed + 1000)
+                if seed % 3 == 1
+                else table.copy()
+            )
+            if seed % 3 == 2:
+                for i in range(0, 64, 2):
+                    monitor.table.mark_used(i)
+            scenario = anechoic_scenario(seed=seed, noise=NoiseSpec(rng.uniform(-90, -35), seed))
+            log = run_session(
+                scenario,
+                node,
+                Attacker(kind="replay"),
+                monitor,
+                key_policy=("sequential", "random")[seed % 2],
+            )
+            first, replay = log.decisions
+            want = verify(decode_trace(log.trace, monitor.bit_rate_hz), tables_seen[-1])
+            assert replay.verdict == want.verdict
+            assert replay.matched_key_index == want.matched_key_index
+            assert repr(dataclasses.astuple(replay.decode)) == repr(
+                dataclasses.astuple(want.decode)
+            )
+            assert want.verdict != ACCEPTED
+            outcomes.add((first.verdict, replay.verdict, first.decode.status))
+            tables_seen.clear()
+        assert outcomes >= {
+            (ACCEPTED, REJECTED_REPLAY, DECODED),
+            (REJECTED_REPLAY, REJECTED_REPLAY, DECODED),
+            (REJECTED_UNKNOWN_KEY, REJECTED_UNKNOWN_KEY, DECODED),
+            (REJECTED_NO_SIGNAL, REJECTED_NO_SIGNAL, NO_SYNC),
+            (REJECTED_NO_SIGNAL, REJECTED_NO_SIGNAL, PAYLOAD_INVALID),
+        }
 
     def test_record_field_names(self):
         node, monitor = session_parts()
