@@ -28,8 +28,6 @@ from .monitor import (
     authenticate,
     decode_frame,
     decode_trace,
-    estimate_threshold,
-    measure_dynamic_range,
     measure_levels,
     recover_bits,
     verify,
@@ -81,7 +79,6 @@ __all__ = [
     "decode_frame",
     "decode_trace",
     "dynamic_range_db",
-    "estimate_threshold",
     "frame_to_bits",
     "friis_received_power",
     "generate_square_cmd",
@@ -90,7 +87,6 @@ __all__ = [
     "leakage_power",
     "load_config",
     "load_preset",
-    "measure_dynamic_range",
     "measure_levels",
     "node_step",
     "read_trace",

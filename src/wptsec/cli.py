@@ -1,9 +1,12 @@
 """Experiment runner and command-line front end.
 
 Each sweep point runs either a full keyed session (protocol enabled) or a
-raw dynamic-range probe, and lands as one CSV row. Built-in checks mirror
-the scenario's expected behavior (DR spread bounds, accepted verdicts) and
-drive the exit code: 0 all checks pass, 1 a check failed, 2 config/IO error.
+raw dynamic-range probe, and lands as one CSV row. Each row is computed
+once: ``--trace-out`` writes the first row's own trace, the probe or
+``SessionLog.trace`` that row was measured on, as soon as that row is
+measured, and never renders it again. Built-in checks mirror the scenario's
+expected behavior (DR spread bounds, accepted verdicts) and drive the exit
+code: 0 all checks pass, 1 a check failed, 2 config/IO error.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .config import (
 )
 from .errors import EmptyTrace, ParseError, ValidationError
 from .monitor import measure_levels
-from .protocol import Attacker, SessionLog, run_session
+from .protocol import Attacker, run_session
 from .waveform import EnvelopeTrace, render_envelope, write_trace
 
 CSV_COLUMNS = (
@@ -75,29 +78,6 @@ class Summary:
         ]
 
 
-def _probe_trace(cfg: ScenarioConfig, seed: int) -> EnvelopeTrace:
-    """Alternating CMD pattern used for protocol-free level measurement."""
-    bits = np.zeros(cfg.probe_bits, dtype=np.uint8)
-    bits[::2] = 1
-    scenario = build_scenario(cfg, noise_seed=seed)
-    return render_envelope(scenario, bits, cfg.bit_rate_hz, cfg.bit_rate_hz * cfg.oversampling)
-
-
-def _session(cfg: ScenarioConfig, seed: int) -> SessionLog:
-    """The keyed session of one point, on freshly provisioned tables."""
-    scenario = build_scenario(cfg, noise_seed=seed)
-    node_table, monitor_table = build_tables(cfg)
-    return run_session(
-        scenario,
-        build_node(cfg, node_table),
-        Attacker(kind=cfg.attacker),
-        build_monitor(cfg, monitor_table),
-        dt_s=cfg.dt_s,
-        max_time_s=cfg.max_time_s,
-        key_policy=cfg.key_policy,
-    )
-
-
 def _payload_ber(expected: bytes | None, got: bytes | None) -> float | None:
     if expected is None or got is None:
         return None
@@ -109,14 +89,31 @@ def _payload_ber(expected: bytes | None, got: bytes | None) -> float | None:
     return float(np.unpackbits(diff).sum() / (8 * len(expected)))
 
 
-def _run_point(cfg: ScenarioConfig, seed: int) -> dict:
-    """The measured cells of one point's row."""
+def _run_point(cfg: ScenarioConfig, seed: int) -> tuple[dict, EnvelopeTrace | None]:
+    """The measured cells of one point's row, and the trace they were
+    measured on: the alternating CMD probe when the protocol is off,
+    otherwise the keyed session's own trace on freshly provisioned tables
+    (None when the node never woke)."""
+    scenario = build_scenario(cfg, noise_seed=seed)
     if not cfg.protocol_enabled:
-        threshold_dbm, dr_db = measure_levels(_probe_trace(cfg, seed))
-        return dict(dr_db=dr_db, threshold_dbm=threshold_dbm, status="ok")
-    log = _session(cfg, seed)
+        bits = np.zeros(cfg.probe_bits, dtype=np.uint8)
+        bits[::2] = 1
+        sample_rate_hz = cfg.bit_rate_hz * cfg.oversampling
+        trace = render_envelope(scenario, bits, cfg.bit_rate_hz, sample_rate_hz)
+        threshold_dbm, dr_db = measure_levels(trace)
+        return dict(dr_db=dr_db, threshold_dbm=threshold_dbm, status="ok"), trace
+    node_table, monitor_table = build_tables(cfg)
+    log = run_session(
+        scenario,
+        build_node(cfg, node_table),
+        Attacker(kind=cfg.attacker),
+        build_monitor(cfg, monitor_table),
+        dt_s=cfg.dt_s,
+        max_time_s=cfg.max_time_s,
+        key_policy=cfg.key_policy,
+    )
     final = log.final.record()
-    return dict(
+    cells = dict(
         dr_db=final["measured_dr_db"],
         threshold_dbm=final["threshold_dbm"],
         verdict=final["verdict"],
@@ -124,6 +121,7 @@ def _run_point(cfg: ScenarioConfig, seed: int) -> dict:
         stored_energy_j=log.events[-1].stored_energy_j,  # at session_end
         status=final["status"],
     )
+    return cells, log.trace
 
 
 def _points(cfg: ScenarioConfig):
@@ -138,21 +136,27 @@ def _points(cfg: ScenarioConfig):
         yield point_cfg, point_cfg.scalar(cfg.sweep_param), point_seed(cfg.seed, i)
 
 
-def run_experiment(cfg: ScenarioConfig) -> tuple[list[dict], Summary]:
+def run_experiment(cfg: ScenarioConfig, trace_out=None) -> tuple[list[dict], Summary]:
     """Execute the configured sweep (or single point) and evaluate the
     scenario's built-in checks.
 
     A failing sweep point becomes a row with an error status, never a crash;
-    rows are ordered by sweep value.
+    rows are ordered by sweep value. With ``trace_out``, the first row's own
+    trace is written to that path as soon as the row is measured (see
+    _write_first_trace); an ``OSError`` while writing it propagates.
     """
-    rows = []
+    rows, trace_failed = [], ()
     for point_cfg, value, seed in _points(cfg):
         row = dict.fromkeys(CSV_COLUMNS)
         row.update(sweep_param=cfg.sweep_param, sweep_value=value, seed=seed)
         try:
-            row.update(_run_point(point_cfg, seed))
+            cells, trace = _run_point(point_cfg, seed)
+            row.update(cells)
         except Exception as exc:  # recorded, not raised: sweeps must finish
             row["status"] = f"error:{type(exc).__name__}"
+            trace = exc
+        if trace_out and not rows:
+            trace_failed = _write_first_trace(trace, trace_out)
         rows.append(row)
 
     checks = [_check_no_errors(rows)]
@@ -167,7 +171,24 @@ def run_experiment(cfg: ScenarioConfig) -> tuple[list[dict], Summary]:
             checks.append(_check_verdicts(rows, "rejected_replay", "replay_rejected"))
         else:
             checks.append(_check_verdicts(rows, "accepted", "verdict_accepted"))
-    return rows, Summary(checks=tuple(checks))
+    return rows, Summary(checks=tuple(checks) + trace_failed)
+
+
+def _write_first_trace(trace: EnvelopeTrace | Exception | None, path) -> tuple[Check, ...]:
+    """Write the first row's trace to ``path``. ``trace`` is None when the
+    node never woke and the exception when the point raised; then, or when
+    the file format cannot hold the trace, nothing is written and the
+    result is the failed ``trace_out`` check that says why."""
+    if trace is None:
+        trace = EmptyTrace("the node never woke, so it sent no frame")
+    elif isinstance(trace, EnvelopeTrace):
+        try:
+            write_trace(trace, path)
+            return ()
+        except ValueError as exc:  # a non-integral sample rate
+            trace = exc
+    detail = f"not written: {type(trace).__name__}: {trace}"
+    return (Check(name="trace_out", passed=False, detail=detail),)
 
 
 def _check_no_errors(rows: list[dict]) -> Check:
@@ -215,21 +236,6 @@ def format_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_trace(cfg: ScenarioConfig) -> EnvelopeTrace:
-    """Envelope trace of the first CSV row's point (the lowest sweep value,
-    or the config itself): the alternating probe when the protocol is off,
-    otherwise the trace of that point's own keyed session
-    (``SessionLog.trace``), whichever key its policy drew. A node that never
-    woke sent nothing: ``EmptyTrace``."""
-    point_cfg, _, seed = next(_points(cfg))
-    if not point_cfg.protocol_enabled:
-        return _probe_trace(point_cfg, seed)
-    trace = _session(point_cfg, seed).trace
-    if trace is None:
-        raise EmptyTrace("the node never woke, so it sent no frame")
-    return trace
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="wptsec",
@@ -266,17 +272,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         if args.seed is not None:
             cfg = validated(dataclasses.replace(cfg, seed=args.seed))
-
-        trace_failed = ()
-        if args.trace_out:
-            try:
-                write_trace(emit_trace(cfg), args.trace_out)
-            except ValueError as exc:  # unrenderable, like a failed sweep point: a check fails
-                detail = f"not written: {type(exc).__name__}: {exc}"
-                trace_failed = (Check(name="trace_out", passed=False, detail=detail),)
-
-        rows, summary = run_experiment(cfg)
-        summary = Summary(checks=summary.checks + trace_failed)
+        rows, summary = run_experiment(cfg, args.trace_out)
         csv_text = format_csv(rows)
         if args.out:
             Path(args.out).write_text(csv_text, encoding="ascii", newline="\n")

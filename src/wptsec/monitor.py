@@ -144,16 +144,6 @@ def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
     return threshold_dbm, 0.0 if c_lo == c_hi else 10.0 * math.log10(c_hi / c_lo)
 
 
-def estimate_threshold(trace: EnvelopeTrace) -> float:
-    """Slicing threshold in dBm (see measure_levels)."""
-    return measure_levels(trace)[0]
-
-
-def measure_dynamic_range(trace: EnvelopeTrace) -> float:
-    """dB spacing of the two cluster means (see measure_levels)."""
-    return measure_levels(trace)[1]
-
-
 @functools.lru_cache(maxsize=16)
 def _bit_centers(n_bits: int, samples_per_bit: float) -> np.ndarray:
     """Sample index of the centre of each of ``n_bits`` bits; read-only,
@@ -225,19 +215,17 @@ def recover_bits(
 
 
 def decode_frame(
-    bits,
-    sync_offset: int = 0,
-    *,
-    measured_dr_db: float = 0.0,
-    threshold_dbm: float = float("nan"),
+    bits, sync_offset: int, *, measured_dr_db: float, threshold_dbm: float
 ) -> DecodeResult:
     """Strip framing from a recovered bit sequence.
 
-    ``bits`` starts at the preamble (as returned by recover_bits);
-    ``sync_offset`` is carried into the result for provenance. The payload
-    is every whole byte after the sync byte; anything malformed downgrades
-    the status to payload_invalid rather than raising. A bit other than 0
-    or 1 is not malformed framing but a bad argument: ``ValueError``.
+    ``bits`` starts at the preamble (as returned by recover_bits). The
+    result records ``sync_offset`` and the trace's measured levels as
+    given; none has a default, so it never shows a value nobody measured.
+    The payload is every whole byte after the sync byte; anything malformed
+    downgrades the status to payload_invalid rather than raising. A bit
+    other than 0 or 1 is not malformed framing but a bad argument:
+    ``ValueError``.
     """
     arr = as_bits(bits)
     n_pre, n_head = len(PREAMBLE_BITS), FRAME_HEADER_BITS.size

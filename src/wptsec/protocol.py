@@ -99,7 +99,7 @@ class PvkTable:
             i += i & -i
 
     def select_unused(self, k: int) -> int:
-        """Index of the k-th (0-based) unused entry: unused_indices()[k]."""
+        """Index of the k-th (0-based) unused entry in table order."""
         if not 0 <= k < self._n_unused:
             raise IndexError(f"rank {k} outside [0, {self._n_unused})")
         tree, n, pos = self._tree, len(self.entries), 0
@@ -111,9 +111,6 @@ class PvkTable:
                 k -= tree[nxt]
             step >>= 1
         return pos
-
-    def unused_indices(self) -> list[int]:
-        return [i for i, u in enumerate(self.used) if not u]
 
     def copy(self) -> "PvkTable":
         """Clone with its own used flags. No method mutates the entries or

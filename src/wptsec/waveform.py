@@ -254,32 +254,6 @@ def _sample_chunks(samples: np.ndarray):
         yield "\n".join(map(repr, chunk.tolist())) + "\n"
 
 
-def format_trace(trace: EnvelopeTrace) -> str:
-    """The trace file text, as write_trace writes it."""
-    return _trace_header(trace) + "".join(_sample_chunks(trace.samples))
-
-
-def _parse_lines(lines) -> EnvelopeTrace:
-    """The trace from an iterator over its lines, split as str.splitlines
-    splits them: the header, then one sample per non-blank line, converted
-    as they come so only the samples array is held."""
-    header = next(lines, None)
-    if header is None:
-        raise TraceFormatError("empty trace file")
-    m = _HEADER_RE.match(header)
-    if m is None:
-        raise TraceFormatError(f"bad trace header: {header!r}")
-    try:
-        samples = np.fromiter(map(float, filter(None, lines)), dtype=np.float64)
-    except ValueError as exc:
-        raise TraceFormatError(f"bad sample line: {exc}") from None
-    return EnvelopeTrace(sample_rate_hz=float(int(m.group(1))), samples=samples, meta=m.group(2))
-
-
-def parse_trace(text: str) -> EnvelopeTrace:
-    return _parse_lines(iter(text.splitlines()))
-
-
 def write_trace(trace: EnvelopeTrace, path) -> None:
     """Write the trace file one chunk at a time; a non-integral sample rate
     raises before the file is opened."""
@@ -290,7 +264,20 @@ def write_trace(trace: EnvelopeTrace, path) -> None:
 
 
 def read_trace(path) -> EnvelopeTrace:
-    """Read the trace file about 64 KB of whole lines at a time (see _parse_lines)."""
+    """Read the trace file about 64 KB of whole lines at a time, split as
+    str.splitlines splits them: the header, then one sample per non-blank
+    line, converted as they come so only the samples array is held."""
     with open(path, encoding="ascii") as f:
         blocks = iter(lambda: "".join(f.readlines(1 << 16)), "")
-        return _parse_lines(chain.from_iterable(map(str.splitlines, blocks)))
+        lines = chain.from_iterable(map(str.splitlines, blocks))
+        header = next(lines, None)
+        if header is None:
+            raise TraceFormatError("empty trace file")
+        m = _HEADER_RE.match(header)
+        if m is None:
+            raise TraceFormatError(f"bad trace header: {header!r}")
+        try:
+            samples = np.fromiter(map(float, filter(None, lines)), dtype=np.float64)
+        except ValueError as exc:
+            raise TraceFormatError(f"bad sample line: {exc}") from None
+    return EnvelopeTrace(sample_rate_hz=float(int(m.group(1))), samples=samples, meta=m.group(2))

@@ -1,18 +1,13 @@
 """Experiment runner rows/checks, trace emission, and the CLI contract."""
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
-from wptsec.cli import (
-    CSV_COLUMNS,
-    emit_trace,
-    format_csv,
-    main,
-    point_seed,
-    run_experiment,
-)
+from wptsec import cli, protocol
+from wptsec.cli import CSV_COLUMNS, format_csv, main, point_seed, run_experiment
 from wptsec.config import (
     build_monitor,
     build_node,
@@ -22,8 +17,8 @@ from wptsec.config import (
     load_preset,
 )
 from wptsec.protocol import Attacker, run_session
-from wptsec.monitor import decode_trace, estimate_threshold, measure_dynamic_range
-from wptsec.waveform import read_trace, write_trace
+from wptsec.monitor import decode_trace, measure_levels
+from wptsec.waveform import read_trace
 
 POWER_SWEEP = (
     "setup=anechoic\n"
@@ -36,6 +31,15 @@ MOD_SWEEP = (
     "sweep.param=waveform.bit_rate_hz\n"
     "sweep.values=1000,10000,100000\n"
 )
+
+
+def written_trace(tmp_path, config_text, name="trace.txt"):
+    """The trace file that ``wptsec run --trace-out`` writes for config_text, read back."""
+    cfg_path, trace_path = tmp_path / "exp.cfg", tmp_path / name
+    cfg_path.write_text(config_text)
+    out_csv = tmp_path / "out.csv"
+    main(["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)])
+    return read_trace(trace_path)
 
 
 class TestRunExperiment:
@@ -102,8 +106,9 @@ class TestRunExperiment:
     def test_probe_point_clusters_once(self, clustering_calls):
         rows, _ = run_experiment(load_preset("wired"))
         assert len(clustering_calls) == 1
-        assert rows[0]["threshold_dbm"] == estimate_threshold(clustering_calls[0])
-        assert rows[0]["dr_db"] == measure_dynamic_range(clustering_calls[0])
+        threshold_dbm, dr_db = measure_levels(clustering_calls[0])
+        assert rows[0]["threshold_dbm"] == threshold_dbm
+        assert rows[0]["dr_db"] == dr_db
 
     def test_int_sweep_rows_carry_the_applied_int(self):
         # each row is labelled with the value the point ran at: the int an
@@ -153,8 +158,8 @@ class TestCsv:
 
 
 class TestEmitTrace:
-    def test_wired_level_periods(self):
-        trace = emit_trace(load_preset("wired"))
+    def test_wired_level_periods(self, tmp_path):
+        trace = written_trace(tmp_path, "setup=wired\n")
         # 100 kHz modulation at 16x oversampling: each level lasts 10 us
         assert trace.sample_rate_hz == 1.6e6
         mid = np.median(trace.samples)
@@ -162,32 +167,26 @@ class TestEmitTrace:
         runs = np.diff(np.flatnonzero(np.diff(levels.astype(int)) != 0))
         assert np.all(runs == 16)
 
-    def test_zero_noise_two_values(self):
-        cfg = load_config("setup=wired\nchannel.noise_power_dbm=-inf")
-        trace = emit_trace(cfg)
+    def test_zero_noise_two_values(self, tmp_path):
+        trace = written_trace(tmp_path, "setup=wired\nchannel.noise_power_dbm=-inf")
         assert np.unique(trace.samples).size == 2
 
     def test_deterministic_bytes(self, tmp_path):
-        cfg = load_preset("anechoic")
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_trace(emit_trace(cfg), a)
-        write_trace(emit_trace(cfg), b)
-        assert a.read_bytes() == b.read_bytes()
+        written_trace(tmp_path, "setup=anechoic\n", "a.txt")
+        written_trace(tmp_path, "setup=anechoic\n", "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
     def test_emitted_frame_decodes(self, tmp_path):
         cfg = load_preset("anechoic")
-        path = tmp_path / "frame.txt"
-        write_trace(emit_trace(cfg), path)
-        result = decode_trace(read_trace(path), cfg.bit_rate_hz)
+        result = decode_trace(written_trace(tmp_path, "setup=anechoic\n"), cfg.bit_rate_hz)
         assert result.status == "decoded"
         assert len(result.payload) == cfg.key_len_bytes
 
     @pytest.mark.parametrize("probe_bits", [2, 3, 64, 6251])
-    def test_probe_bits_alternate_from_high(self, probe_bits):
-        cfg = load_config(
-            f"setup=wired\nchannel.noise_power_dbm=-inf\nwaveform.probe_bits={probe_bits}"
-        )
-        trace = emit_trace(cfg)
+    def test_probe_bits_alternate_from_high(self, tmp_path, probe_bits):
+        text = f"setup=wired\nchannel.noise_power_dbm=-inf\nwaveform.probe_bits={probe_bits}"
+        cfg = load_config(text)
+        trace = written_trace(tmp_path, text)
         assert len(trace) == probe_bits * cfg.oversampling
         # noise-free, the first sample of each bit is the bit's level
         bits = trace.samples[:: cfg.oversampling] == trace.samples.max()
@@ -196,13 +195,14 @@ class TestEmitTrace:
 
     @pytest.mark.parametrize("attacker", ["none", "replay"])
     @pytest.mark.parametrize("key_policy", ["sequential", "random"])
-    def test_matches_first_session_trace(self, key_policy, attacker):
+    def test_matches_first_session_trace(self, tmp_path, key_policy, attacker):
         # the CLI trace is the first session's own trace, whichever key the
         # policy drew
-        cfg = load_config(
+        text = (
             f"setup=anechoic\nprotocol.n_keys=64\nprotocol.key_policy={key_policy}\n"
             f"protocol.attacker={attacker}"
         )
+        cfg = load_config(text)
         node_table, monitor_table = build_tables(cfg)
         log = run_session(
             build_scenario(cfg, noise_seed=point_seed(cfg.seed, 0)),
@@ -214,29 +214,30 @@ class TestEmitTrace:
             key_policy=key_policy,
         )
         assert (log.emitted_key_index == 0) == (key_policy == "sequential")
-        trace = emit_trace(cfg)
+        trace = written_trace(tmp_path, text)
         assert trace.sample_rate_hz == log.trace.sample_rate_hz
         assert trace.meta == log.trace.meta == cfg.setup
         assert np.array_equal(trace.samples, log.trace.samples)
 
     @pytest.mark.parametrize("protocol", ["true", "false"])
-    def test_sweep_trace_is_the_first_rows_own(self, protocol):
+    def test_sweep_trace_is_the_first_rows_own(self, tmp_path, protocol):
         # the first row is the lowest sweep value at point_seed(seed, 0); the
         # trace measures to exactly that row's cells, whichever mode it runs
-        cfg = load_config(
+        text = (
             f"setup=anechoic\nprotocol.enabled={protocol}\n"
             "sweep.param=channel.p_tx_dbm\nsweep.values=24,20\n"
         )
+        cfg = load_config(text)
         rows, _ = run_experiment(cfg)
         assert rows[0]["sweep_value"] == 20.0
-        trace = emit_trace(cfg)
+        trace = written_trace(tmp_path, text)
         if protocol == "true":
             result = decode_trace(trace, cfg.bit_rate_hz)
             assert result.status == rows[0]["status"] == "decoded"
-            levels = (result.measured_dr_db, result.threshold_dbm)
+            levels = (result.threshold_dbm, result.measured_dr_db)
         else:
-            levels = (measure_dynamic_range(trace), estimate_threshold(trace))
-        assert levels == (rows[0]["dr_db"], rows[0]["threshold_dbm"])
+            levels = measure_levels(trace)
+        assert levels == (rows[0]["threshold_dbm"], rows[0]["dr_db"])
 
     def test_sweep_whose_first_node_never_woke_writes_no_trace(self, tmp_path, capsys):
         # -15 dBm never wakes the node: the first row has no trace to write,
@@ -310,9 +311,12 @@ class TestMain:
         err = capsys.readouterr().err
         assert "check no_errors: FAIL" in err
         assert "check trace_out: FAIL (not written: TableCapacityError: 300 distinct keys" in err
-        # an I/O error on a renderable trace is still exit 2
+        # an I/O error on a renderable trace is still exit 2, before any CSV
         missing_dir = str(tmp_path / "missing" / "t.txt")
-        assert main(["run", "--preset", "wired", "--trace-out", missing_dir]) == 2
+        unwritten = tmp_path / "unwritten.csv"
+        argv = ["run", "--preset", "wired", "--out", str(unwritten), "--trace-out", missing_dir]
+        assert main(argv) == 2
+        assert not unwritten.exists()
 
     def test_never_woke_trace_is_a_failed_check(self, tmp_path, capsys):
         # a node that never woke sent no frame, so there is no trace to write;
@@ -330,6 +334,38 @@ class TestMain:
         assert not trace_path.exists()
         assert "check trace_out: FAIL (not written: EmptyTrace: the node never woke" in (
             capsys.readouterr().err
+        )
+
+    def test_error_row_with_trace_out_is_a_failed_check(self, tmp_path, capsys):
+        # a first point that raises is the same error row with --trace-out,
+        # and the trace check names its exception instead of a crash
+        cfg_path = tmp_path / "hot.cfg"
+        cfg_path.write_text("setup=wired\nchannel.p_tx_dbm=1e300\n")
+        plain, with_trace = tmp_path / "a.csv", tmp_path / "b.csv"
+        trace_path = tmp_path / "t.txt"
+        assert main(["run", str(cfg_path), "--out", str(plain)]) == 1
+        assert "trace_out" not in capsys.readouterr().err
+        argv = ["run", str(cfg_path), "--out", str(with_trace), "--trace-out", str(trace_path)]
+        assert main(argv) == 1
+        assert with_trace.read_bytes() == plain.read_bytes()
+        assert ",error:OverflowError," in plain.read_text()
+        assert not trace_path.exists()
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("check trace_out: FAIL (not written: OverflowError: ")
+
+    def test_non_integral_sample_rate_is_a_failed_check(self, tmp_path, capsys):
+        # 1000.3 Hz at 16x is a 16,004.8 Hz trace, which the file format
+        # cannot hold; the row itself is measured and written
+        cfg_path = tmp_path / "odd.cfg"
+        cfg_path.write_text("setup=wired\nwaveform.bit_rate_hz=1000.3\n")
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
+        argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
+        assert main(argv) == 1
+        assert ",ok," in out_csv.read_text().splitlines()[1]
+        assert not trace_path.exists()
+        assert (
+            "check trace_out: FAIL (not written: ValueError: sample rate must be integral"
+            in capsys.readouterr().err
         )
 
     @pytest.mark.parametrize(
@@ -421,3 +457,42 @@ class TestMain:
         assert main(base + ["--out", str(c), "--seed", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
+
+
+class TestOneRunPerRow:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Calls of run_session and render_envelope, counted wherever they are bound."""
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "run_session", counting("run_session", cli.run_session))
+        render = counting("render_envelope", cli.render_envelope)
+        monkeypatch.setattr(cli, "render_envelope", render)
+        monkeypatch.setattr(protocol, "render_envelope", render)
+        return counts
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("setup=anechoic\n", {"run_session": 1, "render_envelope": 1}),
+            (POWER_SWEEP, {"render_envelope": 14}),
+        ],
+        ids=["anechoic", "power_sweep"],
+    )
+    def test_each_row_runs_once(self, tmp_path, runs, text, want, trace):
+        # the trace is the first row's own, so --trace-out adds no run
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        argv = ["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]
+        if trace:
+            argv += ["--trace-out", str(tmp_path / "t.txt")]
+        assert main(argv) == 0
+        assert runs == want

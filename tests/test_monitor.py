@@ -32,8 +32,6 @@ from wptsec.monitor import (
     authenticate,
     decode_frame,
     decode_trace,
-    estimate_threshold,
-    measure_dynamic_range,
     measure_levels,
     recover_bits,
     verify,
@@ -50,6 +48,8 @@ from wptsec.waveform import (
 )
 
 SILENT = NoiseSpec.silent()
+# levels handed to decode_frame where a test has bits but no trace
+LEVELS = dict(measured_dr_db=10.0, threshold_dbm=-45.0)
 
 
 def two_level_trace(n_high, n_low, p_high=-40.0, p_low=-50.0, rate=16e3):
@@ -67,11 +67,11 @@ class TestThreshold:
     def test_two_valued_trace(self):
         # hand-computed: midpoint of 1e-7 W and 1e-8 W is 5.5e-8 W
         trace = two_level_trace(12, 20)
-        assert estimate_threshold(trace) == pytest.approx(-42.59637310505755, abs=1e-9)
+        assert measure_levels(trace)[0] == pytest.approx(-42.59637310505755, abs=1e-9)
 
     def test_constant_trace_degenerate(self):
         trace = EnvelopeTrace(16e3, np.full(64, -47.3))
-        assert estimate_threshold(trace) == pytest.approx(-47.3, abs=1e-9)
+        assert measure_levels(trace)[0] == pytest.approx(-47.3, abs=1e-9)
         result = decode_trace(trace, 1e3)
         assert result.status == NO_SYNC
 
@@ -79,51 +79,49 @@ class TestThreshold:
         trace = two_level_trace(30, 34)
         rng = np.random.default_rng(8)
         shuffled = EnvelopeTrace(16e3, rng.permutation(trace.samples))
-        assert estimate_threshold(shuffled) == estimate_threshold(trace)
+        assert measure_levels(shuffled)[0] == measure_levels(trace)[0]
 
     def test_permutation_invariant_noisy(self):
         noise = NoiseSpec(-65.0, rng_seed=5)
         trace = synthesize_envelope([1, 0] * 16, -40.0, -52.0, 1e3, 16e3, noise)
         rng = np.random.default_rng(9)
         shuffled = EnvelopeTrace(16e3, rng.permutation(trace.samples))
-        assert estimate_threshold(shuffled) == pytest.approx(
-            estimate_threshold(trace), abs=1e-9
+        assert measure_levels(shuffled)[0] == pytest.approx(
+            measure_levels(trace)[0], abs=1e-9
         )
 
     def test_offset_shift(self):
         noise = NoiseSpec(-65.0, rng_seed=5)
         trace = synthesize_envelope([1, 0] * 16, -40.0, -52.0, 1e3, 16e3, noise)
         shifted = EnvelopeTrace(16e3, trace.samples + 7.25)
-        assert estimate_threshold(shifted) == pytest.approx(
-            estimate_threshold(trace) + 7.25, abs=1e-9
+        assert measure_levels(shifted)[0] == pytest.approx(
+            measure_levels(trace)[0] + 7.25, abs=1e-9
         )
-        assert measure_dynamic_range(shifted) == pytest.approx(
-            measure_dynamic_range(trace), abs=1e-9
+        assert measure_levels(shifted)[1] == pytest.approx(
+            measure_levels(trace)[1], abs=1e-9
         )
 
     def test_empty_trace(self):
         trace = EnvelopeTrace(16e3, np.array([]))
         with pytest.raises(EmptyTrace):
-            estimate_threshold(trace)
-        with pytest.raises(EmptyTrace):
-            measure_dynamic_range(trace)
+            measure_levels(trace)
 
 
 class TestDynamicRange:
     def test_reconstructs_levels(self):
         trace = clean_frame_trace(b"\x3c")
-        assert measure_dynamic_range(trace) == pytest.approx(10.0, abs=1e-9)
+        assert measure_levels(trace)[1] == pytest.approx(10.0, abs=1e-9)
 
     def test_constant_trace_zero(self):
         trace = EnvelopeTrace(16e3, np.full(32, -44.0))
-        assert measure_dynamic_range(trace) == 0.0
+        assert measure_levels(trace)[1] == 0.0
 
 
 class TestRecoverBits:
     def test_clean_loopback(self):
         payload = b"\x5a\xc3"
         trace = clean_frame_trace(payload)
-        bits, sync_offset = recover_bits(trace, 20e3, estimate_threshold(trace))
+        bits, sync_offset = recover_bits(trace, 20e3, measure_levels(trace)[0])
         assert sync_offset == 0
         assert np.array_equal(bits, frame_to_bits(build_frame(payload, 20e3)))
 
@@ -134,9 +132,10 @@ class TestRecoverBits:
         trace = clean_frame_trace(payload)
         pad = np.full(round(3.7 * oversampling), -50.0)
         padded = EnvelopeTrace(trace.sample_rate_hz, np.concatenate([pad, trace.samples]))
-        bits, sync_offset = recover_bits(padded, bit_rate, estimate_threshold(padded))
+        threshold_dbm, dr_db = measure_levels(padded)
+        bits, sync_offset = recover_bits(padded, bit_rate, threshold_dbm)
         assert sync_offset > 0
-        result = decode_frame(bits, sync_offset)
+        result = decode_frame(bits, sync_offset, measured_dr_db=dr_db, threshold_dbm=threshold_dbm)
         assert result.status == DECODED
         assert result.payload == payload
         assert result.sync_offset == sync_offset
@@ -147,12 +146,12 @@ class TestRecoverBits:
         noise = NoiseSpec(-50.0, rng_seed=31)
         trace = synthesize_envelope([0] * 40, -60.0, -60.0, 20e3, 320e3, noise)
         with pytest.raises(NoSync):
-            recover_bits(trace, 20e3, estimate_threshold(trace))
+            recover_bits(trace, 20e3, measure_levels(trace)[0])
 
     def test_undersampled(self):
         trace = two_level_trace(16, 16, rate=100e3)
         with pytest.raises(UndersampledError):
-            recover_bits(trace, 20e3, estimate_threshold(trace))
+            recover_bits(trace, 20e3, measure_levels(trace)[0])
 
 
 class TestDecodeFrame:
@@ -167,19 +166,19 @@ class TestDecodeFrame:
     def test_corrupt_sync_byte(self):
         bits = frame_to_bits(build_frame(b"\x11", 10e3)).copy()
         bits[18] ^= 1  # flip one sync-byte bit
-        result = decode_frame(bits)
+        result = decode_frame(bits, 0, **LEVELS)
         assert result.status == PAYLOAD_INVALID
         assert result.payload is None
 
     def test_truncated_after_sync(self):
         bits = frame_to_bits(build_frame(b"\x11", 10e3))[:29]  # 5 payload bits
-        result = decode_frame(bits)
+        result = decode_frame(bits, 0, **LEVELS)
         assert result.status == PAYLOAD_INVALID
 
     def test_counts_preamble_errors(self):
         bits = frame_to_bits(build_frame(b"\x11", 10e3)).copy()
         bits[3] ^= 1
-        result = decode_frame(bits)
+        result = decode_frame(bits, 0, **LEVELS)
         assert result.status == DECODED
         assert result.bit_errors_in_preamble == 1
 
@@ -188,15 +187,26 @@ class TestDecodeFrame:
         bits = frame_to_bits(build_frame(b"\x11", 10e3)).tolist()
         bits[30] = bad
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
-            decode_frame(bits)
+            decode_frame(bits, 0, **LEVELS)
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
-            decode_frame(np.array(bits))
+            decode_frame(np.array(bits), 0, **LEVELS)
+
+    def test_offset_and_levels_are_required(self):
+        # a result records only what was measured: no default stands in
+        bits = frame_to_bits(build_frame(b"\x11", 10e3))
+        with pytest.raises(TypeError):
+            decode_frame(bits)
+        with pytest.raises(TypeError):
+            decode_frame(bits, 0)
+        result = decode_frame(bits, 3, **LEVELS)
+        assert result.sync_offset == 3
+        assert (result.measured_dr_db, result.threshold_dbm) == (10.0, -45.0)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool, np.float64])
     def test_zero_one_bits_of_any_dtype_decode(self, dtype):
         bits = frame_to_bits(build_frame(b"\x11\xa5", 10e3))
-        result = decode_frame(bits.astype(dtype), 7)
-        assert result == decode_frame(bits, 7)
+        result = decode_frame(bits.astype(dtype), 7, **LEVELS)
+        assert result == decode_frame(bits, 7, **LEVELS)
         assert result.payload == b"\x11\xa5" and result.sync_offset == 7
         assert type(result.bit_errors_in_preamble) is int
 
@@ -210,8 +220,7 @@ class TestSinglePass:
             result = decode_trace(trace, bit_rate)
             assert len(clustering_calls) == 1
             assert result.status == status
-            assert result.threshold_dbm == estimate_threshold(trace)
-            assert result.measured_dr_db == measure_dynamic_range(trace)
+            assert (result.threshold_dbm, result.measured_dr_db) == measure_levels(trace)
 
 
 def idle_frame_trace(payload, idle_samples, clock_offset, noise_seed):
@@ -527,7 +536,7 @@ class TestDifferentialDecode:
         frame = clean_frame_trace(b"\x5a\xc3\x01", p_high=-30.0, p_low=-40.0)
         idle = np.full(SYNC_BLOCK + shift, -40.0)
         trace = EnvelopeTrace(frame.sample_rate_hz, np.concatenate([idle, frame.samples]))
-        assert_same_decode(trace, 20e3, estimate_threshold(trace))
+        assert_same_decode(trace, 20e3, measure_levels(trace)[0])
         assert decode_trace(trace, 20e3).payload == b"\x5a\xc3\x01"
 
 
@@ -632,5 +641,5 @@ def test_recover_bits_memory_per_sample():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert decode_frame(bits, sync_offset).payload == b"\x5a\xc3"
+    assert decode_frame(bits, sync_offset, **LEVELS).payload == b"\x5a\xc3"
     assert peak < 20 * samples.size

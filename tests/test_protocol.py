@@ -71,6 +71,11 @@ def session_parts(n_keys=8, seed=0):
     return node, monitor
 
 
+def unused_indices(table: PvkTable) -> list[int]:
+    """The reference scan that select_unused's Fenwick tree must agree with."""
+    return [i for i, u in enumerate(table.used) if not u]
+
+
 class TestPvkTable:
     def test_generate_deterministic(self):
         a = generate_table(50, 2, rng_seed=9)
@@ -137,7 +142,7 @@ class TestPvkTable:
         for index in [None, *marks, *marks[:3]]:  # the tail marks entries again
             if index is not None:
                 table.mark_used(index)
-            pool = table.unused_indices()
+            pool = unused_indices(table)
             assert table.n_unused == len(pool)
             assert [table.select_unused(k) for k in range(len(pool))] == pool
             if pool:
@@ -154,7 +159,7 @@ class TestPvkTable:
         for index in (-1, 2):
             with pytest.raises(IndexError):
                 table.mark_used(index)
-        assert table.unused_indices() == [0, 1]
+        assert unused_indices(table) == [0, 1]
 
     @pytest.mark.parametrize(
         "n_keys, key_len",

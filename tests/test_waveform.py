@@ -28,10 +28,8 @@ from wptsec.waveform import (
     EnvelopeTrace,
     Frame,
     build_frame,
-    format_trace,
     frame_to_bits,
     generate_square_cmd,
-    parse_trace,
     read_trace,
     synthesize_envelope,
     write_trace,
@@ -326,30 +324,29 @@ class TestTraceFile:
         assert back.meta == trace.meta
         assert np.array_equal(back.samples, trace.samples)
 
-    def test_header_format(self):
-        trace = EnvelopeTrace(16000.0, np.array([-40.0, -50.0]), meta="demo")
-        text = format_trace(trace)
-        lines = text.splitlines()
+    def test_header_format(self, tmp_path):
+        path = tmp_path / "t.txt"
+        write_trace(EnvelopeTrace(16000.0, np.array([-40.0, -50.0]), meta="demo"), path)
+        lines = path.read_text(encoding="ascii").splitlines()
         assert lines[0] == "sample_rate_hz=16000,unit=dbm,meta=demo"
         assert lines[1] == "-40.0"
         assert len(lines) == 3
 
-    def test_bad_header_rejected(self):
-        with pytest.raises(TraceFormatError):
-            parse_trace("sample_rate=16000,unit=dbm,meta=x\n-40.0\n")
-        with pytest.raises(TraceFormatError):
-            parse_trace("")
-        with pytest.raises(TraceFormatError):
-            parse_trace("sample_rate_hz=16000,unit=dbm,meta=x\nnot-a-number\n")
-
-    @pytest.mark.parametrize("read", ["text", "file"])
-    def test_sample_lines_accepted_and_rejected(self, tmp_path, read):
-        def load(body):
-            text = "sample_rate_hz=16000,unit=dbm,meta=x\n" + body
-            if read == "text":
-                return parse_trace(text)
-            path = tmp_path / "t.txt"
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "t.txt"
+        for text in (
+            "sample_rate=16000,unit=dbm,meta=x\n-40.0\n",
+            "",
+            "sample_rate_hz=16000,unit=dbm,meta=x\nnot-a-number\n",
+        ):
             path.write_text(text, encoding="ascii")
+            with pytest.raises(TraceFormatError):
+                read_trace(path)
+
+    def test_sample_lines_accepted_and_rejected(self, tmp_path):
+        def load(body):
+            path = tmp_path / "t.txt"
+            path.write_text("sample_rate_hz=16000,unit=dbm,meta=x\n" + body, encoding="ascii")
             return read_trace(path)
 
         assert load("\n-40.0\n\n -50.5 \n\n").samples.tolist() == [-40.0, -50.5]
@@ -361,10 +358,12 @@ class TestTraceFile:
             with pytest.raises(TraceFormatError, match="bad sample line"):
                 load("-40.0\n" + bad)
 
-    def test_non_integral_rate_rejected(self):
+    def test_non_integral_rate_rejected(self, tmp_path):
         trace = EnvelopeTrace(16000.5, np.array([-40.0]))
+        path = tmp_path / "t.txt"
         with pytest.raises(ValueError):
-            format_trace(trace)
+            write_trace(trace, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("n_samples", [0, 250_000])
     def test_write_equals_format(self, tmp_path, n_samples):
@@ -376,7 +375,7 @@ class TestTraceFile:
         write_trace(trace, path)
         lines = "".join(f"{float(s)!r}\n" for s in samples)
         want = f"sample_rate_hz=320000,unit=dbm,meta=chunks\n{lines}".encode("ascii")
-        assert path.read_bytes() == format_trace(trace).encode("ascii") == want
+        assert path.read_bytes() == want
 
     def test_write_memory_does_not_grow_with_length(self, tmp_path):
         samples = np.random.default_rng(5).uniform(-90, -20, size=250_000)
