@@ -7,6 +7,7 @@ import pytest
 
 from wptsec.cli import main
 from wptsec.config import build_monitor, build_node, build_scenario, build_tables, load_config
+from wptsec.errors import TableExhausted
 from wptsec.protocol import Attacker, fresh_session_scenario, run_session
 
 # sha256 over the session lines of both runs below
@@ -58,6 +59,66 @@ def test_keyed_and_replay_sessions_match_golden_digest():
     assert len(lines) == 220
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+# sha256 over the ledger lines of every shape below
+LEDGER_SHA256 = "e210192ffea9f860d9e81a93ec2db0706ab4b03d347b9164a43c7c0d68e9bbb6"
+
+# anechoic sessions (3.75 uW harvested against a 10 uJ threshold) whose
+# charge phase takes a different branch: (config lines, starting energy in J)
+LEDGER_SHAPES = {
+    "sequential": ("protocol.n_keys = 6", 0.0),
+    "random": ("protocol.key_policy = random", 0.0),
+    "replay": ("protocol.attacker = replay", 0.0),
+    "above_threshold": ("protocol.n_keys = 64", 50e-6),
+    "zero_efficiency": ("channel.efficiency_curve = -60:0;60:0", 0.0),
+    "capacity_below_threshold": ("protocol.storage_capacity_j = 9e-6", 0.0),
+    "max_time_below_dt": ("protocol.max_time_s = 5e-5", 0.0),
+    "overflow": ("protocol.storage_capacity_j = 10.5e-6\nprotocol.dt_s = 1.0", 0.0),
+    "near_empty": ("protocol.tx_cost_j_per_bit = 2.4e-7", 0.0),
+}
+
+
+def ledger_lines(text: str, stored_energy_j: float, sessions: int) -> list[str]:
+    """One line per session: each event's name, time and stored energy, the
+    energy trace, the three totals and the duration, all as repr; a session
+    that finds the table empty records the energy it banked first."""
+    cfg = load_config("setup = anechoic\nseed = 3\n" + text)
+    node_table, monitor_table = build_tables(cfg)
+    node, monitor = build_node(cfg, node_table), build_monitor(cfg, monitor_table)
+    node.stored_energy_j = stored_energy_j
+    scenario = build_scenario(cfg)
+    lines = []
+    for i in range(sessions):
+        try:
+            log = run_session(
+                fresh_session_scenario(scenario, 700 + i),
+                node,
+                Attacker(kind=cfg.attacker),
+                monitor,
+                dt_s=cfg.dt_s,
+                max_time_s=cfg.max_time_s,
+                key_policy=cfg.key_policy,
+            )
+        except TableExhausted:
+            lines.append(f"exhausted {node.stored_energy_j!r}")
+            continue
+        fields = [f"{e.event}@{e.time_s!r}:{e.stored_energy_j!r}" for e in log.events]
+        fields += [f"{t!r}:{e!r}" for t, e in log.energy_trace]
+        totals = (log.total_harvested_j, log.total_tx_cost_j, log.backscatter_time_s)
+        fields += [repr(v) for v in (*totals, log.duration_s)]
+        lines.append(" ".join(fields))
+    return lines
+
+
+def test_energy_ledger_matches_golden_digest():
+    lines = []
+    for name, (text, stored) in LEDGER_SHAPES.items():
+        lines += [f"{name} {line}" for line in ledger_lines(text, stored, 8)]
+    assert len(lines) == 8 * len(LEDGER_SHAPES)
+    assert any(line.startswith("sequential exhausted") for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LEDGER_SHA256
 
 
 # sha256 of (CSV, --trace-out file) of `wptsec run --preset <name>`
