@@ -39,7 +39,6 @@ from .protocol import (
     PvkTable,
     SessionLog,
     generate_table,
-    node_step,
     run_session,
 )
 from .waveform import (
@@ -88,7 +87,6 @@ __all__ = [
     "load_config",
     "load_preset",
     "measure_levels",
-    "node_step",
     "read_trace",
     "recover_bits",
     "run_session",

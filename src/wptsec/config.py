@@ -84,8 +84,8 @@ class ScenarioConfig:
     frequency_hz: float | None = _key(
         "channel.frequency_hz", "float", _RADIATED, check=_POSITIVE
     )
-    distance_dl_m: float | None = _key("channel.distance_dl_m", "float", _RADIATED)
-    distance_ul_m: float | None = _key("channel.distance_ul_m", "float", _RADIATED)
+    distance_dl_m: float | None = _key("channel.distance_dl_m", "float", _RADIATED, check=_POSITIVE)
+    distance_ul_m: float | None = _key("channel.distance_ul_m", "float", _RADIATED, check=_POSITIVE)
     gain_src_dbi: float | None = _key("channel.gain_src_dbi", "float", _RADIATED)
     gain_node_dbi: float | None = _key("channel.gain_node_dbi", "float", _RADIATED)
     gain_mon_dbi: float | None = _key("channel.gain_mon_dbi", "float", _RADIATED)
@@ -119,13 +119,25 @@ class ScenarioConfig:
         "protocol.key_policy", KEY_POLICIES, _KEYED, preset="sequential"
     )
     storage_capacity_j: float | None = _key(
-        "protocol.storage_capacity_j", "float", _KEYED, preset=DEFAULT_STORAGE_CAPACITY_J
+        "protocol.storage_capacity_j",
+        "float",
+        _KEYED,
+        preset=DEFAULT_STORAGE_CAPACITY_J,
+        check=_POSITIVE,
     )
     wake_threshold_j: float | None = _key(
-        "protocol.wake_threshold_j", "float", _KEYED, preset=DEFAULT_WAKE_THRESHOLD_J
+        "protocol.wake_threshold_j",
+        "float",
+        _KEYED,
+        preset=DEFAULT_WAKE_THRESHOLD_J,
+        check=_POSITIVE,
     )
     tx_cost_j_per_bit: float | None = _key(
-        "protocol.tx_cost_j_per_bit", "float", _KEYED, preset=DEFAULT_TX_COST_J_PER_BIT
+        "protocol.tx_cost_j_per_bit",
+        "float",
+        _KEYED,
+        preset=DEFAULT_TX_COST_J_PER_BIT,
+        check=_at_least(0),
     )
     dt_s: float | None = _key(
         "protocol.dt_s", "float", _KEYED, preset=DEFAULT_DT_S, check=_POSITIVE

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import LinkScenario, RectifierModel, harvested_dc
+from .channel import LinkScenario, harvested_dc
 from .errors import TableCapacityError, TableExhausted
 from .monitor import (
     REJECTED_NO_SIGNAL,
@@ -176,68 +176,6 @@ class NodeState:
             raise ValueError("tx_cost_j_per_bit must be >= 0")
 
 
-def _check_key_policy(key_policy: str) -> None:
-    if key_policy not in KEY_POLICIES:
-        raise ValueError(f"unknown key policy: {key_policy!r}")
-
-
-@dataclass(frozen=True)
-class NodeStep:
-    """What one node_step call did."""
-
-    frame: Frame | None
-    key_index: int | None
-    harvested_j: float
-    tx_cost_j: float
-    backscatter_time_s: float
-
-
-def node_step(
-    state: NodeState,
-    dt_s: float,
-    p_in_dbm: float,
-    rect: RectifierModel,
-    *,
-    bit_rate_hz: float = 20e3,
-    key_policy: str = "sequential",
-    key_rng: np.random.Generator | None = None,
-) -> NodeStep:
-    """Advance the node by dt_s of harvesting, emitting one key frame if the
-    wake threshold is crossed.
-
-    Harvest that would overflow the storage is lost; the returned
-    harvested_j is the banked amount, so the energy ledger stays exact. The
-    node marks its key used at emission (no acknowledgment channel exists).
-    The random policy draws from key_rng, which it requires.
-    """
-    if not dt_s > 0:
-        raise ValueError(f"dt_s must be > 0, got {dt_s}")
-    if math.isnan(p_in_dbm):
-        raise ValueError("p_in_dbm must not be NaN")
-    _check_key_policy(key_policy)
-    if key_policy == "random" and key_rng is None:
-        raise ValueError("the random key policy needs a seeded key_rng")
-    p_dc_w = harvested_dc(p_in_dbm, rect)
-    banked = min(state.stored_energy_j + p_dc_w * dt_s, state.storage_capacity_j)
-    banked -= state.stored_energy_j
-    state.stored_energy_j += banked
-    if not state.stored_energy_j >= state.wake_threshold_j:
-        return NodeStep(None, None, banked, 0.0, 0.0)
-
-    n_unused = state.table.n_unused
-    if not n_unused:
-        raise TableExhausted("no unused key left in the table")
-    rank = 0 if key_policy == "sequential" else int(key_rng.integers(0, n_unused))
-    key_index = state.table.select_unused(rank)
-    frame = build_frame(state.table.entries[key_index], bit_rate_hz)
-    tx_cost = state.tx_cost_j_per_bit * frame.n_bits
-    if tx_cost > state.stored_energy_j:
-        raise ValueError(f"frame cost {tx_cost} J exceeds stored energy {state.stored_energy_j} J")
-    state.stored_energy_j -= tx_cost
-    state.table.mark_used(key_index)
-    return NodeStep(frame, key_index, banked, tx_cost, frame.duration_s)
-
-
 @dataclass(frozen=True)
 class Attacker:
     """Eavesdropper on the monitor-side envelope: "replay" re-presents the
@@ -332,6 +270,65 @@ _WAKE_TIMEOUT_DECISION = AuthDecision(
 )
 
 
+def _charge(
+    node: NodeState,
+    scenario: LinkScenario,
+    dt_s: float,
+    max_time_s: float,
+    bit_rate_hz: float,
+    key_rng: np.random.Generator | None,
+) -> tuple[float, float, list[tuple[float, float]], int | None, Frame | None]:
+    """The charge phase, the only writer of node.stored_energy_j: bank harvest
+    in whole dt_s chunks, each in closed form, until one wakes the node or
+    max_time_s runs out; harvest past the storage is lost. At wake, emit the
+    unused key at rank 0 (or one drawn from key_rng), debit its frame's cost
+    and mark it used. Returns the last chunk's end time, the energy banked,
+    the (time, stored energy) ledger, and the key index and frame (None if
+    the node never woke)."""
+    p_in_dbm = scenario.node_input_dbm()
+    if math.isnan(p_in_dbm):
+        raise ValueError("node input power must not be NaN")
+    p_dc_w = harvested_dc(p_in_dbm, scenario.rect)
+    # a node that cannot reach its threshold charges to max_time_s in one chunk
+    never_wakes = p_dc_w <= 0.0 or node.storage_capacity_j < node.wake_threshold_j
+    energy = [(0.0, node.stored_energy_j)]
+    t = harvested = 0.0
+    while True:
+        steps_left = math.floor((max_time_s - t) / dt_s + 1e-9)
+        if steps_left <= 0:
+            return t, harvested, energy, None, None
+        if node.stored_energy_j >= node.wake_threshold_j:
+            k = 1
+        elif never_wakes:
+            k = steps_left
+        else:
+            deficit = node.wake_threshold_j - node.stored_energy_j
+            k = min(max(1, math.ceil(deficit / (p_dc_w * dt_s))), steps_left)
+        banked = min(node.stored_energy_j + p_dc_w * (k * dt_s), node.storage_capacity_j)
+        banked -= node.stored_energy_j
+        node.stored_energy_j += banked
+        harvested += banked
+        t += k * dt_s
+        if node.stored_energy_j >= node.wake_threshold_j:
+            break
+        energy.append((t, node.stored_energy_j))
+
+    n_unused = node.table.n_unused
+    if not n_unused:
+        raise TableExhausted("no unused key left in the table")
+    rank = 0 if key_rng is None else int(key_rng.integers(0, n_unused))
+    key_index = node.table.select_unused(rank)
+    frame = build_frame(node.table.entries[key_index], bit_rate_hz)
+    tx_cost = node.tx_cost_j_per_bit * frame.n_bits
+    if tx_cost > node.stored_energy_j:
+        raise ValueError(f"frame cost {tx_cost} J exceeds stored energy {node.stored_energy_j} J")
+    node.stored_energy_j -= tx_cost
+    node.table.mark_used(key_index)
+    # the waking chunk's entry records the energy left after the frame
+    energy.append((t, node.stored_energy_j))
+    return t, harvested, energy, key_index, frame
+
+
 def run_session(
     scenario: LinkScenario,
     node: NodeState,
@@ -349,22 +346,16 @@ def run_session(
     the combined backscatter + leakage + noise envelope and verifies the
     code. A replay attacker captures that envelope and re-presents it for a
     second verification: the capture's own decode is verified again against
-    the live table, so the one-time-key check alone rejects it. Charging
-    under constant input is advanced in dt-sized chunks computed in closed
-    form, which keeps the energy ledger identical to per-step simulation.
+    the live table, so the one-time-key check alone rejects it. The charge
+    phase (``_charge``) is the energy ledger's only writer; it rejects a NaN
+    node input power before the ledger changes.
     """
     if not dt_s > 0:
         raise ValueError("dt_s must be > 0")
     if not max_time_s >= 0:
         raise ValueError("max_time_s must be >= 0")
-    _check_key_policy(key_policy)
-    events = [SessionEvent(0.0, "session_start", stored_energy_j=node.stored_energy_j)]
-    energy: list[tuple[float, float]] = [(0.0, node.stored_energy_j)]
-
-    p_in = scenario.node_input_dbm()
-    p_dc_w = harvested_dc(p_in, scenario.rect)
-    # a node that cannot reach its threshold charges to max_time_s in one chunk
-    never_wakes = p_dc_w <= 0.0 or node.storage_capacity_j < node.wake_threshold_j
+    if key_policy not in KEY_POLICIES:
+        raise ValueError(f"unknown key policy: {key_policy!r}")
     key_rng = None
     if key_policy == "random":
         # the first spawned child of the noise seed (built here without its
@@ -372,37 +363,11 @@ def run_session(
         # NoiseSpec.generator() seeds from the same rng_seed
         child = np.random.SeedSequence(scenario.noise.rng_seed, spawn_key=(0,))
         key_rng = np.random.default_rng(child)
-    t = 0.0
-    total_harvested = 0.0
-    # only the last pass can emit, so its step alone carries the frame and its
-    # costs; before the first pass nothing has been emitted or spent
-    step = NodeStep(None, None, 0.0, 0.0, 0.0)
-    while step.frame is None:
-        steps_left = int(math.floor((max_time_s - t) / dt_s + 1e-9))
-        if steps_left <= 0:
-            break
-        if node.stored_energy_j >= node.wake_threshold_j:
-            k = 1
-        elif never_wakes:
-            k = steps_left
-        else:
-            deficit = node.wake_threshold_j - node.stored_energy_j
-            k = max(1, int(math.ceil(deficit / (p_dc_w * dt_s))))
-            k = min(k, steps_left)
-        step = node_step(
-            node,
-            k * dt_s,
-            p_in,
-            scenario.rect,
-            bit_rate_hz=monitor.bit_rate_hz,
-            key_policy=key_policy,
-            key_rng=key_rng,
-        )
-        t += k * dt_s
-        total_harvested += step.harvested_j
-        energy.append((t, node.stored_energy_j))
+    events = [SessionEvent(0.0, "session_start", stored_energy_j=node.stored_energy_j)]
+    t, harvested, energy, key_index, frame = _charge(
+        node, scenario, dt_s, max_time_s, monitor.bit_rate_hz, key_rng
+    )
 
-    frame = step.frame
     decisions: list[AuthDecision] = []
     trace = None
     if frame is None:
@@ -441,11 +406,11 @@ def run_session(
         events=events,
         decisions=decisions,
         energy_trace=energy,
-        total_harvested_j=total_harvested,
-        total_tx_cost_j=step.tx_cost_j,
-        backscatter_time_s=step.backscatter_time_s,
+        total_harvested_j=harvested,
+        total_tx_cost_j=0.0 if frame is None else node.tx_cost_j_per_bit * frame.n_bits,
+        backscatter_time_s=0.0 if frame is None else frame.duration_s,
         duration_s=t_end,
-        emitted_key_index=step.key_index,
+        emitted_key_index=key_index,
         emitted_code=None if frame is None else frame.payload,
         trace=trace,
     )

@@ -423,6 +423,19 @@ class TestMain:
         assert not out_csv.exists() and not trace_path.exists()
         assert "channel.circulator_isolation_db must be >= 0" in capsys.readouterr().err
 
+    def test_exit_two_on_negative_distance_writes_nothing(self, tmp_path, capsys):
+        # it used to load, and every point failed as an error:ValueError row
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(
+            "setup=anechoic\nprotocol.enabled=false\nchannel.distance_ul_m=-1\n"
+            "sweep.param=channel.p_tx_dbm\nsweep.values=0,15\n"
+        )
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
+        argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
+        assert main(argv) == 2
+        assert not out_csv.exists() and not trace_path.exists()
+        assert "channel.distance_ul_m: must be > 0" in capsys.readouterr().err
+
     def test_exit_two_on_sweep_over_inapplicable_key_writes_nothing(self, tmp_path, capsys):
         # the wired budget reads no hop distance, so every row would be the same
         cfg_path = tmp_path / "bad.cfg"

@@ -428,6 +428,16 @@ class TestValidation:
             load_config("setup=wired\nprotocol.key_len_bytes = 65")
         with pytest.raises(ValidationError, match="circulator_isolation_db: must be >= 0"):
             load_config("setup=wired\nchannel.circulator_isolation_db = -5")
+        # these failed every point at run time as error:ValueError rows
+        for key, value, rule in [
+            ("protocol.storage_capacity_j", "0", "must be > 0"),
+            ("protocol.wake_threshold_j", "-1e-6", "must be > 0"),
+            ("protocol.tx_cost_j_per_bit", "-1e-9", "must be >= 0"),
+            ("channel.distance_dl_m", "0", "must be > 0"),
+            ("channel.distance_ul_m", "-1", "must be > 0"),
+        ]:
+            assert violations_of(f"setup=anechoic\n{key} = {value}") == [f"{key}: {rule}"]
+        assert load_config("setup=anechoic\nprotocol.tx_cost_j_per_bit = 0").tx_cost_j_per_bit == 0
 
     def test_negative_seed_rejected(self):
         # numpy's default_rng rejects it, so every keyed point would fail at run time
@@ -464,6 +474,12 @@ class TestValidation:
         assert violations_of("setup=wired\nsweep.param = seed\nsweep.values = 0,-1") == [
             "sweep.values: -1: seed must be >= 0"
         ]
+        assert violations_of(
+            "setup=anechoic\nsweep.param = channel.distance_ul_m\nsweep.values = 3.4,-1"
+        ) == ["sweep.values: -1.0: channel.distance_ul_m must be > 0"]
+        assert violations_of(
+            "setup=anechoic\nsweep.param = protocol.wake_threshold_j\nsweep.values = 0,1e-5"
+        ) == ["sweep.values: 0.0: protocol.wake_threshold_j must be > 0"]
         with pytest.raises(ParseError, match="sweep.values: nan is not a valid value"):
             load_config("setup=wired\nsweep.param = channel.p_tx_dbm\nsweep.values = 0,nan")
         cfg = load_config("setup=wired\nsweep.param = waveform.oversampling\nsweep.values = 8,32")

@@ -1,5 +1,6 @@
-"""Golden output: a digest over seeded keyed sessions, pinned from a known-good
-build, so any change to one decoded bit, level or sync offset fails here."""
+"""Golden output: digests over seeded keyed sessions, pinned from a known-good
+build, so any change to one decoded bit, level or sync offset, or to one
+entry of the energy ledger, fails here."""
 
 import hashlib
 
@@ -23,24 +24,36 @@ REPLAY = (
 )
 
 
+def seeded_sessions(text: str, count: int, noise_seed: int, stored_energy_j: float = 0.0):
+    """Run count sessions of one node, the i-th on noise seed noise_seed + i,
+    and yield the node with each session's log (None where the node found
+    its table empty)."""
+    cfg = load_config(text)
+    node_table, monitor_table = build_tables(cfg)
+    node, monitor = build_node(cfg, node_table), build_monitor(cfg, monitor_table)
+    node.stored_energy_j = stored_energy_j
+    scenario = build_scenario(cfg)
+    for i in range(count):
+        try:
+            log = run_session(
+                fresh_session_scenario(scenario, noise_seed + i),
+                node,
+                Attacker(kind=cfg.attacker),
+                monitor,
+                dt_s=cfg.dt_s,
+                max_time_s=cfg.max_time_s,
+                key_policy=cfg.key_policy,
+            )
+        except TableExhausted:
+            log = None
+        yield node, log
+
+
 def session_lines(text: str, sessions: int, noise_seed: int) -> list[str]:
     """One line per session: verdicts, emitted index, then per decision the
     payload hex, repr of DR and threshold, and the sync offset."""
-    cfg = load_config(text)
-    node_table, monitor_table = build_tables(cfg)
-    scenario = build_scenario(cfg)
-    node, monitor = build_node(cfg, node_table), build_monitor(cfg, monitor_table)
     lines = []
-    for i in range(sessions):
-        log = run_session(
-            fresh_session_scenario(scenario, noise_seed + i),
-            node,
-            Attacker(kind=cfg.attacker),
-            monitor,
-            dt_s=cfg.dt_s,
-            max_time_s=cfg.max_time_s,
-            key_policy=cfg.key_policy,
-        )
+    for _, log in seeded_sessions(text, sessions, noise_seed):
         fields = [",".join(d.verdict for d in log.decisions), str(log.emitted_key_index)]
         for d in log.decisions:
             dec = d.decode
@@ -83,24 +96,10 @@ def ledger_lines(text: str, stored_energy_j: float, sessions: int) -> list[str]:
     """One line per session: each event's name, time and stored energy, the
     energy trace, the three totals and the duration, all as repr; a session
     that finds the table empty records the energy it banked first."""
-    cfg = load_config("setup = anechoic\nseed = 3\n" + text)
-    node_table, monitor_table = build_tables(cfg)
-    node, monitor = build_node(cfg, node_table), build_monitor(cfg, monitor_table)
-    node.stored_energy_j = stored_energy_j
-    scenario = build_scenario(cfg)
     lines = []
-    for i in range(sessions):
-        try:
-            log = run_session(
-                fresh_session_scenario(scenario, 700 + i),
-                node,
-                Attacker(kind=cfg.attacker),
-                monitor,
-                dt_s=cfg.dt_s,
-                max_time_s=cfg.max_time_s,
-                key_policy=cfg.key_policy,
-            )
-        except TableExhausted:
+    text = "setup = anechoic\nseed = 3\n" + text
+    for node, log in seeded_sessions(text, sessions, 700, stored_energy_j):
+        if log is None:
             lines.append(f"exhausted {node.stored_energy_j!r}")
             continue
         fields = [f"{e.event}@{e.time_s!r}:{e.stored_energy_j!r}" for e in log.events]

@@ -38,7 +38,6 @@ from wptsec.protocol import (
     PvkTable,
     fresh_session_scenario,
     generate_table,
-    node_step,
     run_session,
 )
 
@@ -69,6 +68,16 @@ def session_parts(n_keys=8, seed=0):
     node = NodeState(table=table)
     monitor = MonitorConfig(table=table.copy())
     return node, monitor
+
+
+def charging_session(node, *, rect=FLAT_RECT, seed=0, dt_s=0.01, **kwargs):
+    """run_session on a wired link that feeds -10 dBm straight into the
+    rectifier: 20 uW DC under FLAT_RECT."""
+    scenario = LinkScenario(
+        name="wired", topology="wired", p_tx_dbm=-10.0, rect=rect, noise=NoiseSpec(-90.0, seed)
+    )
+    monitor = MonitorConfig(table=node.table.copy())
+    return run_session(scenario, node, Attacker(), monitor, dt_s=dt_s, **kwargs)
 
 
 def unused_indices(table: PvkTable) -> list[int]:
@@ -104,14 +113,14 @@ class TestPvkTable:
         # a sequential node emits the first unused key, wherever that is
         table = PvkTable(entries=[b"\x01", b"\x02", b"\x03"])
         node = NodeState(table=table, stored_energy_j=50e-6)
-        step = node_step(node, 0.01, -10.0, FLAT_RECT)
-        assert (step.key_index, step.frame.payload) == (0, b"\x01")
+        log = charging_session(node)
+        assert (log.emitted_key_index, log.emitted_code) == (0, b"\x01")
         table.mark_used(2)  # out-of-order use leaves index 1 first
-        step = node_step(node, 0.01, -10.0, FLAT_RECT)
-        assert (step.key_index, step.frame.payload) == (1, b"\x02")
+        log = charging_session(node)
+        assert (log.emitted_key_index, log.emitted_code) == (1, b"\x02")
         assert table.n_unused == 0
         with pytest.raises(TableExhausted):
-            node_step(node, 0.01, -10.0, FLAT_RECT)
+            charging_session(node)
 
     def test_entries_unique_and_sized(self):
         with pytest.raises(ValueError):
@@ -179,24 +188,24 @@ class TestPvkTable:
 
 
 class TestNodeStep:
+    """The node's charge-and-emit step, as run_session drives it."""
+
     def test_zero_efficiency_never_wakes(self):
         rect = RectifierModel(efficiency_curve=((-60.0, 0.0), (60.0, 0.0)))
         node = NodeState(table=PvkTable(entries=[b"\x01\x02"]))
-        for _ in range(100):
-            step = node_step(node, 0.01, -10.0, rect)
-            assert step.frame is None
-        assert node.stored_energy_j == 0.0
+        log = charging_session(node, rect=rect, max_time_s=1.0)
+        assert log.final.decode.status == WAKE_TIMEOUT and log.emitted_key_index is None
+        assert node.stored_energy_j == log.total_harvested_j == 0.0
+        assert log.energy_trace == [(0.0, 0.0), (1.0, 0.0)]
 
     def test_wakes_after_half_second(self):
         # 20 uW harvest vs 10 uJ threshold: E = P*t crosses at t = 0.5 s
         node = NodeState(table=PvkTable(entries=[b"\x01\x02"]))
         dt = 0.01
-        t = 0.0
-        step = None
-        while step is None or step.frame is None:
-            step = node_step(node, dt, -10.0, FLAT_RECT)
-            t += dt
+        log = charging_session(node, dt_s=dt)
+        (t,) = [e.time_s for e in log.events if e.event == "node_wake"]
         assert t == pytest.approx(0.5, abs=dt + 1e-12)
+        assert [e[0] for e in log.energy_trace[:2]] == [0.0, t]  # one closed-form chunk
 
     def test_frame_cost_debit(self):
         node = NodeState(
@@ -204,11 +213,13 @@ class TestNodeStep:
             stored_energy_j=9.99e-6,
             tx_cost_j_per_bit=1e-9,
         )
-        step = node_step(node, 1.0, -10.0, FLAT_RECT, bit_rate_hz=20e3)
-        assert step.frame is not None
-        assert step.frame.n_bits == 40
-        assert step.tx_cost_j == node.tx_cost_j_per_bit * 40
-        assert step.backscatter_time_s == pytest.approx(40 / 20e3, rel=1e-12)
+        log = charging_session(node, dt_s=1.0)
+        assert log.emitted_code == b"\x01\x02"
+        assert log.total_tx_cost_j == node.tx_cost_j_per_bit * 40
+        assert log.backscatter_time_s == pytest.approx(40 / 20e3, rel=1e-12)
+        # the waking chunk's ledger entry is the energy left after the frame
+        assert node.stored_energy_j == 9.99e-6 + log.total_harvested_j - log.total_tx_cost_j
+        assert log.energy_trace[1] == (1.0, node.stored_energy_j)
 
     def test_capacity_clamp_and_ledger(self):
         node = NodeState(
@@ -217,64 +228,69 @@ class TestNodeStep:
             storage_capacity_j=100e-6,
             wake_threshold_j=150e-6,  # unreachable: clamped below threshold
         )
-        step = node_step(node, 100.0, -10.0, FLAT_RECT)
+        log = charging_session(node, dt_s=100.0, max_time_s=100.0)
         assert node.stored_energy_j == 100e-6
-        assert step.harvested_j == pytest.approx(0.1e-6, rel=1e-9)
-        assert step.frame is None
+        assert log.total_harvested_j == pytest.approx(0.1e-6, rel=1e-9)
+        assert log.emitted_key_index is None
+        assert log.energy_trace == [(0.0, 99.9e-6), (100.0, 100e-6)]
 
     def test_table_exhausted_at_wake(self):
         table = PvkTable(entries=[b"\x01\x02"])
         table.mark_used(0)
         node = NodeState(table=table, stored_energy_j=50e-6)
         with pytest.raises(TableExhausted):
-            node_step(node, 0.01, -10.0, FLAT_RECT)
+            charging_session(node)
+        # the waking chunk was banked before the table was found empty
+        assert node.stored_energy_j == pytest.approx(50e-6 + 20e-6 * 0.01, rel=1e-12)
 
     def test_random_key_policy_draws_unused(self):
         table = generate_table(16, 2, rng_seed=3)
         node = NodeState(table=table, stored_energy_j=50e-6)
-        rng = np.random.default_rng(5)
-        step = node_step(node, 0.01, -10.0, FLAT_RECT, key_policy="random", key_rng=rng)
-        assert step.frame is not None
-        assert table.is_used(step.key_index)
+        log = charging_session(node, seed=5, key_policy="random")
+        assert log.emitted_key_index is not None
+        assert unused_indices(table) == [i for i in range(16) if i != log.emitted_key_index]
 
     def test_random_key_policy_keeps_the_pool_order(self):
-        # the pick the policy made by indexing the list of unused entries
-        table = generate_table(5000, 2, rng_seed=8)
+        # the pick the policy made by indexing the list of unused entries,
+        # with one draw per session from the noise seed's first child
+        table = generate_table(500, 2, rng_seed=8)
         node = NodeState(table=table)
-        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
         pool = list(range(len(table)))
         emitted, expected = [], []
-        while pool:
-            step = node_step(node, 1.0, -10.0, FLAT_RECT, key_policy="random", key_rng=rng)
-            emitted.append(step.key_index)
-            expected.append(pool.pop(ref_rng.integers(0, len(pool))))
+        for seed in range(len(table)):
+            log = charging_session(node, seed=seed, dt_s=1.0, key_policy="random")
+            emitted.append(log.emitted_key_index)
+            (child,) = np.random.SeedSequence(seed).spawn(1)
+            expected.append(pool.pop(np.random.default_rng(child).integers(0, len(pool))))
         assert emitted == expected
         with pytest.raises(TableExhausted):
-            node_step(node, 1.0, -10.0, FLAT_RECT, key_policy="random", key_rng=rng)
+            charging_session(node, dt_s=1.0, key_policy="random")
 
     def test_nan_input_power_rejected_before_the_ledger(self):
-        node = NodeState(table=generate_table(4, 2, rng_seed=3), stored_energy_j=5e-6)
-        with pytest.raises(ValueError, match="p_in_dbm"):
-            node_step(node, 0.01, math.nan, FLAT_RECT)
-        assert node.stored_energy_j == 5e-6 and not any(node.table.used)
-
-    def test_random_key_policy_needs_key_rng(self):
-        node = NodeState(table=generate_table(16, 2, rng_seed=3), stored_energy_j=50e-6)
-        with pytest.raises(ValueError, match="key_rng"):
-            node_step(node, 0.01, -10.0, FLAT_RECT, key_policy="random")
-        assert node.stored_energy_j == 50e-6 and not any(node.table.used)
+        # the chunk count used to fail first, on int(nan), naming no input
+        for scenario in (
+            anechoic_scenario(p_tx_dbm=math.nan),
+            LinkScenario(name="wired", topology="wired", p_tx_dbm=math.nan),
+        ):
+            node, monitor = session_parts()
+            node.stored_energy_j = 5e-6
+            with pytest.raises(ValueError, match="node input power must not be NaN"):
+                run_session(scenario, node, Attacker(), monitor)
+            assert node.stored_energy_j == 5e-6
+            assert not any(node.table.used) and not any(monitor.table.used)
 
     def test_unknown_key_policy_rejected_before_charging(self):
-        node = NodeState(table=generate_table(4, 2, rng_seed=3))
+        # a node already above its threshold would emit in its first chunk
+        node = NodeState(table=generate_table(4, 2, rng_seed=3), stored_energy_j=50e-6)
         with pytest.raises(ValueError, match="unknown key policy: 'bogus'"):
-            node_step(node, 1.0, -10.0, FLAT_RECT, key_policy="bogus")
-        assert node.stored_energy_j == 0.0 and not any(node.table.used)
+            charging_session(node, key_policy="bogus")
+        assert node.stored_energy_j == 50e-6 and not any(node.table.used)
 
     def test_nan_dt_rejected(self):
-        node = NodeState(table=generate_table(4, 2, rng_seed=3))
+        node = NodeState(table=generate_table(4, 2, rng_seed=3), stored_energy_j=50e-6)
         with pytest.raises(ValueError, match="dt_s must be > 0"):
-            node_step(node, math.nan, -10.0, FLAT_RECT)
-        assert node.stored_energy_j == 0.0
+            charging_session(node, dt_s=math.nan)
+        assert node.stored_energy_j == 50e-6 and not any(node.table.used)
 
 
 class TestRunSession:
