@@ -4,6 +4,12 @@ Everything here is a pure function of its inputs. Powers cross module
 boundaries in dBm; summation happens in linear watts. Two link topologies
 are supported: a circulator-based wired bench and a radiated (free-space)
 three-antenna setup.
+
+A ``LinkScenario`` computes its noise-free budget (node input, harvested DC
+power, the two state levels) once, on first use, and memoises it; copies
+that differ only in the noise seed share that memo. Each memoised value is
+a pure function of the frozen fields, so the memo is idempotent: threads
+that share a scenario may fill it concurrently without a lock.
 """
 
 from __future__ import annotations
@@ -264,6 +270,13 @@ class LinkScenario:
     straight into the rectifier through a circulator, "radiated" applies the
     two-hop free-space budget. Antennas and geometries are required only for
     the radiated case; its hops carry the carrier, which a reflection shares.
+
+    ``node_input_dbm``, ``harvested_dc_w`` and ``state_level_dbm`` read a
+    per-instance memo that is not a field, so ``==``, hash and repr ignore
+    it. A value is stored only once it has been computed, so a call that
+    raises (``NearFieldError``, ``EmptyCurve``, ``OverflowError``) raises
+    again on every call. ``dataclasses.replace`` builds a new link with an
+    empty memo; ``with_noise_seed`` keeps it.
     """
 
     name: str
@@ -291,12 +304,37 @@ class LinkScenario:
                 raise ValueError(f"radiated scenario missing: {', '.join(missing)}")
             if self.dl.frequency_hz != self.ul.frequency_hz:
                 raise ValueError("downlink and uplink carriers differ")
+        # the noise-free budget memo: an attribute, not a field
+        object.__setattr__(self, "_budget", {})
+
+    def with_noise_seed(self, rng_seed: int) -> "LinkScenario":
+        """Copy with only the noise seed changed. No memoised value reads the
+        noise, so the copy shares this link's memo; only its new NoiseSpec
+        is built and checked."""
+        clone = object.__new__(type(self))
+        vars(clone).update(vars(self), noise=NoiseSpec(self.noise.noise_power_dbm, rng_seed))
+        return clone
+
+    def _memoised(self, key: str, compute) -> float:
+        budget = self._budget
+        if key not in budget:
+            budget[key] = compute()
+        return budget[key]
 
     def node_input_dbm(self) -> float:
         """RF power arriving at the rectifier input."""
         if self.topology == "wired":
             return self.p_tx_dbm
-        return friis_received_power(self.p_tx_dbm, self.src_tx, self.node_antenna, self.dl)
+        return self._memoised(
+            "node_input_dbm",
+            lambda: friis_received_power(self.p_tx_dbm, self.src_tx, self.node_antenna, self.dl),
+        )
+
+    def harvested_dc_w(self) -> float:
+        """DC power, in watts, that the rectifier makes of the node input."""
+        return self._memoised(
+            "harvested_dc_w", lambda: harvested_dc(self.node_input_dbm(), self.rect)
+        )
 
     def backscatter_dbm(self, cmd_high: bool) -> float:
         """Backscattered component at the monitor for one CMD state."""
@@ -318,7 +356,10 @@ class LinkScenario:
 
     def state_level_dbm(self, cmd_high: bool) -> float:
         """Deterministic monitor level for one CMD state (no noise term)."""
-        return combine_noncoherent([self.backscatter_dbm(cmd_high), self.leakage_dbm()])
+        return self._memoised(
+            "state_level_high_dbm" if cmd_high else "state_level_low_dbm",
+            lambda: combine_noncoherent([self.backscatter_dbm(cmd_high), self.leakage_dbm()]),
+        )
 
     def monitor_level_dbm(self, cmd_high: bool) -> float:
         """Expected monitor level including the mean noise power."""

@@ -21,6 +21,7 @@ from .channel import (
     LinkScenario,
     NoiseSpec,
     RectifierModel,
+    dbm_to_watts,
 )
 from .errors import ParseError, ValidationError
 from .protocol import (
@@ -47,6 +48,19 @@ _COUPLING = ("leakage_kind", "coupling")
 _KEYED = ("protocol_enabled", True)
 _PROBE = ("protocol_enabled", False)
 _POSITIVE = (lambda v: v > 0, "must be > 0")
+# a session counts its steps as max_time_s / dt_s, so neither may be inf
+_FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
+
+
+def _finite_watts(p_dbm: float) -> bool:
+    try:
+        return math.isfinite(dbm_to_watts(p_dbm))
+    except OverflowError:
+        return False
+
+
+# -inf dBm is 0 W, the silent case; every budget sums powers in watts
+_FINITE_WATTS = (_finite_watts, "must be a finite power in watts")
 
 
 def _at_least(bound) -> tuple:
@@ -80,7 +94,7 @@ class ScenarioConfig:
     setup: str = _key("setup", ("wired", "anechoic", "custom"))
     seed: int = _key("seed", "int", preset=0, check=_at_least(0))
     topology: str | None = _key("channel.topology", ("radiated", "wired"))
-    p_tx_dbm: float | None = _key("channel.p_tx_dbm", "float")
+    p_tx_dbm: float | None = _key("channel.p_tx_dbm", "float", check=_FINITE_WATTS)
     frequency_hz: float | None = _key(
         "channel.frequency_hz", "float", _RADIATED, check=_POSITIVE
     )
@@ -100,7 +114,9 @@ class ScenarioConfig:
     )
     coupling_floor_dbm: float | None = _key("channel.coupling_floor_dbm", "float", _COUPLING)
     coupling_ref_tx_dbm: float | None = _key("channel.coupling_ref_tx_dbm", "float", _COUPLING)
-    noise_power_dbm: float | None = _key("channel.noise_power_dbm", "float", preset=-90.0)
+    noise_power_dbm: float | None = _key(
+        "channel.noise_power_dbm", "float", preset=-90.0, check=_FINITE_WATTS
+    )
     bit_rate_hz: float | None = _key("waveform.bit_rate_hz", "float", check=_BIT_RATE)
     oversampling: int | None = _key("waveform.oversampling", "int", preset=16, check=_OVERSAMPLING)
     probe_bits: int | None = _key(
@@ -140,10 +156,10 @@ class ScenarioConfig:
         check=_at_least(0),
     )
     dt_s: float | None = _key(
-        "protocol.dt_s", "float", _KEYED, preset=DEFAULT_DT_S, check=_POSITIVE
+        "protocol.dt_s", "float", _KEYED, preset=DEFAULT_DT_S, check=_FINITE_POSITIVE
     )
     max_time_s: float | None = _key(
-        "protocol.max_time_s", "float", _KEYED, preset=30.0, check=_POSITIVE
+        "protocol.max_time_s", "float", _KEYED, preset=30.0, check=_FINITE_POSITIVE
     )
     attacker: str | None = _key("protocol.attacker", ATTACKER_KINDS, _KEYED, preset="none")
     sweep_param: str | None = _key(

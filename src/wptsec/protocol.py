@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LinkScenario, harvested_dc
+from .channel import LinkScenario
 from .errors import TableCapacityError, TableExhausted
 from .monitor import (
     REJECTED_NO_SIGNAL,
@@ -288,7 +288,7 @@ def _charge(
     p_in_dbm = scenario.node_input_dbm()
     if math.isnan(p_in_dbm):
         raise ValueError("node input power must not be NaN")
-    p_dc_w = harvested_dc(p_in_dbm, scenario.rect)
+    p_dc_w = scenario.harvested_dc_w()
     # a node that cannot reach its threshold charges to max_time_s in one chunk
     never_wakes = p_dc_w <= 0.0 or node.storage_capacity_j < node.wake_threshold_j
     energy = [(0.0, node.stored_energy_j)]
@@ -347,13 +347,14 @@ def run_session(
     code. A replay attacker captures that envelope and re-presents it for a
     second verification: the capture's own decode is verified again against
     the live table, so the one-time-key check alone rejects it. The charge
-    phase (``_charge``) is the energy ledger's only writer; it rejects a NaN
-    node input power before the ledger changes.
+    phase (``_charge``) is the energy ledger's only writer. A non-finite
+    ``dt_s`` or ``max_time_s``, and a NaN node input power, are rejected
+    before the ledger changes.
     """
-    if not dt_s > 0:
-        raise ValueError("dt_s must be > 0")
-    if not max_time_s >= 0:
-        raise ValueError("max_time_s must be >= 0")
+    if not 0 < dt_s < math.inf:
+        raise ValueError(f"dt_s must be > 0 and finite, got {dt_s!r}")
+    if not 0 <= max_time_s < math.inf:
+        raise ValueError(f"max_time_s must be >= 0 and finite, got {max_time_s!r}")
     if key_policy not in KEY_POLICIES:
         raise ValueError(f"unknown key policy: {key_policy!r}")
     key_rng = None
@@ -417,5 +418,9 @@ def run_session(
 
 
 def fresh_session_scenario(scenario: LinkScenario, rng_seed: int) -> LinkScenario:
-    """Scenario copy with a new noise seed, for independent repeated sessions."""
-    return replace(scenario, noise=replace(scenario.noise, rng_seed=rng_seed))
+    """Scenario copy with a new noise seed, for independent repeated sessions.
+
+    The copy shares the link's memoised noise-free budget, so repeated
+    sessions compute it once. That memo is idempotent, so threads that run
+    sessions on copies of one link may share it without a lock."""
+    return scenario.with_noise_seed(rng_seed)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from wptsec import cli, monitor
+from wptsec import channel, cli, monitor
 
 
 @pytest.fixture
@@ -17,4 +17,23 @@ def clustering_calls(monkeypatch):
 
     monkeypatch.setattr(monitor, "measure_levels", counting)
     monkeypatch.setattr(cli, "measure_levels", counting)
+    return calls
+
+
+def _recorded(fn, calls):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper
+
+
+@pytest.fixture
+def budget_calls(monkeypatch):
+    """Argument tuples of every harvested_dc and combine_noncoherent call
+    that the channel makes, by function name."""
+    calls = {}
+    for name in ("harvested_dc", "combine_noncoherent"):
+        calls[name] = []
+        monkeypatch.setattr(channel, name, _recorded(getattr(channel, name), calls[name]))
     return calls

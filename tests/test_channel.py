@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -305,6 +307,106 @@ class TestScenarioValidation:
     def test_unknown_topology(self):
         with pytest.raises(ValueError, match="unknown topology: 'optical'"):
             dataclasses.replace(_anechoic_scenario(), topology="optical")
+
+
+class TestBudgetMemo:
+    """A link computes its noise-free budget once, on first use."""
+
+    @staticmethod
+    def direct_budget(scenario: LinkScenario) -> list[float]:
+        p_tx, rect = scenario.p_tx_dbm, scenario.rect
+        if scenario.topology == "wired":
+            p_in = p_tx
+            backscatter = [p_tx + rect.gamma_db(high) for high in (True, False)]
+        else:
+            hops = (scenario.src_tx, scenario.node_antenna, scenario.mon_rx, scenario.dl)
+            p_in = friis_received_power(p_tx, hops[0], hops[1], hops[3])
+            backscatter = [
+                backscatter_received_power(p_tx, *hops, scenario.ul, rect, high)
+                for high in (True, False)
+            ]
+        leak = leakage_power(p_tx, scenario.leakage)
+        levels = [combine_noncoherent([bs, leak]) for bs in backscatter]
+        return [p_in, harvested_dc(p_in, rect), *levels]
+
+    @staticmethod
+    def memoised_budget(scenario: LinkScenario) -> list[float]:
+        return [
+            scenario.node_input_dbm(),
+            scenario.harvested_dc_w(),
+            scenario.state_level_dbm(True),
+            scenario.state_level_dbm(False),
+        ]
+
+    @pytest.mark.parametrize("p_tx_dbm", [-30.0, -15.0, 0.0, 15.0, 24.0])
+    def test_memoised_values_equal_direct_calls(self, p_tx_dbm):
+        wired = LinkScenario(name="wired", topology="wired", p_tx_dbm=p_tx_dbm)
+        for scenario in (wired, _anechoic_scenario(p_tx_dbm)):
+            expected = repr(self.direct_budget(scenario))
+            # the first read fills the memo, the second reads it back
+            assert repr(self.memoised_budget(scenario)) == expected
+            assert repr(self.memoised_budget(scenario)) == expected
+
+    def test_memo_is_not_part_of_the_value(self):
+        fresh, used = _anechoic_scenario(), _anechoic_scenario()
+        self.memoised_budget(used)
+        assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+        assert "_budget" not in {f.name for f in dataclasses.fields(LinkScenario)}
+
+    def test_replace_starts_with_an_empty_memo(self, budget_calls):
+        base = _anechoic_scenario(15.0)
+        self.memoised_budget(base)
+        moved = dataclasses.replace(base, p_tx_dbm=0.0)
+        assert vars(moved)["_budget"] == {}
+        assert self.memoised_budget(moved) == self.direct_budget(moved)
+        assert self.memoised_budget(moved) != self.memoised_budget(base)
+        # one computation each for base and moved (direct_budget is not counted)
+        assert len(budget_calls["harvested_dc"]) == 2
+
+    def test_new_noise_seed_shares_the_memo(self, budget_calls):
+        base = _anechoic_scenario(15.0)
+        copies = [base.with_noise_seed(seed) for seed in range(5)]
+        for scenario in copies + [base]:
+            self.memoised_budget(scenario)
+        assert len(budget_calls["harvested_dc"]) == 1
+        assert len(budget_calls["combine_noncoherent"]) == 2
+        assert all(vars(c)["_budget"] is vars(base)["_budget"] for c in copies)
+
+    def test_threads_sharing_one_memo_read_the_direct_values(self):
+        base = _anechoic_scenario(9.0)
+        expected = repr(self.direct_budget(base))
+        results = []
+
+        def read(seed):
+            results.append(repr(self.memoised_budget(base.with_noise_seed(seed))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 8
+
+    def test_failed_budget_raises_on_every_call(self):
+        near = dataclasses.replace(_anechoic_scenario(), dl=LinkGeometry(0.1, 868e6))
+        for _ in range(2):
+            with pytest.raises(NearFieldError):
+                near.node_input_dbm()
+            with pytest.raises(NearFieldError):
+                near.harvested_dc_w()
+        empty = LinkScenario(
+            name="wired", topology="wired", p_tx_dbm=0.0, rect=RectifierModel(efficiency_curve=())
+        )
+        for _ in range(2):
+            with pytest.raises(EmptyCurve):
+                empty.harvested_dc_w()
+        assert vars(near)["_budget"] == vars(empty)["_budget"] == {}
 
 
 class TestValidation:

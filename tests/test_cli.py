@@ -338,9 +338,10 @@ class TestMain:
 
     def test_error_row_with_trace_out_is_a_failed_check(self, tmp_path, capsys):
         # a first point that raises is the same error row with --trace-out,
-        # and the trace check names its exception instead of a crash
-        cfg_path = tmp_path / "hot.cfg"
-        cfg_path.write_text("setup=wired\nchannel.p_tx_dbm=1e300\n")
+        # and the trace check names its exception instead of a crash; a
+        # downlink inside one wavelength makes every point raise
+        cfg_path = tmp_path / "near.cfg"
+        cfg_path.write_text("setup=anechoic\nchannel.distance_dl_m=0.1\n")
         plain, with_trace = tmp_path / "a.csv", tmp_path / "b.csv"
         trace_path = tmp_path / "t.txt"
         assert main(["run", str(cfg_path), "--out", str(plain)]) == 1
@@ -348,10 +349,10 @@ class TestMain:
         argv = ["run", str(cfg_path), "--out", str(with_trace), "--trace-out", str(trace_path)]
         assert main(argv) == 1
         assert with_trace.read_bytes() == plain.read_bytes()
-        assert ",error:OverflowError," in plain.read_text()
+        assert ",error:NearFieldError," in plain.read_text()
         assert not trace_path.exists()
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("check trace_out: FAIL (not written: OverflowError: ")
+        assert last.startswith("check trace_out: FAIL (not written: NearFieldError: ")
 
     def test_non_integral_sample_rate_is_a_failed_check(self, tmp_path, capsys):
         # 1000.3 Hz at 16x is a 16,004.8 Hz trace, which the file format
@@ -384,6 +385,27 @@ class TestMain:
         ],
     )
     def test_exit_two_on_key_the_mode_never_reads(self, tmp_path, capsys, text, problem):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
+        argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
+        assert main(argv) == 2
+        assert not out_csv.exists() and not trace_path.exists()
+        assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("setup=anechoic\nprotocol.max_time_s=inf\n", "protocol.max_time_s: must be finite"),
+            ("setup=anechoic\nprotocol.dt_s=inf\n", "protocol.dt_s: must be finite"),
+            ("setup=wired\nchannel.p_tx_dbm=1e300\n", "channel.p_tx_dbm: must be a finite"),
+            (
+                "setup=wired\nsweep.param=channel.noise_power_dbm\nsweep.values=-90,1e300\n",
+                "sweep.values: 1e+300: channel.noise_power_dbm must be a finite",
+            ),
+        ],
+    )
+    def test_exit_two_on_value_every_point_would_fail_on(self, tmp_path, capsys, text, problem):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)
         out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"

@@ -439,6 +439,40 @@ class TestValidation:
             assert violations_of(f"setup=anechoic\n{key} = {value}") == [f"{key}: {rule}"]
         assert load_config("setup=anechoic\nprotocol.tx_cost_j_per_bit = 0").tx_cost_j_per_bit == 0
 
+    @pytest.mark.parametrize("key", ["protocol.max_time_s", "protocol.dt_s"])
+    def test_infinite_timing_rejected(self, key):
+        # it loaded, then every keyed point failed: max_time_s = inf as
+        # error:OverflowError, dt_s = inf as a non-increasing timeline
+        assert violations_of(f"setup=anechoic\n{key} = inf") == [
+            f"{key}: must be finite and > 0"
+        ]
+        assert violations_of(
+            f"setup=anechoic\nsweep.param = {key}\nsweep.values = 1,inf"
+        ) == [f"sweep.values: inf: {key} must be finite and > 0"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("channel.p_tx_dbm", "1e300"),
+            ("channel.p_tx_dbm", "inf"),
+            ("channel.noise_power_dbm", "1e300"),
+            ("channel.noise_power_dbm", "inf"),
+        ],
+    )
+    def test_dbm_value_must_be_finite_in_watts(self, key, value):
+        # it loaded, then every point failed: 1e300 as error:OverflowError
+        # in dbm_to_watts, inf as error:ValueError
+        rule = "must be a finite power in watts"
+        assert violations_of(f"setup=anechoic\n{key} = {value}") == [f"{key}: {rule}"]
+        assert violations_of(
+            f"setup=wired\nsweep.param = {key}\nsweep.values = 0,{value}"
+        ) == [f"sweep.values: {float(value)!r}: {key} {rule}"]
+
+    def test_silent_noise_and_large_finite_powers_still_load(self):
+        cfg = load_config("setup=anechoic\nchannel.noise_power_dbm = -inf")
+        assert cfg.noise_power_dbm == float("-inf")
+        assert load_config("setup=wired\nchannel.p_tx_dbm = 300").p_tx_dbm == 300.0
+
     def test_negative_seed_rejected(self):
         # numpy's default_rng rejects it, so every keyed point would fail at run time
         for setup in ("wired", "anechoic"):

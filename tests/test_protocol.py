@@ -18,7 +18,7 @@ from wptsec.channel import (
     NoiseSpec,
     RectifierModel,
 )
-from wptsec.errors import TableCapacityError, TableExhausted
+from wptsec.errors import NearFieldError, TableCapacityError, TableExhausted
 from wptsec.monitor import (
     ACCEPTED,
     DECODED,
@@ -40,6 +40,7 @@ from wptsec.protocol import (
     generate_table,
     run_session,
 )
+from wptsec.waveform import render_envelope
 
 # flat 20% efficiency makes hand energy math easy: -10 dBm in -> 20 uW DC
 FLAT_RECT = RectifierModel(efficiency_curve=((-60.0, 0.2), (60.0, 0.2)))
@@ -432,6 +433,17 @@ class TestRunSession:
         with pytest.raises(ValueError, match="dt_s must be > 0"):
             run_session(anechoic_scenario(), node, Attacker(), monitor, dt_s=math.nan)
 
+    @pytest.mark.parametrize("arg", ["dt_s", "max_time_s"])
+    def test_infinite_timing_rejected_before_the_ledger(self, arg):
+        # max_time_s = inf failed as OverflowError in the charge phase's step
+        # count, dt_s = inf as "event times must be strictly increasing"
+        node, monitor = session_parts()
+        node.stored_energy_j = 5e-6
+        with pytest.raises(ValueError, match=f"^{arg} must be .* finite"):
+            run_session(anechoic_scenario(), node, Attacker(), monitor, **{arg: math.inf})
+        assert node.stored_energy_j == 5e-6
+        assert not any(node.table.used) and not any(monitor.table.used)
+
     def test_immediate_timeout_keeps_timeline_strict(self):
         node, monitor = session_parts()
         log = run_session(
@@ -541,6 +553,47 @@ class TestRunSession:
         )
         start = log.format_records()[0]
         assert start.startswith("time_s=0.0 event=session_start stored_energy_j=")
+
+
+class TestFreshSessionScenario:
+    def test_copy_differs_from_its_base_only_in_the_seed(self):
+        base = anechoic_scenario(seed=7)
+        fresh = fresh_session_scenario(base, 8)
+        assert fresh.noise == NoiseSpec(base.noise.noise_power_dbm, 8)
+        assert fresh != base
+        assert dataclasses.replace(fresh, noise=base.noise) == base
+        for f in dataclasses.fields(LinkScenario):
+            if f.name != "noise":
+                assert getattr(fresh, f.name) is getattr(base, f.name)
+        assert vars(fresh)["_budget"] is vars(base)["_budget"]
+
+    def test_near_field_uplink_fails_at_render_not_at_the_copy(self):
+        # the uplink carries only the backscatter: charging never reads it
+        base = anechoic_scenario(ul=LinkGeometry(0.1, 868e6))
+        fresh = fresh_session_scenario(base, 1)
+        for _ in range(2):
+            with pytest.raises(NearFieldError):
+                render_envelope(fresh, [1, 0], 20e3, 320e3)
+        node = NodeState(
+            table=generate_table(4, 2, rng_seed=0),
+            storage_capacity_j=100e-6,
+            wake_threshold_j=100.0001e-6,
+        )
+        _, monitor = session_parts()
+        log = run_session(fresh_session_scenario(base, 2), node, Attacker(), monitor)
+        assert log.final.decode.status == WAKE_TIMEOUT
+        node, monitor = session_parts()
+        with pytest.raises(NearFieldError):
+            run_session(fresh_session_scenario(base, 3), node, Attacker(), monitor)
+
+    def test_sessions_on_one_link_compute_its_budget_once(self, budget_calls):
+        node, monitor = session_parts(n_keys=100)
+        base = anechoic_scenario(seed=9)
+        for i in range(100):
+            log = run_session(fresh_session_scenario(base, 900 + i), node, Attacker(), monitor)
+            assert log.final.verdict == ACCEPTED
+        assert len(budget_calls["harvested_dc"]) == 1
+        assert len(budget_calls["combine_noncoherent"]) == 2
 
 
 class TestStateValidation:
