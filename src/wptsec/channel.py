@@ -74,10 +74,10 @@ class LinkGeometry:
     frequency_hz: float
 
     def __post_init__(self) -> None:
-        if self.distance_m <= 0:
-            raise ValueError(f"distance_m must be > 0, got {self.distance_m}")
-        if self.frequency_hz <= 0:
-            raise ValueError(f"frequency_hz must be > 0, got {self.frequency_hz}")
+        if not 0 < self.distance_m < math.inf:
+            raise ValueError(f"distance_m must be finite and > 0, got {self.distance_m}")
+        if not 0 < self.frequency_hz < math.inf:
+            raise ValueError(f"frequency_hz must be finite and > 0, got {self.frequency_hz}")
 
     @property
     def wavelength_m(self) -> float:

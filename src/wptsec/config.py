@@ -34,9 +34,10 @@ from .protocol import (
     MonitorConfig,
     NodeState,
     PvkTable,
+    check_session_timing,
     generate_table,
 )
-from .waveform import MAX_BIT_RATE_HZ, MAX_PAYLOAD_BYTES, MIN_OVERSAMPLING
+from .waveform import MAX_PAYLOAD_BYTES, check_oversampling
 
 
 # A key whose use hangs on another key is required while that selector holds
@@ -47,29 +48,10 @@ _CIRCULATOR = ("leakage_kind", "circulator")
 _COUPLING = ("leakage_kind", "coupling")
 _KEYED = ("protocol_enabled", True)
 _PROBE = ("protocol_enabled", False)
-_POSITIVE = (lambda v: v > 0, "must be > 0")
-# a session counts its steps as max_time_s / dt_s, so neither may be inf
-_FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
-
-
-def _finite_watts(p_dbm: float) -> bool:
-    try:
-        return math.isfinite(dbm_to_watts(p_dbm))
-    except OverflowError:
-        return False
-
-
-# -inf dBm is 0 W, the silent case; every budget sums powers in watts
-_FINITE_WATTS = (_finite_watts, "must be a finite power in watts")
 
 
 def _at_least(bound) -> tuple:
     return (lambda v: v >= bound, f"must be >= {bound}")
-
-
-# the on-air limits, as range rules (waveform.check_oversampling enforces them)
-_BIT_RATE = (lambda v: 0 < v <= MAX_BIT_RATE_HZ, f"must be in (0, {MAX_BIT_RATE_HZ:.0f}]")
-_OVERSAMPLING = _at_least(MIN_OVERSAMPLING)
 
 
 def _key(key: str, kind: str | tuple[str, ...], required=True, *, preset=None, check=None):
@@ -79,8 +61,8 @@ def _key(key: str, kind: str | tuple[str, ...], required=True, *, preset=None, c
     sweepability: float, int, bool, curve, floats, str, or a tuple of choices.
     ``required`` is True or a (selector attribute, value) condition.
     ``preset`` is the default every preset shares (None: each preset sets
-    its own or leaves it unset). ``check`` is a (predicate, message) range
-    rule; the message may show the value through ``{!r}``.
+    its own or leaves it unset). ``check`` is a (predicate, message) rule on
+    what no point's build judges; the message may show the value as ``{!r}``.
     """
     return dataclasses.field(
         metadata=dict(key=key, kind=kind, required=required, preset=preset, check=check)
@@ -94,12 +76,10 @@ class ScenarioConfig:
     setup: str = _key("setup", ("wired", "anechoic", "custom"))
     seed: int = _key("seed", "int", preset=0, check=_at_least(0))
     topology: str | None = _key("channel.topology", ("radiated", "wired"))
-    p_tx_dbm: float | None = _key("channel.p_tx_dbm", "float", check=_FINITE_WATTS)
-    frequency_hz: float | None = _key(
-        "channel.frequency_hz", "float", _RADIATED, check=_POSITIVE
-    )
-    distance_dl_m: float | None = _key("channel.distance_dl_m", "float", _RADIATED, check=_POSITIVE)
-    distance_ul_m: float | None = _key("channel.distance_ul_m", "float", _RADIATED, check=_POSITIVE)
+    p_tx_dbm: float | None = _key("channel.p_tx_dbm", "float")
+    frequency_hz: float | None = _key("channel.frequency_hz", "float", _RADIATED)
+    distance_dl_m: float | None = _key("channel.distance_dl_m", "float", _RADIATED)
+    distance_ul_m: float | None = _key("channel.distance_ul_m", "float", _RADIATED)
     gain_src_dbi: float | None = _key("channel.gain_src_dbi", "float", _RADIATED)
     gain_node_dbi: float | None = _key("channel.gain_node_dbi", "float", _RADIATED)
     gain_mon_dbi: float | None = _key("channel.gain_mon_dbi", "float", _RADIATED)
@@ -110,15 +90,13 @@ class ScenarioConfig:
     )
     leakage_kind: str | None = _key("channel.leakage_kind", ("circulator", "coupling"))
     circulator_isolation_db: float | None = _key(
-        "channel.circulator_isolation_db", "float", _CIRCULATOR, check=_at_least(0)
+        "channel.circulator_isolation_db", "float", _CIRCULATOR
     )
     coupling_floor_dbm: float | None = _key("channel.coupling_floor_dbm", "float", _COUPLING)
     coupling_ref_tx_dbm: float | None = _key("channel.coupling_ref_tx_dbm", "float", _COUPLING)
-    noise_power_dbm: float | None = _key(
-        "channel.noise_power_dbm", "float", preset=-90.0, check=_FINITE_WATTS
-    )
-    bit_rate_hz: float | None = _key("waveform.bit_rate_hz", "float", check=_BIT_RATE)
-    oversampling: int | None = _key("waveform.oversampling", "int", preset=16, check=_OVERSAMPLING)
+    noise_power_dbm: float | None = _key("channel.noise_power_dbm", "float", preset=-90.0)
+    bit_rate_hz: float | None = _key("waveform.bit_rate_hz", "float")
+    oversampling: int | None = _key("waveform.oversampling", "int", preset=16)
     probe_bits: int | None = _key(
         "waveform.probe_bits", "int", _PROBE, preset=64, check=_at_least(2)
     )
@@ -131,36 +109,18 @@ class ScenarioConfig:
         preset=2,
         check=(lambda v: 1 <= v <= MAX_PAYLOAD_BYTES, f"must be in [1, {MAX_PAYLOAD_BYTES}]"),
     )
-    key_policy: str | None = _key(
-        "protocol.key_policy", KEY_POLICIES, _KEYED, preset="sequential"
-    )
+    key_policy: str | None = _key("protocol.key_policy", KEY_POLICIES, _KEYED, preset="sequential")
     storage_capacity_j: float | None = _key(
-        "protocol.storage_capacity_j",
-        "float",
-        _KEYED,
-        preset=DEFAULT_STORAGE_CAPACITY_J,
-        check=_POSITIVE,
+        "protocol.storage_capacity_j", "float", _KEYED, preset=DEFAULT_STORAGE_CAPACITY_J
     )
     wake_threshold_j: float | None = _key(
-        "protocol.wake_threshold_j",
-        "float",
-        _KEYED,
-        preset=DEFAULT_WAKE_THRESHOLD_J,
-        check=_POSITIVE,
+        "protocol.wake_threshold_j", "float", _KEYED, preset=DEFAULT_WAKE_THRESHOLD_J
     )
     tx_cost_j_per_bit: float | None = _key(
-        "protocol.tx_cost_j_per_bit",
-        "float",
-        _KEYED,
-        preset=DEFAULT_TX_COST_J_PER_BIT,
-        check=_at_least(0),
+        "protocol.tx_cost_j_per_bit", "float", _KEYED, preset=DEFAULT_TX_COST_J_PER_BIT
     )
-    dt_s: float | None = _key(
-        "protocol.dt_s", "float", _KEYED, preset=DEFAULT_DT_S, check=_FINITE_POSITIVE
-    )
-    max_time_s: float | None = _key(
-        "protocol.max_time_s", "float", _KEYED, preset=30.0, check=_FINITE_POSITIVE
-    )
+    dt_s: float | None = _key("protocol.dt_s", "float", _KEYED, preset=DEFAULT_DT_S)
+    max_time_s: float | None = _key("protocol.max_time_s", "float", _KEYED, preset=30.0)
     attacker: str | None = _key("protocol.attacker", ATTACKER_KINDS, _KEYED, preset="none")
     sweep_param: str | None = _key(
         "sweep.param",
@@ -308,21 +268,28 @@ def _not_applicable(required, values: dict) -> str:
 
 
 def validated(cfg: ScenarioConfig) -> ScenarioConfig:
-    """``cfg`` itself, or a ValidationError that names every schema violation."""
+    """``cfg`` itself, or a ValidationError naming every violation. Once ``cfg``
+    holds, each sweep point is judged as ``cfg`` with its value set directly."""
+    bad = _violations(cfg)
+    key = cfg.sweep_param
+    for value in () if bad else cfg.sweep_values or ():
+        if _SCALAR_KEYS[key][1] == "int" and not value.is_integer():
+            bad.append(f"sweep.values: {value!r}: {key}: must be an integer")
+            continue
+        point = cfg.with_override(key, value)
+        bad += [f"sweep.values: {point.scalar(key)!r}: {v}" for v in _violations(point, key)]
+    if bad:
+        raise ValidationError(bad)
+    return cfg
+
+
+def _violations(cfg: ScenarioConfig, swept_key: str | None = None) -> list[str]:
+    """Every schema violation of ``cfg``, or else why its point does not build.
+    A sweep point differs from its config, which holds, only in ``swept_key``."""
     values = vars(cfg)
     bad: list[str] = []
-    for f in _FIELDS:
-        key, kind, required, check = (f.metadata[m] for m in ("key", "kind", "required", "check"))
-        if key == values["sweep_param"] and key in _SCALAR_KEYS:
-            # each swept value must be one the key itself would accept
-            for point in values["sweep_values"] or ():
-                if kind == "int":
-                    if not point.is_integer():
-                        bad.append(f"sweep.values: {point!r}: {key} must be an integer")
-                        continue
-                    point = int(point)
-                if check is not None and not check[0](point):
-                    bad.append(f"sweep.values: {point!r}: {key} {check[1].format(point)}")
+    for f in (f for f in _FIELDS if swept_key in (None, f.metadata["key"])):
+        key, required, check = map(f.metadata.get, ("key", "required", "check"))
         value = values[f.name]
         why = _not_applicable(required, values)
         if why:
@@ -341,9 +308,34 @@ def validated(cfg: ScenarioConfig) -> ScenarioConfig:
                 bad.append(f"{key}: missing{why}")
         elif check is not None and not check[0](value):
             bad.append(f"{key}: {check[1].format(value)}")
-    if bad:
-        raise ValidationError(bad)
-    return cfg
+    return bad or _build_failure(cfg, swept_key)
+
+
+def _build_failure(cfg: ScenarioConfig, swept_key: str | None) -> list[str]:
+    """Why the point ``cfg`` does not build as its run does, under ``swept_key``
+    or the section that raised; each power it reads must be finite in watts."""
+    section = "channel"
+    try:
+        link = build_scenario(cfg)
+        try:
+            watts = [dbm_to_watts(link.monitor_level_dbm(c)) for c in (True, False)]
+            if cfg.protocol_enabled:
+                watts.append(link.harvested_dc_w())
+        except OverflowError:
+            watts = [math.inf]
+        if not all(0 <= w < math.inf for w in watts):
+            raise ValueError("a monitor level or the harvest is not a finite power in watts")
+        section = "waveform"
+        check_oversampling(cfg.oversampling * cfg.bit_rate_hz, cfg.bit_rate_hz)
+        if cfg.protocol_enabled:
+            section = "protocol"
+            build_node(cfg, PvkTable([]))
+            check_session_timing(cfg.dt_s, cfg.max_time_s)
+    except ValueError as exc:
+        return [f"{swept_key or section}: {exc}"]
+    except ArithmeticError as exc:  # a product past the float range
+        return [f"{swept_key or section}: out of range ({type(exc).__name__}: {exc})"]
+    return []
 
 
 def load_config(source: str | Path) -> ScenarioConfig:

@@ -329,6 +329,17 @@ def _charge(
     return t, harvested, energy, key_index, frame
 
 
+def check_session_timing(dt_s: float, max_time_s: float) -> None:
+    """Reject timing a session cannot count max_time_s / dt_s steps with; NaN
+    fails every check."""
+    if not 0 < dt_s < math.inf:
+        raise ValueError(f"dt_s must be > 0 and finite, got {dt_s!r}")
+    if not 0 <= max_time_s < math.inf:
+        raise ValueError(f"max_time_s must be >= 0 and finite, got {max_time_s!r}")
+    if not max_time_s / dt_s < math.inf:
+        raise ValueError(f"max_time_s / dt_s must be finite, got {max_time_s!r} / {dt_s!r}")
+
+
 def run_session(
     scenario: LinkScenario,
     node: NodeState,
@@ -347,14 +358,11 @@ def run_session(
     code. A replay attacker captures that envelope and re-presents it for a
     second verification: the capture's own decode is verified again against
     the live table, so the one-time-key check alone rejects it. The charge
-    phase (``_charge``) is the energy ledger's only writer. A non-finite
-    ``dt_s`` or ``max_time_s``, and a NaN node input power, are rejected
-    before the ledger changes.
+    phase (``_charge``) is the energy ledger's only writer. Timing that
+    ``check_session_timing`` rejects, and a NaN node input power, are
+    rejected before the ledger changes.
     """
-    if not 0 < dt_s < math.inf:
-        raise ValueError(f"dt_s must be > 0 and finite, got {dt_s!r}")
-    if not 0 <= max_time_s < math.inf:
-        raise ValueError(f"max_time_s must be >= 0 and finite, got {max_time_s!r}")
+    check_session_timing(dt_s, max_time_s)
     if key_policy not in KEY_POLICIES:
         raise ValueError(f"unknown key policy: {key_policy!r}")
     key_rng = None

@@ -422,6 +422,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             LinkGeometry(1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "distance_m, frequency_hz, name",
+        [
+            (math.nan, 868e6, "distance_m"),
+            (math.inf, 868e6, "distance_m"),
+            (3.4, math.nan, "frequency_hz"),
+            (3.4, math.inf, "frequency_hz"),
+        ],
+    )
+    def test_geometry_rejects_non_finite_values(self, distance_m, frequency_hz, name):
+        # a NaN distance passed and was later reported as inside one
+        # wavelength; an infinite carrier reached ZeroDivisionError in Friis
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            LinkGeometry(distance_m, frequency_hz)
+
     def test_rectifier_invariants(self):
         with pytest.raises(ValueError):
             RectifierModel(gamma_low_db=1.0)

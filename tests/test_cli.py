@@ -97,6 +97,12 @@ class TestRunExperiment:
         assert checks["dr_spread_le_1.5db"].passed
         assert not checks["verdict_accepted"].passed
 
+    def test_zero_max_time_is_a_wake_timeout_row(self):
+        # the config accepts the horizon run_session accepts; it used to be
+        # a config error
+        (row,), _ = run_experiment(load_config("setup=anechoic\nprotocol.max_time_s=0\n"))
+        assert row["status"] == "wake_timeout" and row["verdict"] == "rejected_no_signal"
+
     def test_replay_attacker_scenario_check(self):
         rows, summary = run_experiment(load_config("setup=anechoic\nprotocol.attacker=replay"))
         assert rows[0]["verdict"] == "rejected_replay"
@@ -339,9 +345,9 @@ class TestMain:
     def test_error_row_with_trace_out_is_a_failed_check(self, tmp_path, capsys):
         # a first point that raises is the same error row with --trace-out,
         # and the trace check names its exception instead of a crash; a
-        # downlink inside one wavelength makes every point raise
-        cfg_path = tmp_path / "near.cfg"
-        cfg_path.write_text("setup=anechoic\nchannel.distance_dl_m=0.1\n")
+        # frame that costs more than the storage holds makes every point raise
+        cfg_path = tmp_path / "costly.cfg"
+        cfg_path.write_text("setup=anechoic\nprotocol.tx_cost_j_per_bit=1\n")
         plain, with_trace = tmp_path / "a.csv", tmp_path / "b.csv"
         trace_path = tmp_path / "t.txt"
         assert main(["run", str(cfg_path), "--out", str(plain)]) == 1
@@ -349,10 +355,10 @@ class TestMain:
         argv = ["run", str(cfg_path), "--out", str(with_trace), "--trace-out", str(trace_path)]
         assert main(argv) == 1
         assert with_trace.read_bytes() == plain.read_bytes()
-        assert ",error:NearFieldError," in plain.read_text()
+        assert ",error:ValueError," in plain.read_text()
         assert not trace_path.exists()
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("check trace_out: FAIL (not written: NearFieldError: ")
+        assert last.startswith("check trace_out: FAIL (not written: ValueError: frame cost ")
 
     def test_non_integral_sample_rate_is_a_failed_check(self, tmp_path, capsys):
         # 1000.3 Hz at 16x is a 16,004.8 Hz trace, which the file format
@@ -396,12 +402,15 @@ class TestMain:
     @pytest.mark.parametrize(
         "text, problem",
         [
-            ("setup=anechoic\nprotocol.max_time_s=inf\n", "protocol.max_time_s: must be finite"),
-            ("setup=anechoic\nprotocol.dt_s=inf\n", "protocol.dt_s: must be finite"),
-            ("setup=wired\nchannel.p_tx_dbm=1e300\n", "channel.p_tx_dbm: must be a finite"),
+            (
+                "setup=anechoic\nprotocol.max_time_s=inf\n",
+                "protocol: max_time_s must be >= 0 and finite",
+            ),
+            ("setup=anechoic\nprotocol.dt_s=inf\n", "protocol: dt_s must be > 0 and finite"),
+            ("setup=wired\nchannel.p_tx_dbm=1e300\n", "channel: a monitor level or the harvest"),
             (
                 "setup=wired\nsweep.param=channel.noise_power_dbm\nsweep.values=-90,1e300\n",
-                "sweep.values: 1e+300: channel.noise_power_dbm must be a finite",
+                "sweep.values: 1e+300: channel.noise_power_dbm: a monitor level or the harvest",
             ),
         ],
     )
@@ -413,6 +422,45 @@ class TestMain:
         assert main(argv) == 2
         assert not out_csv.exists() and not trace_path.exists()
         assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("channel.gamma_high_db = 1", "channel: reflection coefficients must be <= 0 dB"),
+            (
+                "channel.gamma_low_db = -1\nchannel.gamma_high_db = -2",
+                "channel: gamma_high_db (-2.0) must be >= gamma_low_db (-1.0)",
+            ),
+            (
+                "channel.efficiency_curve = 0:0.5;-10:0.2",
+                "channel: efficiency_curve must be strictly increasing",
+            ),
+            ("channel.efficiency_curve = 0:1.5", "channel: efficiency 1.5 outside [0, 1]"),
+            ("channel.gain_src_dbi = inf", "channel: gain_dbi must be finite, got inf"),
+            ("channel.coupling_floor_dbm = 1e300", "channel: a monitor level or the harvest"),
+            ("channel.coupling_ref_tx_dbm = -1e300", "channel: a monitor level or the harvest"),
+            ("channel.gain_mon_dbi = 1e300", "channel: a monitor level or the harvest"),
+            ("channel.gamma_high_db = -1e300", "channel: gamma_high_db (-1e+300) must be >="),
+            ("channel.frequency_hz = inf", "channel: frequency_hz must be finite and > 0"),
+            ("channel.distance_dl_m = 0.1", "channel: distance 0.1 m is inside one wavelength"),
+            ("protocol.dt_s = 1e-320", "protocol: max_time_s / dt_s must be finite"),
+            ("protocol.max_time_s = 1e305", "protocol: max_time_s / dt_s must be finite"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:antenna gain")
+    def test_exit_two_on_a_link_the_model_cannot_build(self, tmp_path, capsys, text, problem):
+        # each loaded, then its one point failed at run time (exit 1): as
+        # error:ValueError, error:OverflowError, error:ZeroDivisionError
+        # (an infinite carrier) or error:NearFieldError
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"setup=anechoic\n{text}\n")
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
+        argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
+        assert main(argv) == 2
+        assert not out_csv.exists() and not trace_path.exists()
+        err = capsys.readouterr().err
+        assert f"invalid config:\n  {problem}" in err
+        assert "OverflowError" not in err and "division by zero" not in err
 
     def test_exit_two_on_negative_seed_writes_nothing(self, tmp_path, capsys):
         out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
@@ -431,8 +479,8 @@ class TestMain:
         assert main(argv) == 2
         assert not out_csv.exists() and not trace_path.exists()
         err = capsys.readouterr().err
-        assert "sweep.values: 16.9: waveform.oversampling must be an integer" in err
-        assert "sweep.values: 4: waveform.oversampling must be >= 8" in err
+        assert "sweep.values: 16.9: waveform.oversampling: must be an integer" in err
+        assert "sweep.values: 4: waveform.oversampling: sample rate 400000.0 Hz below 8x" in err
 
     def test_exit_two_on_negative_isolation_writes_nothing(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
@@ -443,7 +491,10 @@ class TestMain:
         argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
         assert main(argv) == 2
         assert not out_csv.exists() and not trace_path.exists()
-        assert "channel.circulator_isolation_db must be >= 0" in capsys.readouterr().err
+        assert (
+            "sweep.values: -5.0: channel.circulator_isolation_db: "
+            "circulator_isolation_db must be >= 0" in capsys.readouterr().err
+        )
 
     def test_exit_two_on_negative_distance_writes_nothing(self, tmp_path, capsys):
         # it used to load, and every point failed as an error:ValueError row
@@ -456,7 +507,10 @@ class TestMain:
         argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
         assert main(argv) == 2
         assert not out_csv.exists() and not trace_path.exists()
-        assert "channel.distance_ul_m: must be > 0" in capsys.readouterr().err
+        # named once, for the config's own point, not once per sweep point
+        err = capsys.readouterr().err
+        assert err.count("distance_m must be finite and > 0") == 1
+        assert "channel: distance_m must be finite and > 0, got -1.0" in err
 
     def test_exit_two_on_sweep_over_inapplicable_key_writes_nothing(self, tmp_path, capsys):
         # the wired budget reads no hop distance, so every row would be the same

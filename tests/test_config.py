@@ -1,5 +1,6 @@
 """Config parsing, preset defaults, and strict validation."""
 
+import math
 import re
 
 import pytest
@@ -117,13 +118,15 @@ class TestSchema:
 
     def test_sweepable_keys_are_the_float_and_int_keys(self):
         for key in ALL_KEYS:
-            # each key is swept under a setup it applies to
+            # each key is swept under a setup it applies to, at the value that
+            # setup resolves it to
             setup = "anechoic" if key in RADIATED_KEYS | COUPLING_KEYS | KEYED_KEYS else "wired"
-            text = f"setup={setup}\nsweep.param = {key}\nsweep.values = 8"
+            text = f"setup={setup}\nsweep.param = {key}\nsweep.values = "
             if key in FLOAT_KEYS | INT_KEYS:
-                assert load_config(text).sweep_param == key
+                value = load_config(f"setup={setup}").scalar(key)
+                assert load_config(f"{text}{value!r}").sweep_param == key
             else:
-                assert violations_of(text) == [
+                assert violations_of(f"{text}8") == [
                     f"sweep.param: {key!r} is not a sweepable scalar key"
                 ]
 
@@ -420,35 +423,86 @@ class TestValidation:
             load_config("setup=wired\nchannel.distance_dl_m = 3.4")
 
     def test_range_checks(self):
-        with pytest.raises(ValidationError, match="bit_rate_hz"):
-            load_config("setup=wired\nwaveform.bit_rate_hz = 200e3")
-        with pytest.raises(ValidationError, match="oversampling"):
-            load_config("setup=wired\nwaveform.oversampling = 4")
+        # each range is judged by the constructor or check the run calls,
+        # and named under the section whose build raised
+        assert violations_of("setup=wired\nwaveform.bit_rate_hz = 200e3") == [
+            "waveform: bit rate 200000.0 Hz exceeds the 100000 Hz ceiling"
+        ]
+        assert violations_of("setup=wired\nwaveform.oversampling = 4") == [
+            "waveform: sample rate 400000.0 Hz below 8x bit rate 100000.0 Hz"
+        ]
+        # an int past the float range cannot be a sample rate; the probe
+        # failed on the same product at run time
+        assert violations_of("setup=wired\nwaveform.oversampling = 1" + "0" * 400) == [
+            "waveform: out of range (OverflowError: int too large to convert to float)"
+        ]
         with pytest.raises(ValidationError, match="key_len_bytes"):
             load_config("setup=wired\nprotocol.key_len_bytes = 65")
-        with pytest.raises(ValidationError, match="circulator_isolation_db: must be >= 0"):
-            load_config("setup=wired\nchannel.circulator_isolation_db = -5")
+        assert violations_of("setup=wired\nchannel.circulator_isolation_db = -5") == [
+            "channel: circulator_isolation_db must be >= 0"
+        ]
         # these failed every point at run time as error:ValueError rows
+        ledger = "storage_capacity_j and wake_threshold_j must be > 0"
         for key, value, rule in [
-            ("protocol.storage_capacity_j", "0", "must be > 0"),
-            ("protocol.wake_threshold_j", "-1e-6", "must be > 0"),
-            ("protocol.tx_cost_j_per_bit", "-1e-9", "must be >= 0"),
-            ("channel.distance_dl_m", "0", "must be > 0"),
-            ("channel.distance_ul_m", "-1", "must be > 0"),
+            ("protocol.storage_capacity_j", "0", ledger),
+            ("protocol.wake_threshold_j", "-1e-6", ledger),
+            ("protocol.tx_cost_j_per_bit", "-1e-9", "tx_cost_j_per_bit must be >= 0"),
+            ("channel.distance_dl_m", "0", "distance_m must be finite and > 0, got 0.0"),
+            ("channel.distance_ul_m", "-1", "distance_m must be finite and > 0, got -1.0"),
         ]:
-            assert violations_of(f"setup=anechoic\n{key} = {value}") == [f"{key}: {rule}"]
+            section = key.split(".")[0]
+            assert violations_of(f"setup=anechoic\n{key} = {value}") == [f"{section}: {rule}"]
         assert load_config("setup=anechoic\nprotocol.tx_cost_j_per_bit = 0").tx_cost_j_per_bit == 0
 
     @pytest.mark.parametrize("key", ["protocol.max_time_s", "protocol.dt_s"])
     def test_infinite_timing_rejected(self, key):
         # it loaded, then every keyed point failed: max_time_s = inf as
         # error:OverflowError, dt_s = inf as a non-increasing timeline
-        assert violations_of(f"setup=anechoic\n{key} = inf") == [
-            f"{key}: must be finite and > 0"
-        ]
+        rule = {
+            "protocol.max_time_s": "max_time_s must be >= 0 and finite, got inf",
+            "protocol.dt_s": "dt_s must be > 0 and finite, got inf",
+        }[key]
+        assert violations_of(f"setup=anechoic\n{key} = inf") == [f"protocol: {rule}"]
         assert violations_of(
             f"setup=anechoic\nsweep.param = {key}\nsweep.values = 1,inf"
-        ) == [f"sweep.values: inf: {key} must be finite and > 0"]
+        ) == [f"sweep.values: inf: {key}: {rule}"]
+
+    @pytest.mark.parametrize(
+        "text, rule",
+        [
+            ("protocol.dt_s = 1e-320", "30.0 / 1e-320"),
+            ("protocol.max_time_s = 1e305", "1e+305 / 0.0001"),
+        ],
+    )
+    def test_uncountable_session_steps_rejected(self, text, rule):
+        # each is finite and loaded, then every keyed point failed as
+        # error:OverflowError when the session counted its steps
+        assert violations_of(f"setup=anechoic\n{text}") == [
+            f"protocol: max_time_s / dt_s must be finite, got {rule}"
+        ]
+
+    @pytest.mark.filterwarnings("ignore:antenna gain")
+    @pytest.mark.parametrize("key", sorted(FLOAT_KEYS | INT_KEYS))
+    def test_set_and_swept_values_are_judged_alike(self, key):
+        # one judge: a value loads when set directly exactly when it loads
+        # as a one-value sweep, and no reason is a bare arithmetic error
+        setup = "anechoic" if key in RADIATED_KEYS | COUPLING_KEYS | KEYED_KEYS else "wired"
+        preset = load_config(f"setup={setup}").scalar(key)
+        boundaries = (0, -1, 1, 2, 8, 7.5, 64, 65, 1e5, 1e5 + 1)
+        for value in map(float, (preset, *boundaries, math.inf, -math.inf, 1e300)):
+            literal = str(int(value)) if key in INT_KEYS and value.is_integer() else repr(value)
+            outcomes = []
+            for text in (f"{key} = {literal}", f"sweep.param = {key}\nsweep.values = {value!r}"):
+                try:
+                    load_config(f"setup={setup}\n{text}")
+                    outcomes.append(True)
+                except ParseError:
+                    outcomes.append(False)
+                except ValidationError as exc:
+                    outcomes.append(False)
+                    for bare in ("Error", "division by zero", "out of range", "too large"):
+                        assert bare not in str(exc)
+            assert outcomes[0] == outcomes[1], (key, value)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -461,12 +515,15 @@ class TestValidation:
     )
     def test_dbm_value_must_be_finite_in_watts(self, key, value):
         # it loaded, then every point failed: 1e300 as error:OverflowError
-        # in dbm_to_watts, inf as error:ValueError
-        rule = "must be a finite power in watts"
-        assert violations_of(f"setup=anechoic\n{key} = {value}") == [f"{key}: {rule}"]
+        # in dbm_to_watts, inf as error:ValueError; NoiseSpec names an
+        # infinite floor itself
+        rule = "a monitor level or the harvest is not a finite power in watts"
+        if (key, value) == ("channel.noise_power_dbm", "inf"):
+            rule = "noise_power_dbm must be finite or -inf"
+        assert violations_of(f"setup=anechoic\n{key} = {value}") == [f"channel: {rule}"]
         assert violations_of(
             f"setup=wired\nsweep.param = {key}\nsweep.values = 0,{value}"
-        ) == [f"sweep.values: {float(value)!r}: {key} {rule}"]
+        ) == [f"sweep.values: {float(value)!r}: {key}: {rule}"]
 
     def test_silent_noise_and_large_finite_powers_still_load(self):
         cfg = load_config("setup=anechoic\nchannel.noise_power_dbm = -inf")
@@ -496,24 +553,34 @@ class TestValidation:
         assert violations_of(
             "setup=wired\nsweep.param = waveform.oversampling\nsweep.values = 16,16.9,4"
         ) == [
-            "sweep.values: 16.9: waveform.oversampling must be an integer",
-            "sweep.values: 4: waveform.oversampling must be >= 8",
+            "sweep.values: 16.9: waveform.oversampling: must be an integer",
+            "sweep.values: 4: waveform.oversampling: "
+            "sample rate 400000.0 Hz below 8x bit rate 100000.0 Hz",
         ]
         assert violations_of(
             "setup=wired\nsweep.param = waveform.bit_rate_hz\nsweep.values = 1000,150000"
-        ) == ["sweep.values: 150000.0: waveform.bit_rate_hz must be in (0, 100000]"]
+        ) == [
+            "sweep.values: 150000.0: waveform.bit_rate_hz: "
+            "bit rate 150000.0 Hz exceeds the 100000 Hz ceiling"
+        ]
         assert violations_of(
             "setup=anechoic\nsweep.param = protocol.key_len_bytes\nsweep.values = 2,65"
-        ) == ["sweep.values: 65: protocol.key_len_bytes must be in [1, 64]"]
+        ) == ["sweep.values: 65: protocol.key_len_bytes: must be in [1, 64]"]
         assert violations_of("setup=wired\nsweep.param = seed\nsweep.values = 0,-1") == [
-            "sweep.values: -1: seed must be >= 0"
+            "sweep.values: -1: seed: must be >= 0"
         ]
         assert violations_of(
             "setup=anechoic\nsweep.param = channel.distance_ul_m\nsweep.values = 3.4,-1"
-        ) == ["sweep.values: -1.0: channel.distance_ul_m must be > 0"]
+        ) == [
+            "sweep.values: -1.0: channel.distance_ul_m: "
+            "distance_m must be finite and > 0, got -1.0"
+        ]
         assert violations_of(
             "setup=anechoic\nsweep.param = protocol.wake_threshold_j\nsweep.values = 0,1e-5"
-        ) == ["sweep.values: 0.0: protocol.wake_threshold_j must be > 0"]
+        ) == [
+            "sweep.values: 0.0: protocol.wake_threshold_j: "
+            "storage_capacity_j and wake_threshold_j must be > 0"
+        ]
         with pytest.raises(ParseError, match="sweep.values: nan is not a valid value"):
             load_config("setup=wired\nsweep.param = channel.p_tx_dbm\nsweep.values = 0,nan")
         cfg = load_config("setup=wired\nsweep.param = waveform.oversampling\nsweep.values = 8,32")

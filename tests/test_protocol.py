@@ -293,6 +293,15 @@ class TestNodeStep:
             charging_session(node, dt_s=math.nan)
         assert node.stored_energy_j == 50e-6 and not any(node.table.used)
 
+    @pytest.mark.parametrize("dt_s, max_time_s", [(1e-320, 30.0), (1e-4, 1e305)])
+    def test_uncountable_steps_rejected(self, dt_s, max_time_s):
+        # both are finite, but their step count overflowed to inf, and every
+        # session failed on it as OverflowError
+        node = NodeState(table=generate_table(4, 2, rng_seed=3), stored_energy_j=50e-6)
+        with pytest.raises(ValueError, match="max_time_s / dt_s must be finite"):
+            charging_session(node, dt_s=dt_s, max_time_s=max_time_s)
+        assert node.stored_energy_j == 50e-6 and not any(node.table.used)
+
 
 class TestRunSession:
     def test_legitimate_session_accepted(self):
