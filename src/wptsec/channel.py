@@ -42,6 +42,18 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
+def finite_watts(p_dbm: float) -> float:
+    """dbm_to_watts of one power, or a ValueError when that is no finite
+    power: NaN, +inf or past the float range. -inf dBm is 0 W."""
+    try:
+        watts = dbm_to_watts(p_dbm)
+    except OverflowError:
+        watts = math.inf
+    if not watts < math.inf:
+        raise ValueError(f"{p_dbm!r} dBm is not a finite power in watts")
+    return watts
+
+
 def watts_to_dbm(p_watts: float) -> float:
     if p_watts < 0:
         raise ValueError(f"negative power: {p_watts} W")
@@ -161,16 +173,16 @@ class NoiseSpec:
     """Additive monitor-side noise: mean floor power plus a zero-mean
     Gaussian fluctuation of the same scale on instantaneous power.
 
-    ``noise_power_dbm = -inf`` disables noise entirely. Identical seed and
-    parameters reproduce identical sample sequences.
+    ``noise_power_dbm = -inf`` disables noise entirely; any other floor must
+    be a finite power in watts. Identical seed and parameters reproduce
+    identical sample sequences.
     """
 
     noise_power_dbm: float = -90.0
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if math.isnan(self.noise_power_dbm) or self.noise_power_dbm == float("inf"):
-            raise ValueError("noise_power_dbm must be finite or -inf")
+        finite_watts(self.noise_power_dbm)
 
     @classmethod
     def silent(cls) -> "NoiseSpec":
@@ -178,9 +190,7 @@ class NoiseSpec:
 
     @property
     def mean_power_w(self) -> float:
-        if self.noise_power_dbm == float("-inf"):
-            return 0.0
-        return dbm_to_watts(self.noise_power_dbm)
+        return dbm_to_watts(self.noise_power_dbm)  # 0.0 at -inf
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(self.rng_seed)
@@ -228,11 +238,14 @@ def leakage_power(p_tx_dbm: float, model: LeakageModel) -> float:
 
 
 def combine_noncoherent(powers_dbm) -> float:
-    """Power-sum a set of uncorrelated contributions, in dBm."""
+    """Power-sum a set of uncorrelated contributions, in dBm; each of them, and
+    their sum, must be a finite power in watts."""
     powers = list(powers_dbm)
     if not powers:
         raise EmptyInput("combine_noncoherent needs at least one power")
-    total_w = sum(dbm_to_watts(p) for p in powers)
+    total_w = sum(map(finite_watts, powers))
+    if total_w == math.inf:
+        raise ValueError(f"powers {powers} dBm sum past the float range in watts")
     return watts_to_dbm(total_w)
 
 
@@ -254,12 +267,12 @@ def harvested_dc(p_in_dbm: float, rect: RectifierModel) -> float:
     """DC output power in watts for an RF input.
 
     Efficiency is piecewise-linear in (dBm, eta) space, clamped at the curve
-    endpoints.
+    endpoints; the input must be a finite power in watts.
     """
     if not rect.efficiency_curve:
         raise EmptyCurve("rectifier has no efficiency curve points")
     eta = float(np.interp(p_in_dbm, *_curve_arrays(rect.efficiency_curve)))
-    return eta * dbm_to_watts(p_in_dbm)
+    return eta * finite_watts(p_in_dbm)
 
 
 @dataclass(frozen=True)
@@ -274,9 +287,9 @@ class LinkScenario:
     ``node_input_dbm``, ``harvested_dc_w`` and ``state_level_dbm`` read a
     per-instance memo that is not a field, so ``==``, hash and repr ignore
     it. A value is stored only once it has been computed, so a call that
-    raises (``NearFieldError``, ``EmptyCurve``, ``OverflowError``) raises
-    again on every call. ``dataclasses.replace`` builds a new link with an
-    empty memo; ``with_noise_seed`` keeps it.
+    raises (``NearFieldError``, ``EmptyCurve``, a power that is not finite in
+    watts) raises again on every call. ``dataclasses.replace`` builds a new
+    link with an empty memo; ``with_noise_seed`` keeps it.
     """
 
     name: str
@@ -363,10 +376,10 @@ class LinkScenario:
 
     def monitor_level_dbm(self, cmd_high: bool) -> float:
         """Expected monitor level including the mean noise power."""
-        parts = [self.backscatter_dbm(cmd_high), self.leakage_dbm()]
-        if self.noise.mean_power_w > 0:
-            parts.append(self.noise.noise_power_dbm)
-        return combine_noncoherent(parts)
+        # a silent floor adds 0 W, so the sum is the noise-free level's
+        return combine_noncoherent(
+            [self.backscatter_dbm(cmd_high), self.leakage_dbm(), self.noise.noise_power_dbm]
+        )
 
     def predicted_dynamic_range_db(self) -> float:
         return dynamic_range_db(self.monitor_level_dbm(True), self.monitor_level_dbm(False))

@@ -23,9 +23,7 @@ from .config import (
     PRESET_SUMMARIES,
     PRESETS,
     ScenarioConfig,
-    build_monitor,
-    build_node,
-    build_scenario,
+    build_point,
     build_tables,
     load_config,
     load_preset,
@@ -94,20 +92,19 @@ def _run_point(cfg: ScenarioConfig, seed: int) -> tuple[dict, EnvelopeTrace | No
     measured on: the alternating CMD probe when the protocol is off,
     otherwise the keyed session's own trace on freshly provisioned tables
     (None when the node never woke)."""
-    scenario = build_scenario(cfg, noise_seed=seed)
-    if not cfg.protocol_enabled:
+    tables = build_tables(cfg) if cfg.protocol_enabled else None
+    scenario, monitor, node = build_point(cfg, seed, tables)
+    if node is None:
         bits = np.zeros(cfg.probe_bits, dtype=np.uint8)
         bits[::2] = 1
-        sample_rate_hz = cfg.bit_rate_hz * cfg.oversampling
-        trace = render_envelope(scenario, bits, cfg.bit_rate_hz, sample_rate_hz)
+        trace = render_envelope(scenario, bits, cfg.bit_rate_hz, monitor.sample_rate_hz)
         threshold_dbm, dr_db = measure_levels(trace)
         return dict(dr_db=dr_db, threshold_dbm=threshold_dbm, status="ok"), trace
-    node_table, monitor_table = build_tables(cfg)
     log = run_session(
         scenario,
-        build_node(cfg, node_table),
+        node,
         Attacker(kind=cfg.attacker),
-        build_monitor(cfg, monitor_table),
+        monitor,
         dt_s=cfg.dt_s,
         max_time_s=cfg.max_time_s,
         key_policy=cfg.key_policy,

@@ -8,6 +8,7 @@ parameter would otherwise produce plausible-but-wrong physics.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from .channel import (
     LinkScenario,
     NoiseSpec,
     RectifierModel,
-    dbm_to_watts,
 )
 from .errors import ParseError, ValidationError
 from .protocol import (
@@ -37,7 +37,7 @@ from .protocol import (
     check_session_timing,
     generate_table,
 )
-from .waveform import MAX_PAYLOAD_BYTES, check_oversampling
+from .waveform import MAX_PAYLOAD_BYTES
 
 
 # A key whose use hangs on another key is required while that selector holds
@@ -268,24 +268,28 @@ def _not_applicable(required, values: dict) -> str:
 
 
 def validated(cfg: ScenarioConfig) -> ScenarioConfig:
-    """``cfg`` itself, or a ValidationError naming every violation. Once ``cfg``
-    holds, each sweep point is judged as ``cfg`` with its value set directly."""
+    """``cfg`` itself, or a ValidationError naming every violation. Once the
+    schema holds, each point a row runs on must build: ``cfg`` itself or, on
+    a sweep, each sweep point, as ``cfg`` with its value set directly; the
+    config's own value of the swept key runs on no row."""
     bad = _violations(cfg)
     key = cfg.sweep_param
-    for value in () if bad else cfg.sweep_values or ():
-        if _SCALAR_KEYS[key][1] == "int" and not value.is_integer():
+    for value in () if bad else cfg.sweep_values or (None,):
+        if value is None:
+            bad += _build_failure(cfg)
+        elif _SCALAR_KEYS[key][1] == "int" and not value.is_integer():
             bad.append(f"sweep.values: {value!r}: {key}: must be an integer")
-            continue
-        point = cfg.with_override(key, value)
-        bad += [f"sweep.values: {point.scalar(key)!r}: {v}" for v in _violations(point, key)]
+        else:
+            point = cfg.with_override(key, value)
+            why = [f"sweep.values: {point.scalar(key)!r}: {v}" for v in _violations(point, key)]
+            bad += why or [v for v in _build_failure(point, key) if v not in bad]
     if bad:
         raise ValidationError(bad)
     return cfg
 
 
 def _violations(cfg: ScenarioConfig, swept_key: str | None = None) -> list[str]:
-    """Every schema violation of ``cfg``, or else why its point does not build.
-    A sweep point differs from its config, which holds, only in ``swept_key``."""
+    """Every schema violation of ``cfg``, or of its ``swept_key`` alone."""
     values = vars(cfg)
     bad: list[str] = []
     for f in (f for f in _FIELDS if swept_key in (None, f.metadata["key"])):
@@ -308,34 +312,23 @@ def _violations(cfg: ScenarioConfig, swept_key: str | None = None) -> list[str]:
                 bad.append(f"{key}: missing{why}")
         elif check is not None and not check[0](value):
             bad.append(f"{key}: {check[1].format(value)}")
-    return bad or _build_failure(cfg, swept_key)
+    return bad
 
 
-def _build_failure(cfg: ScenarioConfig, swept_key: str | None) -> list[str]:
-    """Why the point ``cfg`` does not build as its run does, under ``swept_key``
-    or the section that raised; each power it reads must be finite in watts."""
-    section = "channel"
+def _build_failure(cfg: ScenarioConfig, swept_key: str | None = None) -> list[str]:
+    """Why the point ``cfg`` does not build, named by the keys or section the
+    part that raised reads, or by ``swept_key`` and its value when that part
+    reads ``swept_key``: a failure that does not is the config's own."""
     try:
-        link = build_scenario(cfg)
-        try:
-            watts = [dbm_to_watts(link.monitor_level_dbm(c)) for c in (True, False)]
-            if cfg.protocol_enabled:
-                watts.append(link.harvested_dc_w())
-        except OverflowError:
-            watts = [math.inf]
-        if not all(0 <= w < math.inf for w in watts):
-            raise ValueError("a monitor level or the harvest is not a finite power in watts")
-        section = "waveform"
-        check_oversampling(cfg.oversampling * cfg.bit_rate_hz, cfg.bit_rate_hz)
-        if cfg.protocol_enabled:
-            section = "protocol"
-            build_node(cfg, PvkTable([]))
-            check_session_timing(cfg.dt_s, cfg.max_time_s)
-    except ValueError as exc:
-        return [f"{swept_key or section}: {exc}"]
-    except ArithmeticError as exc:  # a product past the float range
-        return [f"{swept_key or section}: out of range ({type(exc).__name__}: {exc})"]
-    return []
+        build_point(cfg)
+        return []
+    except (ValueError, ArithmeticError) as exc:
+        where, reason = exc.config_keys, exc
+        if not isinstance(exc, ValueError):  # a product past the float range
+            reason = f"out of range ({type(exc).__name__}: {exc})"
+    if swept_key and {swept_key, swept_key.partition(".")[0]} & set(where.split(", ")):
+        where = f"sweep.values: {cfg.scalar(swept_key)!r}: {swept_key}"
+    return [f"{where}: {reason}"]
 
 
 def load_config(source: str | Path) -> ScenarioConfig:
@@ -373,29 +366,63 @@ def load_preset(name: str) -> ScenarioConfig:
 # --- builders ----------------------------------------------------------------
 
 
+class _Reading(contextlib.AbstractContextManager):
+    """Context that marks a ValueError or ArithmeticError raised inside as
+    raised by a part of a point's build that reads ``names`` (config
+    attributes, or a whole section), unless a narrower part marked it first."""
+
+    def __init__(self, *names: str):
+        self.names = names
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, (ValueError, ArithmeticError)):
+            keys = ", ".join(_KEY_OF.get(n, n) for n in self.names)
+            vars(exc).setdefault("config_keys", keys)
+
+
+def _made(make, cfg: ScenarioConfig, *attrs: str, **kwargs):
+    """``make`` called on the values of ``attrs`` in ``cfg``, which it reads."""
+    with _Reading(*attrs):
+        return make(*[getattr(cfg, a) for a in attrs], **kwargs)
+
+
+def build_point(cfg: ScenarioConfig, noise_seed: int | None = None, tables=None) -> tuple:
+    """(link, monitor, node) of one point, each built and read as its run
+    needs it; the node is None unless keyed, and it and the monitor hold
+    ``tables`` (the node's, the monitor's; one empty one when None). What
+    raises is marked with the config keys, or the section, that it reads."""
+    node_table, monitor_table = tables or (PvkTable([]),) * 2
+    with _Reading("channel"):
+        scenario = build_scenario(cfg, noise_seed)
+        for cmd_high in (True, False):
+            scenario.state_level_dbm(cmd_high)
+        if cfg.protocol_enabled:
+            scenario.harvested_dc_w()
+    with _Reading("bit_rate_hz", "oversampling"):
+        monitor = build_monitor(cfg, monitor_table)
+    if not cfg.protocol_enabled:
+        return scenario, monitor, None
+    _made(check_session_timing, cfg, "dt_s", "max_time_s")
+    with _Reading("storage_capacity_j", "wake_threshold_j", "tx_cost_j_per_bit"):
+        return scenario, monitor, build_node(cfg, node_table)
+
+
 def build_scenario(cfg: ScenarioConfig, noise_seed: int | None = None) -> LinkScenario:
     """LinkScenario for this config; noise_seed overrides cfg.seed."""
-    rect = RectifierModel(
-        gamma_low_db=cfg.gamma_low_db,
-        gamma_high_db=cfg.gamma_high_db,
-        efficiency_curve=cfg.efficiency_curve,
-    )
+    rect = _made(RectifierModel, cfg, "gamma_low_db", "gamma_high_db", "efficiency_curve")
     if cfg.leakage_kind == "circulator":
-        leakage = LeakageModel.circulator(cfg.circulator_isolation_db)
+        leakage = _made(LeakageModel.circulator, cfg, "circulator_isolation_db")
     else:
         leakage = LeakageModel.coupling(cfg.coupling_floor_dbm, cfg.coupling_ref_tx_dbm)
-    noise = NoiseSpec(
-        noise_power_dbm=cfg.noise_power_dbm,
-        rng_seed=cfg.seed if noise_seed is None else noise_seed,
-    )
+    seed = cfg.seed if noise_seed is None else noise_seed
     antennas = {}
     if cfg.topology == "radiated":
         antennas = dict(
-            src_tx=AntennaSpec(cfg.gain_src_dbi),
-            node_antenna=AntennaSpec(cfg.gain_node_dbi),
-            mon_rx=AntennaSpec(cfg.gain_mon_dbi),
-            dl=LinkGeometry(cfg.distance_dl_m, cfg.frequency_hz),
-            ul=LinkGeometry(cfg.distance_ul_m, cfg.frequency_hz),
+            src_tx=_made(AntennaSpec, cfg, "gain_src_dbi"),
+            node_antenna=_made(AntennaSpec, cfg, "gain_node_dbi"),
+            mon_rx=_made(AntennaSpec, cfg, "gain_mon_dbi"),
+            dl=_made(LinkGeometry, cfg, "distance_dl_m", "frequency_hz"),
+            ul=_made(LinkGeometry, cfg, "distance_ul_m", "frequency_hz"),
         )
     return LinkScenario(
         name=cfg.setup,
@@ -403,7 +430,7 @@ def build_scenario(cfg: ScenarioConfig, noise_seed: int | None = None) -> LinkSc
         p_tx_dbm=cfg.p_tx_dbm,
         rect=rect,
         leakage=leakage,
-        noise=noise,
+        noise=_made(NoiseSpec, cfg, "noise_power_dbm", rng_seed=seed),
         **antennas,
     )
 

@@ -31,6 +31,9 @@ MOD_SWEEP = (
     "sweep.param=waveform.bit_rate_hz\n"
     "sweep.values=1000,10000,100000\n"
 )
+# the config keys a failed rectifier and a failed session timing read
+RECT = "channel.gamma_low_db, channel.gamma_high_db, channel.efficiency_curve"
+TIMING = "protocol.dt_s, protocol.max_time_s"
 
 
 def written_trace(tmp_path, config_text, name="trace.txt"):
@@ -404,13 +407,16 @@ class TestMain:
         [
             (
                 "setup=anechoic\nprotocol.max_time_s=inf\n",
-                "protocol: max_time_s must be >= 0 and finite",
+                "protocol.dt_s, protocol.max_time_s: max_time_s must be >= 0 and finite",
             ),
-            ("setup=anechoic\nprotocol.dt_s=inf\n", "protocol: dt_s must be > 0 and finite"),
-            ("setup=wired\nchannel.p_tx_dbm=1e300\n", "channel: a monitor level or the harvest"),
+            (
+                "setup=anechoic\nprotocol.dt_s=inf\n",
+                "protocol.dt_s, protocol.max_time_s: dt_s must be > 0 and finite",
+            ),
+            ("setup=wired\nchannel.p_tx_dbm=1e300\n", "channel: 1e+300 dBm is not a finite power"),
             (
                 "setup=wired\nsweep.param=channel.noise_power_dbm\nsweep.values=-90,1e300\n",
-                "sweep.values: 1e+300: channel.noise_power_dbm: a monitor level or the harvest",
+                "sweep.values: 1e+300: channel.noise_power_dbm: 1e+300 dBm is not a finite power",
             ),
         ],
     )
@@ -426,25 +432,31 @@ class TestMain:
     @pytest.mark.parametrize(
         "text, problem",
         [
-            ("channel.gamma_high_db = 1", "channel: reflection coefficients must be <= 0 dB"),
+            ("channel.gamma_high_db = 1", f"{RECT}: reflection coefficients must be <= 0 dB"),
             (
                 "channel.gamma_low_db = -1\nchannel.gamma_high_db = -2",
-                "channel: gamma_high_db (-2.0) must be >= gamma_low_db (-1.0)",
+                f"{RECT}: gamma_high_db (-2.0) must be >= gamma_low_db (-1.0)",
             ),
             (
                 "channel.efficiency_curve = 0:0.5;-10:0.2",
-                "channel: efficiency_curve must be strictly increasing",
+                f"{RECT}: efficiency_curve must be strictly increasing",
             ),
-            ("channel.efficiency_curve = 0:1.5", "channel: efficiency 1.5 outside [0, 1]"),
-            ("channel.gain_src_dbi = inf", "channel: gain_dbi must be finite, got inf"),
-            ("channel.coupling_floor_dbm = 1e300", "channel: a monitor level or the harvest"),
-            ("channel.coupling_ref_tx_dbm = -1e300", "channel: a monitor level or the harvest"),
-            ("channel.gain_mon_dbi = 1e300", "channel: a monitor level or the harvest"),
-            ("channel.gamma_high_db = -1e300", "channel: gamma_high_db (-1e+300) must be >="),
-            ("channel.frequency_hz = inf", "channel: frequency_hz must be finite and > 0"),
+            ("channel.efficiency_curve = 0:1.5", f"{RECT}: efficiency 1.5 outside [0, 1]"),
+            (
+                "channel.gain_src_dbi = inf",
+                "channel.gain_src_dbi: gain_dbi must be finite, got inf",
+            ),
+            ("channel.coupling_floor_dbm = 1e300", "channel: 1e+300 dBm is not a finite power"),
+            ("channel.coupling_ref_tx_dbm = -1e300", "channel: 1e+300 dBm is not a finite power"),
+            ("channel.gain_mon_dbi = 1e300", "channel: 1e+300 dBm is not a finite power"),
+            ("channel.gamma_high_db = -1e300", f"{RECT}: gamma_high_db (-1e+300) must be >="),
+            (
+                "channel.frequency_hz = inf",
+                "channel.distance_dl_m, channel.frequency_hz: frequency_hz must be finite and > 0",
+            ),
             ("channel.distance_dl_m = 0.1", "channel: distance 0.1 m is inside one wavelength"),
-            ("protocol.dt_s = 1e-320", "protocol: max_time_s / dt_s must be finite"),
-            ("protocol.max_time_s = 1e305", "protocol: max_time_s / dt_s must be finite"),
+            ("protocol.dt_s = 1e-320", f"{TIMING}: max_time_s / dt_s must be finite"),
+            ("protocol.max_time_s = 1e305", f"{TIMING}: max_time_s / dt_s must be finite"),
         ],
     )
     @pytest.mark.filterwarnings("ignore:antenna gain")
@@ -507,10 +519,14 @@ class TestMain:
         argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
         assert main(argv) == 2
         assert not out_csv.exists() and not trace_path.exists()
-        # named once, for the config's own point, not once per sweep point
+        # named once, under the hop's keys, not once per sweep point: the
+        # hop that failed does not read the swept key
         err = capsys.readouterr().err
         assert err.count("distance_m must be finite and > 0") == 1
-        assert "channel: distance_m must be finite and > 0, got -1.0" in err
+        assert (
+            "channel.distance_ul_m, channel.frequency_hz: "
+            "distance_m must be finite and > 0, got -1.0" in err
+        )
 
     def test_exit_two_on_sweep_over_inapplicable_key_writes_nothing(self, tmp_path, capsys):
         # the wired budget reads no hop distance, so every row would be the same

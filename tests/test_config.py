@@ -424,34 +424,49 @@ class TestValidation:
 
     def test_range_checks(self):
         # each range is judged by the constructor or check the run calls,
-        # and named under the section whose build raised
+        # and named by the config keys that the part which raised reads
+        rate = "waveform.bit_rate_hz, waveform.oversampling"
         assert violations_of("setup=wired\nwaveform.bit_rate_hz = 200e3") == [
-            "waveform: bit rate 200000.0 Hz exceeds the 100000 Hz ceiling"
+            f"{rate}: bit rate 200000.0 Hz exceeds the 100000 Hz ceiling"
         ]
         assert violations_of("setup=wired\nwaveform.oversampling = 4") == [
-            "waveform: sample rate 400000.0 Hz below 8x bit rate 100000.0 Hz"
+            f"{rate}: sample rate 400000.0 Hz below 8x bit rate 100000.0 Hz"
         ]
         # an int past the float range cannot be a sample rate; the probe
         # failed on the same product at run time
         assert violations_of("setup=wired\nwaveform.oversampling = 1" + "0" * 400) == [
-            "waveform: out of range (OverflowError: int too large to convert to float)"
+            f"{rate}: out of range (OverflowError: int too large to convert to float)"
         ]
         with pytest.raises(ValidationError, match="key_len_bytes"):
             load_config("setup=wired\nprotocol.key_len_bytes = 65")
         assert violations_of("setup=wired\nchannel.circulator_isolation_db = -5") == [
-            "channel: circulator_isolation_db must be >= 0"
+            "channel.circulator_isolation_db: circulator_isolation_db must be >= 0"
         ]
         # these failed every point at run time as error:ValueError rows
-        ledger = "storage_capacity_j and wake_threshold_j must be > 0"
-        for key, value, rule in [
-            ("protocol.storage_capacity_j", "0", ledger),
-            ("protocol.wake_threshold_j", "-1e-6", ledger),
-            ("protocol.tx_cost_j_per_bit", "-1e-9", "tx_cost_j_per_bit must be >= 0"),
-            ("channel.distance_dl_m", "0", "distance_m must be finite and > 0, got 0.0"),
-            ("channel.distance_ul_m", "-1", "distance_m must be finite and > 0, got -1.0"),
+        ledger = (
+            "protocol.storage_capacity_j, protocol.wake_threshold_j, protocol.tx_cost_j_per_bit"
+        )
+        positive = "storage_capacity_j and wake_threshold_j must be > 0"
+        for text, violation in [
+            ("protocol.storage_capacity_j = 0", f"{ledger}: {positive}"),
+            ("protocol.wake_threshold_j = -1e-6", f"{ledger}: {positive}"),
+            ("protocol.tx_cost_j_per_bit = -1e-9", f"{ledger}: tx_cost_j_per_bit must be >= 0"),
+            (
+                "channel.distance_dl_m = 0",
+                "channel.distance_dl_m, channel.frequency_hz: "
+                "distance_m must be finite and > 0, got 0.0",
+            ),
+            (
+                "channel.distance_ul_m = -1",
+                "channel.distance_ul_m, channel.frequency_hz: "
+                "distance_m must be finite and > 0, got -1.0",
+            ),
+            (
+                "channel.gain_mon_dbi = inf",
+                "channel.gain_mon_dbi: gain_dbi must be finite, got inf",
+            ),
         ]:
-            section = key.split(".")[0]
-            assert violations_of(f"setup=anechoic\n{key} = {value}") == [f"{section}: {rule}"]
+            assert violations_of(f"setup=anechoic\n{text}") == [violation]
         assert load_config("setup=anechoic\nprotocol.tx_cost_j_per_bit = 0").tx_cost_j_per_bit == 0
 
     @pytest.mark.parametrize("key", ["protocol.max_time_s", "protocol.dt_s"])
@@ -462,7 +477,8 @@ class TestValidation:
             "protocol.max_time_s": "max_time_s must be >= 0 and finite, got inf",
             "protocol.dt_s": "dt_s must be > 0 and finite, got inf",
         }[key]
-        assert violations_of(f"setup=anechoic\n{key} = inf") == [f"protocol: {rule}"]
+        timing = "protocol.dt_s, protocol.max_time_s"
+        assert violations_of(f"setup=anechoic\n{key} = inf") == [f"{timing}: {rule}"]
         assert violations_of(
             f"setup=anechoic\nsweep.param = {key}\nsweep.values = 1,inf"
         ) == [f"sweep.values: inf: {key}: {rule}"]
@@ -478,7 +494,7 @@ class TestValidation:
         # each is finite and loaded, then every keyed point failed as
         # error:OverflowError when the session counted its steps
         assert violations_of(f"setup=anechoic\n{text}") == [
-            f"protocol: max_time_s / dt_s must be finite, got {rule}"
+            f"protocol.dt_s, protocol.max_time_s: max_time_s / dt_s must be finite, got {rule}"
         ]
 
     @pytest.mark.filterwarnings("ignore:antenna gain")
@@ -515,12 +531,11 @@ class TestValidation:
     )
     def test_dbm_value_must_be_finite_in_watts(self, key, value):
         # it loaded, then every point failed: 1e300 as error:OverflowError
-        # in dbm_to_watts, inf as error:ValueError; NoiseSpec names an
-        # infinite floor itself
-        rule = "a monitor level or the harvest is not a finite power in watts"
-        if (key, value) == ("channel.noise_power_dbm", "inf"):
-            rule = "noise_power_dbm must be finite or -inf"
-        assert violations_of(f"setup=anechoic\n{key} = {value}") == [f"channel: {rule}"]
+        # in dbm_to_watts, inf as error:ValueError. The noise floor is one
+        # key's; a state level sums several, so only its value is named
+        rule = f"{float(value)!r} dBm is not a finite power in watts"
+        where = key if key == "channel.noise_power_dbm" else "channel"
+        assert violations_of(f"setup=anechoic\n{key} = {value}") == [f"{where}: {rule}"]
         assert violations_of(
             f"setup=wired\nsweep.param = {key}\nsweep.values = 0,{value}"
         ) == [f"sweep.values: {float(value)!r}: {key}: {rule}"]
@@ -586,6 +601,35 @@ class TestValidation:
         cfg = load_config("setup=wired\nsweep.param = waveform.oversampling\nsweep.values = 8,32")
         points = [cfg.with_override(cfg.sweep_param, v) for v in cfg.sweep_values]
         assert [p.oversampling for p in points] == [8, 32]
+
+    def test_own_value_of_the_swept_key_is_not_built(self):
+        # both points are far field (0.125 m and 0.052 m wavelengths against
+        # 0.2 m hops); the preset 868 MHz carrier, which no row runs, is not
+        hops = "setup=anechoic\nchannel.distance_dl_m = 0.2\nchannel.distance_ul_m = 0.2\n"
+        sweep = "sweep.param = channel.frequency_hz\nsweep.values = "
+        assert load_config(f"{hops}{sweep}2.4e9,5.8e9").sweep_values == (2.4e9, 5.8e9)
+        assert violations_of(f"{hops}{sweep}2.4e9,868e6") == [
+            "sweep.values: 868000000.0: channel.frequency_hz: "
+            "distance 0.2 m is inside one wavelength (0.3454 m at 868.0 MHz)"
+        ]
+
+    def test_a_failure_is_named_per_point_only_when_it_reads_the_swept_key(self):
+        # the node's ledger does not read n_keys, so its failure is the
+        # config's own and named once; the rectifier reads gamma_high_db
+        ledger = (
+            "protocol.storage_capacity_j, protocol.wake_threshold_j, protocol.tx_cost_j_per_bit"
+        )
+        assert violations_of(
+            "setup=anechoic\nprotocol.storage_capacity_j = 0\n"
+            "sweep.param = protocol.n_keys\nsweep.values = 4,8,16"
+        ) == [f"{ledger}: storage_capacity_j and wake_threshold_j must be > 0"]
+        assert violations_of(
+            "setup=wired\nsweep.param = channel.gamma_high_db\nsweep.values = -3,1,2"
+        ) == [
+            f"sweep.values: {v}: channel.gamma_high_db: "
+            "reflection coefficients must be <= 0 dB (passive)"
+            for v in (1.0, 2.0)
+        ]
 
 
 class TestBuilders:
