@@ -4,12 +4,6 @@ Everything here is a pure function of its inputs. Powers cross module
 boundaries in dBm; summation happens in linear watts. Two link topologies
 are supported: a circulator-based wired bench and a radiated (free-space)
 three-antenna setup.
-
-A ``LinkScenario`` computes its noise-free budget (node input, harvested DC
-power, the two state levels) once, on first use, and memoises it; copies
-that differ only in the noise seed share that memo. Each memoised value is
-a pure function of the frozen fields, so the memo is idempotent: threads
-that share a scenario may fill it concurrently without a lock.
 """
 
 from __future__ import annotations
@@ -131,6 +125,8 @@ class RectifierModel:
             tuple((float(p), float(e)) for p, e in self.efficiency_curve),
         )
         pts = self.efficiency_curve
+        if not pts:
+            raise EmptyCurve("rectifier has no efficiency curve points")
         for (p0, _), (p1, _) in zip(pts, pts[1:]):
             if p1 <= p0:
                 raise ValueError("efficiency_curve must be strictly increasing in p_in_dbm")
@@ -269,8 +265,6 @@ def harvested_dc(p_in_dbm: float, rect: RectifierModel) -> float:
     Efficiency is piecewise-linear in (dBm, eta) space, clamped at the curve
     endpoints; the input must be a finite power in watts.
     """
-    if not rect.efficiency_curve:
-        raise EmptyCurve("rectifier has no efficiency curve points")
     eta = float(np.interp(p_in_dbm, *_curve_arrays(rect.efficiency_curve)))
     return eta * finite_watts(p_in_dbm)
 
@@ -284,12 +278,12 @@ class LinkScenario:
     two-hop free-space budget. Antennas and geometries are required only for
     the radiated case; its hops carry the carrier, which a reflection shares.
 
-    ``node_input_dbm``, ``harvested_dc_w`` and ``state_level_dbm`` read a
-    per-instance memo that is not a field, so ``==``, hash and repr ignore
-    it. A value is stored only once it has been computed, so a call that
-    raises (``NearFieldError``, ``EmptyCurve``, a power that is not finite in
-    watts) raises again on every call. ``dataclasses.replace`` builds a new
-    link with an empty memo; ``with_noise_seed`` keeps it.
+    A link computes its noise-free budget (node input, the two state levels,
+    harvested DC power) when it is built, so one whose budget cannot be
+    computed (a near-field hop, a power that is not finite in watts) cannot
+    be built. The budget is an attribute, not a field: ``==``, hash and repr
+    ignore it, ``dataclasses.replace`` computes a new one and
+    ``with_noise_seed`` shares it.
     """
 
     name: str
@@ -307,6 +301,7 @@ class LinkScenario:
     def __post_init__(self) -> None:
         if self.topology not in ("wired", "radiated"):
             raise ValueError(f"unknown topology: {self.topology!r}")
+        p_in = self.p_tx_dbm
         if self.topology == "radiated":
             missing = [
                 n
@@ -317,37 +312,29 @@ class LinkScenario:
                 raise ValueError(f"radiated scenario missing: {', '.join(missing)}")
             if self.dl.frequency_hz != self.ul.frequency_hz:
                 raise ValueError("downlink and uplink carriers differ")
-        # the noise-free budget memo: an attribute, not a field
-        object.__setattr__(self, "_budget", {})
+            p_in = friis_received_power(p_in, self.src_tx, self.node_antenna, self.dl)
+        levels = [
+            combine_noncoherent([self.backscatter_dbm(cmd_high), self.leakage_dbm()])
+            for cmd_high in (True, False)
+        ]
+        # node input, high level, low level, harvest; read by index below
+        object.__setattr__(self, "_budget", (p_in, *levels, harvested_dc(p_in, self.rect)))
 
     def with_noise_seed(self, rng_seed: int) -> "LinkScenario":
-        """Copy with only the noise seed changed. No memoised value reads the
-        noise, so the copy shares this link's memo; only its new NoiseSpec
-        is built and checked."""
+        """Copy with only the noise seed changed. The budget does not read
+        the noise, so the copy shares it; only its new NoiseSpec is built and
+        checked."""
         clone = object.__new__(type(self))
         vars(clone).update(vars(self), noise=NoiseSpec(self.noise.noise_power_dbm, rng_seed))
         return clone
 
-    def _memoised(self, key: str, compute) -> float:
-        budget = self._budget
-        if key not in budget:
-            budget[key] = compute()
-        return budget[key]
-
     def node_input_dbm(self) -> float:
         """RF power arriving at the rectifier input."""
-        if self.topology == "wired":
-            return self.p_tx_dbm
-        return self._memoised(
-            "node_input_dbm",
-            lambda: friis_received_power(self.p_tx_dbm, self.src_tx, self.node_antenna, self.dl),
-        )
+        return self._budget[0]
 
     def harvested_dc_w(self) -> float:
         """DC power, in watts, that the rectifier makes of the node input."""
-        return self._memoised(
-            "harvested_dc_w", lambda: harvested_dc(self.node_input_dbm(), self.rect)
-        )
+        return self._budget[3]
 
     def backscatter_dbm(self, cmd_high: bool) -> float:
         """Backscattered component at the monitor for one CMD state."""
@@ -369,10 +356,7 @@ class LinkScenario:
 
     def state_level_dbm(self, cmd_high: bool) -> float:
         """Deterministic monitor level for one CMD state (no noise term)."""
-        return self._memoised(
-            "state_level_high_dbm" if cmd_high else "state_level_low_dbm",
-            lambda: combine_noncoherent([self.backscatter_dbm(cmd_high), self.leakage_dbm()]),
-        )
+        return self._budget[1 if cmd_high else 2]
 
     def monitor_level_dbm(self, cmd_high: bool) -> float:
         """Expected monitor level including the mean noise power."""

@@ -35,9 +35,9 @@ from .protocol import (
     NodeState,
     PvkTable,
     check_session_timing,
+    check_table_shape,
     generate_table,
 )
-from .waveform import MAX_PAYLOAD_BYTES
 
 
 # A key whose use hangs on another key is required while that selector holds
@@ -101,14 +101,8 @@ class ScenarioConfig:
         "waveform.probe_bits", "int", _PROBE, preset=64, check=_at_least(2)
     )
     protocol_enabled: bool | None = _key("protocol.enabled", "bool")
-    n_keys: int | None = _key("protocol.n_keys", "int", _KEYED, preset=16, check=_at_least(1))
-    key_len_bytes: int | None = _key(
-        "protocol.key_len_bytes",
-        "int",
-        _KEYED,
-        preset=2,
-        check=(lambda v: 1 <= v <= MAX_PAYLOAD_BYTES, f"must be in [1, {MAX_PAYLOAD_BYTES}]"),
-    )
+    n_keys: int | None = _key("protocol.n_keys", "int", _KEYED, preset=16)
+    key_len_bytes: int | None = _key("protocol.key_len_bytes", "int", _KEYED, preset=2)
     key_policy: str | None = _key("protocol.key_policy", KEY_POLICIES, _KEYED, preset="sequential")
     storage_capacity_j: float | None = _key(
         "protocol.storage_capacity_j", "float", _KEYED, preset=DEFAULT_STORAGE_CAPACITY_J
@@ -387,22 +381,19 @@ def _made(make, cfg: ScenarioConfig, *attrs: str, **kwargs):
 
 
 def build_point(cfg: ScenarioConfig, noise_seed: int | None = None, tables=None) -> tuple:
-    """(link, monitor, node) of one point, each built and read as its run
-    needs it; the node is None unless keyed, and it and the monitor hold
-    ``tables`` (the node's, the monitor's; one empty one when None). What
-    raises is marked with the config keys, or the section, that it reads."""
+    """(link, monitor, node) of one point, each built as its run needs it;
+    the node is None unless keyed, and it and the monitor hold ``tables``
+    (the node's, the monitor's; one empty one when None). What raises is
+    marked with the config keys, or the section, that it reads."""
     node_table, monitor_table = tables or (PvkTable([]),) * 2
     with _Reading("channel"):
         scenario = build_scenario(cfg, noise_seed)
-        for cmd_high in (True, False):
-            scenario.state_level_dbm(cmd_high)
-        if cfg.protocol_enabled:
-            scenario.harvested_dc_w()
     with _Reading("bit_rate_hz", "oversampling"):
         monitor = build_monitor(cfg, monitor_table)
     if not cfg.protocol_enabled:
         return scenario, monitor, None
     _made(check_session_timing, cfg, "dt_s", "max_time_s")
+    _made(check_table_shape, cfg, "n_keys", "key_len_bytes")
     with _Reading("storage_capacity_j", "wake_threshold_j", "tx_cost_j_per_bit"):
         return scenario, monitor, build_node(cfg, node_table)
 

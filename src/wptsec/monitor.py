@@ -119,8 +119,8 @@ def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
 
     The reductions are the kernels that ``min``, ``max`` and ``mean`` run,
     called without numpy's Python wrappers, so the figures are bit-identical
-    to theirs. Iteration stops at the first repeated partition: the same
-    mask gives the same means, which is where the loop would stop anyway."""
+    to theirs. Iteration stops at the first repeated partition, since the
+    same mask gives the same means: the clustering has converged."""
     if len(trace) == 0:
         raise EmptyTrace("cannot analyze an empty trace")
     lin = dbm_to_watts(trace.samples)
@@ -135,11 +135,7 @@ def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
             if mask == prev:
                 break
             prev = mask
-            new_lo = _mean(lin[low])
-            new_hi = _mean(lin[~low])
-            if new_lo == c_lo and new_hi == c_hi:
-                break
-            c_lo, c_hi = new_lo, new_hi
+            c_lo, c_hi = _mean(lin[low]), _mean(lin[~low])
     threshold_dbm = watts_to_dbm(0.5 * (c_lo + c_hi))
     return threshold_dbm, 0.0 if c_lo == c_hi else 10.0 * math.log10(c_hi / c_lo)
 

@@ -121,6 +121,21 @@ class PvkTable:
         return clone
 
 
+def check_table_shape(n_keys: int, key_len_bytes: int) -> None:
+    """Reject a table of n_keys distinct codes that key_len_bytes cannot
+    hold, or a key length no frame can carry."""
+    if n_keys < 1:
+        raise ValueError(f"n_keys must be >= 1, got {n_keys}")
+    if not 1 <= key_len_bytes <= MAX_PAYLOAD_BYTES:
+        raise ValueError(f"key_len_bytes must be in [1, {MAX_PAYLOAD_BYTES}], got {key_len_bytes}")
+    capacity = 256**key_len_bytes
+    if n_keys > capacity:
+        raise TableCapacityError(
+            f"{n_keys} distinct keys of {key_len_bytes} bytes exceed the "
+            f"{capacity}-code space"
+        )
+
+
 def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
     """Seeded table of distinct random codes.
 
@@ -134,16 +149,7 @@ def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
     draws, so the table is the same as drawing one key at a time and keeping
     the first occurrence of each code.
     """
-    if n_keys < 1:
-        raise ValueError(f"n_keys must be >= 1, got {n_keys}")
-    if not 1 <= key_len_bytes <= MAX_PAYLOAD_BYTES:
-        raise ValueError(f"key_len_bytes must be in [1, {MAX_PAYLOAD_BYTES}], got {key_len_bytes}")
-    capacity = 256**key_len_bytes
-    if n_keys > capacity:
-        raise TableCapacityError(
-            f"{n_keys} distinct keys of {key_len_bytes} bytes exceed the "
-            f"{capacity}-code space"
-        )
+    check_table_shape(n_keys, key_len_bytes)
     rng = np.random.default_rng(rng_seed)
     words = -(-key_len_bytes // 4)
     codes: dict[bytes, None] = {}
@@ -285,9 +291,6 @@ def _charge(
     and mark it used. Returns the last chunk's end time, the energy banked,
     the (time, stored energy) ledger, and the key index and frame (None if
     the node never woke)."""
-    p_in_dbm = scenario.node_input_dbm()
-    if math.isnan(p_in_dbm):
-        raise ValueError("node input power must not be NaN")
     p_dc_w = scenario.harvested_dc_w()
     # a node that cannot reach its threshold charges to max_time_s in one chunk
     never_wakes = p_dc_w <= 0.0 or node.storage_capacity_j < node.wake_threshold_j
@@ -302,8 +305,9 @@ def _charge(
         elif never_wakes:
             k = steps_left
         else:
+            # a tiny harvest's quotient may be inf: clamp before ceil
             deficit = node.wake_threshold_j - node.stored_energy_j
-            k = min(max(1, math.ceil(deficit / (p_dc_w * dt_s))), steps_left)
+            k = max(1, math.ceil(min(deficit / (p_dc_w * dt_s), steps_left)))
         banked = min(node.stored_energy_j + p_dc_w * (k * dt_s), node.storage_capacity_j)
         banked -= node.stored_energy_j
         node.stored_energy_j += banked
@@ -359,8 +363,7 @@ def run_session(
     second verification: the capture's own decode is verified again against
     the live table, so the one-time-key check alone rejects it. The charge
     phase (``_charge``) is the energy ledger's only writer. Timing that
-    ``check_session_timing`` rejects, and a NaN node input power, are
-    rejected before the ledger changes.
+    ``check_session_timing`` rejects is rejected before the ledger changes.
     """
     check_session_timing(dt_s, max_time_s)
     if key_policy not in KEY_POLICIES:
@@ -428,7 +431,6 @@ def run_session(
 def fresh_session_scenario(scenario: LinkScenario, rng_seed: int) -> LinkScenario:
     """Scenario copy with a new noise seed, for independent repeated sessions.
 
-    The copy shares the link's memoised noise-free budget, so repeated
-    sessions compute it once. That memo is idempotent, so threads that run
-    sessions on copies of one link may share it without a lock."""
+    The copy shares the link's noise-free budget, so repeated sessions
+    compute it once."""
     return scenario.with_noise_seed(rng_seed)

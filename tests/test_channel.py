@@ -286,9 +286,9 @@ class TestHarvestedDc:
             assert p_dc <= dbm_to_watts(p_in)
 
     def test_empty_curve_rejected(self):
-        rect = RectifierModel(efficiency_curve=())
-        with pytest.raises(EmptyCurve):
-            harvested_dc(0.0, rect)
+        # the model used to build, and each harvested_dc call on it raised
+        with pytest.raises(EmptyCurve, match="no efficiency curve points"):
+            RectifierModel(efficiency_curve=())
 
 
 class TestScenarioValidation:
@@ -310,7 +310,7 @@ class TestScenarioValidation:
 
 
 class TestBudgetMemo:
-    """A link computes its noise-free budget once, on first use."""
+    """A link computes its noise-free budget once, when it is built."""
 
     @staticmethod
     def direct_budget(scenario: LinkScenario) -> list[float]:
@@ -330,7 +330,7 @@ class TestBudgetMemo:
         return [p_in, harvested_dc(p_in, rect), *levels]
 
     @staticmethod
-    def memoised_budget(scenario: LinkScenario) -> list[float]:
+    def stored_budget(scenario: LinkScenario) -> list[float]:
         return [
             scenario.node_input_dbm(),
             scenario.harvested_dc_w(),
@@ -343,31 +343,32 @@ class TestBudgetMemo:
         wired = LinkScenario(name="wired", topology="wired", p_tx_dbm=p_tx_dbm)
         for scenario in (wired, _anechoic_scenario(p_tx_dbm)):
             expected = repr(self.direct_budget(scenario))
-            # the first read fills the memo, the second reads it back
-            assert repr(self.memoised_budget(scenario)) == expected
-            assert repr(self.memoised_budget(scenario)) == expected
+            # reads return what the link computed when it was built
+            assert repr(self.stored_budget(scenario)) == expected
+            assert repr(self.stored_budget(scenario)) == expected
 
     def test_memo_is_not_part_of_the_value(self):
-        fresh, used = _anechoic_scenario(), _anechoic_scenario()
-        self.memoised_budget(used)
-        assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+        one, other = _anechoic_scenario(), _anechoic_scenario()
+        assert vars(one)["_budget"] is not vars(other)["_budget"]
+        assert one == other and hash(one) == hash(other) and repr(one) == repr(other)
         assert "_budget" not in {f.name for f in dataclasses.fields(LinkScenario)}
 
-    def test_replace_starts_with_an_empty_memo(self, budget_calls):
+    def test_replace_computes_a_fresh_budget(self, budget_calls):
         base = _anechoic_scenario(15.0)
-        self.memoised_budget(base)
+        same = dataclasses.replace(base)
+        assert vars(same)["_budget"] == vars(base)["_budget"]
+        assert vars(same)["_budget"] is not vars(base)["_budget"]
         moved = dataclasses.replace(base, p_tx_dbm=0.0)
-        assert vars(moved)["_budget"] == {}
-        assert self.memoised_budget(moved) == self.direct_budget(moved)
-        assert self.memoised_budget(moved) != self.memoised_budget(base)
-        # one computation each for base and moved (direct_budget is not counted)
-        assert len(budget_calls["harvested_dc"]) == 2
+        assert self.stored_budget(moved) == self.direct_budget(moved)
+        assert self.stored_budget(moved) != self.stored_budget(base)
+        # one computation per link built (direct_budget is not counted)
+        assert len(budget_calls["harvested_dc"]) == 3
 
     def test_new_noise_seed_shares_the_memo(self, budget_calls):
         base = _anechoic_scenario(15.0)
         copies = [base.with_noise_seed(seed) for seed in range(5)]
         for scenario in copies + [base]:
-            self.memoised_budget(scenario)
+            self.stored_budget(scenario)
         assert len(budget_calls["harvested_dc"]) == 1
         assert len(budget_calls["combine_noncoherent"]) == 2
         assert all(vars(c)["_budget"] is vars(base)["_budget"] for c in copies)
@@ -378,7 +379,7 @@ class TestBudgetMemo:
         results = []
 
         def read(seed):
-            results.append(repr(self.memoised_budget(base.with_noise_seed(seed))))
+            results.append(repr(self.stored_budget(base.with_noise_seed(seed))))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -393,20 +394,27 @@ class TestBudgetMemo:
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * 8
 
-    def test_failed_budget_raises_on_every_call(self):
-        near = dataclasses.replace(_anechoic_scenario(), dl=LinkGeometry(0.1, 868e6))
-        for _ in range(2):
-            with pytest.raises(NearFieldError):
-                near.node_input_dbm()
-            with pytest.raises(NearFieldError):
-                near.harvested_dc_w()
-        empty = LinkScenario(
-            name="wired", topology="wired", p_tx_dbm=0.0, rect=RectifierModel(efficiency_curve=())
-        )
-        for _ in range(2):
-            with pytest.raises(EmptyCurve):
-                empty.harvested_dc_w()
-        assert vars(near)["_budget"] == vars(empty)["_budget"] == {}
+    @pytest.mark.parametrize(
+        "topology, overrides, error, match",
+        [
+            ("radiated", dict(dl=LinkGeometry(0.1, 868e6)), NearFieldError, "inside one wave"),
+            ("radiated", dict(ul=LinkGeometry(0.1, 868e6)), NearFieldError, "inside one wave"),
+            ("radiated", dict(p_tx_dbm=math.nan), ValueError, "nan dBm is not a finite"),
+            ("wired", dict(p_tx_dbm=math.nan), ValueError, "nan dBm is not a finite"),
+            ("radiated", dict(p_tx_dbm=1e300), ValueError, r"1e\+300 dBm is not a finite"),
+            ("wired", dict(p_tx_dbm=1e300), ValueError, r"1e\+300 dBm is not a finite"),
+        ],
+        ids=["near_dl", "near_ul", "nan_radiated", "nan_wired", "huge_radiated", "huge_wired"],
+    )
+    def test_link_without_a_budget_cannot_be_built(self, topology, overrides, error, match):
+        # each link used to build, then raise on every budget read: a
+        # near-field uplink only once a frame was rendered, a NaN input only
+        # in the charge phase
+        with pytest.raises(error, match=match):
+            if topology == "wired":
+                LinkScenario(name="wired", topology="wired", **overrides)
+            else:
+                _anechoic_scenario(**overrides)
 
 
 class TestValidation:
@@ -458,8 +466,8 @@ class TestValidation:
             assert watts_to_dbm(dbm_to_watts(p)) == pytest.approx(p, abs=1e-12)
 
 
-def _anechoic_scenario(p_tx_dbm: float = 15.0) -> LinkScenario:
-    return LinkScenario(
+def _anechoic_scenario(p_tx_dbm: float = 15.0, **overrides) -> LinkScenario:
+    parts = dict(
         name="anechoic",
         topology="radiated",
         p_tx_dbm=p_tx_dbm,
@@ -472,3 +480,4 @@ def _anechoic_scenario(p_tx_dbm: float = 15.0) -> LinkScenario:
         dl=LinkGeometry(3.4, 868e6),
         ul=LinkGeometry(3.4, 868e6),
     )
+    return LinkScenario(**{**parts, **overrides})

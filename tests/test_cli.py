@@ -298,28 +298,27 @@ class TestMain:
         assert captured.out.startswith(",".join(CSV_COLUMNS))
 
     def test_exit_one_on_failed_check(self, tmp_path):
-        # 300 distinct 1-byte keys overflow the table at run time, so the
-        # second point becomes an error row and the no_errors check fails
+        # a 1 J/bit frame costs more than the node stores, so the second
+        # point becomes an error row and the no_errors check fails
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(
-            "setup=anechoic\nprotocol.key_len_bytes=1\n"
-            "sweep.param=protocol.n_keys\nsweep.values=16,300\n"
+            "setup=anechoic\nsweep.param=protocol.tx_cost_j_per_bit\nsweep.values=1e-9,1\n"
         )
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
 
     def test_unrenderable_trace_is_a_failed_check(self, tmp_path, capsys):
-        # the table overflow that makes the session an error row also stops
-        # the trace: the run still writes its CSV and exits 1, not 2
+        # the frame cost that makes the session an error row also stops the
+        # trace: the run still writes its CSV and exits 1, not 2
         cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text("setup=anechoic\nprotocol.n_keys=300\nprotocol.key_len_bytes=1\n")
+        cfg_path.write_text("setup=anechoic\nprotocol.tx_cost_j_per_bit=1\n")
         out_csv, trace_path = tmp_path / "o.csv", tmp_path / "t.txt"
         argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
         assert main(argv) == 1
-        assert ",error:TableCapacityError," in out_csv.read_text().splitlines()[1]
+        assert ",error:ValueError," in out_csv.read_text().splitlines()[1]
         assert not trace_path.exists()
         err = capsys.readouterr().err
         assert "check no_errors: FAIL" in err
-        assert "check trace_out: FAIL (not written: TableCapacityError: 300 distinct keys" in err
+        assert "check trace_out: FAIL (not written: ValueError: frame cost 40.0 J exceeds" in err
         # an I/O error on a renderable trace is still exit 2, before any CSV
         missing_dir = str(tmp_path / "missing" / "t.txt")
         unwritten = tmp_path / "unwritten.csv"
@@ -414,6 +413,13 @@ class TestMain:
                 "protocol.dt_s, protocol.max_time_s: dt_s must be > 0 and finite",
             ),
             ("setup=wired\nchannel.p_tx_dbm=1e300\n", "channel: 1e+300 dBm is not a finite power"),
+            # a probe point's link computes the harvest it never reads
+            ("setup=wired\nchannel.p_tx_dbm=3113\n", "channel: 3113.0 dBm is not a finite power"),
+            (
+                "setup=anechoic\nprotocol.n_keys=300\nprotocol.key_len_bytes=1\n",
+                "protocol.n_keys, protocol.key_len_bytes: "
+                "300 distinct keys of 1 bytes exceed the 256-code space",
+            ),
             (
                 "setup=wired\nsweep.param=channel.noise_power_dbm\nsweep.values=-90,1e300\n",
                 "sweep.values: 1e+300: channel.noise_power_dbm: 1e+300 dBm is not a finite power",

@@ -580,7 +580,18 @@ class TestValidation:
         ]
         assert violations_of(
             "setup=anechoic\nsweep.param = protocol.key_len_bytes\nsweep.values = 2,65"
-        ) == ["sweep.values: 65: protocol.key_len_bytes: must be in [1, 64]"]
+        ) == [
+            "sweep.values: 65: protocol.key_len_bytes: key_len_bytes must be in [1, 64], got 65"
+        ]
+        # 300 distinct 1-byte keys loaded, then every keyed point failed as
+        # error:TableCapacityError
+        assert violations_of(
+            "setup=anechoic\nprotocol.key_len_bytes = 1\n"
+            "sweep.param = protocol.n_keys\nsweep.values = 16,300"
+        ) == [
+            "sweep.values: 300: protocol.n_keys: "
+            "300 distinct keys of 1 bytes exceed the 256-code space"
+        ]
         assert violations_of("setup=wired\nsweep.param = seed\nsweep.values = 0,-1") == [
             "sweep.values: -1: seed: must be >= 0"
         ]

@@ -18,7 +18,7 @@ from wptsec.channel import (
     NoiseSpec,
     RectifierModel,
 )
-from wptsec.errors import NearFieldError, TableCapacityError, TableExhausted
+from wptsec.errors import TableCapacityError, TableExhausted
 from wptsec.monitor import (
     ACCEPTED,
     DECODED,
@@ -40,7 +40,6 @@ from wptsec.protocol import (
     generate_table,
     run_session,
 )
-from wptsec.waveform import render_envelope
 
 # flat 20% efficiency makes hand energy math easy: -10 dBm in -> 20 uW DC
 FLAT_RECT = RectifierModel(efficiency_curve=((-60.0, 0.2), (60.0, 0.2)))
@@ -267,19 +266,6 @@ class TestNodeStep:
         with pytest.raises(TableExhausted):
             charging_session(node, dt_s=1.0, key_policy="random")
 
-    def test_nan_input_power_rejected_before_the_ledger(self):
-        # the chunk count used to fail first, on int(nan), naming no input
-        for scenario in (
-            anechoic_scenario(p_tx_dbm=math.nan),
-            LinkScenario(name="wired", topology="wired", p_tx_dbm=math.nan),
-        ):
-            node, monitor = session_parts()
-            node.stored_energy_j = 5e-6
-            with pytest.raises(ValueError, match="node input power must not be NaN"):
-                run_session(scenario, node, Attacker(), monitor)
-            assert node.stored_energy_j == 5e-6
-            assert not any(node.table.used) and not any(monitor.table.used)
-
     def test_unknown_key_policy_rejected_before_charging(self):
         # a node already above its threshold would emit in its first chunk
         node = NodeState(table=generate_table(4, 2, rng_seed=3), stored_energy_j=50e-6)
@@ -415,6 +401,14 @@ class TestRunSession:
         assert log.final.decode.status == WAKE_TIMEOUT
         assert len(log.energy_trace) <= 3
         assert node.stored_energy_j == log.total_harvested_j == 100e-6
+
+    def test_tiny_harvest_times_out(self):
+        # about 1e-318 W per chunk: the chunk count's quotient is inf, which
+        # failed as OverflowError before it was clamped to the steps left
+        node, monitor = session_parts()
+        log = run_session(anechoic_scenario(p_tx_dbm=-3100.0), node, Attacker(), monitor)
+        assert log.final.decode.status == WAKE_TIMEOUT
+        assert 0 < node.stored_energy_j == log.total_harvested_j < 1e-300
 
     def test_nan_max_time_rejected(self):
         node, monitor = session_parts()
@@ -575,25 +569,6 @@ class TestFreshSessionScenario:
             if f.name != "noise":
                 assert getattr(fresh, f.name) is getattr(base, f.name)
         assert vars(fresh)["_budget"] is vars(base)["_budget"]
-
-    def test_near_field_uplink_fails_at_render_not_at_the_copy(self):
-        # the uplink carries only the backscatter: charging never reads it
-        base = anechoic_scenario(ul=LinkGeometry(0.1, 868e6))
-        fresh = fresh_session_scenario(base, 1)
-        for _ in range(2):
-            with pytest.raises(NearFieldError):
-                render_envelope(fresh, [1, 0], 20e3, 320e3)
-        node = NodeState(
-            table=generate_table(4, 2, rng_seed=0),
-            storage_capacity_j=100e-6,
-            wake_threshold_j=100.0001e-6,
-        )
-        _, monitor = session_parts()
-        log = run_session(fresh_session_scenario(base, 2), node, Attacker(), monitor)
-        assert log.final.decode.status == WAKE_TIMEOUT
-        node, monitor = session_parts()
-        with pytest.raises(NearFieldError):
-            run_session(fresh_session_scenario(base, 3), node, Attacker(), monitor)
 
     def test_sessions_on_one_link_compute_its_budget_once(self, budget_calls):
         node, monitor = session_parts(n_keys=100)
