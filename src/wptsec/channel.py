@@ -8,7 +8,6 @@ three-antenna setup.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -250,22 +249,13 @@ def dynamic_range_db(p_high_state_dbm: float, p_low_state_dbm: float) -> float:
     return p_high_state_dbm - p_low_state_dbm
 
 
-@functools.lru_cache(maxsize=16)
-def _curve_arrays(curve: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(p_in_dbm, eta) columns of an efficiency curve; read-only, since one
-    pair is shared by every call on the same rectifier model."""
-    xs, ys = np.array(curve).T.copy()
-    xs.flags.writeable = ys.flags.writeable = False
-    return xs, ys
-
-
 def harvested_dc(p_in_dbm: float, rect: RectifierModel) -> float:
     """DC output power in watts for an RF input.
 
     Efficiency is piecewise-linear in (dBm, eta) space, clamped at the curve
     endpoints; the input must be a finite power in watts.
     """
-    eta = float(np.interp(p_in_dbm, *_curve_arrays(rect.efficiency_curve)))
+    eta = float(np.interp(p_in_dbm, *zip(*rect.efficiency_curve)))
     return eta * finite_watts(p_in_dbm)
 
 

@@ -23,7 +23,7 @@ from .monitor import (
     WAKE_TIMEOUT,
     AuthDecision,
     DecodeResult,
-    authenticate,
+    decode_trace,
     verify,
 )
 from .waveform import (
@@ -284,16 +284,17 @@ def _charge(
     bit_rate_hz: float,
     key_rng: np.random.Generator | None,
 ) -> tuple[float, float, list[tuple[float, float]], int | None, Frame | None]:
-    """The charge phase, the only writer of node.stored_energy_j: bank harvest
-    in whole dt_s chunks, each in closed form, until one wakes the node or
-    max_time_s runs out; harvest past the storage is lost. At wake, emit the
-    unused key at rank 0 (or one drawn from key_rng), debit its frame's cost
-    and mark it used. Returns the last chunk's end time, the energy banked,
-    the (time, stored energy) ledger, and the key index and frame (None if
-    the node never woke)."""
+    """The charge phase, the only writer of node.stored_energy_j and of the
+    (time, stored energy) ledger: bank harvest in whole dt_s chunks, each in
+    closed form, until one wakes the node or max_time_s runs out; harvest
+    past the storage is lost. At wake, emit the unused key at rank 0 (or one
+    drawn from key_rng), debit its frame's cost and mark it used. Returns
+    the last chunk's end time, the energy banked, the ledger, and the key
+    index and frame (None if the node never woke)."""
     p_dc_w = scenario.harvested_dc_w()
-    # a node that cannot reach its threshold charges to max_time_s in one chunk
-    never_wakes = p_dc_w <= 0.0 or node.storage_capacity_j < node.wake_threshold_j
+    # a node that cannot reach its threshold, or whose harvest per step
+    # underflows to 0 J, charges to max_time_s in one chunk
+    never_wakes = not p_dc_w * dt_s > 0.0 or node.storage_capacity_j < node.wake_threshold_j
     energy = [(0.0, node.stored_energy_j)]
     t = harvested = 0.0
     while True:
@@ -328,9 +329,26 @@ def _charge(
         raise ValueError(f"frame cost {tx_cost} J exceeds stored energy {node.stored_energy_j} J")
     node.stored_energy_j -= tx_cost
     node.table.mark_used(key_index)
-    # the waking chunk's entry records the energy left after the frame
+    # the waking chunk's and the frame end's entries hold the energy left after the frame
     energy.append((t, node.stored_energy_j))
+    energy.append((t + frame.duration_s, node.stored_energy_j))
     return t, harvested, energy, key_index, frame
+
+
+def _exchange(
+    scenario: LinkScenario, frame: Frame, attacker: Attacker, monitor: MonitorConfig
+) -> tuple[EnvelopeTrace, list[AuthDecision]]:
+    """The exchange phase: render the combined backscatter + leakage + noise
+    envelope the monitor captures, decode it once, and verify that decode
+    against the live table once per presentation: the node's, then a replay
+    attacker's of the same capture. Decoding is a pure function of the
+    samples and the bit rate, so only the one-time-key check can differ."""
+    trace = render_envelope(
+        scenario, frame_to_bits(frame), monitor.bit_rate_hz, monitor.sample_rate_hz
+    )
+    decode = decode_trace(trace, monitor.bit_rate_hz)
+    presentations = 2 if attacker.kind == "replay" else 1
+    return trace, [verify(decode, monitor.table) for _ in range(presentations)]
 
 
 def check_session_timing(dt_s: float, max_time_s: float) -> None:
@@ -354,15 +372,14 @@ def run_session(
     max_time_s: float = 30.0,
     key_policy: str = "sequential",
 ) -> SessionLog:
-    """Simulate one charge/backscatter/verify exchange.
+    """Simulate one charge/backscatter/verify exchange, in three phases.
 
-    The source radiates CW for the whole session; the node charges until its
-    wake threshold, emits the next key frame, and the monitor demodulates
-    the combined backscatter + leakage + noise envelope and verifies the
-    code. A replay attacker captures that envelope and re-presents it for a
-    second verification: the capture's own decode is verified again against
-    the live table, so the one-time-key check alone rejects it. The charge
-    phase (``_charge``) is the energy ledger's only writer. Timing that
+    The source radiates CW for the whole session. ``_charge`` charges the
+    node to its wake threshold and emits the next key frame; it is the only
+    writer of the energy ledger. If the node woke, ``_exchange`` renders,
+    decodes and verifies the monitor's capture of the frame, and a replay
+    attacker's second presentation of it. The timeline is built from the
+    wake time, the frame and the decisions. Timing that
     ``check_session_timing`` rejects is rejected before the ledger changes.
     """
     check_session_timing(dt_s, max_time_s)
@@ -380,35 +397,20 @@ def run_session(
         node, scenario, dt_s, max_time_s, monitor.bit_rate_hz, key_rng
     )
 
-    decisions: list[AuthDecision] = []
-    trace = None
     if frame is None:
+        trace, decisions = None, [_WAKE_TIMEOUT_DECISION]
         # bookkeeping events land one step apart so the timeline stays
         # strictly increasing even when max_time_s < dt_s
         events.append(SessionEvent(t + dt_s, WAKE_TIMEOUT, stored_energy_j=node.stored_energy_j))
-        decisions.append(_WAKE_TIMEOUT_DECISION)
         t_end = t + 2 * dt_s
     else:
-        events.append(SessionEvent(t, "node_wake"))
+        trace, decisions = _exchange(scenario, frame, attacker, monitor)
         t_emit = t + frame.duration_s
-        events.append(SessionEvent(t_emit, "frame_emitted", stored_energy_j=node.stored_energy_j))
-        energy.append((t_emit, node.stored_energy_j))
-
-        trace = render_envelope(
-            scenario, frame_to_bits(frame), monitor.bit_rate_hz, monitor.sample_rate_hz
-        )
-
-        decision = authenticate(trace, monitor.bit_rate_hz, monitor.table)
-        decisions.append(decision)
         t_verify = t_emit + dt_s
-        events.append(SessionEvent.verify(t_verify, decision))
-
-        if attacker.kind == "replay":
-            # the attacker re-presents the envelope it captured: this session's
-            # trace. Decoding is a pure function of the samples and the bit
-            # rate, so only the check against the live table can differ.
-            replay = verify(decision.decode, monitor.table)
-            decisions.append(replay)
+        events.append(SessionEvent(t, "node_wake"))
+        events.append(SessionEvent(t_emit, "frame_emitted", stored_energy_j=node.stored_energy_j))
+        events.append(SessionEvent.verify(t_verify, decisions[0]))
+        for replay in decisions[1:]:
             events.append(SessionEvent(t_verify + dt_s, "replay_presented"))
             events.append(SessionEvent.verify(t_verify + 2 * dt_s, replay))
         t_end = events[-1].time_s + dt_s

@@ -326,6 +326,15 @@ class TestMain:
         assert main(argv) == 2
         assert not unwritten.exists()
 
+    def test_harvest_below_one_step_is_a_wake_timeout_row(self, tmp_path):
+        # the harvest per step underflows to 0 J; the row was
+        # error:ZeroDivisionError
+        cfg_path = tmp_path / "faint.cfg"
+        cfg_path.write_text("setup=anechoic\nchannel.p_tx_dbm=-3125\n")
+        out_csv = tmp_path / "o.csv"
+        assert main(["run", str(cfg_path), "--out", str(out_csv)]) == 1
+        assert ",rejected_no_signal,,4.58444e-319,wake_timeout," in out_csv.read_text()
+
     def test_never_woke_trace_is_a_failed_check(self, tmp_path, capsys):
         # a node that never woke sent no frame, so there is no trace to write;
         # the CSV is the same as without --trace-out

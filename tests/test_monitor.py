@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wptsec import monitor
-from wptsec.channel import NoiseSpec, RectifierModel, _curve_arrays, harvested_dc
+from wptsec.channel import NoiseSpec
 from wptsec.errors import EmptyTrace, NoSync, UndersampledError
 from wptsec.monitor import (
     SYNC_BLOCK,
@@ -601,7 +601,7 @@ class TestLevelsOracle:
             assert repr(measure_levels(trace)) == repr(oracle_measure_levels(trace, cap))
 
 
-GEOMETRY_CACHES = (_bit_centers, _bit_counts, _curve_arrays)
+GEOMETRY_CACHES = (_bit_centers, _bit_counts)
 
 
 class TestGeometryCaches:
@@ -611,18 +611,12 @@ class TestGeometryCaches:
             trace = EnvelopeTrace(trace.sample_rate_hz, trace.samples[: 200 + n])
             decode_trace(trace, 20e3)
             synthesize_envelope([1, 0] * (n + 1), -40.0, -50.0, 20e3, 160e3, SILENT)
-            harvested_dc(0.0, RectifierModel(efficiency_curve=((0.0, 0.5), (1.0 + n, 0.6))))
         for cache in GEOMETRY_CACHES:
             info = cache.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
 
     def test_cached_arrays_read_only(self):
-        arrays = [
-            _bit_centers(16, 16.0),
-            _bit_counts(40, 8.3),
-            *_curve_arrays(RectifierModel().efficiency_curve),
-        ]
-        for arr in arrays:
+        for arr in (_bit_centers(16, 16.0), _bit_counts(40, 8.3)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0

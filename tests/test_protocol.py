@@ -383,11 +383,13 @@ class TestRunSession:
             }
         ]
 
-    def test_replay_re_presents_the_session_trace(self):
+    def test_replay_re_presents_the_session_trace(self, clustering_calls):
+        # the capture is decoded once, and both presentations verify that decode
         node, monitor = session_parts()
         log = run_session(anechoic_scenario(seed=43), node, Attacker(kind="replay"), monitor)
         first, replay = log.decisions
-        assert replay.decode == first.decode and first.decode.payload == log.emitted_code
+        assert replay.decode is first.decode and first.decode.payload == log.emitted_code
+        assert len(clustering_calls) == 1 and clustering_calls[0] is log.trace
 
     def test_unreachable_wake_threshold_costs_one_chunk(self):
         # storage tops out below the threshold, so the node can never wake
@@ -403,12 +405,15 @@ class TestRunSession:
         assert node.stored_energy_j == log.total_harvested_j == 100e-6
 
     def test_tiny_harvest_times_out(self):
-        # about 1e-318 W per chunk: the chunk count's quotient is inf, which
-        # failed as OverflowError before it was clamped to the steps left
-        node, monitor = session_parts()
-        log = run_session(anechoic_scenario(p_tx_dbm=-3100.0), node, Attacker(), monitor)
-        assert log.final.decode.status == WAKE_TIMEOUT
-        assert 0 < node.stored_energy_j == log.total_harvested_j < 1e-300
+        # at -3100 dBm, about 1e-318 W per chunk: the chunk count's quotient
+        # is inf, which failed as OverflowError before it was clamped to the
+        # steps left; at -3125 dBm the harvest per 100 us step underflows to
+        # 0 J, which failed as ZeroDivisionError
+        for p_tx_dbm in (-3100.0, -3125.0):
+            node, monitor = session_parts()
+            log = run_session(anechoic_scenario(p_tx_dbm=p_tx_dbm), node, Attacker(), monitor)
+            assert log.final.decode.status == WAKE_TIMEOUT
+            assert 0 < node.stored_energy_j == log.total_harvested_j < 1e-300
 
     def test_nan_max_time_rejected(self):
         node, monitor = session_parts()
