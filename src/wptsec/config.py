@@ -34,6 +34,7 @@ from .protocol import (
     MonitorConfig,
     NodeState,
     PvkTable,
+    check_event_spacing,
     check_session_timing,
     check_table_shape,
     generate_table,
@@ -394,6 +395,7 @@ def build_point(cfg: ScenarioConfig, noise_seed: int | None = None, tables=None)
         return scenario, monitor, None
     _made(check_session_timing, cfg, "dt_s", "max_time_s")
     _made(check_table_shape, cfg, "n_keys", "key_len_bytes")
+    _made(check_event_spacing, cfg, "dt_s", "max_time_s", "bit_rate_hz", "key_len_bytes")
     with _Reading("storage_capacity_j", "wake_threshold_j", "tx_cost_j_per_bit"):
         return scenario, monitor, build_node(cfg, node_table)
 

@@ -68,8 +68,7 @@ class PvkTable:
             raise ValueError("key table entries must be unique")
         self.used = [False] * n
         # the 1-based tree[i] counts the unused entries in (i - lowbit(i), i]
-        i = np.arange(n + 1)
-        self._tree = (i & -i).tolist()
+        self._tree = [i & -i for i in range(n + 1)]
         self._n_unused = n
 
     def __len__(self) -> int:
@@ -147,9 +146,17 @@ def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
     key_len_bytes cut from each ceil(key_len_bytes / 4) words. That is the
     stream a per-key ``integers(0, 256, size=key_len_bytes, dtype=uint8)``
     draws, so the table is the same as drawing one key at a time and keeping
-    the first occurrence of each code.
+    the first occurrence of each code. The draws and their dedupe dict are
+    freed before the table builds its index, so provisioning peaks at about
+    the memory the table keeps.
     """
     check_table_shape(n_keys, key_len_bytes)
+    return PvkTable(entries=_distinct_codes(n_keys, key_len_bytes, rng_seed))
+
+
+def _distinct_codes(n_keys: int, key_len_bytes: int, rng_seed: int) -> list[bytes]:
+    """generate_table's codes in table order; every buffer it draws into is
+    gone when it returns."""
     rng = np.random.default_rng(rng_seed)
     words = -(-key_len_bytes // 4)
     codes: dict[bytes, None] = {}
@@ -157,10 +164,15 @@ def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
         need = n_keys - len(codes)
         draw = rng.integers(0, 2**32, size=need * words, dtype=np.uint32)
         rows = draw.astype("<u4").view(np.uint8).reshape(need, 4 * words)
-        flat = rows[:, :key_len_bytes].tobytes()
-        for off in range(0, len(flat), key_len_bytes):
-            codes.setdefault(flat[off : off + key_len_bytes])
-    return PvkTable(entries=list(codes))
+        cut = np.ascontiguousarray(rows[:, :key_len_bytes])
+        # a void item's tolist() is its bytes, trailing zero bytes included
+        new = cut.view(f"V{key_len_bytes}").ravel().tolist()
+        if codes:
+            for code in new:
+                codes.setdefault(code)
+        else:
+            codes = dict.fromkeys(new)
+    return list(codes)
 
 
 @dataclass
@@ -360,6 +372,22 @@ def check_session_timing(dt_s: float, max_time_s: float) -> None:
         raise ValueError(f"max_time_s must be >= 0 and finite, got {max_time_s!r}")
     if not max_time_s / dt_s < math.inf:
         raise ValueError(f"max_time_s / dt_s must be finite, got {max_time_s!r} / {dt_s!r}")
+
+
+def check_event_spacing(
+    dt_s: float, max_time_s: float, bit_rate_hz: float, key_len_bytes: int
+) -> None:
+    """Reject timing whose steps are lost next to the session's latest event
+    time, which is max_time_s, one frame of key_len_bytes at bit_rate_hz and
+    four dt_s steps. A step of at least that time's float spacing moves
+    every earlier time on, so the timeline stays strictly increasing."""
+    frame_s = build_frame(bytes(key_len_bytes), bit_rate_hz).duration_s
+    latest = max_time_s + frame_s + 4 * dt_s
+    for name, step in (("dt_s", dt_s), ("frame duration", frame_s)):
+        if not step >= math.ulp(latest):
+            raise ValueError(
+                f"{name} of {step!r} s is lost next to the latest event time of {latest!r} s"
+            )
 
 
 def run_session(

@@ -56,13 +56,16 @@ def check_bit_rate(bit_rate_hz: float) -> None:
 
 
 def check_oversampling(sample_rate_hz: float, bit_rate_hz: float) -> None:
-    """check_bit_rate, then reject a sample rate below MIN_OVERSAMPLING per bit."""
+    """check_bit_rate, then reject a sample rate below MIN_OVERSAMPLING per bit
+    or one that is not finite."""
     check_bit_rate(bit_rate_hz)
     if not sample_rate_hz >= MIN_OVERSAMPLING * bit_rate_hz:
         raise UndersampledError(
             f"sample rate {sample_rate_hz} Hz below {MIN_OVERSAMPLING}x bit rate "
             f"{bit_rate_hz} Hz"
         )
+    if sample_rate_hz == np.inf:
+        raise ValueError(f"sample rate must be finite, got {sample_rate_hz}")
 
 
 @dataclass(frozen=True)

@@ -430,6 +430,10 @@ class TestMain:
                 "300 distinct keys of 1 bytes exceed the 256-code space",
             ),
             (
+                "setup=anechoic\nsweep.param=waveform.oversampling\nsweep.values=16,1.7e308\n",
+                "waveform.oversampling: sample rate must be finite, got inf",
+            ),
+            (
                 "setup=wired\nsweep.param=channel.noise_power_dbm\nsweep.values=-90,1e300\n",
                 "sweep.values: 1e+300: channel.noise_power_dbm: 1e+300 dBm is not a finite power",
             ),
@@ -472,6 +476,11 @@ class TestMain:
             ("channel.distance_dl_m = 0.1", "channel: distance 0.1 m is inside one wavelength"),
             ("protocol.dt_s = 1e-320", f"{TIMING}: max_time_s / dt_s must be finite"),
             ("protocol.max_time_s = 1e305", f"{TIMING}: max_time_s / dt_s must be finite"),
+            (
+                "protocol.dt_s = 1e-300",
+                f"{TIMING}, waveform.bit_rate_hz, protocol.key_len_bytes: "
+                "dt_s of 1e-300 s is lost next to the latest event time of 30.002 s",
+            ),
         ],
     )
     @pytest.mark.filterwarnings("ignore:antenna gain")

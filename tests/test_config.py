@@ -497,6 +497,24 @@ class TestValidation:
             f"protocol.dt_s, protocol.max_time_s: max_time_s / dt_s must be finite, got {rule}"
         ]
 
+    def test_dt_s_lost_at_the_latest_event_rejected(self):
+        # it loaded, then every keyed point failed as error:ValueError (event
+        # times must be strictly increasing): t + 1e-300 == t at t = 0.5 s
+        keys = "protocol.dt_s, protocol.max_time_s, waveform.bit_rate_hz, protocol.key_len_bytes"
+        rule = "dt_s of 1e-300 s is lost next to the latest event time of 30.002 s"
+        assert violations_of("setup=anechoic\nprotocol.dt_s = 1e-300") == [f"{keys}: {rule}"]
+        assert violations_of(
+            "setup=anechoic\nsweep.param = protocol.dt_s\nsweep.values = 1e-4,1e-300"
+        ) == [f"sweep.values: 1e-300: protocol.dt_s: {rule}"]
+        # the latest event time counts one frame at the point's bit rate
+        assert violations_of(
+            "setup=anechoic\nprotocol.dt_s = 3.6e-15\n"
+            "sweep.param = waveform.bit_rate_hz\nsweep.values = 20e3,1"
+        ) == [
+            "sweep.values: 1.0: waveform.bit_rate_hz: "
+            "dt_s of 3.6e-15 s is lost next to the latest event time of 70.00000000000001 s"
+        ]
+
     @pytest.mark.filterwarnings("ignore:antenna gain")
     @pytest.mark.parametrize("key", sorted(FLOAT_KEYS | INT_KEYS))
     def test_set_and_swept_values_are_judged_alike(self, key):
@@ -571,6 +589,14 @@ class TestValidation:
             "sweep.values: 16.9: waveform.oversampling: must be an integer",
             "sweep.values: 4: waveform.oversampling: "
             "sample rate 400000.0 Hz below 8x bit rate 100000.0 Hz",
+        ]
+        # 1.7e308 x 20 kHz is inf: the point loaded, numpy warned while it
+        # counted samples per bit, and it failed as error:EmptyTrace
+        assert violations_of(
+            "setup=anechoic\nsweep.param = waveform.oversampling\nsweep.values = 16,1.7e308"
+        ) == [
+            f"sweep.values: {int(1.7e308)!r}: waveform.oversampling: "
+            "sample rate must be finite, got inf"
         ]
         assert violations_of(
             "setup=wired\nsweep.param = waveform.bit_rate_hz\nsweep.values = 1000,150000"

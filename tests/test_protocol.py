@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from wptsec.protocol import (
     generate_table,
     run_session,
 )
+from wptsec.waveform import build_frame
 
 # flat 20% efficiency makes hand energy math easy: -10 dBm in -> 20 uW DC
 FLAT_RECT = RectifierModel(efficiency_curve=((-60.0, 0.2), (60.0, 0.2)))
@@ -172,19 +174,42 @@ class TestPvkTable:
 
     @pytest.mark.parametrize(
         "n_keys, key_len",
-        [(250, 1), (300, 2), (300, 3), (300, 4), (300, 5), (300, 7), (300, 8), (300, 64)],
+        [
+            (250, 1),
+            (300, 2),
+            (300, 3),
+            (300, 4),
+            (300, 5),
+            (300, 7),
+            (300, 8),
+            (300, 64),
+            (60_000, 2),
+        ],
     )
     def test_bulk_draw_matches_per_key_draws(self, n_keys, key_len):
         # the per-key reference: one uint8 draw per key, first occurrence
-        # kept; 250 of the 256 one-byte codes makes most draws duplicates
-        for seed in range(3):
+        # kept; 250 of the 256 one-byte codes makes most draws duplicates,
+        # and 60,000 of the 65,536 two-byte codes takes 101 bulk draws (one
+        # seed: its reference draws 161,644 keys one at a time)
+        for seed in range(3 if n_keys < 1000 else 1):
             rng = np.random.default_rng(seed)
-            codes: list[bytes] = []
+            codes: dict[bytes, None] = {}
             while len(codes) < n_keys:
                 code = rng.integers(0, 256, size=key_len, dtype=np.uint8).tobytes()
-                if code not in codes:
-                    codes.append(code)
-            assert generate_table(n_keys, key_len, rng_seed=seed).entries == codes
+                codes.setdefault(code)
+            assert generate_table(n_keys, key_len, rng_seed=seed).entries == list(codes)
+
+    def test_provisioning_peaks_at_the_memory_the_table_keeps(self):
+        # the draws and the dedupe dict are gone before the table builds its
+        # index; holding them took the peak to about 1.6x what the table keeps
+        tracemalloc.start()
+        try:
+            table = generate_table(100_000, 4, rng_seed=5)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 100_000
+        assert peak <= 1.2 * kept
 
 
 class TestNodeStep:
@@ -414,6 +439,20 @@ class TestRunSession:
             log = run_session(anechoic_scenario(p_tx_dbm=p_tx_dbm), node, Attacker(), monitor)
             assert log.final.decode.status == WAKE_TIMEOUT
             assert 0 < node.stored_energy_j == log.total_harvested_j < 1e-300
+
+    def test_smallest_accepted_step_keeps_the_timeline_increasing(self):
+        # a node that never wakes charges to max_time_s, where the timeout's
+        # steps of dt_s must still move the time on
+        frame_s = build_frame(b"\0\0", 20e3).duration_s
+        dt_s = math.ulp(30.0 + frame_s)
+        protocol.check_event_spacing(dt_s, 30.0, 20e3, 2)
+        with pytest.raises(ValueError, match="dt_s of .* is lost next to the latest event"):
+            protocol.check_event_spacing(dt_s / 2, 30.0, 20e3, 2)
+        rect = RectifierModel(efficiency_curve=((-60.0, 0.0), (60.0, 0.0)))
+        node = NodeState(table=PvkTable(entries=[b"\x01\x02"]))
+        log = charging_session(node, rect=rect, dt_s=dt_s, max_time_s=30.0)
+        assert log.final.decode.status == WAKE_TIMEOUT
+        assert log.events[-2].time_s >= 30.0
 
     def test_nan_max_time_rejected(self):
         node, monitor = session_parts()

@@ -28,6 +28,7 @@ from wptsec.waveform import (
     EnvelopeTrace,
     Frame,
     build_frame,
+    check_oversampling,
     frame_to_bits,
     generate_square_cmd,
     read_trace,
@@ -113,6 +114,13 @@ class TestOnAirContract:
             EnvelopeTrace(math.nan, [-40.0])
         with pytest.raises(UndersampledError):
             synthesize_envelope([1, 0], -40.0, -50.0, 20e3, math.nan, SILENT)
+
+    def test_infinite_sample_rate_rejected(self):
+        # it passed, and inf samples per bit made numpy warn and render nothing
+        with pytest.raises(ValueError, match="sample rate must be finite, got inf"):
+            check_oversampling(math.inf, 20e3)
+        with pytest.raises(ValueError, match="sample rate must be finite"):
+            synthesize_envelope([1, 0], -40.0, -50.0, 20e3, math.inf, SILENT)
 
     def test_header_is_preamble_then_sync_and_read_only(self):
         assert list(FRAME_HEADER_BITS) == [*PREAMBLE_BITS, 1, 1, 0, 1, 0, 0, 1, 1]
