@@ -35,6 +35,14 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
+def trace_to_watts(samples_dbm: np.ndarray) -> np.ndarray:
+    """dbm_to_watts of each sample, bit for bit, in one new array: the steps
+    of ``10.0 ** ((x - 30) / 10)`` run in place on the first one's result."""
+    watts = np.subtract(samples_dbm, 30.0)
+    watts /= 10.0
+    return np.power(10.0, watts, out=watts)
+
+
 def finite_watts(p_dbm: float) -> float:
     """dbm_to_watts of one power, or a ValueError when that is no finite
     power: NaN, +inf or past the float range. -inf dBm is 0 W."""

@@ -39,6 +39,7 @@ from .protocol import (
     check_table_shape,
     generate_table,
 )
+from .waveform import build_frame, check_trace_samples
 
 
 # A key whose use hangs on another key is required while that selector holds
@@ -276,8 +277,13 @@ def validated(cfg: ScenarioConfig) -> ScenarioConfig:
             bad.append(f"sweep.values: {value!r}: {key}: must be an integer")
         else:
             point = cfg.with_override(key, value)
-            why = [f"sweep.values: {point.scalar(key)!r}: {v}" for v in _violations(point, key)]
-            bad += why or [v for v in _build_failure(point, key) if v not in bad]
+            named = point.scalar(key)
+            if abs(named) > 2**53:  # an int too long to read: name it as the config gives it
+                named = value
+            value_named = f"sweep.values: {named!r}"
+            why = [f"{value_named}: {v}" for v in _violations(point, key)]
+            swept = (key, f"{value_named}: {key}")
+            bad += why or [v for v in _build_failure(point, swept) if v not in bad]
     if bad:
         raise ValidationError(bad)
     return cfg
@@ -310,10 +316,11 @@ def _violations(cfg: ScenarioConfig, swept_key: str | None = None) -> list[str]:
     return bad
 
 
-def _build_failure(cfg: ScenarioConfig, swept_key: str | None = None) -> list[str]:
+def _build_failure(cfg: ScenarioConfig, swept: tuple[str, str] | None = None) -> list[str]:
     """Why the point ``cfg`` does not build, named by the keys or section the
-    part that raised reads, or by ``swept_key`` and its value when that part
-    reads ``swept_key``: a failure that does not is the config's own."""
+    part that raised reads, or, when that part reads the swept key of
+    ``swept`` (the key, and how to name its value and key), as ``swept``
+    names it: a failure that does not is the config's own."""
     try:
         build_point(cfg)
         return []
@@ -321,8 +328,8 @@ def _build_failure(cfg: ScenarioConfig, swept_key: str | None = None) -> list[st
         where, reason = exc.config_keys, exc
         if not isinstance(exc, ValueError):  # a product past the float range
             reason = f"out of range ({type(exc).__name__}: {exc})"
-    if swept_key and {swept_key, swept_key.partition(".")[0]} & set(where.split(", ")):
-        where = f"sweep.values: {cfg.scalar(swept_key)!r}: {swept_key}"
+    if swept and {swept[0], swept[0].partition(".")[0]} & set(where.split(", ")):
+        where = swept[1]
     return [f"{where}: {reason}"]
 
 
@@ -392,10 +399,14 @@ def build_point(cfg: ScenarioConfig, noise_seed: int | None = None, tables=None)
     with _Reading("bit_rate_hz", "oversampling"):
         monitor = build_monitor(cfg, monitor_table)
     if not cfg.protocol_enabled:
+        _made(check_trace_samples, cfg, "probe_bits", "oversampling")
         return scenario, monitor, None
     _made(check_session_timing, cfg, "dt_s", "max_time_s")
     _made(check_table_shape, cfg, "n_keys", "key_len_bytes")
     _made(check_event_spacing, cfg, "dt_s", "max_time_s", "bit_rate_hz", "key_len_bytes")
+    frame_bits = build_frame(bytes(cfg.key_len_bytes), cfg.bit_rate_hz).n_bits
+    with _Reading("key_len_bytes", "oversampling"):
+        check_trace_samples(frame_bits, cfg.oversampling)
     with _Reading("storage_capacity_j", "wake_threshold_j", "tx_cost_j_per_bit"):
         return scenario, monitor, build_node(cfg, node_table)
 

@@ -33,6 +33,10 @@ class EmptyTrace(ValueError):
     """Envelope trace contains no samples."""
 
 
+class TraceTooLong(ValueError):
+    """A trace would hold more than waveform.MAX_TRACE_SAMPLES samples."""
+
+
 class TraceFormatError(ValueError):
     """Envelope trace file does not match the documented format."""
 

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import dbm_to_watts, watts_to_dbm
+from .channel import trace_to_watts, watts_to_dbm
 from .errors import EmptyTrace, NoSync
 from .waveform import (
     FRAME_HEADER_BITS,
@@ -123,7 +123,7 @@ def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
     same mask gives the same means: the clustering has converged."""
     if len(trace) == 0:
         raise EmptyTrace("cannot analyze an empty trace")
-    lin = dbm_to_watts(trace.samples)
+    lin = trace_to_watts(trace.samples)
     c_lo = float(np.minimum.reduce(lin))
     c_hi = float(np.maximum.reduce(lin))
     if c_lo != c_hi:

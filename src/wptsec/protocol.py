@@ -44,14 +44,81 @@ KEY_POLICIES = ("sequential", "random")
 ATTACKER_KINDS = ("none", "replay")
 
 
+class _CodeIndex:
+    """The table index of each code in a table of distinct codes of one
+    length, with no Python object per code: the codes sorted into one
+    fixed-width bytes blob, their table indices in that order, and a
+    directory of where each bucket of codes that share their first ``bits``
+    bits starts. ``bits`` is min(16, 8 * length, (n - 1).bit_length()), so
+    the directory grows with the table up to 65,537 starts.
+
+    ``find`` binary-searches one bucket by slicing the blob, so codes
+    compare as whole bytes; a numpy bytes_ scalar would drop trailing zero
+    bytes."""
+
+    def __init__(self, keys: np.ndarray, at: np.ndarray) -> None:
+        """``keys``: the distinct codes in ascending order, as a fixed-width
+        bytes array; ``at``: the table index of each."""
+        n, size = keys.size, keys.dtype.itemsize
+        bits = min(16, 8 * size, (n - 1).bit_length())
+        self._size = size
+        self._head = -(-bits // 8)  # the leading bytes that hold the bucket bits
+        self._shift = 8 * self._head - bits
+        buckets = np.zeros(n, dtype=np.int64)
+        for column in keys.view(np.uint8).reshape(n, size)[:, : self._head].T:
+            buckets = buckets << 8 | column
+        buckets >>= self._shift
+        index_type = np.int32 if n < 2**31 else np.int64
+        starts = np.searchsorted(buckets, np.arange(2**bits + 1))
+        self._starts = starts.astype(index_type)
+        self._at = at.astype(index_type)
+        self._blob = keys.tobytes()
+
+    def find(self, code: bytes) -> int | None:
+        """Table index of ``code``, or None; a code of another length equals
+        no slice of the blob, so it is never found."""
+        size = self._size
+        bucket = int.from_bytes(code[: self._head], "big") >> self._shift
+        lo, hi = self._starts.item(bucket), self._starts.item(bucket + 1)
+        blob = self._blob
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probe = blob[mid * size : mid * size + size]
+            if probe == code:
+                return self._at.item(mid)
+            if probe < code:
+                lo = mid + 1
+            else:
+                hi = mid
+        return None
+
+
+# the index of every empty table, such as the one a point without keys holds
+_NO_CODES = _CodeIndex(np.empty(0, dtype="S1"), np.empty(0, dtype=np.int64))
+
+
+def _sort_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of the (n, L) uint8 code rows: the order that sorts them
+    and the codes it keeps, as a fixed-width bytes array, when it keeps the
+    first occurrence of each code."""
+    keys = rows.view(f"S{rows.shape[1]}").ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return order[first], keys[first]
+
+
 @dataclass
 class PvkTable:
-    """Ordered table of one-time key codes with per-entry used flags.
+    """Ordered table of one-time key codes of one length, with per-entry
+    used flags.
 
     A table is built from its entries alone and starts with every entry
     unused. A Fenwick tree over the unused flags (P. M. Fenwick, Softw.
     Pract. Exper. 24(3), 1994) finds the k-th unused entry in O(log n);
-    mark_used is its only writer.
+    mark_used is its only writer. ``find`` looks a code up in a sorted
+    index that holds no Python object per entry (``_CodeIndex``).
     """
 
     entries: list[bytes]
@@ -60,12 +127,33 @@ class PvkTable:
     def __post_init__(self) -> None:
         self.entries = list(map(bytes, self.entries))
         n = len(self.entries)
-        for size in set(map(len, self.entries)):
-            if not 1 <= size <= MAX_PAYLOAD_BYTES:
-                raise ValueError(f"key length {size} outside [1, {MAX_PAYLOAD_BYTES}] bytes")
-        self._index = dict(zip(self.entries, range(n)))
-        if len(self._index) != n:
+        lengths = set(map(len, self.entries))
+        if len(lengths) > 1:
+            raise ValueError(f"key table entries must have one length, got {sorted(lengths)}")
+        if not lengths:
+            self._start(_NO_CODES)
+            return
+        (size,) = lengths
+        if not 1 <= size <= MAX_PAYLOAD_BYTES:
+            raise ValueError(f"key length {size} outside [1, {MAX_PAYLOAD_BYTES}] bytes")
+        rows = np.frombuffer(b"".join(self.entries), dtype=np.uint8).reshape(n, size)
+        at, keys = _sort_codes(rows)
+        if keys.size != n:
             raise ValueError("key table entries must be unique")
+        self._start(_CodeIndex(keys, at))
+
+    @classmethod
+    def _provisioned(cls, entries: list[bytes], index: _CodeIndex) -> "PvkTable":
+        """Table of distinct entries of one length around the index already
+        built from them, without validating or sorting them again."""
+        table = cls.__new__(cls)
+        table.entries = entries
+        table._start(index)
+        return table
+
+    def _start(self, index: _CodeIndex) -> None:
+        n = len(self.entries)
+        self._index = index
         self.used = [False] * n
         # the 1-based tree[i] counts the unused entries in (i - lowbit(i), i]
         self._tree = [i & -i for i in range(n + 1)]
@@ -79,7 +167,7 @@ class PvkTable:
         return self._n_unused
 
     def find(self, code: bytes) -> int | None:
-        return self._index.get(bytes(code))
+        return self._index.find(bytes(code))
 
     def is_used(self, index: int) -> bool:
         return self.used[index]
@@ -146,33 +234,51 @@ def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
     key_len_bytes cut from each ceil(key_len_bytes / 4) words. That is the
     stream a per-key ``integers(0, 256, size=key_len_bytes, dtype=uint8)``
     draws, so the table is the same as drawing one key at a time and keeping
-    the first occurrence of each code. The draws and their dedupe dict are
-    freed before the table builds its index, so provisioning peaks at about
-    the memory the table keeps.
+    the first occurrence of each code. The sort that dedupes the draws is
+    the table's index, and the draws are freed before the entries list is
+    made, so provisioning peaks at about the memory the table keeps.
     """
     check_table_shape(n_keys, key_len_bytes)
-    return PvkTable(entries=_distinct_codes(n_keys, key_len_bytes, rng_seed))
+    codes, index = _distinct_codes(n_keys, key_len_bytes, rng_seed)
+    # a void item's tolist() is its bytes, trailing zero bytes included
+    entries = codes.view(f"V{key_len_bytes}").ravel().tolist()
+    del codes
+    return PvkTable._provisioned(entries, index)
 
 
-def _distinct_codes(n_keys: int, key_len_bytes: int, rng_seed: int) -> list[bytes]:
-    """generate_table's codes in table order; every buffer it draws into is
-    gone when it returns."""
+def _distinct_codes(
+    n_keys: int, key_len_bytes: int, rng_seed: int
+) -> tuple[np.ndarray, _CodeIndex]:
+    """generate_table's codes as (n_keys, key_len_bytes) uint8 rows in table
+    order, and their index; every other buffer it makes is gone when it
+    returns. Each draw is deduped by a stable sort, and a redraw is checked
+    against the codes kept so far by binary search, so no round sorts the
+    whole table again."""
     rng = np.random.default_rng(rng_seed)
     words = -(-key_len_bytes // 4)
-    codes: dict[bytes, None] = {}
-    while len(codes) < n_keys:
-        need = n_keys - len(codes)
+    keys = np.empty(0, dtype=f"S{key_len_bytes}")  # the codes kept so far, sorted
+    at = np.empty(0, dtype=np.int64)  # the table index of each
+    kept: list[np.ndarray] = []  # each draw's new codes, in draw order
+    n = 0
+    while n < n_keys:
+        need = n_keys - n
         draw = rng.integers(0, 2**32, size=need * words, dtype=np.uint32)
         rows = draw.astype("<u4").view(np.uint8).reshape(need, 4 * words)
-        cut = np.ascontiguousarray(rows[:, :key_len_bytes])
-        # a void item's tolist() is its bytes, trailing zero bytes included
-        new = cut.view(f"V{key_len_bytes}").ravel().tolist()
-        if codes:
-            for code in new:
-                codes.setdefault(code)
-        else:
-            codes = dict.fromkeys(new)
-    return list(codes)
+        rows = np.ascontiguousarray(rows[:, :key_len_bytes])
+        order, new = _sort_codes(rows)
+        slots = np.searchsorted(keys, new)
+        if n:  # drop the codes an earlier draw kept
+            fresh = keys[np.minimum(slots, n - 1)] != new
+            order, new, slots = order[fresh], new[fresh], slots[fresh]
+        taken = np.zeros(need, dtype=bool)
+        taken[order] = True
+        # a taken code's table index is n plus the taken codes drawn before it
+        ranks = np.cumsum(taken) + (n - 1)
+        keys = np.insert(keys, slots, new)
+        at = np.insert(at, slots, ranks[order])
+        kept.append(rows[taken])
+        n += order.size
+    return np.concatenate(kept), _CodeIndex(keys, at)
 
 
 @dataclass

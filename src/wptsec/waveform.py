@@ -5,7 +5,8 @@ A key code goes on the air as NRZ OOK: CMD high selects the mismatched
 level at the monitor. Frames carry a fixed 16-bit alternating preamble and a
 sync byte ahead of the payload so the monitor can estimate its threshold and
 bit clock without prior level knowledge. This module owns that on-air
-contract: FRAME_HEADER_BITS and the two rate checks every layer calls.
+contract: FRAME_HEADER_BITS, the two rate checks every layer calls, and
+the cap on a trace's length.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     InvertedLevels,
     PayloadTooLarge,
     TraceFormatError,
+    TraceTooLong,
     UndersampledError,
 )
 
@@ -39,6 +41,10 @@ FRAME_HEADER_BITS = np.concatenate(
     [np.array(PREAMBLE_BITS, dtype=np.uint8), np.unpackbits(np.uint8([SYNC_BYTE]))]
 )
 FRAME_HEADER_BITS.flags.writeable = False
+
+# Cap on the samples of one rendered trace. Rendering and measuring a trace
+# hold a few float64 arrays of its length, 512 MiB each at the cap.
+MAX_TRACE_SAMPLES = 2**26
 
 # Floor applied after noise addition so dBm values stay finite.
 POWER_FLOOR_W = 1e-18
@@ -66,6 +72,16 @@ def check_oversampling(sample_rate_hz: float, bit_rate_hz: float) -> None:
         )
     if sample_rate_hz == np.inf:
         raise ValueError(f"sample rate must be finite, got {sample_rate_hz}")
+
+
+def check_trace_samples(n_bits: int, samples_per_bit: float) -> None:
+    """Reject a trace of n_bits at samples_per_bit that would hold more than
+    MAX_TRACE_SAMPLES samples."""
+    if not n_bits * samples_per_bit <= MAX_TRACE_SAMPLES:
+        raise TraceTooLong(
+            f"{n_bits} bits at {samples_per_bit} samples per bit exceed the "
+            f"{MAX_TRACE_SAMPLES}-sample trace cap"
+        )
 
 
 @dataclass(frozen=True)
@@ -179,10 +195,12 @@ def synthesize_envelope(
     if bit_arr.size == 0:
         raise ValueError("bits must not be empty")
     check_oversampling(sample_rate_hz, bit_rate_hz)
+    samples_per_bit = sample_rate_hz / bit_rate_hz
+    check_trace_samples(bit_arr.size, samples_per_bit)
     if p_high_dbm < p_low_dbm:
         raise InvertedLevels(f"p_high {p_high_dbm} dBm below p_low {p_low_dbm} dBm")
 
-    counts = _bit_counts(bit_arr.size, sample_rate_hz / bit_rate_hz)
+    counts = _bit_counts(bit_arr.size, samples_per_bit)
     levels_w = np.where(bit_arr, dbm_to_watts(p_high_dbm), dbm_to_watts(p_low_dbm))
     # np.repeat returns a fresh array: every step below works in place on it,
     # in the order of 10*log10(max(signal + floor + noise, POWER_FLOOR_W)) + 30
@@ -240,7 +258,7 @@ def generate_square_cmd(freq_hz: float, duration_s: float, sample_rate_hz: float
 _HEADER_RE = re.compile(r"^sample_rate_hz=(\d+),unit=dbm,meta=(.*)$")
 # Samples formatted at a time: write_trace holds one chunk's text, so its
 # memory does not grow with the trace length.
-TRACE_CHUNK_SAMPLES = 8192
+TRACE_CHUNK_SAMPLES = 1024
 
 
 def _trace_header(trace: EnvelopeTrace) -> str:

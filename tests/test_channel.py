@@ -24,6 +24,7 @@ from wptsec.channel import (
     friis_received_power,
     harvested_dc,
     leakage_power,
+    trace_to_watts,
     watts_to_dbm,
 )
 from wptsec.errors import EmptyCurve, EmptyInput, NearFieldError
@@ -464,6 +465,16 @@ class TestValidation:
         for _ in range(50):
             p = float(rng.uniform(-120, 30))
             assert watts_to_dbm(dbm_to_watts(p)) == pytest.approx(p, abs=1e-12)
+
+    def test_trace_to_watts_is_dbm_to_watts_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        samples = np.concatenate(
+            [rng.normal(-60.0, 40.0, 5000), [-np.inf, -400.0, 0.0, 30.0, 300.0, 5e-324]]
+        )
+        before = samples.copy()
+        watts = trace_to_watts(samples)
+        assert watts.tobytes() == dbm_to_watts(samples).tobytes()
+        assert samples.tobytes() == before.tobytes()  # the trace is left as it was
 
 
 def _anechoic_scenario(p_tx_dbm: float = 15.0, **overrides) -> LinkScenario:

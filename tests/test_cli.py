@@ -437,6 +437,15 @@ class TestMain:
                 "setup=wired\nsweep.param=channel.noise_power_dbm\nsweep.values=-90,1e300\n",
                 "sweep.values: 1e+300: channel.noise_power_dbm: 1e+300 dBm is not a finite power",
             ),
+            # traces past the sample cap: each point failed as error:MemoryError
+            (
+                "setup=wired\nwaveform.oversampling=1000000000000\n",
+                "waveform.probe_bits, waveform.oversampling: 64 bits at 1000000000000 samples",
+            ),
+            (
+                "setup=wired\nwaveform.probe_bits=100000000000000\n",
+                "waveform.probe_bits, waveform.oversampling: 100000000000000 bits at 16 samples",
+            ),
         ],
     )
     def test_exit_two_on_value_every_point_would_fail_on(self, tmp_path, capsys, text, problem):

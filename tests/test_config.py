@@ -437,6 +437,29 @@ class TestValidation:
         assert violations_of("setup=wired\nwaveform.oversampling = 1" + "0" * 400) == [
             f"{rate}: out of range (OverflowError: int too large to convert to float)"
         ]
+        # traces past the sample cap loaded, and their point failed as
+        # error:MemoryError when it rendered them
+        cap = "exceed the 67108864-sample trace cap"
+        assert violations_of("setup=wired\nwaveform.oversampling = 1000000000000") == [
+            "waveform.probe_bits, waveform.oversampling: "
+            f"64 bits at 1000000000000 samples per bit {cap}"
+        ]
+        assert violations_of("setup=wired\nwaveform.probe_bits = 100000000000000") == [
+            "waveform.probe_bits, waveform.oversampling: "
+            f"100000000000000 bits at 16 samples per bit {cap}"
+        ]
+        assert violations_of("setup=anechoic\nwaveform.oversampling = 1000000000000") == [
+            "protocol.key_len_bytes, waveform.oversampling: "
+            f"40 bits at 1000000000000 samples per bit {cap}"
+        ]
+        assert violations_of(
+            "setup=wired\nsweep.param = waveform.probe_bits\nsweep.values = 64,1e14"
+        ) == [
+            "sweep.values: 100000000000000: waveform.probe_bits: "
+            f"100000000000000 bits at 16 samples per bit {cap}"
+        ]
+        # the largest probe the cap admits loads
+        assert load_config(f"setup=wired\nwaveform.probe_bits = {2**22}").probe_bits == 2**22
         with pytest.raises(ValidationError, match="key_len_bytes"):
             load_config("setup=wired\nprotocol.key_len_bytes = 65")
         assert violations_of("setup=wired\nchannel.circulator_isolation_db = -5") == [
@@ -591,13 +614,11 @@ class TestValidation:
             "sample rate 400000.0 Hz below 8x bit rate 100000.0 Hz",
         ]
         # 1.7e308 x 20 kHz is inf: the point loaded, numpy warned while it
-        # counted samples per bit, and it failed as error:EmptyTrace
+        # counted samples per bit, and it failed as error:EmptyTrace; an int
+        # past 2**53 is named as the config gives it, not in its 309 digits
         assert violations_of(
             "setup=anechoic\nsweep.param = waveform.oversampling\nsweep.values = 16,1.7e308"
-        ) == [
-            f"sweep.values: {int(1.7e308)!r}: waveform.oversampling: "
-            "sample rate must be finite, got inf"
-        ]
+        ) == ["sweep.values: 1.7e+308: waveform.oversampling: sample rate must be finite, got inf"]
         assert violations_of(
             "setup=wired\nsweep.param = waveform.bit_rate_hz\nsweep.values = 1000,150000"
         ) == [

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptsec import monitor as monitor_module
@@ -80,6 +80,18 @@ def charging_session(node, *, rect=FLAT_RECT, seed=0, dt_s=0.01, **kwargs):
     )
     monitor = MonitorConfig(table=node.table.copy())
     return run_session(scenario, node, Attacker(), monitor, dt_s=dt_s, **kwargs)
+
+
+def assert_find_agrees(table: PvkTable, others: list[bytes]) -> None:
+    """find agrees with a dict of the entries on every entry, on each of
+    ``others``, and on every entry one byte short or long, in a table and
+    its copy."""
+    where = {code: i for i, code in enumerate(table.entries)}
+    probes = list(where) + others
+    for code in table.entries:
+        probes += [code[:-1], code[1:], code + b"\x00", b"\x00" + code]
+    for t in (table, table.copy()):
+        assert [t.find(code) for code in probes] == [where.get(code) for code in probes]
 
 
 def unused_indices(table: PvkTable) -> list[int]:
@@ -198,6 +210,55 @@ class TestPvkTable:
                 code = rng.integers(0, 256, size=key_len, dtype=np.uint8).tobytes()
                 codes.setdefault(code)
             assert generate_table(n_keys, key_len, rng_seed=seed).entries == list(codes)
+
+    @pytest.mark.parametrize("key_len", [1, 2, 3, 4, 8, 64])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_find_agrees_with_a_dict_of_the_entries(self, key_len, data):
+        # codes with zero bytes at either end, and many that share one
+        # prefix and so one directory bucket, next to uniform ones
+        prefix = data.draw(st.binary(max_size=key_len - 1))
+        tail = st.binary(min_size=key_len - len(prefix), max_size=key_len - len(prefix))
+        part = st.binary(max_size=key_len)
+        code = st.one_of(
+            st.binary(min_size=key_len, max_size=key_len),
+            part.map(lambda b: b + bytes(key_len - len(b))),
+            part.map(lambda b: bytes(key_len - len(b)) + b),
+            tail.map(lambda b: prefix + b),
+        )
+        entries = data.draw(st.lists(code, unique=True, max_size=300))
+        others = data.draw(st.lists(code, max_size=20))
+        assert_find_agrees(PvkTable(entries=entries), others)
+
+    @pytest.mark.parametrize("key_len", [1, 2, 3, 4, 8, 64])
+    def test_find_agrees_on_large_and_one_bucket_tables(self, key_len):
+        rng = np.random.default_rng(key_len)
+        others = [rng.bytes(key_len) for _ in range(200)]
+        assert_find_agrees(generate_table(min(5000, 250**key_len), key_len, key_len), others)
+        if key_len >= 3:
+            # 2,000 codes whose first two bytes agree: a 2,000-key table
+            # buckets on 11 bits, so they all sit in one bucket
+            codes = {b"\x00\x00" + rng.bytes(key_len - 2) for _ in range(2000)}
+            assert_find_agrees(PvkTable(entries=sorted(codes, reverse=True)), others)
+
+    def test_empty_and_mixed_length_tables(self):
+        empty = PvkTable(entries=[])
+        assert [empty.find(bytes(size)) for size in range(4)] == [None] * 4
+        with pytest.raises(ValueError, match="one length"):
+            PvkTable(entries=[b"\x01\x02", b"\x03"])
+        with pytest.raises(ValueError, match="one length"):
+            PvkTable(entries=[b"\x01", b""])
+
+    def test_index_holds_no_object_per_key(self):
+        # a dict index took a 100k-key table of 4-byte codes to 13.9 MB
+        tracemalloc.start()
+        try:
+            table = generate_table(100_000, 4, rng_seed=6)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert table.find(table.entries[-1]) == 99_999
+        assert kept <= 8e6
 
     def test_provisioning_peaks_at_the_memory_the_table_keeps(self):
         # the draws and the dedupe dict are gone before the table builds its

@@ -15,9 +15,11 @@ from wptsec.errors import (
     InvertedLevels,
     PayloadTooLarge,
     TraceFormatError,
+    TraceTooLong,
     UndersampledError,
 )
 from wptsec.monitor import decode_trace, recover_bits
+from wptsec import waveform
 from wptsec.protocol import MonitorConfig, PvkTable
 from wptsec.waveform import (
     FRAME_HEADER_BITS,
@@ -121,6 +123,17 @@ class TestOnAirContract:
             check_oversampling(math.inf, 20e3)
         with pytest.raises(ValueError, match="sample rate must be finite"):
             synthesize_envelope([1, 0], -40.0, -50.0, 20e3, math.inf, SILENT)
+
+    def test_trace_past_the_sample_cap_rejected(self, monkeypatch):
+        # it rendered every sample it was asked for, so a large enough
+        # oversampling or bit count failed as MemoryError; the cap is
+        # lowered here so that no test renders 2**26 samples
+        monkeypatch.setattr(waveform, "MAX_TRACE_SAMPLES", 24 * 16)
+        assert len(synthesize_envelope([1, 0] * 12, -40.0, -50.0, 20e3, 320e3, SILENT)) == 384
+        with pytest.raises(TraceTooLong, match="25 bits at 16.0 samples per bit exceed"):
+            synthesize_envelope([1, 0] * 12 + [1], -40.0, -50.0, 20e3, 320e3, SILENT)
+        with pytest.raises(TraceTooLong):
+            waveform.check_trace_samples(2, 10**400)
 
     def test_header_is_preamble_then_sync_and_read_only(self):
         assert list(FRAME_HEADER_BITS) == [*PREAMBLE_BITS, 1, 1, 0, 1, 0, 0, 1, 1]
