@@ -53,6 +53,10 @@ class TableCapacityError(ValueError):
     """More distinct keys requested than the key length can represent."""
 
 
+class TableTooLarge(ValueError):
+    """A key table would hold more than protocol.MAX_TABLE_KEYS keys."""
+
+
 class ParseError(ValueError):
     """Config text could not be parsed; message carries line diagnostics."""
 

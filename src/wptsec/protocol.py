@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import LinkScenario
-from .errors import TableCapacityError, TableExhausted
+from .errors import TableCapacityError, TableExhausted, TableTooLarge
 from .monitor import (
     REJECTED_NO_SIGNAL,
     WAKE_TIMEOUT,
@@ -42,6 +42,12 @@ DEFAULT_TX_COST_J_PER_BIT = 1e-9
 DEFAULT_DT_S = 100e-6
 KEY_POLICIES = ("sequential", "random")
 ATTACKER_KINDS = ("none", "replay")
+
+# Cap on the keys of one table. A provisioned table keeps about 80 bytes a
+# key at 8-byte keys and 200 at 64-byte keys, and the monitor's copy 16
+# more; drawing 64-byte keys peaks at about 500 bytes a key. At the cap
+# that is 0.4 to 0.9 GB kept, and a peak of about 2 GB.
+MAX_TABLE_KEYS = 2**22
 
 
 class _CodeIndex:
@@ -210,7 +216,8 @@ class PvkTable:
 
 def check_table_shape(n_keys: int, key_len_bytes: int) -> None:
     """Reject a table of n_keys distinct codes that key_len_bytes cannot
-    hold, or a key length no frame can carry."""
+    hold, a key length no frame can carry, or more than MAX_TABLE_KEYS
+    keys."""
     if n_keys < 1:
         raise ValueError(f"n_keys must be >= 1, got {n_keys}")
     if not 1 <= key_len_bytes <= MAX_PAYLOAD_BYTES:
@@ -221,6 +228,8 @@ def check_table_shape(n_keys: int, key_len_bytes: int) -> None:
             f"{n_keys} distinct keys of {key_len_bytes} bytes exceed the "
             f"{capacity}-code space"
         )
+    if n_keys > MAX_TABLE_KEYS:
+        raise TableTooLarge(f"{n_keys} keys exceed the {MAX_TABLE_KEYS}-key table cap")
 
 
 def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:

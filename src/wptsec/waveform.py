@@ -251,14 +251,20 @@ def generate_square_cmd(freq_hz: float, duration_s: float, sample_rate_hz: float
 # --- trace file format -------------------------------------------------------
 #
 # Line 1: sample_rate_hz=<int>,unit=dbm,meta=<string>
-# Then one sample per line. Floats are written with repr(), the shortest
-# decimal string that round-trips the float64 exactly, so write-then-read is
-# bit-exact.
+# Then one sample per line, its bytes exactly repr()'s: the shortest decimal
+# string that round-trips the float64, so write-then-read is bit-exact.
+# orjson's shortest round-trip formatter writes repr()'s bytes for every
+# magnitude in [REPR_EXACT_MIN, REPR_EXACT_MAX) and for zero; outside it
+# the two differ (orjson's 1e16 against repr's 1e+16, 5e-8 against 5e-08,
+# 0.00001 against 1e-05), so a chunk holding such a value is written with
+# repr().
 
 _HEADER_RE = re.compile(r"^sample_rate_hz=(\d+),unit=dbm,meta=(.*)$")
 # Samples formatted at a time: write_trace holds one chunk's text, so its
 # memory does not grow with the trace length.
 TRACE_CHUNK_SAMPLES = 1024
+REPR_EXACT_MIN = 1e-4
+REPR_EXACT_MAX = 1e16
 
 
 def _trace_header(trace: EnvelopeTrace) -> str:
@@ -269,17 +275,30 @@ def _trace_header(trace: EnvelopeTrace) -> str:
 
 
 def _sample_chunks(samples: np.ndarray):
-    """The sample lines, TRACE_CHUNK_SAMPLES at a time, each chunk ending in a newline."""
+    """The sample lines as ASCII bytes, TRACE_CHUNK_SAMPLES at a time, each
+    chunk ending in a newline."""
+    import orjson  # here, so that only writing a trace loads it
+
     for start in range(0, samples.size, TRACE_CHUNK_SAMPLES):
+        # orjson takes only C-contiguous arrays, and reads their items in the
+        # dtype they have; a trace may be a view, or samples set after it was made
         chunk = samples[start : start + TRACE_CHUNK_SAMPLES]
-        yield "\n".join(map(repr, chunk.tolist())) + "\n"
+        chunk = np.ascontiguousarray(chunk, dtype=np.float64)
+        mag = np.abs(chunk)
+        # NaN fails every comparison, so a chunk holding one goes through repr too
+        if ((mag >= REPR_EXACT_MIN) & (mag < REPR_EXACT_MAX) | (mag == 0.0)).all():
+            # "[a,b,c]" -> "a\nb\nc\n"
+            text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)
+            yield text[1:-1].replace(b",", b"\n") + b"\n"
+        else:
+            yield ("\n".join(map(repr, chunk.tolist())) + "\n").encode("ascii")
 
 
 def write_trace(trace: EnvelopeTrace, path) -> None:
     """Write the trace file one chunk at a time; a non-integral sample rate
     raises before the file is opened."""
-    header = _trace_header(trace)
-    with open(path, "w", encoding="ascii", newline="\n") as f:
+    header = _trace_header(trace).encode("ascii")
+    with open(path, "wb") as f:
         f.write(header)
         f.writelines(_sample_chunks(trace.samples))
 

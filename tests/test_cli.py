@@ -437,6 +437,12 @@ class TestMain:
                 "setup=wired\nsweep.param=channel.noise_power_dbm\nsweep.values=-90,1e300\n",
                 "sweep.values: 1e+300: channel.noise_power_dbm: 1e+300 dBm is not a finite power",
             ),
+            # a table past the key cap: its point failed as error:MemoryError
+            (
+                "setup=anechoic\nprotocol.n_keys=10000000000000000\nprotocol.key_len_bytes=8\n",
+                "protocol.n_keys, protocol.key_len_bytes: "
+                "10000000000000000 keys exceed the 4194304-key table cap",
+            ),
             # traces past the sample cap: each point failed as error:MemoryError
             (
                 "setup=wired\nwaveform.oversampling=1000000000000\n",

@@ -458,6 +458,14 @@ class TestValidation:
             "sweep.values: 100000000000000: waveform.probe_bits: "
             f"100000000000000 bits at 16 samples per bit {cap}"
         ]
+        # a table past the key cap loaded, and its point failed as
+        # error:MemoryError when it drew the keys
+        assert violations_of(
+            "setup=anechoic\nprotocol.n_keys = 10000000000000000\nprotocol.key_len_bytes = 8"
+        ) == [
+            "protocol.n_keys, protocol.key_len_bytes: "
+            "10000000000000000 keys exceed the 4194304-key table cap"
+        ]
         # the largest probe the cap admits loads
         assert load_config(f"setup=wired\nwaveform.probe_bits = {2**22}").probe_bits == 2**22
         with pytest.raises(ValidationError, match="key_len_bytes"):

@@ -19,7 +19,7 @@ from wptsec.channel import (
     NoiseSpec,
     RectifierModel,
 )
-from wptsec.errors import TableCapacityError, TableExhausted
+from wptsec.errors import TableCapacityError, TableExhausted, TableTooLarge
 from wptsec.monitor import (
     ACCEPTED,
     DECODED,
@@ -114,6 +114,17 @@ class TestPvkTable:
     def test_capacity_error(self):
         with pytest.raises(TableCapacityError):
             generate_table(70_000, 2, rng_seed=0)
+
+    def test_table_past_the_key_cap_rejected(self):
+        # the cap is checked before anything is drawn, so this allocates nothing
+        protocol.check_table_shape(protocol.MAX_TABLE_KEYS, 8)
+        with pytest.raises(TableTooLarge, match="4194304-key table cap"):
+            protocol.check_table_shape(protocol.MAX_TABLE_KEYS + 1, 8)
+        with pytest.raises(TableTooLarge):
+            generate_table(10**16, 8, rng_seed=0)
+        # a count the key length cannot hold is still named as such
+        with pytest.raises(TableCapacityError):
+            generate_table(10**20, 8, rng_seed=0)
 
     def test_argument_bounds(self):
         with pytest.raises(ValueError):

@@ -398,6 +398,46 @@ class TestTraceFile:
         want = f"sample_rate_hz=320000,unit=dbm,meta=chunks\n{lines}".encode("ascii")
         assert path.read_bytes() == want
 
+    @staticmethod
+    def _repr_file(trace):
+        lines = "".join(f"{float(s)!r}\n" for s in trace.samples)
+        return f"sample_rate_hz={int(trace.sample_rate_hz)},unit=dbm,meta={trace.meta}\n{lines}"
+
+    def test_write_equals_repr_across_the_fallback_boundary(self, tmp_path):
+        # the writer's fast formatter spells exponents unlike repr outside
+        # [1e-4, 1e16), so each case here must still give repr's bytes; a
+        # value written alone takes the path its own magnitude selects
+        decades = [
+            m * 10.0**e for e in range(-8, 21) for m in (1.0, 1.2345678901234567, 9.87654321)
+        ]
+        decades += [np.nextafter(10.0**e, 0.0) for e in range(-8, 21)]
+        extremes = [0.0, -0.0, 5e-324, 1.7976931348623157e308]
+        in_range = np.random.default_rng(8).uniform(-90, -20, size=3 * 1024)
+        in_range[1024 + 517] = -3.2e-5  # one value past the boundary, in the middle chunk
+        path = tmp_path / "t.txt"
+        for samples in [[v] for v in decades + extremes] + [in_range]:
+            samples = np.array(samples, dtype=np.float64)
+            for signed in (samples, -samples):
+                trace = EnvelopeTrace(320000.0, signed, meta="boundary")
+                write_trace(trace, path)
+                assert path.read_bytes() == self._repr_file(trace).encode("ascii")
+
+    def test_strided_samples_write(self, tmp_path):
+        # a view that is not contiguous in memory writes as its copy does
+        samples = np.random.default_rng(6).uniform(-90, -20, size=5000)
+        trace = EnvelopeTrace(1000.0, samples[::2], meta="strided")
+        assert not trace.samples.flags.c_contiguous
+        path = tmp_path / "t.txt"
+        write_trace(trace, path)
+        assert path.read_bytes() == self._repr_file(trace).encode("ascii")
+        assert np.array_equal(read_trace(path).samples, samples[::2])
+        # and so do samples set after the trace was made: another byte order,
+        # or values the trace would reject
+        for bypass in (samples.astype(">f8"), np.array([-40.0, np.nan, np.inf, -np.inf])):
+            trace.samples = bypass
+            write_trace(trace, path)
+            assert path.read_bytes() == self._repr_file(trace).encode("ascii")
+
     def test_write_memory_does_not_grow_with_length(self, tmp_path):
         samples = np.random.default_rng(5).uniform(-90, -20, size=250_000)
         trace = EnvelopeTrace(320000.0, samples, meta="chunks")
