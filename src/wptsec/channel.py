@@ -8,6 +8,7 @@ three-antenna setup.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -267,6 +268,18 @@ def harvested_dc(p_in_dbm: float, rect: RectifierModel) -> float:
     return eta * finite_watts(p_in_dbm)
 
 
+@contextlib.contextmanager
+def _budget_term(term: str):
+    """Name ``term``, the part of a link's budget computed inside, in the
+    message of a ValueError raised there and as its ``link_term``."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"{term}: {exc}",)
+        exc.link_term = term
+        raise
+
+
 @dataclass(frozen=True)
 class LinkScenario:
     """Complete monitor-side link description for one experiment setup.
@@ -279,9 +292,13 @@ class LinkScenario:
     A link computes its noise-free budget (node input, the two state levels,
     harvested DC power) when it is built, so one whose budget cannot be
     computed (a near-field hop, a power that is not finite in watts) cannot
-    be built. The budget is an attribute, not a field: ``==``, hash and repr
-    ignore it, ``dataclasses.replace`` computes a new one and
-    ``with_noise_seed`` shares it.
+    be built. Its ValueError names the term that failed, as its message's
+    first words and as its ``link_term``: "node input", "backscatter level"
+    (either state's), "leakage", "monitor level" (a state's backscatter and
+    leakage summed past the float range) or "harvest". The budget is an
+    attribute, not a field: ``==``, hash and repr ignore it,
+    ``dataclasses.replace`` computes a new one and ``with_noise_seed``
+    shares it.
     """
 
     name: str
@@ -310,13 +327,21 @@ class LinkScenario:
                 raise ValueError(f"radiated scenario missing: {', '.join(missing)}")
             if self.dl.frequency_hz != self.ul.frequency_hz:
                 raise ValueError("downlink and uplink carriers differ")
-            p_in = friis_received_power(p_in, self.src_tx, self.node_antenna, self.dl)
-        levels = [
-            combine_noncoherent([self.backscatter_dbm(cmd_high), self.leakage_dbm()])
-            for cmd_high in (True, False)
-        ]
+            with _budget_term("node input"):
+                p_in = friis_received_power(p_in, self.src_tx, self.node_antenna, self.dl)
+        with _budget_term("backscatter level"):
+            backscatter = [self.backscatter_dbm(cmd_high) for cmd_high in (True, False)]
+            for level in backscatter:
+                finite_watts(level)
+        with _budget_term("leakage"):
+            leakage = self.leakage_dbm()
+            finite_watts(leakage)
+        with _budget_term("monitor level"):
+            levels = [combine_noncoherent([level, leakage]) for level in backscatter]
+        with _budget_term("harvest"):
+            harvest = harvested_dc(p_in, self.rect)
         # node input, high level, low level, harvest; read by index below
-        object.__setattr__(self, "_budget", (p_in, *levels, harvested_dc(p_in, self.rect)))
+        object.__setattr__(self, "_budget", (p_in, *levels, harvest))
 
     def with_noise_seed(self, rng_seed: int) -> "LinkScenario":
         """Copy with only the noise seed changed. The budget does not read

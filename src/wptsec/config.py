@@ -378,8 +378,27 @@ class _Reading(contextlib.AbstractContextManager):
 
     def __exit__(self, kind, exc, traceback) -> None:
         if isinstance(exc, (ValueError, ArithmeticError)):
-            keys = ", ".join(_KEY_OF.get(n, n) for n in self.names)
-            vars(exc).setdefault("config_keys", keys)
+            _mark(exc, self.names)
+
+
+def _mark(exc: Exception, names) -> None:
+    """Mark ``exc`` as raised by a part that reads ``names``, unless a
+    narrower part marked it first."""
+    vars(exc).setdefault("config_keys", ", ".join(_KEY_OF.get(n, n) for n in names))
+
+
+# the attributes that feed each term of a link's budget (LinkScenario names
+# the term that failed); a point's build names those that apply to it
+_NODE_INPUT = {"p_tx_dbm", "frequency_hz", "distance_dl_m", "gain_src_dbi", "gain_node_dbi"}
+_BACKSCATTER = _NODE_INPUT | {"distance_ul_m", "gain_mon_dbi", "gamma_low_db", "gamma_high_db"}
+_LEAKAGE = {"p_tx_dbm", "circulator_isolation_db", "coupling_floor_dbm", "coupling_ref_tx_dbm"}
+_LINK_TERM_READS = {
+    "node input": _NODE_INPUT,
+    "backscatter level": _BACKSCATTER,
+    "leakage": _LEAKAGE,
+    "monitor level": _BACKSCATTER | _LEAKAGE,
+    "harvest": _NODE_INPUT | {"efficiency_curve"},
+}
 
 
 def _made(make, cfg: ScenarioConfig, *attrs: str, **kwargs):
@@ -412,7 +431,9 @@ def build_point(cfg: ScenarioConfig, noise_seed: int | None = None, tables=None)
 
 
 def build_scenario(cfg: ScenarioConfig, noise_seed: int | None = None) -> LinkScenario:
-    """LinkScenario for this config; noise_seed overrides cfg.seed."""
+    """LinkScenario for this config; noise_seed overrides cfg.seed. A budget
+    the link cannot compute is marked with the keys of this config that
+    feed the term that failed."""
     rect = _made(RectifierModel, cfg, "gamma_low_db", "gamma_high_db", "efficiency_curve")
     if cfg.leakage_kind == "circulator":
         leakage = _made(LeakageModel.circulator, cfg, "circulator_isolation_db")
@@ -428,15 +449,22 @@ def build_scenario(cfg: ScenarioConfig, noise_seed: int | None = None) -> LinkSc
             dl=_made(LinkGeometry, cfg, "distance_dl_m", "frequency_hz"),
             ul=_made(LinkGeometry, cfg, "distance_ul_m", "frequency_hz"),
         )
-    return LinkScenario(
-        name=cfg.setup,
-        topology=cfg.topology,
-        p_tx_dbm=cfg.p_tx_dbm,
-        rect=rect,
-        leakage=leakage,
-        noise=_made(NoiseSpec, cfg, "noise_power_dbm", rng_seed=seed),
-        **antennas,
-    )
+    noise = _made(NoiseSpec, cfg, "noise_power_dbm", rng_seed=seed)
+    try:
+        return LinkScenario(
+            name=cfg.setup,
+            topology=cfg.topology,
+            p_tx_dbm=cfg.p_tx_dbm,
+            rect=rect,
+            leakage=leakage,
+            noise=noise,
+            **antennas,
+        )
+    except ValueError as exc:
+        if hasattr(exc, "link_term"):
+            feeds = [f.name for f in _FIELDS if f.name in _LINK_TERM_READS[exc.link_term]]
+            _mark(exc, [name for name in feeds if vars(cfg)[name] is not None])
+        raise
 
 
 def build_tables(cfg: ScenarioConfig) -> tuple[PvkTable, PvkTable]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import copy
 import math
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,17 +45,23 @@ DEFAULT_DT_S = 100e-6
 KEY_POLICIES = ("sequential", "random")
 ATTACKER_KINDS = ("none", "replay")
 
-# Cap on the keys of one table. A provisioned table keeps about 80 bytes a
-# key at 8-byte keys and 200 at 64-byte keys, and the monitor's copy 16
-# more; drawing 64-byte keys peaks at about 500 bytes a key. At the cap
-# that is 0.4 to 0.9 GB kept, and a peak of about 2 GB.
+# Cap on the keys of one table. Packed, a provisioned table keeps about 25
+# bytes a key at 8-byte keys and 137 at 64-byte keys (the codes twice, in
+# table order and sorted, 4 bytes of index, 4 of tree and 1 of flags), and
+# the monitor's copy 5 more; provisioning peaks at about 30 and 198 bytes a
+# key (tracemalloc, 10^6 keys). At the cap that is 0.11 to 0.58 GB kept,
+# and a peak of at most 0.83 GB.
 MAX_TABLE_KEYS = 2**22
+
+# bucket values searched at a time while a directory is built, so that no
+# int64 array of all 2**16 starts is made
+_DIRECTORY_CHUNK = 4096
 
 
 class _CodeIndex:
     """The table index of each code in a table of distinct codes of one
     length, with no Python object per code: the codes sorted into one
-    fixed-width bytes blob, their table indices in that order, and a
+    fixed-width bytes blob, their int32 table indices in that order, and a
     directory of where each bucket of codes that share their first ``bits``
     bits starts. ``bits`` is min(16, 8 * length, (n - 1).bit_length()), so
     the directory grows with the table up to 65,537 starts.
@@ -64,20 +72,24 @@ class _CodeIndex:
 
     def __init__(self, keys: np.ndarray, at: np.ndarray) -> None:
         """``keys``: the distinct codes in ascending order, as a fixed-width
-        bytes array; ``at``: the table index of each."""
+        bytes array; ``at``: the int32 table index of each, which the index
+        keeps."""
         n, size = keys.size, keys.dtype.itemsize
         bits = min(16, 8 * size, (n - 1).bit_length())
         self._size = size
         self._head = -(-bits // 8)  # the leading bytes that hold the bucket bits
         self._shift = 8 * self._head - bits
-        buckets = np.zeros(n, dtype=np.int64)
+        buckets = np.zeros(n, dtype=np.uint16)
         for column in keys.view(np.uint8).reshape(n, size)[:, : self._head].T:
-            buckets = buckets << 8 | column
+            buckets <<= 8
+            buckets |= column
         buckets >>= self._shift
-        index_type = np.int32 if n < 2**31 else np.int64
-        starts = np.searchsorted(buckets, np.arange(2**bits + 1))
-        self._starts = starts.astype(index_type)
-        self._at = at.astype(index_type)
+        self._starts = np.empty(2**bits + 1, dtype=np.int32)
+        self._starts[-1] = n
+        for lo in range(0, 2**bits, _DIRECTORY_CHUNK):
+            wanted = np.arange(lo, min(lo + _DIRECTORY_CHUNK, 2**bits), dtype=np.uint16)
+            self._starts[lo : lo + wanted.size] = np.searchsorted(buckets, wanted)
+        self._at = at
         self._blob = keys.tobytes()
 
     def find(self, code: bytes) -> int | None:
@@ -100,19 +112,55 @@ class _CodeIndex:
 
 
 # the index of every empty table, such as the one a point without keys holds
-_NO_CODES = _CodeIndex(np.empty(0, dtype="S1"), np.empty(0, dtype=np.int64))
+_NO_CODES = _CodeIndex(np.empty(0, dtype="S1"), np.empty(0, dtype=np.int32))
 
 
-def _sort_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort of the (n, L) uint8 code rows: the order that sorts them
-    and the codes it keeps, as a fixed-width bytes array, when it keeps the
-    first occurrence of each code."""
-    keys = rows.view(f"S{rows.shape[1]}").ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+class _Codes(Sequence):
+    """Read-only sequence of a table's codes, held back to back in table
+    order in one bytes blob: item i is the i-th code as bytes, trailing zero
+    bytes included, and a negative index counts from the end. A view equals
+    a view of the same codes and a list of them."""
+
+    __slots__ = ("_blob", "_n", "key_len")
+
+    def __init__(self, blob: bytes, key_len: int) -> None:
+        self._blob, self.key_len = blob, key_len
+        self._n = len(blob) // key_len
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index: int) -> bytes:
+        if index < 0:
+            index += self._n
+        if not 0 <= index < self._n:
+            raise IndexError("key index out of range")
+        start = index * self.key_len
+        return self._blob[start : start + self.key_len]
+
+    def __iter__(self) -> Iterator[bytes]:
+        blob, size = self._blob, self.key_len
+        return (blob[i : i + size] for i in range(0, len(blob), size))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Codes):
+            return (self._n, self._blob) == (other._n, other._blob)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
+def _sort_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of a fixed-width bytes array of codes: the int32 order
+    that sorts them and the codes it keeps, when it keeps the first
+    occurrence of each code."""
+    # narrowed at once, so that the int64 order (8 bytes a code) is never kept
+    order = np.argsort(codes, kind="stable").astype(np.int32)
+    keys = codes[order]
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return order[first], keys[first]
+    order = order[first]  # one at a time, so that only one is ever held twice
+    return order, keys[first]
 
 
 @dataclass
@@ -121,52 +169,66 @@ class PvkTable:
     used flags.
 
     A table is built from its entries alone and starts with every entry
-    unused. A Fenwick tree over the unused flags (P. M. Fenwick, Softw.
-    Pract. Exper. 24(3), 1994) finds the k-th unused entry in O(log n);
+    unused. It holds no Python object per entry: ``entries`` is a read-only
+    view of one blob of the codes, ``used`` a bytearray of 0/1 flags, and a
+    Fenwick tree over the unused flags (P. M. Fenwick, Softw. Pract. Exper.
+    24(3), 1994), an int32 array, finds the k-th unused entry in O(log n);
     mark_used is its only writer. ``find`` looks a code up in a sorted
-    index that holds no Python object per entry (``_CodeIndex``).
+    index (``_CodeIndex``).
     """
 
-    entries: list[bytes]
-    used: list[bool] = field(init=False)
+    entries: Sequence[bytes]
+    used: bytearray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.entries = list(map(bytes, self.entries))
-        n = len(self.entries)
-        lengths = set(map(len, self.entries))
+        codes = list(map(bytes, self.entries))
+        lengths = set(map(len, codes))
         if len(lengths) > 1:
             raise ValueError(f"key table entries must have one length, got {sorted(lengths)}")
         if not lengths:
-            self._start(_NO_CODES)
+            self._start(_Codes(b"", 1), _NO_CODES)
             return
         (size,) = lengths
         if not 1 <= size <= MAX_PAYLOAD_BYTES:
             raise ValueError(f"key length {size} outside [1, {MAX_PAYLOAD_BYTES}] bytes")
-        rows = np.frombuffer(b"".join(self.entries), dtype=np.uint8).reshape(n, size)
-        at, keys = _sort_codes(rows)
-        if keys.size != n:
+        blob = b"".join(codes)
+        at, keys = _sort_codes(np.frombuffer(blob, dtype=f"S{size}"))
+        if keys.size != len(codes):
             raise ValueError("key table entries must be unique")
-        self._start(_CodeIndex(keys, at))
+        self._start(_Codes(blob, size), _CodeIndex(keys, at))
 
     @classmethod
-    def _provisioned(cls, entries: list[bytes], index: _CodeIndex) -> "PvkTable":
+    def _provisioned(cls, entries: _Codes, index: _CodeIndex) -> "PvkTable":
         """Table of distinct entries of one length around the index already
         built from them, without validating or sorting them again."""
         table = cls.__new__(cls)
-        table.entries = entries
-        table._start(index)
+        table._start(entries, index)
         return table
 
-    def _start(self, index: _CodeIndex) -> None:
-        n = len(self.entries)
+    def _start(self, entries: _Codes, index: _CodeIndex) -> None:
+        n = len(entries)
+        self.entries = entries
         self._index = index
-        self.used = [False] * n
-        # the 1-based tree[i] counts the unused entries in (i - lowbit(i), i]
-        self._tree = [i & -i for i in range(n + 1)]
+        self.used = bytearray(n)
+        # the 1-based tree[i] counts the unused entries in (i - lowbit(i), i],
+        # lowbit(i) of them while all are unused; filled level by level in
+        # place, with no temporary array
+        self._tree = array("i", [0]) * (n + 1)
+        tree = np.frombuffer(self._tree, dtype=np.int32)
+        step = 1
+        while step <= n:
+            tree[step :: 2 * step] = step
+            step *= 2
         self._n_unused = n
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.used)
+
+    @property
+    def key_len_bytes(self) -> int | None:
+        """The one length of the table's codes; None for a table without
+        codes."""
+        return self.entries.key_len if self.used else None
 
     @property
     def n_unused(self) -> int:
@@ -176,15 +238,16 @@ class PvkTable:
         return self._index.find(bytes(code))
 
     def is_used(self, index: int) -> bool:
-        return self.used[index]
+        return bool(self.used[index])
 
     def mark_used(self, index: int) -> None:
-        n = len(self.entries)
+        used = self.used
+        n = len(used)
         if not 0 <= index < n:
             raise IndexError(f"key index {index} outside [0, {n})")
-        if self.used[index]:
+        if used[index]:
             return
-        self.used[index] = True
+        used[index] = 1
         self._n_unused -= 1
         tree, i = self._tree, index + 1
         while i <= n:
@@ -195,7 +258,7 @@ class PvkTable:
         """Index of the k-th (0-based) unused entry in table order."""
         if not 0 <= k < self._n_unused:
             raise IndexError(f"rank {k} outside [0, {self._n_unused})")
-        tree, n, pos = self._tree, len(self.entries), 0
+        tree, n, pos = self._tree, len(self.used), 0
         step = 1 << (n.bit_length() - 1)
         while step:
             nxt = pos + step
@@ -206,11 +269,12 @@ class PvkTable:
         return pos
 
     def copy(self) -> "PvkTable":
-        """Clone with its own used flags. No method mutates the entries or
-        their index, so the clone shares them without validating again."""
+        """Clone with its own used flags and tree. No method mutates the
+        entries or their index, so the clone shares them without validating
+        again."""
         clone = copy.copy(self)
-        clone.used = list(self.used)
-        clone._tree = list(self._tree)
+        clone.used = bytearray(self.used)
+        clone._tree = array("i", self._tree)
         return clone
 
 
@@ -244,50 +308,58 @@ def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
     stream a per-key ``integers(0, 256, size=key_len_bytes, dtype=uint8)``
     draws, so the table is the same as drawing one key at a time and keeping
     the first occurrence of each code. The sort that dedupes the draws is
-    the table's index, and the draws are freed before the entries list is
-    made, so provisioning peaks at about the memory the table keeps.
+    the table's index, and each buffer is freed as soon as the next step has
+    read it, so provisioning peaks at about the memory the table keeps.
     """
     check_table_shape(n_keys, key_len_bytes)
     codes, index = _distinct_codes(n_keys, key_len_bytes, rng_seed)
-    # a void item's tolist() is its bytes, trailing zero bytes included
-    entries = codes.view(f"V{key_len_bytes}").ravel().tolist()
-    del codes
-    return PvkTable._provisioned(entries, index)
+    return PvkTable._provisioned(_Codes(codes, key_len_bytes), index)
 
 
-def _distinct_codes(
-    n_keys: int, key_len_bytes: int, rng_seed: int
-) -> tuple[np.ndarray, _CodeIndex]:
-    """generate_table's codes as (n_keys, key_len_bytes) uint8 rows in table
-    order, and their index; every other buffer it makes is gone when it
-    returns. Each draw is deduped by a stable sort, and a redraw is checked
-    against the codes kept so far by binary search, so no round sorts the
-    whole table again."""
+def _distinct_codes(n_keys: int, key_len_bytes: int, rng_seed: int) -> tuple[bytes, _CodeIndex]:
+    """generate_table's codes back to back in table order, and their index;
+    every other buffer it makes is gone when it returns. Each draw is
+    deduped by a stable sort, and a redraw is checked against the codes kept
+    so far by binary search, so no round sorts the whole table again."""
     rng = np.random.default_rng(rng_seed)
     words = -(-key_len_bytes // 4)
-    keys = np.empty(0, dtype=f"S{key_len_bytes}")  # the codes kept so far, sorted
-    at = np.empty(0, dtype=np.int64)  # the table index of each
     kept: list[np.ndarray] = []  # each draw's new codes, in draw order
     n = 0
     while n < n_keys:
         need = n_keys - n
         draw = rng.integers(0, 2**32, size=need * words, dtype=np.uint32)
-        rows = draw.astype("<u4").view(np.uint8).reshape(need, 4 * words)
-        rows = np.ascontiguousarray(rows[:, :key_len_bytes])
-        order, new = _sort_codes(rows)
-        slots = np.searchsorted(keys, new)
+        rows = draw.astype("<u4", copy=False).view(np.uint8).reshape(need, 4 * words)
+        # one code an item, in a 1-d array, which a mask selects from without
+        # making an int64 array of the items it keeps
+        drawn = np.ascontiguousarray(rows[:, :key_len_bytes]).view(f"S{key_len_bytes}").ravel()
+        del draw, rows
+        order, new = _sort_codes(drawn)
         if n:  # drop the codes an earlier draw kept
+            slots = np.searchsorted(keys, new)
             fresh = keys[np.minimum(slots, n - 1)] != new
             order, new, slots = order[fresh], new[fresh], slots[fresh]
-        taken = np.zeros(need, dtype=bool)
-        taken[order] = True
-        # a taken code's table index is n plus the taken codes drawn before it
-        ranks = np.cumsum(taken) + (n - 1)
-        keys = np.insert(keys, slots, new)
-        at = np.insert(at, slots, ranks[order])
-        kept.append(rows[taken])
-        n += order.size
-    return np.concatenate(kept), _CodeIndex(keys, at)
+        if order.size == need:  # every code drawn is new: its table index is n plus its draw's
+            order += n
+        else:
+            taken = np.zeros(need, dtype=bool)
+            taken[order] = True
+            drawn = drawn[taken]
+            # a taken code's table index is n plus the taken codes drawn before it
+            ranks = taken.astype(np.int32)
+            del taken
+            np.cumsum(ranks, out=ranks)
+            order = ranks[order]
+            del ranks
+            order += n - 1
+        kept.append(drawn)
+        if n:
+            keys, at = np.insert(keys, slots, new), np.insert(at, slots, order)
+        else:
+            keys, at = new, order
+        n += new.size
+    index = _CodeIndex(keys, at)
+    del keys, new  # the sorted codes live on as the index's blob
+    return b"".join(kept), index
 
 
 @dataclass

@@ -398,24 +398,65 @@ class TestBudgetMemo:
     @pytest.mark.parametrize(
         "topology, overrides, error, match",
         [
-            ("radiated", dict(dl=LinkGeometry(0.1, 868e6)), NearFieldError, "inside one wave"),
-            ("radiated", dict(ul=LinkGeometry(0.1, 868e6)), NearFieldError, "inside one wave"),
-            ("radiated", dict(p_tx_dbm=math.nan), ValueError, "nan dBm is not a finite"),
-            ("wired", dict(p_tx_dbm=math.nan), ValueError, "nan dBm is not a finite"),
-            ("radiated", dict(p_tx_dbm=1e300), ValueError, r"1e\+300 dBm is not a finite"),
-            ("wired", dict(p_tx_dbm=1e300), ValueError, r"1e\+300 dBm is not a finite"),
+            (
+                "radiated",
+                dict(dl=LinkGeometry(0.1, 868e6)),
+                NearFieldError,
+                "node input: distance 0.1 m is inside",
+            ),
+            (
+                "radiated",
+                dict(ul=LinkGeometry(0.1, 868e6)),
+                NearFieldError,
+                "backscatter level: distance 0.1 m is inside",
+            ),
+            ("radiated", dict(p_tx_dbm=math.nan), ValueError, "backscatter level: nan dBm"),
+            ("wired", dict(p_tx_dbm=math.nan), ValueError, "backscatter level: nan dBm"),
+            ("radiated", dict(p_tx_dbm=1e300), ValueError, r"backscatter level: 1e\+300 dBm"),
+            ("wired", dict(p_tx_dbm=1e300), ValueError, r"backscatter level: 1e\+300 dBm"),
+            (
+                "radiated",
+                dict(leakage=LeakageModel.coupling(1e300, 15.0)),
+                ValueError,
+                r"leakage: 1e\+300 dBm",
+            ),
+            # each level and the leakage hold half the float range in watts
+            (
+                "wired",
+                dict(
+                    p_tx_dbm=3112.0,
+                    rect=RectifierModel(-20.0, 0.0),
+                    leakage=LeakageModel.circulator(0.0),
+                ),
+                ValueError,
+                r"monitor level: powers \[3112.0, 3112.0\] dBm sum past the float range",
+            ),
+            # the levels are finite but the node input is not
+            ("wired", dict(p_tx_dbm=3113.0), ValueError, "harvest: 3113.0 dBm"),
         ],
-        ids=["near_dl", "near_ul", "nan_radiated", "nan_wired", "huge_radiated", "huge_wired"],
+        ids=[
+            "near_dl",
+            "near_ul",
+            "nan_radiated",
+            "nan_wired",
+            "huge_radiated",
+            "huge_wired",
+            "huge_leakage",
+            "level_sum",
+            "huge_harvest",
+        ],
     )
     def test_link_without_a_budget_cannot_be_built(self, topology, overrides, error, match):
         # each link used to build, then raise on every budget read: a
         # near-field uplink only once a frame was rendered, a NaN input only
-        # in the charge phase
-        with pytest.raises(error, match=match):
+        # in the charge phase. The error names the term of the budget that
+        # failed, in its message and as its link_term
+        with pytest.raises(error, match=match) as caught:
             if topology == "wired":
                 LinkScenario(name="wired", topology="wired", **overrides)
             else:
                 _anechoic_scenario(**overrides)
+        assert str(caught.value).startswith(f"{caught.value.link_term}: ")
 
 
 class TestValidation:

@@ -34,6 +34,18 @@ MOD_SWEEP = (
 # the config keys a failed rectifier and a failed session timing read
 RECT = "channel.gamma_low_db, channel.gamma_high_db, channel.efficiency_curve"
 TIMING = "protocol.dt_s, protocol.max_time_s"
+# the keys that feed each term of the anechoic and wired link budgets
+NODE_INPUT = (
+    "channel.p_tx_dbm, channel.frequency_hz, channel.distance_dl_m, "
+    "channel.gain_src_dbi, channel.gain_node_dbi"
+)
+BACKSCATTER = (
+    "channel.p_tx_dbm, channel.frequency_hz, channel.distance_dl_m, channel.distance_ul_m, "
+    "channel.gain_src_dbi, channel.gain_node_dbi, channel.gain_mon_dbi, "
+    "channel.gamma_low_db, channel.gamma_high_db"
+)
+WIRED_BACKSCATTER = "channel.p_tx_dbm, channel.gamma_low_db, channel.gamma_high_db"
+COUPLING = "channel.p_tx_dbm, channel.coupling_floor_dbm, channel.coupling_ref_tx_dbm"
 
 
 def written_trace(tmp_path, config_text, name="trace.txt"):
@@ -421,9 +433,16 @@ class TestMain:
                 "setup=anechoic\nprotocol.dt_s=inf\n",
                 "protocol.dt_s, protocol.max_time_s: dt_s must be > 0 and finite",
             ),
-            ("setup=wired\nchannel.p_tx_dbm=1e300\n", "channel: 1e+300 dBm is not a finite power"),
+            (
+                "setup=wired\nchannel.p_tx_dbm=1e300\n",
+                f"{WIRED_BACKSCATTER}: backscatter level: 1e+300 dBm is not a finite power",
+            ),
             # a probe point's link computes the harvest it never reads
-            ("setup=wired\nchannel.p_tx_dbm=3113\n", "channel: 3113.0 dBm is not a finite power"),
+            (
+                "setup=wired\nchannel.p_tx_dbm=3113\n",
+                "channel.p_tx_dbm, channel.efficiency_curve: "
+                "harvest: 3113.0 dBm is not a finite power",
+            ),
             (
                 "setup=anechoic\nprotocol.n_keys=300\nprotocol.key_len_bytes=1\n",
                 "protocol.n_keys, protocol.key_len_bytes: "
@@ -480,15 +499,32 @@ class TestMain:
                 "channel.gain_src_dbi = inf",
                 "channel.gain_src_dbi: gain_dbi must be finite, got inf",
             ),
-            ("channel.coupling_floor_dbm = 1e300", "channel: 1e+300 dBm is not a finite power"),
-            ("channel.coupling_ref_tx_dbm = -1e300", "channel: 1e+300 dBm is not a finite power"),
-            ("channel.gain_mon_dbi = 1e300", "channel: 1e+300 dBm is not a finite power"),
+            # each budget failure names the keys that feed the term that failed
+            (
+                "channel.coupling_floor_dbm = 1e300",
+                f"{COUPLING}: leakage: 1e+300 dBm is not a finite power",
+            ),
+            (
+                "channel.coupling_ref_tx_dbm = -1e300",
+                f"{COUPLING}: leakage: 1e+300 dBm is not a finite power",
+            ),
+            (
+                "channel.gain_mon_dbi = 1e300",
+                f"{BACKSCATTER}: backscatter level: 1e+300 dBm is not a finite power",
+            ),
+            (
+                "channel.p_tx_dbm = 1e300",
+                f"{BACKSCATTER}: backscatter level: 1e+300 dBm is not a finite power",
+            ),
             ("channel.gamma_high_db = -1e300", f"{RECT}: gamma_high_db (-1e+300) must be >="),
             (
                 "channel.frequency_hz = inf",
                 "channel.distance_dl_m, channel.frequency_hz: frequency_hz must be finite and > 0",
             ),
-            ("channel.distance_dl_m = 0.1", "channel: distance 0.1 m is inside one wavelength"),
+            (
+                "channel.distance_dl_m = 0.1",
+                f"{NODE_INPUT}: node input: distance 0.1 m is inside one wavelength",
+            ),
             ("protocol.dt_s = 1e-320", f"{TIMING}: max_time_s / dt_s must be finite"),
             ("protocol.max_time_s = 1e305", f"{TIMING}: max_time_s / dt_s must be finite"),
             (

@@ -581,9 +581,17 @@ class TestValidation:
     def test_dbm_value_must_be_finite_in_watts(self, key, value):
         # it loaded, then every point failed: 1e300 as error:OverflowError
         # in dbm_to_watts, inf as error:ValueError. The noise floor is one
-        # key's; a state level sums several, so only its value is named
+        # key's; the TX power fails the backscatter level first, named with
+        # every key that feeds it
         rule = f"{float(value)!r} dBm is not a finite power in watts"
-        where = key if key == "channel.noise_power_dbm" else "channel"
+        where = key
+        if key == "channel.p_tx_dbm":
+            rule = f"backscatter level: {rule}"
+            where = (
+                "channel.p_tx_dbm, channel.frequency_hz, channel.distance_dl_m, "
+                "channel.distance_ul_m, channel.gain_src_dbi, channel.gain_node_dbi, "
+                "channel.gain_mon_dbi, channel.gamma_low_db, channel.gamma_high_db"
+            )
         assert violations_of(f"setup=anechoic\n{key} = {value}") == [f"{where}: {rule}"]
         assert violations_of(
             f"setup=wired\nsweep.param = {key}\nsweep.values = 0,{value}"
@@ -676,7 +684,7 @@ class TestValidation:
         assert load_config(f"{hops}{sweep}2.4e9,5.8e9").sweep_values == (2.4e9, 5.8e9)
         assert violations_of(f"{hops}{sweep}2.4e9,868e6") == [
             "sweep.values: 868000000.0: channel.frequency_hz: "
-            "distance 0.2 m is inside one wavelength (0.3454 m at 868.0 MHz)"
+            "node input: distance 0.2 m is inside one wavelength (0.3454 m at 868.0 MHz)"
         ]
 
     def test_a_failure_is_named_per_point_only_when_it_reads_the_swept_key(self):
