@@ -45,87 +45,25 @@ DEFAULT_DT_S = 100e-6
 KEY_POLICIES = ("sequential", "random")
 ATTACKER_KINDS = ("none", "replay")
 
-# Cap on the keys of one table. Packed, a provisioned table keeps about 25
-# bytes a key at 8-byte keys and 137 at 64-byte keys (the codes twice, in
-# table order and sorted, 4 bytes of index, 4 of tree and 1 of flags), and
-# the monitor's copy 5 more; provisioning peaks at about 30 and 198 bytes a
-# key (tracemalloc, 10^6 keys). At the cap that is 0.11 to 0.58 GB kept,
-# and a peak of at most 0.83 GB.
+# Cap on the keys of one table. A provisioned table keeps 25 bytes a key at
+# 8-byte keys and 137 at 64-byte keys (the codes twice, in table order and
+# sorted, 4 bytes of index, 4 of tree and 1 of flags), and the monitor's
+# copy 5 more; provisioning peaks at what the table keeps (tracemalloc,
+# 10^6 keys). At the cap that is 0.11 to 0.58 GB.
 MAX_TABLE_KEYS = 2**22
-
-# bucket values searched at a time while a directory is built, so that no
-# int64 array of all 2**16 starts is made
-_DIRECTORY_CHUNK = 4096
-
-
-class _CodeIndex:
-    """The table index of each code in a table of distinct codes of one
-    length, with no Python object per code: the codes sorted into one
-    fixed-width bytes blob, their int32 table indices in that order, and a
-    directory of where each bucket of codes that share their first ``bits``
-    bits starts. ``bits`` is min(16, 8 * length, (n - 1).bit_length()), so
-    the directory grows with the table up to 65,537 starts.
-
-    ``find`` binary-searches one bucket by slicing the blob, so codes
-    compare as whole bytes; a numpy bytes_ scalar would drop trailing zero
-    bytes."""
-
-    def __init__(self, keys: np.ndarray, at: np.ndarray) -> None:
-        """``keys``: the distinct codes in ascending order, as a fixed-width
-        bytes array; ``at``: the int32 table index of each, which the index
-        keeps."""
-        n, size = keys.size, keys.dtype.itemsize
-        bits = min(16, 8 * size, (n - 1).bit_length())
-        self._size = size
-        self._head = -(-bits // 8)  # the leading bytes that hold the bucket bits
-        self._shift = 8 * self._head - bits
-        buckets = np.zeros(n, dtype=np.uint16)
-        for column in keys.view(np.uint8).reshape(n, size)[:, : self._head].T:
-            buckets <<= 8
-            buckets |= column
-        buckets >>= self._shift
-        self._starts = np.empty(2**bits + 1, dtype=np.int32)
-        self._starts[-1] = n
-        for lo in range(0, 2**bits, _DIRECTORY_CHUNK):
-            wanted = np.arange(lo, min(lo + _DIRECTORY_CHUNK, 2**bits), dtype=np.uint16)
-            self._starts[lo : lo + wanted.size] = np.searchsorted(buckets, wanted)
-        self._at = at
-        self._blob = keys.tobytes()
-
-    def find(self, code: bytes) -> int | None:
-        """Table index of ``code``, or None; a code of another length equals
-        no slice of the blob, so it is never found."""
-        size = self._size
-        bucket = int.from_bytes(code[: self._head], "big") >> self._shift
-        lo, hi = self._starts.item(bucket), self._starts.item(bucket + 1)
-        blob = self._blob
-        while lo < hi:
-            mid = (lo + hi) // 2
-            probe = blob[mid * size : mid * size + size]
-            if probe == code:
-                return self._at.item(mid)
-            if probe < code:
-                lo = mid + 1
-            else:
-                hi = mid
-        return None
-
-
-# the index of every empty table, such as the one a point without keys holds
-_NO_CODES = _CodeIndex(np.empty(0, dtype="S1"), np.empty(0, dtype=np.int32))
 
 
 class _Codes(Sequence):
-    """Read-only sequence of a table's codes, held back to back in table
-    order in one bytes blob: item i is the i-th code as bytes, trailing zero
-    bytes included, and a negative index counts from the end. A view equals
-    a view of the same codes and a list of them."""
+    """Read-only sequence of a table's codes, read in table order through a
+    memoryview of a fixed-width bytes array: item i is the i-th code as
+    bytes, trailing zero bytes included, and a negative index counts from
+    the end. A view equals a view of the same codes and a list of them."""
 
     __slots__ = ("_blob", "_n", "key_len")
 
-    def __init__(self, blob: bytes, key_len: int) -> None:
-        self._blob, self.key_len = blob, key_len
-        self._n = len(blob) // key_len
+    def __init__(self, codes: np.ndarray) -> None:
+        self._blob = memoryview(codes.view(np.uint8))
+        self._n, self.key_len = codes.size, codes.dtype.itemsize
 
     def __len__(self) -> int:
         return self._n
@@ -136,11 +74,11 @@ class _Codes(Sequence):
         if not 0 <= index < self._n:
             raise IndexError("key index out of range")
         start = index * self.key_len
-        return self._blob[start : start + self.key_len]
+        return self._blob[start : start + self.key_len].tobytes()
 
     def __iter__(self) -> Iterator[bytes]:
         blob, size = self._blob, self.key_len
-        return (blob[i : i + size] for i in range(0, len(blob), size))
+        return (blob[i : i + size].tobytes() for i in range(0, len(blob), size))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _Codes):
@@ -153,12 +91,15 @@ class _Codes(Sequence):
 def _sort_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable sort of a fixed-width bytes array of codes: the int32 order
     that sorts them and the codes it keeps, when it keeps the first
-    occurrence of each code."""
+    occurrence of each code. If no code repeats, the sort is returned as it
+    is."""
     # narrowed at once, so that the int64 order (8 bytes a code) is never kept
     order = np.argsort(codes, kind="stable").astype(np.int32)
     keys = codes[order]
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
+    if first.all():
+        return order, keys
     order = order[first]  # one at a time, so that only one is ever held twice
     return order, keys[first]
 
@@ -170,11 +111,11 @@ class PvkTable:
 
     A table is built from its entries alone and starts with every entry
     unused. It holds no Python object per entry: ``entries`` is a read-only
-    view of one blob of the codes, ``used`` a bytearray of 0/1 flags, and a
-    Fenwick tree over the unused flags (P. M. Fenwick, Softw. Pract. Exper.
-    24(3), 1994), an int32 array, finds the k-th unused entry in O(log n);
-    mark_used is its only writer. ``find`` looks a code up in a sorted
-    index (``_CodeIndex``).
+    view of a fixed-width bytes array of the codes, ``used`` a bytearray of
+    0/1 flags, and a Fenwick tree over the unused flags (P. M. Fenwick,
+    Softw. Pract. Exper. 24(3), 1994), an int32 array, finds the k-th unused
+    entry in O(log n); mark_used is its only writer. ``find`` binary-searches
+    the codes sorted into a second array, beside their int32 table indices.
     """
 
     entries: Sequence[bytes]
@@ -185,30 +126,29 @@ class PvkTable:
         lengths = set(map(len, codes))
         if len(lengths) > 1:
             raise ValueError(f"key table entries must have one length, got {sorted(lengths)}")
-        if not lengths:
-            self._start(_Codes(b"", 1), _NO_CODES)
-            return
-        (size,) = lengths
+        (size,) = lengths or {1}  # an empty table's array has 1-byte items
         if not 1 <= size <= MAX_PAYLOAD_BYTES:
             raise ValueError(f"key length {size} outside [1, {MAX_PAYLOAD_BYTES}] bytes")
-        blob = b"".join(codes)
-        at, keys = _sort_codes(np.frombuffer(blob, dtype=f"S{size}"))
+        table_order = np.frombuffer(b"".join(codes), dtype=f"S{size}")
+        at, keys = _sort_codes(table_order)
         if keys.size != len(codes):
             raise ValueError("key table entries must be unique")
-        self._start(_Codes(blob, size), _CodeIndex(keys, at))
+        self._start(table_order, keys, at)
 
     @classmethod
-    def _provisioned(cls, entries: _Codes, index: _CodeIndex) -> "PvkTable":
-        """Table of distinct entries of one length around the index already
-        built from them, without validating or sorting them again."""
+    def _provisioned(cls, codes: np.ndarray, keys: np.ndarray, at: np.ndarray) -> "PvkTable":
+        """Table of distinct codes of one length around their sort, without
+        validating or sorting them again."""
         table = cls.__new__(cls)
-        table._start(entries, index)
+        table._start(codes, keys, at)
         return table
 
-    def _start(self, entries: _Codes, index: _CodeIndex) -> None:
-        n = len(entries)
-        self.entries = entries
-        self._index = index
+    def _start(self, codes: np.ndarray, keys: np.ndarray, at: np.ndarray) -> None:
+        """``codes``: the entries in table order; ``keys``: the same codes in
+        ascending order; ``at``: the int32 table index of each of ``keys``."""
+        n = codes.size
+        self.entries = _Codes(codes)
+        self._keys, self._at = keys, at
         self.used = bytearray(n)
         # the 1-based tree[i] counts the unused entries in (i - lowbit(i), i],
         # lowbit(i) of them while all are unused; filled level by level in
@@ -235,7 +175,20 @@ class PvkTable:
         return self._n_unused
 
     def find(self, code: bytes) -> int | None:
-        return self._index.find(bytes(code))
+        """Table index of ``code``, or None. A code of another length is
+        never found, and is turned away before the search, which would
+        otherwise cast the whole sorted array to its width. The sorted slot
+        is confirmed against ``entries``, since a numpy bytes_ item drops
+        trailing zero bytes."""
+        code = bytes(code)
+        keys = self._keys
+        if len(code) != keys.dtype.itemsize:
+            return None
+        slot = keys.searchsorted(code)
+        if slot == keys.size:
+            return None
+        index = self._at.item(slot)
+        return index if self.entries[index] == code else None
 
     def is_used(self, index: int) -> bool:
         return bool(self.used[index])
@@ -270,7 +223,7 @@ class PvkTable:
 
     def copy(self) -> "PvkTable":
         """Clone with its own used flags and tree. No method mutates the
-        entries or their index, so the clone shares them without validating
+        entries or their sort, so the clone shares them without validating
         again."""
         clone = copy.copy(self)
         clone.used = bytearray(self.used)
@@ -308,22 +261,24 @@ def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
     stream a per-key ``integers(0, 256, size=key_len_bytes, dtype=uint8)``
     draws, so the table is the same as drawing one key at a time and keeping
     the first occurrence of each code. The sort that dedupes the draws is
-    the table's index, and each buffer is freed as soon as the next step has
-    read it, so provisioning peaks at about the memory the table keeps.
+    the one ``find`` searches, and each buffer is freed as soon as the next
+    step has read it, so provisioning peaks at the memory the table keeps.
     """
     check_table_shape(n_keys, key_len_bytes)
-    codes, index = _distinct_codes(n_keys, key_len_bytes, rng_seed)
-    return PvkTable._provisioned(_Codes(codes, key_len_bytes), index)
+    return PvkTable._provisioned(*_distinct_codes(n_keys, key_len_bytes, rng_seed))
 
 
-def _distinct_codes(n_keys: int, key_len_bytes: int, rng_seed: int) -> tuple[bytes, _CodeIndex]:
-    """generate_table's codes back to back in table order, and their index;
-    every other buffer it makes is gone when it returns. Each draw is
-    deduped by a stable sort, and a redraw is checked against the codes kept
-    so far by binary search, so no round sorts the whole table again."""
+def _distinct_codes(
+    n_keys: int, key_len_bytes: int, rng_seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """generate_table's codes in table order, the same codes sorted, and the
+    int32 table index of each sorted code; every other buffer it makes is
+    gone when it returns. Each draw is deduped by a stable sort and freed;
+    a redraw is checked against the codes kept so far by binary search, so
+    no round sorts the whole table again. The new codes of a draw are
+    scattered to their table indices."""
     rng = np.random.default_rng(rng_seed)
     words = -(-key_len_bytes // 4)
-    kept: list[np.ndarray] = []  # each draw's new codes, in draw order
     n = 0
     while n < n_keys:
         need = n_keys - n
@@ -334,6 +289,7 @@ def _distinct_codes(n_keys: int, key_len_bytes: int, rng_seed: int) -> tuple[byt
         drawn = np.ascontiguousarray(rows[:, :key_len_bytes]).view(f"S{key_len_bytes}").ravel()
         del draw, rows
         order, new = _sort_codes(drawn)
+        del drawn
         if n:  # drop the codes an earlier draw kept
             slots = np.searchsorted(keys, new)
             fresh = keys[np.minimum(slots, n - 1)] != new
@@ -343,7 +299,6 @@ def _distinct_codes(n_keys: int, key_len_bytes: int, rng_seed: int) -> tuple[byt
         else:
             taken = np.zeros(need, dtype=bool)
             taken[order] = True
-            drawn = drawn[taken]
             # a taken code's table index is n plus the taken codes drawn before it
             ranks = taken.astype(np.int32)
             del taken
@@ -351,15 +306,14 @@ def _distinct_codes(n_keys: int, key_len_bytes: int, rng_seed: int) -> tuple[byt
             order = ranks[order]
             del ranks
             order += n - 1
-        kept.append(drawn)
-        if n:
-            keys, at = np.insert(keys, slots, new), np.insert(at, slots, order)
-        else:
-            keys, at = new, order
+        if n:  # one at a time, so that only one is ever held twice
+            keys = np.insert(keys, slots, new)
+            at = np.insert(at, slots, order)
+        else:  # made after the first draw is freed, so that both are never held
+            codes, keys, at = np.empty(n_keys, dtype=new.dtype), new, order
+        codes[order] = new
         n += new.size
-    index = _CodeIndex(keys, at)
-    del keys, new  # the sorted codes live on as the index's blob
-    return b"".join(kept), index
+    return codes, keys, at
 
 
 @dataclass

@@ -227,7 +227,7 @@ class TestPvkTable:
     @given(data=st.data())
     def test_find_agrees_with_a_dict_of_the_entries(self, key_len, data):
         # codes with zero bytes at either end, and many that share one
-        # prefix and so one directory bucket, next to uniform ones
+        # prefix, next to uniform ones
         prefix = data.draw(st.binary(max_size=key_len - 1))
         tail = st.binary(min_size=key_len - len(prefix), max_size=key_len - len(prefix))
         part = st.binary(max_size=key_len)
@@ -247,8 +247,8 @@ class TestPvkTable:
         others = [rng.bytes(key_len) for _ in range(200)]
         assert_find_agrees(generate_table(min(5000, 250**key_len), key_len, key_len), others)
         if key_len >= 3:
-            # 2,000 codes whose first two bytes agree: a 2,000-key table
-            # buckets on 11 bits, so they all sit in one bucket
+            # 2,000 codes whose first two bytes agree, so that the search
+            # tells them apart by their later bytes alone
             codes = {b"\x00\x00" + rng.bytes(key_len - 2) for _ in range(2000)}
             assert_find_agrees(PvkTable(entries=sorted(codes, reverse=True)), others)
 
@@ -340,8 +340,23 @@ class TestPvkTable:
         finally:
             tracemalloc.stop()
         assert table.find(table.entries[-1]) == clone.find(clone.entries[-1]) == 99_999
-        assert kept <= 3e6
+        assert kept <= 1.8e6
         assert copied <= 0.6e6
+
+    def test_find_turns_away_another_length_before_searching(self):
+        # a code of another width would make numpy cast the whole sorted
+        # array to it, 400 KB here, on every call
+        table = generate_table(100_000, 4, rng_seed=6)
+        code = table.entries[-1]
+        for other in (code + b"\x00", code[:-1]):
+            tracemalloc.start()
+            try:
+                found = table.find(other)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert found is None
+            assert peak < 64e3
 
     def test_provisioning_peaks_at_the_memory_the_table_keeps(self):
         # the draws and the dedupe dict are gone before the table builds its
@@ -353,6 +368,18 @@ class TestPvkTable:
         finally:
             tracemalloc.stop()
         assert len(table) == 100_000
+        assert peak <= 1.2 * kept
+
+    def test_provisioning_64_byte_keys_peaks_at_the_memory_the_table_keeps(self):
+        # at 64 bytes a key, one more copy of the codes than the table keeps
+        # would take the peak to about 1.47x
+        tracemalloc.start()
+        try:
+            table = generate_table(20_000, 64, rng_seed=3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 20_000
         assert peak <= 1.2 * kept
 
 
