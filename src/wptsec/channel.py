@@ -56,6 +56,13 @@ def finite_watts(p_dbm: float) -> float:
     return watts
 
 
+def check_seed(rng_seed: int) -> None:
+    """Reject a generator seed that numpy refuses only when it first draws:
+    one that is not an integer, or is negative."""
+    if not (isinstance(rng_seed, (int, np.integer)) and rng_seed >= 0):
+        raise ValueError(f"rng_seed must be an integer >= 0, got {rng_seed!r}")
+
+
 def watts_to_dbm(p_watts: float) -> float:
     if p_watts < 0:
         raise ValueError(f"negative power: {p_watts} W")
@@ -178,8 +185,8 @@ class NoiseSpec:
     Gaussian fluctuation of the same scale on instantaneous power.
 
     ``noise_power_dbm = -inf`` disables noise entirely; any other floor must
-    be a finite power in watts. Identical seed and parameters reproduce
-    identical sample sequences.
+    be a finite power in watts, and the seed an integer >= 0. Identical seed
+    and parameters reproduce identical sample sequences.
     """
 
     noise_power_dbm: float = -90.0
@@ -187,6 +194,7 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         finite_watts(self.noise_power_dbm)
+        check_seed(self.rng_seed)
 
     @classmethod
     def silent(cls) -> "NoiseSpec":

@@ -39,7 +39,7 @@ from .protocol import (
     check_table_shape,
     generate_table,
 )
-from .waveform import build_frame, check_trace_samples
+from .waveform import check_trace_samples, frame_bits
 
 
 # A key whose use hangs on another key is required while that selector holds
@@ -423,9 +423,8 @@ def build_point(cfg: ScenarioConfig, noise_seed: int | None = None, tables=None)
     _made(check_session_timing, cfg, "dt_s", "max_time_s")
     _made(check_table_shape, cfg, "n_keys", "key_len_bytes")
     _made(check_event_spacing, cfg, "dt_s", "max_time_s", "bit_rate_hz", "key_len_bytes")
-    frame_bits = build_frame(bytes(cfg.key_len_bytes), cfg.bit_rate_hz).n_bits
     with _Reading("key_len_bytes", "oversampling"):
-        check_trace_samples(frame_bits, cfg.oversampling)
+        check_trace_samples(frame_bits(cfg.key_len_bytes), cfg.oversampling)
     with _Reading("storage_capacity_j", "wake_threshold_j", "tx_cost_j_per_bit"):
         return scenario, monitor, build_node(cfg, node_table)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LinkScenario
+from .channel import LinkScenario, check_seed
 from .errors import TableCapacityError, TableExhausted, TableTooLarge
 from .monitor import (
     REJECTED_NO_SIGNAL,
@@ -34,6 +34,7 @@ from .waveform import (
     Frame,
     build_frame,
     check_oversampling,
+    frame_bits,
     frame_to_bits,
     render_envelope,
 )
@@ -48,8 +49,9 @@ ATTACKER_KINDS = ("none", "replay")
 # Cap on the keys of one table. A provisioned table keeps 25 bytes a key at
 # 8-byte keys and 137 at 64-byte keys (the codes twice, in table order and
 # sorted, 4 bytes of index, 4 of tree and 1 of flags), and the monitor's
-# copy 5 more; provisioning peaks at what the table keeps (tracemalloc,
-# 10^6 keys). At the cap that is 0.11 to 0.58 GB.
+# copy 5 more; provisioning peaks at 1.0x what the table keeps at the cap
+# of 8-byte keys and 1.15x at the cap of 3-byte keys (tracemalloc), where
+# one sort holds 1.15 draws a key. At the cap that is 0.11 to 0.58 GB.
 MAX_TABLE_KEYS = 2**22
 
 
@@ -252,19 +254,19 @@ def check_table_shape(n_keys: int, key_len_bytes: int) -> None:
 def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
     """Seeded table of distinct random codes.
 
-    Both sides of the link run this with the same seed to provision
-    identical tables. Uniqueness comes from rejection sampling, so the key
-    space must be able to hold n_keys distinct codes.
+    Both sides of the link run this with the same seed, an integer >= 0,
+    to provision identical tables. Uniqueness comes from rejection sampling,
+    so the key space must be able to hold n_keys distinct codes.
 
     Codes come from bulk uint32 draws, read as little-endian bytes with
     key_len_bytes cut from each ceil(key_len_bytes / 4) words. That is the
     stream a per-key ``integers(0, 256, size=key_len_bytes, dtype=uint8)``
     draws, so the table is the same as drawing one key at a time and keeping
-    the first occurrence of each code. The sort that dedupes the draws is
-    the one ``find`` searches, and each buffer is freed as soon as the next
-    step has read it, so provisioning peaks at the memory the table keeps.
+    the first occurrence of each code. One sort of a prefix of that stream
+    dedupes it, and it is the sort ``find`` searches.
     """
     check_table_shape(n_keys, key_len_bytes)
+    check_seed(rng_seed)
     return PvkTable._provisioned(*_distinct_codes(n_keys, key_len_bytes, rng_seed))
 
 
@@ -272,47 +274,44 @@ def _distinct_codes(
     n_keys: int, key_len_bytes: int, rng_seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """generate_table's codes in table order, the same codes sorted, and the
-    int32 table index of each sorted code; every other buffer it makes is
-    gone when it returns. Each draw is deduped by a stable sort and freed;
-    a redraw is checked against the codes kept so far by binary search, so
-    no round sorts the whole table again. The new codes of a draw are
-    scattered to their table indices."""
-    rng = np.random.default_rng(rng_seed)
-    words = -(-key_len_bytes // 4)
-    n = 0
-    while n < n_keys:
-        need = n_keys - n
-        draw = rng.integers(0, 2**32, size=need * words, dtype=np.uint32)
-        rows = draw.astype("<u4", copy=False).view(np.uint8).reshape(need, 4 * words)
+    int32 table index of each sorted code. One stable sort dedupes the
+    prefix of the code stream expected to hold n_keys distinct codes, plus
+    4 * isqrt(n_keys) + 64 draws; a prefix holding too few is drawn again
+    from the seed, longer by twice the draws expected for the codes it
+    lacked. Codes past the n_keys-th distinct one in draw order are dropped."""
+
+    def expected_draws(have: int) -> int:
+        # space * (H(space - have) - H(space - n_keys)) with H(m) ~ ln(m + 1/2)
+        # + Euler's constant: finite at n_keys = space (the coupon collector)
+        return math.ceil(-space * math.log1p((have - n_keys) / (space - have + 0.5)))
+
+    space, words = 256**key_len_bytes, -(-key_len_bytes // 4)
+    prefix = expected_draws(0) + 4 * math.isqrt(n_keys) + 64
+    while True:
+        rng = np.random.default_rng(rng_seed)
+        draw = rng.integers(0, 2**32, size=prefix * words, dtype=np.uint32)
+        rows = draw.astype("<u4", copy=False).view(np.uint8).reshape(prefix, 4 * words)
         # one code an item, in a 1-d array, which a mask selects from without
         # making an int64 array of the items it keeps
         drawn = np.ascontiguousarray(rows[:, :key_len_bytes]).view(f"S{key_len_bytes}").ravel()
         del draw, rows
-        order, new = _sort_codes(drawn)
+        order, keys = _sort_codes(drawn)
         del drawn
-        if n:  # drop the codes an earlier draw kept
-            slots = np.searchsorted(keys, new)
-            fresh = keys[np.minimum(slots, n - 1)] != new
-            order, new, slots = order[fresh], new[fresh], slots[fresh]
-        if order.size == need:  # every code drawn is new: its table index is n plus its draw's
-            order += n
-        else:
-            taken = np.zeros(need, dtype=bool)
-            taken[order] = True
-            # a taken code's table index is n plus the taken codes drawn before it
-            ranks = taken.astype(np.int32)
-            del taken
-            np.cumsum(ranks, out=ranks)
-            order = ranks[order]
-            del ranks
-            order += n - 1
-        if n:  # one at a time, so that only one is ever held twice
-            keys = np.insert(keys, slots, new)
-            at = np.insert(at, slots, order)
-        else:  # made after the first draw is freed, so that both are never held
-            codes, keys, at = np.empty(n_keys, dtype=new.dtype), new, order
-        codes[order] = new
-        n += new.size
+        if keys.size >= n_keys:
+            break
+        prefix += 2 * expected_draws(keys.size)
+    # a code's table index is the number of distinct codes drawn before it
+    ranks = np.zeros(prefix, dtype=np.int32)
+    ranks[order] = 1
+    np.cumsum(ranks, out=ranks)
+    at = ranks[order]
+    del ranks, order
+    at -= 1
+    kept = at < n_keys
+    at = at[kept]  # one at a time, so that only one is ever held twice
+    keys = keys[kept]
+    codes = np.empty(n_keys, dtype=keys.dtype)
+    codes[at] = keys
     return codes, keys, at
 
 
@@ -522,7 +521,7 @@ def check_event_spacing(
     time, which is max_time_s, one frame of key_len_bytes at bit_rate_hz and
     four dt_s steps. A step of at least that time's float spacing moves
     every earlier time on, so the timeline stays strictly increasing."""
-    frame_s = build_frame(bytes(key_len_bytes), bit_rate_hz).duration_s
+    frame_s = frame_bits(key_len_bytes) / bit_rate_hz
     latest = max_time_s + frame_s + 4 * dt_s
     for name, step in (("dt_s", dt_s), ("frame duration", frame_s)):
         if not step >= math.ulp(latest):
@@ -549,9 +548,13 @@ def run_session(
     decodes and verifies the monitor's capture of the frame, and a replay
     attacker's second presentation of it. The timeline is built from the
     wake time, the frame and the decisions. Timing that
-    ``check_session_timing`` rejects is rejected before the ledger changes.
+    ``check_session_timing`` rejects, or that ``check_event_spacing`` rejects
+    for the node's key length, is rejected before the ledger changes.
     """
     check_session_timing(dt_s, max_time_s)
+    key_len = node.table.key_len_bytes
+    if key_len is not None:
+        check_event_spacing(dt_s, max_time_s, monitor.bit_rate_hz, key_len)
     if key_policy not in KEY_POLICIES:
         raise ValueError(f"unknown key policy: {key_policy!r}")
     key_rng = None

@@ -84,6 +84,12 @@ def check_trace_samples(n_bits: int, samples_per_bit: float) -> None:
         )
 
 
+def frame_bits(payload_len: int) -> int:
+    """Bits on air in the frame of a payload_len-byte payload:
+    FRAME_HEADER_BITS, then 8 a payload byte."""
+    return FRAME_HEADER_BITS.size + 8 * payload_len
+
+
 @dataclass(frozen=True)
 class Frame:
     """On-air unit: preamble, sync byte, then payload bytes, all MSB-first."""
@@ -103,7 +109,7 @@ class Frame:
 
     @property
     def n_bits(self) -> int:
-        return FRAME_HEADER_BITS.size + 8 * len(self.payload)
+        return frame_bits(len(self.payload))
 
     @property
     def duration_s(self) -> float:

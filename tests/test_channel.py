@@ -460,6 +460,16 @@ class TestBudgetMemo:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.int64(-1)])
+    def test_noise_seed_numpy_refuses_rejected(self, seed):
+        # numpy's default_rng failed on it only when a session rendered its
+        # trace, after the node had banked energy and burned a key
+        with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+            NoiseSpec(-90.0, seed)
+        assert NoiseSpec(-90.0, np.int64(3)).generator().integers(9) == (
+            np.random.default_rng(3).integers(9)
+        )
+
     def test_antenna_gain_warning_not_error(self):
         with pytest.warns(UserWarning):
             AntennaSpec(40.0)

@@ -1,6 +1,7 @@
 """Key tables, node energy state machine, and session-level behavior."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from wptsec.channel import (
     NoiseSpec,
     RectifierModel,
 )
+from wptsec.config import build_point, build_tables, load_preset
 from wptsec.errors import TableCapacityError, TableExhausted, TableTooLarge
 from wptsec.monitor import (
     ACCEPTED,
@@ -207,13 +209,15 @@ class TestPvkTable:
             (300, 8),
             (300, 64),
             (60_000, 2),
+            (256, 1),
         ],
     )
     def test_bulk_draw_matches_per_key_draws(self, n_keys, key_len):
         # the per-key reference: one uint8 draw per key, first occurrence
         # kept; 250 of the 256 one-byte codes makes most draws duplicates,
-        # and 60,000 of the 65,536 two-byte codes takes 101 bulk draws (one
-        # seed: its reference draws 161,644 keys one at a time)
+        # all 256 of them is the whole code space, and 60,000 of the 65,536
+        # two-byte codes takes one sort of a 163,000-code prefix (one seed:
+        # its reference draws 161,644 keys one at a time)
         for seed in range(3 if n_keys < 1000 else 1):
             rng = np.random.default_rng(seed)
             codes: dict[bytes, None] = {}
@@ -221,6 +225,36 @@ class TestPvkTable:
                 code = rng.integers(0, 256, size=key_len, dtype=np.uint8).tobytes()
                 codes.setdefault(code)
             assert generate_table(n_keys, key_len, rng_seed=seed).entries == list(codes)
+
+    def test_a_whole_two_byte_code_space_takes_a_few_sorts(self, monkeypatch):
+        # redrawing only the codes still missing took 46,221 rounds for seed
+        # 0, one sort each, and 10-58 s for seeds 0-2 on a 2-core VM; the
+        # digests of the entries are those that way of provisioning gave
+        digests = {
+            0: "e0a21c7274ff967b2d596e715cd5d0b06a0986439500b7958a7bbdccafc967af",
+            1: "a02ccf24955895e54ba801672a715be44bc5f911ff7e3c0fd920c1019128ed21",
+            2: "072b367b6d0d00ed9f8d9707bd27ac6a5ed0ec1eb10214b13c9485d896d1e2b8",
+        }
+        sort_codes, calls = protocol._sort_codes, []
+
+        def at_most_five_sorts(codes):
+            calls.append(codes.size)
+            if len(calls) > 5:
+                raise AssertionError(f"a sixth sort, of {codes.size} codes")
+            return sort_codes(codes)
+
+        monkeypatch.setattr(protocol, "_sort_codes", at_most_five_sorts)
+        for seed, digest in digests.items():
+            calls.clear()
+            table = generate_table(65_536, 2, seed)
+            assert hashlib.sha256(b"".join(table.entries)).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_numpy_refuses_rejected_before_drawing(self, seed):
+        # numpy's default_rng failed on them with "expected non-negative
+        # integer" and a TypeError
+        with pytest.raises(ValueError, match=f"rng_seed must be an integer >= 0, got {seed}"):
+            generate_table(10, 2, seed)
 
     @pytest.mark.parametrize("key_len", [1, 2, 3, 4, 8, 64])
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -660,6 +694,30 @@ class TestRunSession:
         with pytest.raises(ValueError, match=f"^{arg} must be .* finite"):
             run_session(anechoic_scenario(), node, Attacker(), monitor, **{arg: math.inf})
         assert node.stored_energy_j == 5e-6
+        assert not any(node.table.used) and not any(monitor.table.used)
+
+    def test_lost_step_rejected_before_the_ledger(self):
+        # dt_s = 1e-300 passes check_session_timing; it banked 9.96e-6 J and
+        # burned key 0 in both tables before SessionLog found the event times
+        # not strictly increasing
+        cfg = load_preset("anechoic")
+        node_table, monitor_table = build_tables(cfg)
+        scenario, monitor, node = build_point(cfg, tables=(node_table, monitor_table))
+        with pytest.raises(ValueError, match="dt_s of 1e-300 s is lost next to the latest event"):
+            run_session(scenario, node, Attacker(), monitor, dt_s=1e-300, max_time_s=30.0)
+        assert node.stored_energy_j == 0.0
+        assert not any(node_table.used) and not any(monitor_table.used)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_numpy_refuses_rejected_before_the_ledger(self, seed):
+        # each banked energy and burned key 0 in the node's table alone, then
+        # failed in rendering with numpy's "expected non-negative integer" or
+        # a TypeError, which left the two tables out of step
+        node, monitor = session_parts()
+        with pytest.raises(ValueError, match=f"rng_seed must be an integer >= 0, got {seed}"):
+            scenario = fresh_session_scenario(anechoic_scenario(), seed)
+            run_session(scenario, node, Attacker(), monitor)
+        assert node.stored_energy_j == 0.0
         assert not any(node.table.used) and not any(monitor.table.used)
 
     def test_immediate_timeout_keeps_timeline_strict(self):
