@@ -37,6 +37,11 @@ class TraceTooLong(ValueError):
     """A trace would hold more than waveform.MAX_TRACE_SAMPLES samples."""
 
 
+class LevelOverflow(ValueError):
+    """A trace's levels in watts, or the sums that average them, would pass
+    the float range."""
+
+
 class TraceFormatError(ValueError):
     """Envelope trace file does not match the documented format."""
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import trace_to_watts, watts_to_dbm
-from .errors import EmptyTrace, NoSync
+from .errors import EmptyTrace, LevelOverflow, NoSync
 from .waveform import (
     FRAME_HEADER_BITS,
     MAX_PAYLOAD_BYTES,
@@ -76,8 +76,8 @@ class DecodeResult:
         unmeasured = self.status == WAKE_TIMEOUT
         if (self.measured_dr_db is None, self.threshold_dbm is None) != (unmeasured, unmeasured):
             raise ValueError("levels must be None exactly when status is wake_timeout")
-        if not unmeasured and self.measured_dr_db < 0:
-            raise ValueError("measured_dr_db must be >= 0")
+        if not unmeasured and not self.measured_dr_db >= 0:
+            raise ValueError(f"measured_dr_db must be >= 0, got {self.measured_dr_db}")
 
 
 @dataclass(frozen=True)
@@ -106,38 +106,66 @@ class AuthDecision:
         }
 
 
-def _mean(x: np.ndarray) -> float:
+def _mean(x: np.ndarray, peak: float) -> float:
+    """Mean of the cluster ``x``, no sample of which exceeds ``peak`` watts,
+    or ``LevelOverflow`` when its sum passes the float range.
+
+    While ``peak`` times one more than the count is finite, no sum of the
+    cluster can overflow (the one extra sample covers the sum's rounding),
+    so the sum is taken as it is. Only past that bound, at the edge of the
+    float range, is it taken with overflow ignored and then checked."""
     # one temporary at a time: holding both clusters' copies at once makes
     # each 2-means step on a long trace fault in fresh pages
-    return float(np.add.reduce(x) / x.size)
+    if peak * (x.size + 1) < math.inf:
+        return float(np.add.reduce(x) / x.size)
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(x)
+    if total == math.inf:
+        raise LevelOverflow(f"{x.size} samples of up to {peak} W sum past the float range")
+    return float(total / x.size)
 
 
 def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
     """(threshold_dbm, dr_db) from one 2-means clustering of the trace in
     linear watts, initialized at (min, max): the midpoint of the two cluster
-    means, and their dB spacing (0 for a degenerate trace).
+    means, and their dB spacing (0 for a degenerate trace, inf for a 0 W low
+    level under a positive high one).
 
     The reductions are the kernels that ``min``, ``max`` and ``mean`` run,
     called without numpy's Python wrappers, so the figures are bit-identical
     to theirs. Iteration stops at the first repeated partition, since the
-    same mask gives the same means: the clustering has converged."""
+    same mask gives the same means: the clustering has converged, and at a
+    midpoint that would put every sample in the low cluster.
+
+    Levels past the float range raise ``LevelOverflow``: a sample past it in
+    watts, a cluster sum past it (see ``_mean``), or a midpoint past it.
+    Each of these would otherwise give NaN or inf figures.
+    A flat trace takes no sum and keeps its level."""
     if len(trace) == 0:
         raise EmptyTrace("cannot analyze an empty trace")
     lin = trace_to_watts(trace.samples)
     c_lo = float(np.minimum.reduce(lin))
-    c_hi = float(np.maximum.reduce(lin))
-    if c_lo != c_hi:
-        prev = b""
-        for _ in range(LEVEL_PASSES):
-            low = lin <= 0.5 * (c_lo + c_hi)
-            # a bytes compare costs less than np.array_equal on short traces
-            mask = low.tobytes()
-            if mask == prev:
-                break
-            prev = mask
-            c_lo, c_hi = _mean(lin[low]), _mean(lin[~low])
-    threshold_dbm = watts_to_dbm(0.5 * (c_lo + c_hi))
-    return threshold_dbm, 0.0 if c_lo == c_hi else 10.0 * math.log10(c_hi / c_lo)
+    c_hi = peak = float(np.maximum.reduce(lin))
+    if not peak < math.inf:
+        raise LevelOverflow("a sample passes the float range in watts")
+    if c_lo == c_hi:
+        return watts_to_dbm(c_hi), 0.0  # the midpoint of c with c is c
+    prev = b""
+    for _ in range(LEVEL_PASSES):
+        mid = 0.5 * (c_lo + c_hi)
+        if not mid < peak:  # rounded up to the peak, or overflowed
+            break
+        low = lin <= mid
+        # a bytes compare costs less than np.array_equal on short traces
+        mask = low.tobytes()
+        if mask == prev:
+            break
+        prev = mask
+        c_lo, c_hi = _mean(lin[low], mid), _mean(lin[~low], peak)
+    mid = 0.5 * (c_lo + c_hi)
+    if mid == math.inf:
+        raise LevelOverflow(f"levels of {c_lo} and {c_hi} W sum past the float range")
+    return watts_to_dbm(mid), math.inf if c_lo == 0.0 else 10.0 * math.log10(c_hi / c_lo)
 
 
 @functools.lru_cache(maxsize=16)

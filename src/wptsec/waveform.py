@@ -196,6 +196,12 @@ def synthesize_envelope(
     fluctuation) and the result converted back to dBm. Identical inputs and
     seed give bit-identical traces. A bit other than 0 or 1 is a
     ``ValueError``.
+
+    The fluctuation is drawn with the generator's standard-normal fill and
+    scaled in place. ``rng.normal(0.0, floor, n)`` draws the same values z
+    and returns ``0.0 + floor * z``, which differs from ``floor * z`` only in
+    the sign of a zero; adding it to a positive sample erases that sign, so
+    the trace is the same, without normal's per-sample loc and scale.
     """
     bit_arr = as_bits(bits)
     if bit_arr.size == 0:
@@ -214,9 +220,11 @@ def synthesize_envelope(
 
     floor_w = noise.mean_power_w
     if floor_w > 0.0:
-        rng = noise.generator()
         samples += floor_w
-        samples += rng.normal(0.0, floor_w, samples.size)
+        fluctuation = noise.generator().standard_normal(samples.size)
+        fluctuation *= floor_w
+        samples += fluctuation
+        del fluctuation
     np.maximum(samples, POWER_FLOOR_W, out=samples)
     np.log10(samples, out=samples)
     samples *= 10.0
@@ -312,7 +320,8 @@ def write_trace(trace: EnvelopeTrace, path) -> None:
 def read_trace(path) -> EnvelopeTrace:
     """Read the trace file about 64 KB of whole lines at a time, split as
     str.splitlines splits them: the header, then one sample per non-blank
-    line, converted as they come so only the samples array is held."""
+    line, converted as they come so only the samples array is held. A line
+    that is not one finite float is a TraceFormatError."""
     with open(path, encoding="ascii") as f:
         blocks = iter(lambda: "".join(f.readlines(1 << 16)), "")
         lines = chain.from_iterable(map(str.splitlines, blocks))
@@ -326,4 +335,9 @@ def read_trace(path) -> EnvelopeTrace:
             samples = np.fromiter(map(float, filter(None, lines)), dtype=np.float64)
         except ValueError as exc:
             raise TraceFormatError(f"bad sample line: {exc}") from None
+    finite = np.isfinite(samples)
+    if not finite.all():
+        i = int(finite.argmin())
+        value = float(samples[i])
+        raise TraceFormatError(f"bad sample line: samples[{i}] is {value!r}, not finite")
     return EnvelopeTrace(sample_rate_hz=float(int(m.group(1))), samples=samples, meta=m.group(2))

@@ -338,6 +338,42 @@ class TestMain:
         assert main(argv) == 2
         assert not unwritten.exists()
 
+    def test_levels_past_the_float_range_are_an_error_row(self, tmp_path, capsys):
+        # a 3100 dBm floor renders a finite trace whose cluster sums pass the
+        # float range; the row read nan,nan with a no_sync status
+        cfg_path = tmp_path / "loud.cfg"
+        cfg_path.write_text("setup=anechoic\nchannel.noise_power_dbm=3100\n")
+        out_csv = tmp_path / "o.csv"
+        assert main(["run", str(cfg_path), "--out", str(out_csv)]) == 1
+        row = out_csv.read_text().splitlines()[1].split(",")
+        assert row[CSV_COLUMNS.index("status")] == "error:LevelOverflow"
+        assert "nan" not in row
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "p_tx_dbm, dr_db, threshold_dbm",
+        [
+            ("3086", "14.075500035660868", "3080.2421763313605"),
+            ("3088", "14.075500035660868", "3082.2421763313605"),
+            ("3088.368", "14.075500035660866", "3082.61017633136"),
+        ],
+    )
+    def test_wired_probe_at_the_edge_of_the_float_range_keeps_its_row(
+        self, tmp_path, p_tx_dbm, dr_db, threshold_dbm
+    ):
+        # the probe's 512 high samples sum to within 0.2% of the float range
+        # at 3088.368 dBm and past it at 3088.37; these figures are those of
+        # the clustering before LevelOverflow existed, and the trace is written
+        cfg_path = tmp_path / "hot.cfg"
+        cfg_path.write_text(f"setup=wired\nchannel.p_tx_dbm={p_tx_dbm}\n")
+        out_csv, trace_path = tmp_path / "o.csv", tmp_path / "trace.txt"
+        argv = ["run", str(cfg_path), "--out", str(out_csv), "--trace-out", str(trace_path)]
+        assert main(argv) == 0
+        row = out_csv.read_text().splitlines()[1].split(",")
+        assert row[CSV_COLUMNS.index("dr_db")] == dr_db
+        assert row[CSV_COLUMNS.index("threshold_dbm")] == threshold_dbm
+        assert len(read_trace(trace_path)) == 1024
+
     def test_harvest_below_one_step_is_a_wake_timeout_row(self, tmp_path):
         # the harvest per step underflows to 0 J; the row was
         # error:ZeroDivisionError

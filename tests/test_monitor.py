@@ -6,7 +6,9 @@ margins.
 """
 
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wptsec import monitor
-from wptsec.channel import NoiseSpec
-from wptsec.errors import EmptyTrace, NoSync, UndersampledError
+from wptsec.channel import NoiseSpec, dbm_to_watts, watts_to_dbm
+from wptsec.errors import EmptyTrace, LevelOverflow, NoSync, UndersampledError
 from wptsec.monitor import (
     SYNC_BLOCK,
     ACCEPTED,
@@ -115,6 +117,87 @@ class TestDynamicRange:
     def test_constant_trace_zero(self):
         trace = EnvelopeTrace(16e3, np.full(32, -44.0))
         assert measure_levels(trace)[1] == 0.0
+
+    def test_zero_watt_low_level_is_an_infinite_range(self):
+        # -3300 dBm is 0.0 W once converted; the range divided by it and
+        # raised ZeroDivisionError
+        threshold, dr = measure_levels(two_level_trace(8, 8, p_high=-50.0, p_low=-3300.0))
+        assert dr == math.inf
+        assert threshold == watts_to_dbm(0.5 * dbm_to_watts(-50.0))
+        bits = frame_to_bits(build_frame(b"\x5a\xc3", 1e3))
+        trace = EnvelopeTrace(16e3, np.repeat(np.where(bits, -50.0, -3300.0), 16))
+        result = decode_trace(trace, 1e3)
+        assert (result.status, result.payload) == (DECODED, b"\x5a\xc3")
+        assert result.measured_dr_db == math.inf
+
+
+class TestLevelOverflow:
+    """Levels past the float range in watts (a sample, a cluster's sum, the
+    midpoint of the two means) raise LevelOverflow, and only those: every
+    trace whose figures are finite keeps them."""
+
+    def test_cluster_sums_past_the_float_range_raise(self):
+        # 3090 dBm is 1e306 W: 10^4 such samples summed to inf, the high level
+        # read nan and the next pass divided an empty cluster
+        trace = two_level_trace(10_000, 10_000, p_high=3090.0, p_low=3000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LevelOverflow, match="sum past the float range"):
+                measure_levels(trace)
+            with pytest.raises(LevelOverflow):
+                decode_trace(trace, 1e3)
+
+    def test_sample_past_the_float_range_raises(self):
+        trace = two_level_trace(8, 8, p_high=3200.0, p_low=-50.0)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+            with pytest.raises(LevelOverflow):
+                measure_levels(trace)
+
+    @pytest.mark.parametrize("n_high, n_low", [(2, 1), (3, 7), (500, 500), (1000, 1), (1, 1000)])
+    def test_raises_exactly_where_the_oracle_overflows(self, n_high, n_low):
+        # on a 0.001 dB grid across the level where the larger cluster's sum
+        # passes the float range, a trace gives the oracle's figures with no
+        # warning while they are finite, and LevelOverflow once they are not
+        edge = watts_to_dbm(sys.float_info.max / max(n_high, n_low / 10))
+        outcomes = set()
+        for p_high in edge + np.linspace(-0.02, 0.02, 41):
+            trace = two_level_trace(n_high, n_low, p_high=p_high, p_low=p_high - 10.0)
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = oracle_measure_levels(trace)
+            finite = all(map(math.isfinite, want))
+            outcomes.add(finite)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if finite:
+                    assert repr(measure_levels(trace)) == repr(want)
+                else:
+                    with pytest.raises(LevelOverflow):
+                        measure_levels(trace)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("p_dbm", [3090.0, 3110.0])
+    def test_flat_trace_takes_no_sum(self, p_dbm):
+        # 10^4 samples of 1e306 W would sum past the float range, but a flat
+        # trace is not clustered; at 1e308 W the midpoint c + c overflowed
+        # and the threshold read inf
+        trace = EnvelopeTrace(16e3, np.full(10_000, p_dbm))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert measure_levels(trace) == (watts_to_dbm(dbm_to_watts(p_dbm)), 0.0)
+
+    def test_midpoint_rounded_up_to_the_high_level(self):
+        # 3 and 4 times the least subnormal watt: their midpoint, 3.5, rounds
+        # to even, onto the high level, so every sample fell low and the high
+        # mean divided an empty cluster. The clustering stops there instead
+        lo, hi = (watts_to_dbm(k * 5e-324) for k in (3, 4))
+        trace = two_level_trace(8, 8, p_high=hi, p_low=lo)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            threshold, dr = measure_levels(trace)
+            assert decode_trace(trace, 1e3).status == NO_SYNC
+        assert threshold == hi
+        assert dr == 10.0 * math.log10(4 / 3)
 
 
 class TestRecoverBits:
@@ -398,6 +481,12 @@ class TestResultInvariants:
             DecodeResult(NO_SYNC, b"\x01", 0, 1.0, -40.0, None)
         with pytest.raises(ValueError):
             DecodeResult(DECODED, b"\x01", 0, -1.0, -40.0, 0)
+
+    def test_nan_range_rejected(self):
+        # nan < 0 is false, so a nan range from an overflowed mean got through
+        with pytest.raises(ValueError, match="measured_dr_db must be >= 0"):
+            DecodeResult(NO_SYNC, None, 0, math.nan, -40.0, None)
+        assert DecodeResult(NO_SYNC, None, 0, math.inf, -40.0, None).measured_dr_db == math.inf
 
     def test_levels_none_exactly_for_wake_timeout(self):
         DecodeResult(WAKE_TIMEOUT, None, 0, None, None, None)

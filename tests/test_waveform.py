@@ -3,6 +3,7 @@ generation, and trace file I/O."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -290,6 +291,31 @@ class TestSynthesizeReference:
         if noise_dbm == -45.0:
             assert np.any(got == 10.0 * math.log10(POWER_FLOOR_W) + 30.0)
 
+    @pytest.mark.parametrize("seed", [1, 7, 2**40 + 3])
+    @pytest.mark.parametrize("noise_dbm", [-math.inf, -3200.0, -57.0])
+    @pytest.mark.parametrize("sample_rate", [320e3, 1e6 / 3])
+    def test_sweep_length_render_equals_normal_draw(self, noise_dbm, seed, sample_rate):
+        # a sweep point's 10^5-sample probe at 16 and 16.67 samples per bit;
+        # -3200 dBm is a floor of two subnormal steps, so many scaled draws
+        # are zeros of either sign
+        bits = np.random.default_rng(seed).integers(0, 2, 6250)
+        args = (bits, -50.0, -60.0, 20e3, sample_rate, NoiseSpec(noise_dbm, rng_seed=seed))
+        got = synthesize_envelope(*args).samples
+        assert got.size >= 100_000
+        assert got.tobytes() == synthesize_reference(*args).tobytes()
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-12, 3.5, 1e300])
+    def test_scaled_standard_normal_is_normal_but_for_the_sign_of_zero(self, scale):
+        # normal(0.0, s) returns 0.0 + s * z for the same draws z
+        for seed in (0, 1, 7):
+            scaled = np.random.default_rng(seed).standard_normal(50_000)
+            scaled *= scale
+            want = np.random.default_rng(seed).normal(0.0, scale, 50_000)
+            assert np.array_equal(scaled, want)
+            differ = scaled.view(np.int64) != want.view(np.int64)
+            assert (want[differ] == 0.0).all()
+            assert differ.any() == (scale == 5e-324)
+
 
 class TestSquareCmd:
     def test_ten_periods_at_1khz(self):
@@ -378,6 +404,24 @@ class TestTraceFile:
         for bad in ("# comment\n", "-40.0 -50.0\n", "-40.0,-50.0\n", "  \n", "x\n"):
             with pytest.raises(TraceFormatError, match="bad sample line"):
                 load("-40.0\n" + bad)
+
+    @pytest.mark.parametrize(
+        "line, value",
+        [
+            ("nan", "nan"),
+            ("inf", "inf"),
+            ("-Infinity", "-inf"),
+            ("1e400", "inf"),
+            ("-1e400", "-inf"),
+        ],
+    )
+    def test_non_finite_sample_is_a_format_error(self, tmp_path, line, value):
+        path = tmp_path / "t.txt"
+        body = f"-40.0\n\n-41.0\n{line}\nnan\n"
+        path.write_text("sample_rate_hz=16000,unit=dbm,meta=x\n" + body, encoding="ascii")
+        want = re.escape(f"bad sample line: samples[2] is {value}, not finite")
+        with pytest.raises(TraceFormatError, match=want):
+            read_trace(path)
 
     def test_non_integral_rate_rejected(self, tmp_path):
         trace = EnvelopeTrace(16000.5, np.array([-40.0]))
