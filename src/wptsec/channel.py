@@ -1,9 +1,10 @@
 """RF power bookkeeping for the wireless-power security link.
 
-Everything here is a pure function of its inputs. Powers cross module
-boundaries in dBm; summation happens in linear watts. Two link topologies
-are supported: a circulator-based wired bench and a radiated (free-space)
-three-antenna setup.
+Everything here is a pure function of its inputs. Link-budget powers
+cross module boundaries in dBm, and summation happens in linear watts (an
+envelope trace, which this module does not handle, is held in watts). Two
+link topologies are supported: a circulator-based wired bench and a
+radiated (free-space) three-antenna setup.
 """
 
 from __future__ import annotations
@@ -34,32 +35,6 @@ DEFAULT_EFFICIENCY_CURVE = (
 
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-# Exponents raised at a time in trace_to_watts, against the same count of
-# bases in _TENS (64 KB).
-POWER_CHUNK = 8192
-_TENS = np.full(POWER_CHUNK, 10.0)
-_TENS.flags.writeable = False
-
-
-def trace_to_watts(samples_dbm: np.ndarray) -> np.ndarray:
-    """dbm_to_watts of each sample of a 1-D float64 trace, in one new array:
-    the steps of ``10.0 ** ((x - 30) / 10)`` run in place on the first one's
-    result.
-
-    numpy's power takes its vectorized (SIMD) loop only when the base is a
-    contiguous array; a scalar base runs the scalar loop at about twice the
-    time. So the exponents are raised POWER_CHUNK at a time against a slice
-    of _TENS. That both forms give the same bits is measured, not promised:
-    on numpy's AVX-512 power kernel they agreed on about 50M inputs; on a CPU
-    without a vectorized loop both run the scalar one."""
-    watts = np.subtract(samples_dbm, 30.0)
-    watts /= 10.0
-    for start in range(0, watts.size, POWER_CHUNK):
-        part = watts[start : start + POWER_CHUNK]
-        np.power(_TENS[: part.size], part, out=part)
-    return watts
 
 
 def finite_watts(p_dbm: float) -> float:

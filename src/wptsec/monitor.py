@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import trace_to_watts, watts_to_dbm
+from .channel import watts_to_dbm
 from .errors import EmptyTrace, LevelOverflow, NoSync
 from .waveform import (
     FRAME_HEADER_BITS,
@@ -25,6 +25,7 @@ from .waveform import (
     EnvelopeTrace,
     as_bits,
     check_oversampling,
+    samples_to_watts,
 )
 
 if TYPE_CHECKING:
@@ -126,10 +127,16 @@ def _mean(x: np.ndarray, peak: float) -> float:
 
 
 def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
-    """(threshold_dbm, dr_db) from one 2-means clustering of the trace in
-    linear watts, initialized at (min, max): the midpoint of the two cluster
-    means, and their dB spacing (0 for a degenerate trace, inf for a 0 W low
-    level under a positive high one).
+    """(threshold_dbm, dr_db): ``_levels`` with the threshold in dBm."""
+    threshold_w, dr_db = _levels(trace)
+    return watts_to_dbm(threshold_w), dr_db
+
+
+def _levels(trace: EnvelopeTrace) -> tuple[float, float]:
+    """(threshold_w, dr_db) from one 2-means clustering of ``trace.watts``,
+    initialized at (min, max): the midpoint of the two cluster means, and
+    their dB spacing (0 for a degenerate trace, inf for a 0 W low level
+    under a positive high one). The watts are read, never written.
 
     The reductions are the kernels that ``min``, ``max`` and ``mean`` run,
     called without numpy's Python wrappers, so the figures are bit-identical
@@ -143,13 +150,13 @@ def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
     A flat trace takes no sum and keeps its level."""
     if len(trace) == 0:
         raise EmptyTrace("cannot analyze an empty trace")
-    lin = trace_to_watts(trace.samples)
+    lin = trace.watts
     c_lo = float(np.minimum.reduce(lin))
     c_hi = peak = float(np.maximum.reduce(lin))
     if not peak < math.inf:
         raise LevelOverflow("a sample passes the float range in watts")
     if c_lo == c_hi:
-        return watts_to_dbm(c_hi), 0.0  # the midpoint of c with c is c
+        return c_hi, 0.0  # the midpoint of c with c is c
     prev = b""
     for _ in range(LEVEL_PASSES):
         mid = 0.5 * (c_lo + c_hi)
@@ -165,7 +172,7 @@ def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
     mid = 0.5 * (c_lo + c_hi)
     if mid == math.inf:
         raise LevelOverflow(f"levels of {c_lo} and {c_hi} W sum past the float range")
-    return watts_to_dbm(mid), math.inf if c_lo == 0.0 else 10.0 * math.log10(c_hi / c_lo)
+    return mid, math.inf if c_lo == 0.0 else 10.0 * math.log10(c_hi / c_lo)
 
 
 @functools.lru_cache(maxsize=16)
@@ -191,8 +198,21 @@ def _preamble_scores(sliced: np.ndarray, centers: np.ndarray, start: int, stop: 
 def recover_bits(
     trace: EnvelopeTrace, bit_rate_hz: float, threshold_dbm: float
 ) -> tuple[np.ndarray, int]:
-    """Slice the trace at threshold_dbm and acquire bit sync on the frame
-    preamble.
+    """``_recover_bits`` at threshold_dbm, converted to watts as a dBm
+    trace's samples are; a threshold that is no finite power in watts (NaN,
+    +inf, past the float range) is a ``ValueError``."""
+    with np.errstate(over="ignore"):
+        threshold_w = float(samples_to_watts([threshold_dbm])[0])
+    if not threshold_w < math.inf:
+        raise ValueError(f"{threshold_dbm!r} dBm is not a finite power in watts")
+    return _recover_bits(trace, bit_rate_hz, threshold_w)
+
+
+def _recover_bits(
+    trace: EnvelopeTrace, bit_rate_hz: float, threshold_w: float
+) -> tuple[np.ndarray, int]:
+    """Slice ``trace.watts`` at threshold_w and acquire bit sync on the
+    frame preamble.
 
     Returns (bits, sync_offset): bits sampled at bit centers starting at the
     first sample offset where at least 15 of the 16 preamble bits match, and
@@ -205,7 +225,7 @@ def recover_bits(
     if len(trace) == 0:
         raise EmptyTrace("cannot recover bits from an empty trace")
     check_oversampling(trace.sample_rate_hz, bit_rate_hz)
-    sliced = np.greater(trace.samples, threshold_dbm).view(np.uint8)
+    sliced = np.greater(trace.watts, threshold_w).view(np.uint8)
 
     spb = trace.sample_rate_hz / bit_rate_hz
     centers = _bit_centers(len(PREAMBLE_BITS), spb)
@@ -274,10 +294,11 @@ def decode_frame(
 
 def decode_trace(trace: EnvelopeTrace, bit_rate_hz: float) -> DecodeResult:
     """Full demodulation chain for one trace; sync failure becomes a
-    no_sync result instead of an exception."""
-    threshold, dr = measure_levels(trace)
+    no_sync result instead of an exception; sliced in watts."""
+    threshold_w, dr = _levels(trace)
+    threshold = watts_to_dbm(threshold_w)
     try:
-        bits, sync_offset = recover_bits(trace, bit_rate_hz, threshold)
+        bits, sync_offset = _recover_bits(trace, bit_rate_hz, threshold_w)
     except NoSync:
         return DecodeResult(
             status=NO_SYNC,

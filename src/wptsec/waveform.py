@@ -127,29 +127,66 @@ def frame_to_bits(frame: Frame) -> np.ndarray:
     return np.concatenate([FRAME_HEADER_BITS, payload_bits])
 
 
-@dataclass
+def samples_to_watts(samples_dbm) -> np.ndarray:
+    """``channel.dbm_to_watts`` of each dBm value, in a new float64 array, on
+    numpy's power kernel, so that a trace and a threshold in dBm convert
+    alike (numpy's AVX-512 kernel and libm's ``pow`` differ in the last bit
+    of some powers)."""
+    watts = np.subtract(samples_dbm, 30.0, dtype=np.float64)
+    watts /= 10.0
+    return np.power(10.0, watts, out=watts)
+
+
 class EnvelopeTrace:
-    """Uniformly sampled received-power envelope in dBm."""
+    """Uniformly sampled received-power envelope, held in the unit it was
+    built in: watts from the render (``from_watts``), else dBm. The other
+    view, ``watts`` or ``samples`` (dBm), is computed on first read and
+    kept. Setting ``samples`` holds the array unchecked and drops the watts."""
 
-    sample_rate_hz: float
-    samples: np.ndarray
-    meta: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
+    def __init__(self, sample_rate_hz: float, samples, meta: str = "") -> None:
+        if not sample_rate_hz > 0:
+            raise ValueError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if self.samples.size and not np.isfinite(self.samples).all():
+        if samples.size and not np.isfinite(samples).all():
             raise ValueError("trace samples must be finite (no NaN/Inf)")
-        if "\n" in self.meta:
+        if "\n" in meta:
             raise ValueError("meta must not contain newlines")
-        if not self.meta.isascii():
+        if not meta.isascii():
             raise ValueError("meta must be ASCII, as the trace file is")
+        self.sample_rate_hz, self.meta = sample_rate_hz, meta
+        self._dbm, self._watts = samples, None
+
+    @classmethod
+    def from_watts(cls, sample_rate_hz: float, watts, meta: str = "") -> "EnvelopeTrace":
+        """A trace of powers in watts, each finite and > 0."""
+        trace = cls(sample_rate_hz, watts, meta)
+        trace._dbm, trace._watts = None, trace._dbm
+        if trace._watts.size and not np.minimum.reduce(trace._watts) > 0.0:
+            raise ValueError("trace powers must be > 0 W")
+        return trace
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The envelope in dBm, as the trace file holds it."""
+        if self._dbm is None:  # log10, *10, +30: the steps that give the files' bytes
+            self._dbm = np.log10(self._watts) * 10.0 + 30.0
+        return self._dbm
+
+    @samples.setter
+    def samples(self, samples: np.ndarray) -> None:
+        self._dbm, self._watts = samples, None
+
+    @property
+    def watts(self) -> np.ndarray:
+        """The envelope in watts, as the monitor clusters and slices it."""
+        if self._watts is None:
+            self._watts = samples_to_watts(self._dbm)
+        return self._watts
 
     def __len__(self) -> int:
-        return int(self.samples.size)
+        return len(self._dbm if self._watts is None else self._watts)
 
 
 def as_bits(bits) -> np.ndarray:
@@ -192,10 +229,10 @@ def synthesize_envelope(
     """Render a bit sequence as the monitor-received power envelope.
 
     Each bit holds its state level for one bit period; seeded noise is added
-    in the linear power domain (mean floor plus zero-mean Gaussian
-    fluctuation) and the result converted back to dBm. Identical inputs and
-    seed give bit-identical traces. A bit other than 0 or 1 is a
-    ``ValueError``.
+    in watts (mean floor plus zero-mean Gaussian fluctuation), and each
+    sample is floored at POWER_FLOOR_W. The trace holds those watts; its
+    dBm ``samples`` are computed only when read. Identical inputs and seed
+    give bit-identical traces. A bit other than 0 or 1 is a ``ValueError``.
 
     The fluctuation is drawn with the generator's standard-normal fill and
     scaled in place. ``rng.normal(0.0, floor, n)`` draws the same values z
@@ -215,7 +252,7 @@ def synthesize_envelope(
     counts = _bit_counts(bit_arr.size, samples_per_bit)
     levels_w = np.where(bit_arr, dbm_to_watts(p_high_dbm), dbm_to_watts(p_low_dbm))
     # np.repeat returns a fresh array: every step below works in place on it,
-    # in the order of 10*log10(max(signal + floor + noise, POWER_FLOOR_W)) + 30
+    # in the order of max(signal + floor + noise, POWER_FLOOR_W)
     samples = np.repeat(levels_w, counts)
 
     floor_w = noise.mean_power_w
@@ -226,10 +263,7 @@ def synthesize_envelope(
         samples += fluctuation
         del fluctuation
     np.maximum(samples, POWER_FLOOR_W, out=samples)
-    np.log10(samples, out=samples)
-    samples *= 10.0
-    samples += 30.0
-    return EnvelopeTrace(sample_rate_hz=sample_rate_hz, samples=samples, meta=meta)
+    return EnvelopeTrace.from_watts(sample_rate_hz, samples, meta=meta)
 
 
 def render_envelope(

@@ -2,21 +2,21 @@
 
 import pytest
 
-from wptsec import channel, cli, monitor
+from wptsec import channel, monitor
 
 
 @pytest.fixture
 def clustering_calls(monkeypatch):
-    """Traces handed to the 2-means clustering, counted wherever it runs."""
+    """Traces handed to the 2-means clustering, counted wherever it runs:
+    measure_levels and decode_trace both cluster through monitor._levels."""
     calls = []
-    measure_levels = monitor.measure_levels
+    levels = monitor._levels
 
     def counting(trace):
         calls.append(trace)
-        return measure_levels(trace)
+        return levels(trace)
 
-    monkeypatch.setattr(monitor, "measure_levels", counting)
-    monkeypatch.setattr(cli, "measure_levels", counting)
+    monkeypatch.setattr(monitor, "_levels", counting)
     return calls
 
 

@@ -4,7 +4,6 @@ import dataclasses
 import math
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wptsec.channel import (
-    POWER_CHUNK,
     AntennaSpec,
     LeakageModel,
     LinkGeometry,
@@ -26,24 +24,11 @@ from wptsec.channel import (
     friis_received_power,
     harvested_dc,
     leakage_power,
-    trace_to_watts,
     watts_to_dbm,
 )
 from wptsec.errors import EmptyCurve, EmptyInput, NearFieldError
 
 C = 299_792_458.0
-# trace lengths at the edges of trace_to_watts's chunks, and one of several
-CHUNK_EDGES = (0, 1, POWER_CHUNK - 1, POWER_CHUNK, POWER_CHUNK + 1, 5 * POWER_CHUNK + 17)
-# exponent ranges whose powers of 10 are subnormal, or pass the float range
-EXPONENT_RANGES = ((-330.0, -300.0), (300.0, 320.0))
-
-
-def _with_warnings(fn, *args):
-    """fn's result, and the messages of the warnings it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(*args)
-    return result, {str(w.message) for w in caught}
 
 
 def friis_oracle_dbm(p_tx_dbm, g_tx_dbi, g_rx_dbi, d_m, f_hz):
@@ -530,32 +515,6 @@ class TestValidation:
         for _ in range(50):
             p = float(rng.uniform(-120, 30))
             assert watts_to_dbm(dbm_to_watts(p)) == pytest.approx(p, abs=1e-12)
-
-    def test_trace_to_watts_is_dbm_to_watts_bit_for_bit(self):
-        # the reference raises against a scalar base; trace_to_watts against
-        # a contiguous array of bases, POWER_CHUNK exponents at a time. Each
-        # input is also checked as a strided view. Exponents in [-330, -300]
-        # give subnormal watts, in [300, 320] watts past the float range:
-        # both sides must warn alike there
-        rng = np.random.default_rng(4)
-        mixed = np.concatenate(
-            [rng.normal(-60.0, 40.0, 5000), [-np.inf, -400.0, 0.0, 30.0, 300.0, 5e-324]]
-        )
-        inputs = [mixed]
-        inputs += [rng.uniform(-130.0, 45.0, n) for n in CHUNK_EDGES]
-        n = 3 * POWER_CHUNK + 5
-        inputs += [10.0 * rng.uniform(lo, hi, n) + 30.0 for lo, hi in EXPONENT_RANGES]
-        for samples in inputs + [x[::3] for x in inputs]:
-            before = samples.copy()
-            watts, warned = _with_warnings(trace_to_watts, samples)
-            want, want_warned = _with_warnings(dbm_to_watts, samples)
-            assert watts.dtype == want.dtype == np.float64
-            assert watts.tobytes() == want.tobytes()
-            assert warned == want_warned
-            assert samples.tobytes() == before.tobytes()  # the trace is left as it was
-            assert not np.shares_memory(watts, samples)
-        overflowed = 10.0 * np.array([300.0, 320.0]) + 30.0
-        assert _with_warnings(trace_to_watts, overflowed)[1] == {"overflow encountered in power"}
 
 
 def _anechoic_scenario(p_tx_dbm: float = 15.0, **overrides) -> LinkScenario:

@@ -241,9 +241,10 @@ class TestEmitTrace:
         assert np.array_equal(trace.samples, log.trace.samples)
 
     @pytest.mark.parametrize("protocol", ["true", "false"])
-    def test_sweep_trace_is_the_first_rows_own(self, tmp_path, protocol):
+    def test_sweep_trace_is_the_first_rows_own(self, tmp_path, protocol, clustering_calls):
         # the first row is the lowest sweep value at point_seed(seed, 0); the
-        # trace measures to exactly that row's cells, whichever mode it runs
+        # file holds, bit for bit, the dBm samples of the trace that row was
+        # measured on, whichever mode it runs
         text = (
             f"setup=anechoic\nprotocol.enabled={protocol}\n"
             "sweep.param=channel.p_tx_dbm\nsweep.values=24,20\n"
@@ -251,14 +252,25 @@ class TestEmitTrace:
         cfg = load_config(text)
         rows, _ = run_experiment(cfg)
         assert rows[0]["sweep_value"] == 20.0
+        own = clustering_calls[0]
         trace = written_trace(tmp_path, text)
+        assert trace.samples.tobytes() == own.samples.tobytes()
+        want = (rows[0]["threshold_dbm"], rows[0]["dr_db"])
         if protocol == "true":
-            result = decode_trace(trace, cfg.bit_rate_hz)
-            assert result.status == rows[0]["status"] == "decoded"
+            result, own_result = (decode_trace(t, cfg.bit_rate_hz) for t in (trace, own))
+            assert result.status == own_result.status == rows[0]["status"] == "decoded"
+            assert (result.payload, result.sync_offset) == (
+                own_result.payload,
+                own_result.sync_offset,
+            )
+            # the row was measured on the render's watts, the file's levels
+            # on its dBm read back as watts: within a relative 1e-14 of the
+            # render's (3.1e-15 on this trace), which moves a level by at
+            # most 10*log10(1 + 1e-14) = 4.3e-14 dB and the DR by twice that
             levels = (result.threshold_dbm, result.measured_dr_db)
+            assert levels == pytest.approx(want, rel=0.0, abs=1e-12)
         else:
-            levels = measure_levels(trace)
-        assert levels == (rows[0]["threshold_dbm"], rows[0]["dr_db"])
+            assert measure_levels(trace) == want
 
     def test_sweep_whose_first_node_never_woke_writes_no_trace(self, tmp_path, capsys):
         # -15 dBm never wakes the node: the first row has no trace to write,
@@ -712,3 +724,26 @@ class TestOneRunPerRow:
             argv += ["--trace-out", str(tmp_path / "t.txt")]
         assert main(argv) == 0
         assert runs == want
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize(
+        "text", ["setup=anechoic\n", POWER_SWEEP], ids=["anechoic", "power_sweep"]
+    )
+    def test_dbm_only_for_the_written_trace(self, tmp_path, monkeypatch, text, trace):
+        # rows are measured and decoded in watts: the one per-sample dBm
+        # conversion of a run is the written trace's
+        sizes = []
+        log10 = np.log10
+
+        def counting(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return log10(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log10", counting)
+        cfg_path, trace_path = tmp_path / "exp.cfg", tmp_path / "t.txt"
+        cfg_path.write_text(text)
+        argv = ["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]
+        if trace:
+            argv += ["--trace-out", str(trace_path)]
+        assert main(argv) == 0
+        assert sizes == ([len(read_trace(trace_path))] if trace else [])

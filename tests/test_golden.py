@@ -2,17 +2,27 @@
 build, so any change to one decoded bit, level or sync offset, or to one
 entry of the energy ledger, fails here."""
 
+import functools
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wptsec
 from wptsec.cli import main
 from wptsec.config import build_monitor, build_node, build_scenario, build_tables, load_config
 from wptsec.errors import TableExhausted
 from wptsec.protocol import Attacker, fresh_session_scenario, run_session
 
-# sha256 over the session lines of both runs below
-GOLDEN_SHA256 = "dfc47c218c4c2cce472a92180257ad719c8e118edcb10c704598740838c630ab"
+# sha256 over the session lines of both runs below: the decode lines
+# (verdicts, key index, payloads, sync offsets) and the level lines (the
+# reprs of DR and threshold), which last digits of the clustering move
+DECODE_SHA256 = "e41958c619dff62b64d52eb6a1a76963b1207e128d0e4dbb641ae68a2d5c4dc0"
+LEVEL_SHA256 = "1fa7f3a914a5ea7a8fc868bd3fd95d6124a8ebc9501a7cad6ccd1daeb896c022"
 
 KEYED = (
     "setup = anechoic\nseed = 11\nprotocol.n_keys = 200\nprotocol.key_len_bytes = 2\n"
@@ -49,29 +59,36 @@ def seeded_sessions(text: str, count: int, noise_seed: int, stored_energy_j: flo
         yield node, log
 
 
-def session_lines(text: str, sessions: int, noise_seed: int) -> list[str]:
-    """One line per session: verdicts, emitted index, then per decision the
-    payload hex, repr of DR and threshold, and the sync offset."""
-    lines = []
+def session_lines(text: str, sessions: int, noise_seed: int) -> tuple[list[str], list[str]]:
+    """Two lines per session. A decode line: verdicts, emitted index, then
+    per decision the payload hex and the sync offset. A level line: per
+    decision the repr of DR and threshold."""
+    decode_lines, level_lines = [], []
     for _, log in seeded_sessions(text, sessions, noise_seed):
         fields = [",".join(d.verdict for d in log.decisions), str(log.emitted_key_index)]
+        levels = []
         for d in log.decisions:
             dec = d.decode
-            fields += [
-                (dec.payload or b"").hex(),
-                repr(dec.measured_dr_db),
-                repr(dec.threshold_dbm),
-                repr(dec.sync_offset),
-            ]
-        lines.append(" ".join(fields))
-    return lines
+            fields += [(dec.payload or b"").hex(), repr(dec.sync_offset)]
+            levels += [repr(dec.measured_dr_db), repr(dec.threshold_dbm)]
+        decode_lines.append(" ".join(fields))
+        level_lines.append(" ".join(levels))
+    return decode_lines, level_lines
+
+
+@functools.cache
+def golden_session_digests() -> tuple[str, str]:
+    """sha256 of the decode lines and of the level lines of both runs."""
+    keyed, replay = session_lines(KEYED, 200, 1000), session_lines(REPLAY, 20, 5000)
+    digests = []
+    for lines in (keyed[0] + replay[0], keyed[1] + replay[1]):
+        assert len(lines) == 220
+        digests.append(hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    return tuple(digests)
 
 
 def test_keyed_and_replay_sessions_match_golden_digest():
-    lines = session_lines(KEYED, 200, 1000) + session_lines(REPLAY, 20, 5000)
-    assert len(lines) == 220
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == GOLDEN_SHA256
+    assert golden_session_digests() == (DECODE_SHA256, LEVEL_SHA256)
 
 
 # sha256 over the ledger lines of every shape below
@@ -146,3 +163,59 @@ def test_preset_outputs_match_golden_digests(preset, tmp_path, capsys):
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, trace_path))
     assert digests == PRESET_SHA256[preset]
     assert capsys.readouterr().err == PRESET_STDERR[preset]
+
+
+def preset_csv_digest(preset: str, out_dir: Path) -> str:
+    """sha256 of the CSV of `wptsec run --preset <preset>`."""
+    path = out_dir / f"{preset}.csv"
+    assert main(["run", "--preset", preset, "--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def active_dispatch_targets() -> list[str]:
+    """The SIMD targets numpy dispatches to in this process."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
+# numpy's AVX-512 dispatch targets, by numpy 2's names and numpy 1's; a
+# name this numpy does not dispatch to is ignored with an ImportWarning
+AVX512_TARGETS = (
+    "X86_V4 AVX512_ICL AVX512_SPR AVX512F AVX512CD AVX512_KNL AVX512_KNM AVX512_SKX "
+    "AVX512_CLX AVX512_CNL"
+).split()
+
+SIMD_RUN = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import test_golden as g
+with tempfile.TemporaryDirectory() as out:
+    csvs = [g.preset_csv_digest(p, Path(out)) for p in sorted(g.PRESET_SHA256)]
+print(json.dumps([g.active_dispatch_targets(), g.golden_session_digests(), csvs]))
+"""
+
+
+def test_outputs_do_not_depend_on_simd_dispatch(tmp_path):
+    # the session lines and both presets' CSVs are the same with numpy's
+    # AVX-512 kernels switched off: they are computed from the render's
+    # watts (noise draw, adds, multiplies, maxima, compares, cluster sums)
+    # and Python's scalar math. The trace files are left out: they are
+    # written with np.log10, whose bits depend on the dispatch target
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
+    src = str(Path(wptsec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", SIMD_RUN, str(Path(__file__).parent)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    targets, sessions, csvs = json.loads(run.stdout)
+    assert not set(targets) & set(AVX512_TARGETS)
+    assert tuple(sessions) == golden_session_digests()
+    assert csvs == [preset_csv_digest(p, tmp_path) for p in sorted(PRESET_SHA256)]

@@ -236,6 +236,34 @@ class TestRecoverBits:
         with pytest.raises(UndersampledError):
             recover_bits(trace, 20e3, measure_levels(trace)[0])
 
+    @pytest.mark.parametrize("threshold_dbm", [3200.0, 1e300, math.inf, math.nan])
+    def test_threshold_that_is_no_power_in_watts_is_a_value_error(self, threshold_dbm):
+        # the threshold is sliced in watts; past the float range its
+        # conversion raised OverflowError
+        trace = clean_frame_trace(b"\x5a")
+        with pytest.raises(ValueError, match="dBm is not a finite power in watts"):
+            recover_bits(trace, 20e3, threshold_dbm)
+
+    def test_sample_equal_to_the_threshold_slices_low(self):
+        # the threshold goes to watts as the trace's dBm samples do, so a low
+        # level equal to it in dBm is equal to it in watts, not above it.
+        # Python's float power (libm) gives some powers one bit below
+        # numpy's AVX-512 kernel; every such threshold of the pool is tried
+        pool = np.random.default_rng(8).uniform(-90.0, 0.0, 20_000)
+        numpy_w = 10.0 ** ((pool - 30.0) / 10.0)
+        above_libm = [t for t, w in zip(pool.tolist(), numpy_w) if w > dbm_to_watts(t)]
+        bits = frame_to_bits(build_frame(b"\x5a", 20e3))
+        for threshold in pool[:50].tolist() + above_libm:
+            samples = np.repeat(np.where(bits, threshold + 10.0, threshold), 16)
+            got, sync_offset = recover_bits(EnvelopeTrace(320e3, samples), 20e3, threshold)
+            assert sync_offset == 0 and np.array_equal(got, bits)
+
+    def test_threshold_of_minus_inf_dbm_is_zero_watts(self):
+        # every sample is above 0 W, so none alternates like the preamble
+        trace = clean_frame_trace(b"\x5a")
+        with pytest.raises(NoSync):
+            recover_bits(trace, 20e3, -math.inf)
+
 
 class TestDecodeFrame:
     def test_end_to_end_loopback(self):
@@ -304,6 +332,16 @@ class TestSinglePass:
             assert len(clustering_calls) == 1
             assert result.status == status
             assert (result.threshold_dbm, result.measured_dr_db) == measure_levels(trace)
+
+    def test_rendered_watts_are_read_not_written(self):
+        # the clustering and the slicing work on the render's own array
+        bits = frame_to_bits(build_frame(b"\x5a\xc3", 20e3))
+        trace = synthesize_envelope(bits, -30.0, -40.0, 20e3, 320e3, NoiseSpec(-50.0, 3))
+        watts = trace.watts
+        before = watts.copy()
+        assert decode_trace(trace, 20e3).payload == b"\x5a\xc3"
+        measure_levels(trace)
+        assert trace.watts is watts and watts.tobytes() == before.tobytes()
 
 
 def idle_frame_trace(payload, idle_samples, clock_offset, noise_seed):

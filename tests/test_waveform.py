@@ -358,6 +358,37 @@ class TestTrace:
         with pytest.raises(ValueError, match="meta must be ASCII"):
             EnvelopeTrace(1e3, np.array([1.0]), meta="b\u00e4nk")
 
+    def test_rendered_trace_is_held_in_watts(self):
+        noise = NoiseSpec(-60.0, rng_seed=2)
+        trace = synthesize_envelope([1, 0, 0, 1], -40.0, -50.0, 1e3, 16e3, noise)
+        watts, samples = trace.watts, trace.samples
+        assert trace.watts is watts and trace.samples is samples  # each computed once
+        assert samples.tobytes() == (10.0 * np.log10(watts) + 30.0).tobytes()
+        assert len(trace) == watts.size == samples.size == 64
+
+    def test_dbm_trace_watts_are_the_power_expression(self):
+        # the monitor's reference clustering raises the same expression
+        rng = np.random.default_rng(4)
+        samples = np.concatenate([rng.normal(-60.0, 40.0, 5000), [-3300.0, 0.0, 30.0, 3000.0]])
+        before = samples.copy()
+        for dbm in (samples, samples[::3]):
+            watts = EnvelopeTrace(1e3, dbm).watts
+            assert watts.tobytes() == (10.0 ** ((dbm - 30.0) / 10.0)).tobytes()
+            assert not np.shares_memory(watts, samples)
+        assert samples.tobytes() == before.tobytes()
+
+    def test_setting_samples_drops_the_kept_watts(self):
+        trace = EnvelopeTrace(1e3, np.array([30.0, 40.0]))
+        assert trace.watts.tolist() == [1.0, 10.0]
+        trace.samples = np.array([50.0])
+        assert trace.watts.tolist() == [100.0]
+        assert len(trace) == 1
+
+    @pytest.mark.parametrize("watts", [[1e-3, 0.0], [-1e-3], [np.inf], [np.nan]])
+    def test_from_watts_rejects_powers_without_a_finite_dbm_figure(self, watts):
+        with pytest.raises(ValueError, match="trace"):
+            EnvelopeTrace.from_watts(1e3, np.array(watts))
+
 
 class TestTraceFile:
     def test_round_trip_bit_exact(self, tmp_path):
