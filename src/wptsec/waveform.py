@@ -186,7 +186,7 @@ class EnvelopeTrace:
         return self._watts
 
     def __len__(self) -> int:
-        return len(self._dbm if self._watts is None else self._watts)
+        return int((self._dbm if self._watts is None else self._watts).size)
 
 
 def as_bits(bits) -> np.ndarray:
