@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import watts_to_dbm
 from .config import (
     PRESET_SUMMARIES,
     PRESETS,
@@ -98,8 +99,8 @@ def _run_point(cfg: ScenarioConfig, seed: int) -> tuple[dict, EnvelopeTrace | No
         bits = np.zeros(cfg.probe_bits, dtype=np.uint8)
         bits[::2] = 1
         trace = render_envelope(scenario, bits, cfg.bit_rate_hz, monitor.sample_rate_hz)
-        threshold_dbm, dr_db = measure_levels(trace)
-        return dict(dr_db=dr_db, threshold_dbm=threshold_dbm, status="ok"), trace
+        threshold_w, dr_db = measure_levels(trace)
+        return dict(dr_db=dr_db, threshold_dbm=watts_to_dbm(threshold_w), status="ok"), trace
     log = run_session(
         scenario,
         node,
@@ -154,6 +155,7 @@ def run_experiment(cfg: ScenarioConfig, trace_out=None) -> tuple[list[dict], Sum
             trace = exc
         if trace_out and not rows:
             trace_failed = _write_first_trace(trace, trace_out)
+        del trace  # so it is not held while the next point renders
         rows.append(row)
 
     checks = [_check_no_errors(rows)]

@@ -25,7 +25,6 @@ from .waveform import (
     EnvelopeTrace,
     as_bits,
     check_oversampling,
-    samples_to_watts,
 )
 
 if TYPE_CHECKING:
@@ -127,12 +126,6 @@ def _mean(x: np.ndarray, peak: float) -> float:
 
 
 def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
-    """(threshold_dbm, dr_db): ``_levels`` with the threshold in dBm."""
-    threshold_w, dr_db = _levels(trace)
-    return watts_to_dbm(threshold_w), dr_db
-
-
-def _levels(trace: EnvelopeTrace) -> tuple[float, float]:
     """(threshold_w, dr_db) from one 2-means clustering of ``trace.watts``,
     initialized at (min, max): the midpoint of the two cluster means, and
     their dB spacing (0 for a degenerate trace, inf for a 0 W low level
@@ -196,23 +189,11 @@ def _preamble_scores(sliced: np.ndarray, centers: np.ndarray, start: int, stop: 
 
 
 def recover_bits(
-    trace: EnvelopeTrace, bit_rate_hz: float, threshold_dbm: float
-) -> tuple[np.ndarray, int]:
-    """``_recover_bits`` at threshold_dbm, converted to watts as a dBm
-    trace's samples are; a threshold that is no finite power in watts (NaN,
-    +inf, past the float range) is a ``ValueError``."""
-    with np.errstate(over="ignore"):
-        threshold_w = float(samples_to_watts([threshold_dbm])[0])
-    if not threshold_w < math.inf:
-        raise ValueError(f"{threshold_dbm!r} dBm is not a finite power in watts")
-    return _recover_bits(trace, bit_rate_hz, threshold_w)
-
-
-def _recover_bits(
     trace: EnvelopeTrace, bit_rate_hz: float, threshold_w: float
 ) -> tuple[np.ndarray, int]:
-    """Slice ``trace.watts`` at threshold_w and acquire bit sync on the
-    frame preamble.
+    """Slice ``trace.watts`` at threshold_w (a sample equal to it slices
+    low) and acquire bit sync on the frame preamble. A threshold_w that is
+    NaN, inf or below 0 W, as a dBm figure mostly is, is a ``ValueError``.
 
     Returns (bits, sync_offset): bits sampled at bit centers starting at the
     first sample offset where at least 15 of the 16 preamble bits match, and
@@ -222,6 +203,8 @@ def _recover_bits(
     block that holds a match, so the temporaries stay bounded whatever the
     trace length.
     """
+    if not 0.0 <= threshold_w < math.inf:
+        raise ValueError(f"threshold {threshold_w!r} W is not a finite power >= 0 W")
     if len(trace) == 0:
         raise EmptyTrace("cannot recover bits from an empty trace")
     check_oversampling(trace.sample_rate_hz, bit_rate_hz)
@@ -293,12 +276,13 @@ def decode_frame(
 
 
 def decode_trace(trace: EnvelopeTrace, bit_rate_hz: float) -> DecodeResult:
-    """Full demodulation chain for one trace; sync failure becomes a
-    no_sync result instead of an exception; sliced in watts."""
-    threshold_w, dr = _levels(trace)
+    """Full demodulation chain for one trace: measure_levels, then
+    recover_bits at its threshold in watts, which the result holds in dBm.
+    Sync failure becomes a no_sync result instead of an exception."""
+    threshold_w, dr = measure_levels(trace)
     threshold = watts_to_dbm(threshold_w)
     try:
-        bits, sync_offset = _recover_bits(trace, bit_rate_hz, threshold_w)
+        bits, sync_offset = recover_bits(trace, bit_rate_hz, threshold_w)
     except NoSync:
         return DecodeResult(
             status=NO_SYNC,

@@ -127,21 +127,12 @@ def frame_to_bits(frame: Frame) -> np.ndarray:
     return np.concatenate([FRAME_HEADER_BITS, payload_bits])
 
 
-def samples_to_watts(samples_dbm) -> np.ndarray:
-    """``channel.dbm_to_watts`` of each dBm value, in a new float64 array, on
-    numpy's power kernel, so that a trace and a threshold in dBm convert
-    alike (numpy's AVX-512 kernel and libm's ``pow`` differ in the last bit
-    of some powers)."""
-    watts = np.subtract(samples_dbm, 30.0, dtype=np.float64)
-    watts /= 10.0
-    return np.power(10.0, watts, out=watts)
-
-
 class EnvelopeTrace:
     """Uniformly sampled received-power envelope, held in the unit it was
     built in: watts from the render (``from_watts``), else dBm. The other
     view, ``watts`` or ``samples`` (dBm), is computed on first read and
-    kept. Setting ``samples`` holds the array unchecked and drops the watts."""
+    kept. Either view is a finite float64 array; the meta is ASCII and
+    holds no line break that ``str.splitlines`` would split at."""
 
     def __init__(self, sample_rate_hz: float, samples, meta: str = "") -> None:
         if not sample_rate_hz > 0:
@@ -151,8 +142,8 @@ class EnvelopeTrace:
             raise ValueError("samples must be one-dimensional")
         if samples.size and not np.isfinite(samples).all():
             raise ValueError("trace samples must be finite (no NaN/Inf)")
-        if "\n" in meta:
-            raise ValueError("meta must not contain newlines")
+        if meta.splitlines() not in ([], [meta]):  # read_trace splits lines there
+            raise ValueError("meta must not contain line breaks")
         if not meta.isascii():
             raise ValueError("meta must be ASCII, as the trace file is")
         self.sample_rate_hz, self.meta = sample_rate_hz, meta
@@ -174,15 +165,14 @@ class EnvelopeTrace:
             self._dbm = np.log10(self._watts) * 10.0 + 30.0
         return self._dbm
 
-    @samples.setter
-    def samples(self, samples: np.ndarray) -> None:
-        self._dbm, self._watts = samples, None
-
     @property
     def watts(self) -> np.ndarray:
-        """The envelope in watts, as the monitor clusters and slices it."""
+        """The envelope in watts, as the monitor clusters and slices it:
+        ``channel.dbm_to_watts`` of each dBm sample, on numpy's power kernel."""
         if self._watts is None:
-            self._watts = samples_to_watts(self._dbm)
+            watts = np.subtract(self._dbm, 30.0, dtype=np.float64)
+            watts /= 10.0
+            self._watts = np.power(10.0, watts, out=watts)
         return self._watts
 
     def __len__(self) -> int:
@@ -328,12 +318,10 @@ def _sample_chunks(samples: np.ndarray):
     import orjson  # here, so that only writing a trace loads it
 
     for start in range(0, samples.size, TRACE_CHUNK_SAMPLES):
-        # orjson takes only C-contiguous arrays, and reads their items in the
-        # dtype they have; a trace may be a view, or samples set after it was made
-        chunk = samples[start : start + TRACE_CHUNK_SAMPLES]
-        chunk = np.ascontiguousarray(chunk, dtype=np.float64)
+        # orjson takes only C-contiguous arrays, and a trace's finite float64
+        # samples may be a strided view
+        chunk = np.ascontiguousarray(samples[start : start + TRACE_CHUNK_SAMPLES])
         mag = np.abs(chunk)
-        # NaN fails every comparison, so a chunk holding one goes through repr too
         if ((mag >= REPR_EXACT_MIN) & (mag < REPR_EXACT_MAX) | (mag == 0.0)).all():
             # "[a,b,c]" -> "a\nb\nc\n"
             text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)
@@ -354,24 +342,29 @@ def write_trace(trace: EnvelopeTrace, path) -> None:
 def read_trace(path) -> EnvelopeTrace:
     """Read the trace file about 64 KB of whole lines at a time, split as
     str.splitlines splits them: the header, then one sample per non-blank
-    line, converted as they come so only the samples array is held. A line
-    that is not one finite float is a TraceFormatError."""
+    line, converted as they come so only the samples array is held. A byte
+    that is not ASCII, a header without a sample rate > 0 that is finite as a
+    float, or a line that is not one finite float is a TraceFormatError."""
     with open(path, encoding="ascii") as f:
         blocks = iter(lambda: "".join(f.readlines(1 << 16)), "")
         lines = chain.from_iterable(map(str.splitlines, blocks))
-        header = next(lines, None)
+        try:
+            header = next(lines, None)
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"trace file is not ASCII: {exc}") from None
         if header is None:
             raise TraceFormatError("empty trace file")
         m = _HEADER_RE.match(header)
-        if m is None:
+        rate = float(m.group(1)) if m else 0.0  # float(int(digits)), or inf past the range
+        if not 0.0 < rate < np.inf:
             raise TraceFormatError(f"bad trace header: {header!r}")
         try:
             samples = np.fromiter(map(float, filter(None, lines)), dtype=np.float64)
-        except ValueError as exc:
+        except ValueError as exc:  # also a byte past the first block that is not ASCII
             raise TraceFormatError(f"bad sample line: {exc}") from None
     finite = np.isfinite(samples)
     if not finite.all():
         i = int(finite.argmin())
         value = float(samples[i])
         raise TraceFormatError(f"bad sample line: samples[{i}] is {value!r}, not finite")
-    return EnvelopeTrace(sample_rate_hz=float(int(m.group(1))), samples=samples, meta=m.group(2))
+    return EnvelopeTrace(sample_rate_hz=rate, samples=samples, meta=m.group(2))

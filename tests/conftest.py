@@ -2,21 +2,23 @@
 
 import pytest
 
-from wptsec import channel, monitor
+from wptsec import channel, cli, monitor
 
 
 @pytest.fixture
 def clustering_calls(monkeypatch):
-    """Traces handed to the 2-means clustering, counted wherever it runs:
-    measure_levels and decode_trace both cluster through monitor._levels."""
+    """Traces handed to the 2-means clustering, measure_levels, counted
+    wherever it is bound: in the monitor, whose decode_trace runs it, and in
+    the CLI, whose probe rows run it."""
     calls = []
-    levels = monitor._levels
+    levels = monitor.measure_levels
 
     def counting(trace):
         calls.append(trace)
         return levels(trace)
 
-    monkeypatch.setattr(monitor, "_levels", counting)
+    for module in (monitor, cli):
+        monkeypatch.setattr(module, "measure_levels", counting)
     return calls
 
 

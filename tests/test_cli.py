@@ -2,11 +2,13 @@
 
 import collections
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
 from wptsec import cli, protocol
+from wptsec.channel import watts_to_dbm
 from wptsec.cli import CSV_COLUMNS, format_csv, main, point_seed, run_experiment
 from wptsec.config import (
     build_monitor,
@@ -127,8 +129,8 @@ class TestRunExperiment:
     def test_probe_point_clusters_once(self, clustering_calls):
         rows, _ = run_experiment(load_preset("wired"))
         assert len(clustering_calls) == 1
-        threshold_dbm, dr_db = measure_levels(clustering_calls[0])
-        assert rows[0]["threshold_dbm"] == threshold_dbm
+        threshold_w, dr_db = measure_levels(clustering_calls[0])
+        assert rows[0]["threshold_dbm"] == watts_to_dbm(threshold_w)
         assert rows[0]["dr_db"] == dr_db
 
     def test_int_sweep_rows_carry_the_applied_int(self):
@@ -270,7 +272,8 @@ class TestEmitTrace:
             levels = (result.threshold_dbm, result.measured_dr_db)
             assert levels == pytest.approx(want, rel=0.0, abs=1e-12)
         else:
-            assert measure_levels(trace) == want
+            threshold_w, dr_db = measure_levels(trace)
+            assert (watts_to_dbm(threshold_w), dr_db) == want
 
     def test_sweep_whose_first_node_never_woke_writes_no_trace(self, tmp_path, capsys):
         # -15 dBm never wakes the node: the first row has no trace to write,
@@ -747,3 +750,28 @@ class TestOneRunPerRow:
             argv += ["--trace-out", str(trace_path)]
         assert main(argv) == 0
         assert sizes == ([len(read_trace(trace_path))] if trace else [])
+
+    @pytest.mark.parametrize("protocol_on", ["true", "false"])
+    def test_a_rows_trace_is_freed_before_the_next_point_runs(
+        self, tmp_path, monkeypatch, protocol_on
+    ):
+        # the first row's trace, written or not, and every later one: a
+        # sweep holds one point's trace at a time
+        held = []
+        run_point = cli._run_point
+
+        def recording(cfg, seed):
+            assert [ref() for ref in held] == [None] * len(held)
+            cells, trace = run_point(cfg, seed)
+            held.append(weakref.ref(trace))
+            return cells, trace
+
+        monkeypatch.setattr(cli, "_run_point", recording)
+        cfg = load_config(
+            f"setup=anechoic\nprotocol.enabled={protocol_on}\n"
+            "sweep.param=channel.p_tx_dbm\nsweep.values=24,20,22\n"
+        )
+        for trace_out in (None, tmp_path / "t.txt"):
+            held.clear()
+            run_experiment(cfg, trace_out)
+            assert len(held) == 3

@@ -69,11 +69,11 @@ class TestThreshold:
     def test_two_valued_trace(self):
         # hand-computed: midpoint of 1e-7 W and 1e-8 W is 5.5e-8 W
         trace = two_level_trace(12, 20)
-        assert measure_levels(trace)[0] == pytest.approx(-42.59637310505755, abs=1e-9)
+        assert measure_levels(trace)[0] == pytest.approx(5.5e-8, rel=1e-12)
 
     def test_constant_trace_degenerate(self):
         trace = EnvelopeTrace(16e3, np.full(64, -47.3))
-        assert measure_levels(trace)[0] == pytest.approx(-47.3, abs=1e-9)
+        assert measure_levels(trace)[0] == trace.watts[0]
         result = decode_trace(trace, 1e3)
         assert result.status == NO_SYNC
 
@@ -89,15 +89,16 @@ class TestThreshold:
         rng = np.random.default_rng(9)
         shuffled = EnvelopeTrace(16e3, rng.permutation(trace.samples))
         assert measure_levels(shuffled)[0] == pytest.approx(
-            measure_levels(trace)[0], abs=1e-9
+            measure_levels(trace)[0], rel=1e-10
         )
 
     def test_offset_shift(self):
+        # +7.25 dB on every sample scales every power, and so the threshold
         noise = NoiseSpec(-65.0, rng_seed=5)
         trace = synthesize_envelope([1, 0] * 16, -40.0, -52.0, 1e3, 16e3, noise)
         shifted = EnvelopeTrace(16e3, trace.samples + 7.25)
         assert measure_levels(shifted)[0] == pytest.approx(
-            measure_levels(trace)[0] + 7.25, abs=1e-9
+            measure_levels(trace)[0] * 10.0**0.725, rel=1e-10
         )
         assert measure_levels(shifted)[1] == pytest.approx(
             measure_levels(trace)[1], abs=1e-9
@@ -121,9 +122,10 @@ class TestDynamicRange:
     def test_zero_watt_low_level_is_an_infinite_range(self):
         # -3300 dBm is 0.0 W once converted; the range divided by it and
         # raised ZeroDivisionError
-        threshold, dr = measure_levels(two_level_trace(8, 8, p_high=-50.0, p_low=-3300.0))
+        levels = two_level_trace(8, 8, p_high=-50.0, p_low=-3300.0)
+        threshold, dr = measure_levels(levels)
         assert dr == math.inf
-        assert threshold == watts_to_dbm(0.5 * dbm_to_watts(-50.0))
+        assert threshold == 0.5 * levels.watts[0] and levels.watts[-1] == 0.0
         bits = frame_to_bits(build_frame(b"\x5a\xc3", 1e3))
         trace = EnvelopeTrace(16e3, np.repeat(np.where(bits, -50.0, -3300.0), 16))
         result = decode_trace(trace, 1e3)
@@ -184,7 +186,7 @@ class TestLevelOverflow:
         trace = EnvelopeTrace(16e3, np.full(10_000, p_dbm))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert measure_levels(trace) == (watts_to_dbm(dbm_to_watts(p_dbm)), 0.0)
+            assert measure_levels(trace) == (trace.watts[0], 0.0) != (math.inf, 0.0)
 
     def test_midpoint_rounded_up_to_the_high_level(self):
         # 3 and 4 times the least subnormal watt: their midpoint, 3.5, rounds
@@ -196,7 +198,7 @@ class TestLevelOverflow:
             warnings.simplefilter("error")
             threshold, dr = measure_levels(trace)
             assert decode_trace(trace, 1e3).status == NO_SYNC
-        assert threshold == hi
+        assert threshold == 4 * 5e-324
         assert dr == 10.0 * math.log10(4 / 3)
 
 
@@ -215,9 +217,10 @@ class TestRecoverBits:
         trace = clean_frame_trace(payload)
         pad = np.full(round(3.7 * oversampling), -50.0)
         padded = EnvelopeTrace(trace.sample_rate_hz, np.concatenate([pad, trace.samples]))
-        threshold_dbm, dr_db = measure_levels(padded)
-        bits, sync_offset = recover_bits(padded, bit_rate, threshold_dbm)
+        threshold_w, dr_db = measure_levels(padded)
+        bits, sync_offset = recover_bits(padded, bit_rate, threshold_w)
         assert sync_offset > 0
+        threshold_dbm = watts_to_dbm(threshold_w)
         result = decode_frame(bits, sync_offset, measured_dr_db=dr_db, threshold_dbm=threshold_dbm)
         assert result.status == DECODED
         assert result.payload == payload
@@ -236,33 +239,30 @@ class TestRecoverBits:
         with pytest.raises(UndersampledError):
             recover_bits(trace, 20e3, measure_levels(trace)[0])
 
-    @pytest.mark.parametrize("threshold_dbm", [3200.0, 1e300, math.inf, math.nan])
-    def test_threshold_that_is_no_power_in_watts_is_a_value_error(self, threshold_dbm):
-        # the threshold is sliced in watts; past the float range its
-        # conversion raised OverflowError
+    @pytest.mark.parametrize("threshold_w", [math.nan, math.inf, -1e-9, -35.0])
+    def test_threshold_that_is_no_power_in_watts_is_a_value_error(self, threshold_w):
+        # the threshold is sliced in watts: a negative one, such as a dBm
+        # figure passed by mistake, sliced every sample high
         trace = clean_frame_trace(b"\x5a")
-        with pytest.raises(ValueError, match="dBm is not a finite power in watts"):
-            recover_bits(trace, 20e3, threshold_dbm)
+        with pytest.raises(ValueError, match="is not a finite power >= 0 W"):
+            recover_bits(trace, 20e3, threshold_w)
 
     def test_sample_equal_to_the_threshold_slices_low(self):
-        # the threshold goes to watts as the trace's dBm samples do, so a low
-        # level equal to it in dBm is equal to it in watts, not above it.
-        # Python's float power (libm) gives some powers one bit below
-        # numpy's AVX-512 kernel; every such threshold of the pool is tried
-        pool = np.random.default_rng(8).uniform(-90.0, 0.0, 20_000)
-        numpy_w = 10.0 ** ((pool - 30.0) / 10.0)
-        above_libm = [t for t, w in zip(pool.tolist(), numpy_w) if w > dbm_to_watts(t)]
+        # a low level equal to the threshold is not above it, from the least
+        # subnormal watt to a tenth of the float range
+        pool = 10.0 ** np.random.default_rng(8).uniform(-12.0, -3.0, 50)
         bits = frame_to_bits(build_frame(b"\x5a", 20e3))
-        for threshold in pool[:50].tolist() + above_libm:
-            samples = np.repeat(np.where(bits, threshold + 10.0, threshold), 16)
-            got, sync_offset = recover_bits(EnvelopeTrace(320e3, samples), 20e3, threshold)
+        for threshold in pool.tolist() + [5e-324, 1e-310, sys.float_info.max / 10.0]:
+            watts = np.repeat(np.where(bits, 10.0 * threshold, threshold), 16)
+            trace = EnvelopeTrace.from_watts(320e3, watts)
+            got, sync_offset = recover_bits(trace, 20e3, threshold)
             assert sync_offset == 0 and np.array_equal(got, bits)
 
-    def test_threshold_of_minus_inf_dbm_is_zero_watts(self):
+    def test_threshold_of_zero_watts_gives_no_sync(self):
         # every sample is above 0 W, so none alternates like the preamble
         trace = clean_frame_trace(b"\x5a")
         with pytest.raises(NoSync):
-            recover_bits(trace, 20e3, -math.inf)
+            recover_bits(trace, 20e3, 0.0)
 
 
 class TestDecodeFrame:
@@ -331,7 +331,38 @@ class TestSinglePass:
             result = decode_trace(trace, bit_rate)
             assert len(clustering_calls) == 1
             assert result.status == status
-            assert (result.threshold_dbm, result.measured_dr_db) == measure_levels(trace)
+            threshold_w, dr_db = measure_levels(trace)
+            assert (result.threshold_dbm, result.measured_dr_db) == (
+                watts_to_dbm(threshold_w),
+                dr_db,
+            )
+
+    def test_decode_trace_runs_each_public_stage_once(self, monkeypatch):
+        # the stages decode_trace runs are the ones a tracer can wrap: the
+        # threshold measure_levels gives in watts is the one recover_bits slices at
+        calls = []
+
+        def recorded(name):
+            stage = getattr(monitor, name)
+
+            def wrapper(*args):
+                calls.append((name, args))
+                return stage(*args)
+
+            return wrapper
+
+        for name in ("measure_levels", "recover_bits"):
+            monkeypatch.setattr(monitor, name, recorded(name))
+        decoded = clean_frame_trace(b"\x5a\xc3")
+        flat = EnvelopeTrace(16e3, np.full(64, -47.3))
+        for trace, bit_rate, status in ((decoded, 20e3, DECODED), (flat, 1e3, NO_SYNC)):
+            calls.clear()
+            assert decode_trace(trace, bit_rate).status == status
+            threshold_w = measure_levels(trace)[0]
+            assert calls == [
+                ("measure_levels", (trace,)),
+                ("recover_bits", (trace, bit_rate, threshold_w)),
+            ]
 
     def test_rendered_watts_are_read_not_written(self):
         # the clustering and the slicing work on the render's own array
@@ -553,7 +584,7 @@ def oracle_measure_levels(trace, max_passes=100):
     when they no longer move."""
     if len(trace) == 0:
         raise EmptyTrace("cannot analyze an empty trace")
-    lin = 10.0 ** ((trace.samples - 30.0) / 10.0)
+    lin = trace.watts
     c_lo = float(lin.min())
     c_hi = float(lin.max())
     if c_lo != c_hi:
@@ -564,14 +595,14 @@ def oracle_measure_levels(trace, max_passes=100):
             if new_lo == c_lo and new_hi == c_hi:
                 break
             c_lo, c_hi = new_lo, new_hi
-    threshold_dbm = 10.0 * math.log10(0.5 * (c_lo + c_hi)) + 30.0
-    return threshold_dbm, 0.0 if c_lo == c_hi else 10.0 * math.log10(c_hi / c_lo)
+    threshold_w = 0.5 * (c_lo + c_hi)
+    return threshold_w, 0.0 if c_lo == c_hi else 10.0 * math.log10(c_hi / c_lo)
 
 
-def oracle_recover_bits(trace, bit_rate_hz, threshold_dbm):
+def oracle_recover_bits(trace, bit_rate_hz, threshold_w):
     if len(trace) == 0:
         raise EmptyTrace("cannot recover bits from an empty trace")
-    sliced = (trace.samples > threshold_dbm).astype(np.uint8)
+    sliced = (trace.watts > threshold_w).astype(np.uint8)
 
     def centers_of(n_bits):
         return np.rint((np.arange(n_bits) + 0.5) * spb).astype(np.int64)
@@ -604,9 +635,9 @@ def outcome(fn, *args):
         return type(exc)
 
 
-def assert_same_decode(trace, bit_rate_hz, threshold_dbm):
-    got = outcome(recover_bits, trace, bit_rate_hz, threshold_dbm)
-    want = outcome(oracle_recover_bits, trace, bit_rate_hz, threshold_dbm)
+def assert_same_decode(trace, bit_rate_hz, threshold_w):
+    got = outcome(recover_bits, trace, bit_rate_hz, threshold_w)
+    want = outcome(oracle_recover_bits, trace, bit_rate_hz, threshold_w)
     if isinstance(want, type):
         assert got is want
     else:
@@ -641,7 +672,7 @@ class TestDifferentialDecode:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         capture=captures(),
-        threshold=st.one_of(st.none(), st.floats(-45.0, -25.0, allow_nan=False)),
+        threshold=st.one_of(st.none(), st.floats(-45.0, -25.0).map(dbm_to_watts)),
     )
     def test_matches_loop_oracle(self, capture, threshold):
         trace, bit_rate = capture
@@ -649,7 +680,7 @@ class TestDifferentialDecode:
         want_levels = outcome(oracle_measure_levels, trace)
         if isinstance(want_levels, type):
             assert levels is want_levels
-            threshold = -35.0 if threshold is None else threshold
+            threshold = dbm_to_watts(-35.0) if threshold is None else threshold
         else:
             assert repr(levels) == repr(want_levels)
             threshold = levels[0] if threshold is None else threshold
@@ -758,7 +789,7 @@ def test_recover_bits_memory_per_sample():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        bits, sync_offset = recover_bits(trace, 20e3, -35.0)
+        bits, sync_offset = recover_bits(trace, 20e3, dbm_to_watts(-35.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wptsec.channel import NoiseSpec
+from wptsec.channel import NoiseSpec, dbm_to_watts
 from wptsec.errors import (
     BitRateTooHigh,
     InvertedLevels,
@@ -51,7 +51,7 @@ GOOD_TRACE = synthesize_envelope(
 RATE_ENTRY_POINTS = {
     "decode_trace": lambda br, k: decode_trace(EnvelopeTrace(k * 20e3, GOOD_TRACE.samples), br),
     "recover_bits": lambda br, k: recover_bits(
-        EnvelopeTrace(k * 20e3, GOOD_TRACE.samples), br, -45.0
+        EnvelopeTrace(k * 20e3, GOOD_TRACE.samples), br, dbm_to_watts(-45.0)
     ),
     "synthesize_envelope": lambda br, k: synthesize_envelope(
         [1, 0, 1], -40.0, -50.0, br, k * 20e3, SILENT
@@ -367,7 +367,7 @@ class TestTrace:
         assert len(trace) == watts.size == samples.size == 64
 
     def test_dbm_trace_watts_are_the_power_expression(self):
-        # the monitor's reference clustering raises the same expression
+        # channel.dbm_to_watts's expression, on numpy's power kernel
         rng = np.random.default_rng(4)
         samples = np.concatenate([rng.normal(-60.0, 40.0, 5000), [-3300.0, 0.0, 30.0, 3000.0]])
         before = samples.copy()
@@ -376,13 +376,6 @@ class TestTrace:
             assert watts.tobytes() == (10.0 ** ((dbm - 30.0) / 10.0)).tobytes()
             assert not np.shares_memory(watts, samples)
         assert samples.tobytes() == before.tobytes()
-
-    def test_setting_samples_drops_the_kept_watts(self):
-        trace = EnvelopeTrace(1e3, np.array([30.0, 40.0]))
-        assert trace.watts.tolist() == [1.0, 10.0]
-        trace.samples = np.array([50.0])
-        assert trace.watts.tolist() == [100.0]
-        assert len(trace) == 1
 
     @pytest.mark.parametrize("watts", [[1e-3, 0.0], [-1e-3], [np.inf], [np.nan]])
     def test_from_watts_rejects_powers_without_a_finite_dbm_figure(self, watts):
@@ -454,6 +447,56 @@ class TestTraceFile:
         with pytest.raises(TraceFormatError, match=want):
             read_trace(path)
 
+    def test_every_accepted_meta_reads_back(self, tmp_path):
+        # str.splitlines splits at \r, \x0b, \x0c and \x1c-\x1e as well as
+        # at \n: a meta holding one was written, then read back as a bad
+        # sample line
+        path = tmp_path / "t.txt"
+        for meta in [f"a{chr(code)}b" for code in range(128)] + ["ab\r", "\x0c", "a\r\nb"]:
+            try:
+                trace = EnvelopeTrace(1e3, np.array([-40.0]), meta=meta)
+            except ValueError as exc:
+                assert meta.splitlines() != [meta]
+                assert str(exc) == "meta must not contain line breaks"
+                continue
+            write_trace(trace, path)
+            assert read_trace(path).meta == meta
+
+    def test_zero_rate_is_a_format_error(self, tmp_path):
+        # the trace's own check raised a plain ValueError
+        path = tmp_path / "t.txt"
+        path.write_text("sample_rate_hz=0,unit=dbm,meta=x\n-40.0\n", encoding="ascii")
+        with pytest.raises(TraceFormatError, match="bad trace header"):
+            read_trace(path)
+
+    def test_rate_past_the_float_range_is_a_format_error(self, tmp_path):
+        # 400 digits raised OverflowError, which is no ValueError; 308 nines
+        # are still a float
+        path = tmp_path / "t.txt"
+        for digits, ok in ((400, False), (308, True)):
+            header = f"sample_rate_hz={'9' * digits},unit=dbm,meta=x\n"
+            path.write_text(header + "-40.0\n", encoding="ascii")
+            if ok:
+                assert read_trace(path).sample_rate_hz == float("9" * digits)
+            else:
+                with pytest.raises(TraceFormatError, match="bad trace header"):
+                    read_trace(path)
+
+    def test_byte_that_is_not_ascii_is_a_format_error(self, tmp_path):
+        # in the header or in the first block of lines it raised
+        # UnicodeDecodeError; past the first block it is a bad sample line
+        path = tmp_path / "t.txt"
+        header = b"sample_rate_hz=16000,unit=dbm,meta=x\n"
+        far = b"-40.0\n" * 20_000
+        for text in (
+            b"sample_rate_hz=16000,unit=dbm,meta=b\xc3\xa4nk\n-40.0\n",
+            header + b"-40.0\n\xff\n",
+            header + far + b"-4\x800\n",
+        ):
+            path.write_bytes(text)
+            with pytest.raises(TraceFormatError):
+                read_trace(path)
+
     def test_non_integral_rate_rejected(self, tmp_path):
         trace = EnvelopeTrace(16000.5, np.array([-40.0]))
         path = tmp_path / "t.txt"
@@ -506,12 +549,6 @@ class TestTraceFile:
         write_trace(trace, path)
         assert path.read_bytes() == self._repr_file(trace).encode("ascii")
         assert np.array_equal(read_trace(path).samples, samples[::2])
-        # and so do samples set after the trace was made: another byte order,
-        # or values the trace would reject
-        for bypass in (samples.astype(">f8"), np.array([-40.0, np.nan, np.inf, -np.inf])):
-            trace.samples = bypass
-            write_trace(trace, path)
-            assert path.read_bytes() == self._repr_file(trace).encode("ascii")
 
     def test_write_memory_does_not_grow_with_length(self, tmp_path):
         samples = np.random.default_rng(5).uniform(-90, -20, size=250_000)
