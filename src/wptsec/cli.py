@@ -19,20 +19,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import watts_to_dbm
+from .channel import LinkScenario, watts_to_dbm
 from .config import (
     PRESET_SUMMARIES,
     PRESETS,
     ScenarioConfig,
-    build_point,
+    build_monitor,
+    build_node,
     build_tables,
     load_config,
     load_preset,
-    validated,
 )
 from .errors import EmptyTrace, ParseError, ValidationError
 from .monitor import measure_levels
-from .protocol import Attacker, run_session
+from .protocol import Attacker, PvkTable, run_session
 from .waveform import EnvelopeTrace, render_envelope, write_trace
 
 CSV_COLUMNS = (
@@ -88,24 +88,24 @@ def _payload_ber(expected: bytes | None, got: bytes | None) -> float | None:
     return float(np.unpackbits(diff).sum() / (8 * len(expected)))
 
 
-def _run_point(cfg: ScenarioConfig, seed: int) -> tuple[dict, EnvelopeTrace | None]:
-    """The measured cells of one point's row, and the trace they were
-    measured on: the alternating CMD probe when the protocol is off,
-    otherwise the keyed session's own trace on freshly provisioned tables
-    (None when the node never woke)."""
-    tables = build_tables(cfg) if cfg.protocol_enabled else None
-    scenario, monitor, node = build_point(cfg, seed, tables)
-    if node is None:
+def _run_point(cfg: ScenarioConfig, link: LinkScenario) -> tuple[dict, EnvelopeTrace | None]:
+    """The measured cells of one point's row, run on ``link``, and the trace
+    they were measured on: the alternating CMD probe when the protocol is
+    off, otherwise the keyed session's own trace on freshly provisioned
+    tables (None when the node never woke)."""
+    if not cfg.protocol_enabled:
         bits = np.zeros(cfg.probe_bits, dtype=np.uint8)
         bits[::2] = 1
-        trace = render_envelope(scenario, bits, cfg.bit_rate_hz, monitor.sample_rate_hz)
+        sample_rate_hz = build_monitor(cfg, PvkTable([])).sample_rate_hz
+        trace = render_envelope(link, bits, cfg.bit_rate_hz, sample_rate_hz)
         threshold_w, dr_db = measure_levels(trace)
         return dict(dr_db=dr_db, threshold_dbm=watts_to_dbm(threshold_w), status="ok"), trace
+    node_table, monitor_table = build_tables(cfg)
     log = run_session(
-        scenario,
-        node,
+        link,
+        build_node(cfg, node_table),
         Attacker(kind=cfg.attacker),
-        monitor,
+        build_monitor(cfg, monitor_table),
         dt_s=cfg.dt_s,
         max_time_s=cfg.max_time_s,
         key_policy=cfg.key_policy,
@@ -122,33 +122,27 @@ def _run_point(cfg: ScenarioConfig, seed: int) -> tuple[dict, EnvelopeTrace | No
     return cells, log.trace
 
 
-def _points(cfg: ScenarioConfig):
-    """(point config, sweep value, seed) of each row, in row order: one per
-    sweep value in ascending order, or the config itself with value None.
-    The value is the one the point runs with, so an int key's is an int."""
-    if cfg.sweep_param is None:
-        yield cfg, None, point_seed(cfg.seed, 0)
-        return
-    for i, value in enumerate(sorted(cfg.sweep_values)):
-        point_cfg = cfg.with_override(cfg.sweep_param, value)
-        yield point_cfg, point_cfg.scalar(cfg.sweep_param), point_seed(cfg.seed, i)
-
-
 def run_experiment(cfg: ScenarioConfig, trace_out=None) -> tuple[list[dict], Summary]:
     """Execute the configured sweep (or single point) and evaluate the
     scenario's built-in checks.
 
-    A failing sweep point becomes a row with an error status, never a crash;
-    rows are ordered by sweep value. With ``trace_out``, the first row's own
-    trace is written to that path as soon as the row is measured (see
-    _write_first_trace); an ``OSError`` while writing it propagates.
+    Rows run the points ``cfg.points`` built, in ascending sweep value, so
+    a config ``load_config`` refuses raises its ValidationError here; a
+    point that fails at run time becomes an error row, never a crash. With
+    ``trace_out``, the first row's own trace is written to that path as
+    soon as the row is measured (see _write_first_trace); an ``OSError``
+    while writing it propagates.
     """
     rows, trace_failed = [], ()
-    for point_cfg, value, seed in _points(cfg):
+    key = cfg.sweep_param
+    points = sorted(cfg.points, key=lambda p: p[0].scalar(key)) if key else cfg.points
+    for i, (point_cfg, link) in enumerate(points):
+        # the value the point runs with, so an int key's is an int
+        value = point_cfg.scalar(key) if key else None
         row = dict.fromkeys(CSV_COLUMNS)
-        row.update(sweep_param=cfg.sweep_param, sweep_value=value, seed=seed)
+        row.update(sweep_param=key, sweep_value=value, seed=point_seed(cfg.seed, i))
         try:
-            cells, trace = _run_point(point_cfg, seed)
+            cells, trace = _run_point(point_cfg, link.with_noise_seed(row["seed"]))
             row.update(cells)
         except Exception as exc:  # recorded, not raised: sweeps must finish
             row["status"] = f"error:{type(exc).__name__}"
@@ -270,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
             print("error: a config path or --preset is required", file=sys.stderr)
             return 2
         if args.seed is not None:
-            cfg = validated(dataclasses.replace(cfg, seed=args.seed))
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         rows, summary = run_experiment(cfg, args.trace_out)
         csv_text = format_csv(rows)
         if args.out:

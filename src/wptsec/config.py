@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,6 +137,45 @@ class ScenarioConfig:
         """Value of one scalar config key, as the point runs with it."""
         return getattr(self, _SCALAR_KEYS[key][0])
 
+    @functools.cached_property
+    def points(self) -> tuple[tuple["ScenarioConfig", LinkScenario], ...]:
+        """(point config, link) of each row, in config order, or a
+        ValidationError naming every violation. Once the schema holds, each
+        point must build (see build_point): this config, or each sweep value
+        set directly on it; the config's own swept value runs on no row."""
+        bad = _violations(self)
+        points = []
+        key = self.sweep_param
+        for value in () if bad else self.sweep_values or (None,):
+            point, swept = self, None
+            if value is not None:
+                if _SCALAR_KEYS[key][1] == "int" and not value.is_integer():
+                    bad.append(f"sweep.values: {value!r}: {key}: must be an integer")
+                    continue
+                point = self.with_override(key, value)
+                applied = point.scalar(key)
+                named = value if abs(applied) > 2**53 else applied  # too long to read: as given
+                swept = f"sweep.values: {named!r}: {key}"
+                check = _CHECKS[key]
+                if check is not None and not check[0](applied):
+                    bad.append(f"{swept}: {check[1].format(applied)}")
+                    continue
+            try:
+                points.append((point, build_point(point)))
+            except (ValueError, ArithmeticError) as exc:
+                # named by the keys the failed part reads, or by the sweep value
+                # if it reads the swept key; if not, it is the config's own
+                where, reason = exc.config_keys, exc
+                if not isinstance(exc, ValueError):  # a product past the float range
+                    reason = f"out of range ({type(exc).__name__}: {exc})"
+                if swept and {key, key.partition(".")[0]} & set(where.split(", ")):
+                    where = swept
+                if f"{where}: {reason}" not in bad:
+                    bad.append(f"{where}: {reason}")
+        if bad:
+            raise ValidationError(bad)
+        return tuple(points)
+
 
 _FIELDS = dataclasses.fields(ScenarioConfig)
 # key -> (attribute, kind); the float and int keys are the sweepable scalars
@@ -144,6 +184,7 @@ _SCHEMA: dict[str, tuple[str, str | tuple[str, ...]]] = {
 }
 _SCALAR_KEYS = {k: (a, t) for k, (a, t) in _SCHEMA.items() if t in ("float", "int")}
 _KEY_OF = {a: k for k, (a, _) in _SCHEMA.items()}
+_CHECKS = {f.metadata["key"]: f.metadata["check"] for f in _FIELDS}
 _COMMON_DEFAULTS = {
     f.name: f.metadata["preset"] for f in _FIELDS if f.metadata["preset"] is not None
 }
@@ -263,37 +304,11 @@ def _not_applicable(required, values: dict) -> str:
     return f"not applicable when {_KEY_OF[selector]} = {str(chosen).lower()}"
 
 
-def validated(cfg: ScenarioConfig) -> ScenarioConfig:
-    """``cfg`` itself, or a ValidationError naming every violation. Once the
-    schema holds, each point a row runs on must build: ``cfg`` itself or, on
-    a sweep, each sweep point, as ``cfg`` with its value set directly; the
-    config's own value of the swept key runs on no row."""
-    bad = _violations(cfg)
-    key = cfg.sweep_param
-    for value in () if bad else cfg.sweep_values or (None,):
-        if value is None:
-            bad += _build_failure(cfg)
-        elif _SCALAR_KEYS[key][1] == "int" and not value.is_integer():
-            bad.append(f"sweep.values: {value!r}: {key}: must be an integer")
-        else:
-            point = cfg.with_override(key, value)
-            named = point.scalar(key)
-            if abs(named) > 2**53:  # an int too long to read: name it as the config gives it
-                named = value
-            value_named = f"sweep.values: {named!r}"
-            why = [f"{value_named}: {v}" for v in _violations(point, key)]
-            swept = (key, f"{value_named}: {key}")
-            bad += why or [v for v in _build_failure(point, swept) if v not in bad]
-    if bad:
-        raise ValidationError(bad)
-    return cfg
-
-
-def _violations(cfg: ScenarioConfig, swept_key: str | None = None) -> list[str]:
-    """Every schema violation of ``cfg``, or of its ``swept_key`` alone."""
+def _violations(cfg: ScenarioConfig) -> list[str]:
+    """Every schema violation of ``cfg``."""
     values = vars(cfg)
     bad: list[str] = []
-    for f in (f for f in _FIELDS if swept_key in (None, f.metadata["key"])):
+    for f in _FIELDS:
         key, required, check = map(f.metadata.get, ("key", "required", "check"))
         value = values[f.name]
         why = _not_applicable(required, values)
@@ -316,26 +331,9 @@ def _violations(cfg: ScenarioConfig, swept_key: str | None = None) -> list[str]:
     return bad
 
 
-def _build_failure(cfg: ScenarioConfig, swept: tuple[str, str] | None = None) -> list[str]:
-    """Why the point ``cfg`` does not build, named by the keys or section the
-    part that raised reads, or, when that part reads the swept key of
-    ``swept`` (the key, and how to name its value and key), as ``swept``
-    names it: a failure that does not is the config's own."""
-    try:
-        build_point(cfg)
-        return []
-    except (ValueError, ArithmeticError) as exc:
-        where, reason = exc.config_keys, exc
-        if not isinstance(exc, ValueError):  # a product past the float range
-            reason = f"out of range ({type(exc).__name__}: {exc})"
-    if swept and {swept[0], swept[0].partition(".")[0]} & set(where.split(", ")):
-        where = swept[1]
-    return [f"{where}: {reason}"]
-
-
 def load_config(source: str | Path) -> ScenarioConfig:
     """Parse config text (a ``str``) or a config file (a ``Path``) into a
-    validated ScenarioConfig."""
+    ScenarioConfig whose points (``ScenarioConfig.points``) all build."""
     text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
     values: dict = {f.name: None for f in _FIELDS}
     conversion_problems = []
@@ -356,7 +354,9 @@ def load_config(source: str | Path) -> ScenarioConfig:
     for f in sorted(_FIELDS, key=lambda f: f.metadata["required"] is not True):
         if values[f.name] is None and not _not_applicable(f.metadata["required"], values):
             values[f.name] = preset.get(f.name)
-    return validated(ScenarioConfig(**values))
+    cfg = ScenarioConfig(**values)
+    cfg.points  # judges each point a row runs on, and keeps its link for the run
+    return cfg
 
 
 def load_preset(name: str) -> ScenarioConfig:
@@ -368,23 +368,17 @@ def load_preset(name: str) -> ScenarioConfig:
 # --- builders ----------------------------------------------------------------
 
 
-class _Reading(contextlib.AbstractContextManager):
-    """Context that marks a ValueError or ArithmeticError raised inside as
-    raised by a part of a point's build that reads ``names`` (config
-    attributes, or a whole section), unless a narrower part marked it first."""
-
-    def __init__(self, *names: str):
-        self.names = names
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        if isinstance(exc, (ValueError, ArithmeticError)):
-            _mark(exc, self.names)
-
-
-def _mark(exc: Exception, names) -> None:
-    """Mark ``exc`` as raised by a part that reads ``names``, unless a
-    narrower part marked it first."""
-    vars(exc).setdefault("config_keys", ", ".join(_KEY_OF.get(n, n) for n in names))
+@contextlib.contextmanager
+def _reading(*names: str):
+    """Mark a ValueError or ArithmeticError raised inside as raised by a part
+    of a point's build that reads ``names`` (config attributes or a section;
+    none: unmarked), unless a narrower part marked it first."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        if names:
+            vars(exc).setdefault("config_keys", ", ".join(_KEY_OF.get(n, n) for n in names))
+        raise
 
 
 # the attributes that feed each term of a link's budget (LinkScenario names
@@ -403,30 +397,30 @@ _LINK_TERM_READS = {
 
 def _made(make, cfg: ScenarioConfig, *attrs: str, **kwargs):
     """``make`` called on the values of ``attrs`` in ``cfg``, which it reads."""
-    with _Reading(*attrs):
+    with _reading(*attrs):
         return make(*[getattr(cfg, a) for a in attrs], **kwargs)
 
 
-def build_point(cfg: ScenarioConfig, noise_seed: int | None = None, tables=None) -> tuple:
-    """(link, monitor, node) of one point, each built as its run needs it;
-    the node is None unless keyed, and it and the monitor hold ``tables``
-    (the node's, the monitor's; one empty one when None). What raises is
+def build_point(cfg: ScenarioConfig) -> LinkScenario:
+    """The link of one point, once each part its run builds has been judged:
+    the link, the monitor, the trace length and, when keyed, the session's
+    timing and event spacing, the table's shape and the node. What raises is
     marked with the config keys, or the section, that it reads."""
-    node_table, monitor_table = tables or (PvkTable([]),) * 2
-    with _Reading("channel"):
-        scenario = build_scenario(cfg, noise_seed)
-    with _Reading("bit_rate_hz", "oversampling"):
-        monitor = build_monitor(cfg, monitor_table)
+    with _reading("channel"):
+        scenario = build_scenario(cfg)
+    with _reading("bit_rate_hz", "oversampling"):
+        build_monitor(cfg, PvkTable([]))
     if not cfg.protocol_enabled:
         _made(check_trace_samples, cfg, "probe_bits", "oversampling")
-        return scenario, monitor, None
+        return scenario
     _made(check_session_timing, cfg, "dt_s", "max_time_s")
     _made(check_table_shape, cfg, "n_keys", "key_len_bytes")
     _made(check_event_spacing, cfg, "dt_s", "max_time_s", "bit_rate_hz", "key_len_bytes")
-    with _Reading("key_len_bytes", "oversampling"):
+    with _reading("key_len_bytes", "oversampling"):
         check_trace_samples(frame_bits(cfg.key_len_bytes), cfg.oversampling)
-    with _Reading("storage_capacity_j", "wake_threshold_j", "tx_cost_j_per_bit"):
-        return scenario, monitor, build_node(cfg, node_table)
+    with _reading("storage_capacity_j", "wake_threshold_j", "tx_cost_j_per_bit"):
+        build_node(cfg, PvkTable([]))
+    return scenario
 
 
 def build_scenario(cfg: ScenarioConfig, noise_seed: int | None = None) -> LinkScenario:
@@ -460,10 +454,10 @@ def build_scenario(cfg: ScenarioConfig, noise_seed: int | None = None) -> LinkSc
             **antennas,
         )
     except ValueError as exc:
-        if hasattr(exc, "link_term"):
-            feeds = [f.name for f in _FIELDS if f.name in _LINK_TERM_READS[exc.link_term]]
-            _mark(exc, [name for name in feeds if vars(cfg)[name] is not None])
-        raise
+        reads = _LINK_TERM_READS.get(getattr(exc, "link_term", None), ())
+        feeds = [f.name for f in _FIELDS if f.name in reads and vars(cfg)[f.name] is not None]
+        with _reading(*feeds):  # none unless the failure names its budget term
+            raise
 
 
 def build_tables(cfg: ScenarioConfig) -> tuple[PvkTable, PvkTable]:

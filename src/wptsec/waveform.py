@@ -135,8 +135,8 @@ class EnvelopeTrace:
     holds no line break that ``str.splitlines`` would split at."""
 
     def __init__(self, sample_rate_hz: float, samples, meta: str = "") -> None:
-        if not sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
+        if not 0 < sample_rate_hz < np.inf:  # write_trace spells it as an int
+            raise ValueError(f"sample_rate_hz must be > 0 and finite, got {sample_rate_hz}")
         samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")

@@ -469,6 +469,11 @@ class TestValidation:
             np.random.default_rng(3).integers(9)
         )
 
+    def test_negative_power_has_no_dbm_figure(self):
+        with pytest.raises(ValueError, match="negative power: -1e-06 W"):
+            watts_to_dbm(-1e-6)
+        assert watts_to_dbm(0.0) == -math.inf
+
     def test_antenna_gain_warning_not_error(self):
         with pytest.warns(UserWarning):
             AntennaSpec(40.0)

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from wptsec import cli, protocol
+from wptsec import cli, config, protocol
 from wptsec.channel import watts_to_dbm
 from wptsec.cli import CSV_COLUMNS, format_csv, main, point_seed, run_experiment
 from wptsec.config import (
@@ -18,6 +18,7 @@ from wptsec.config import (
     load_config,
     load_preset,
 )
+from wptsec.errors import ValidationError
 from wptsec.protocol import Attacker, run_session
 from wptsec.monitor import decode_trace, measure_levels
 from wptsec.waveform import read_trace
@@ -88,17 +89,44 @@ class TestRunExperiment:
         assert any(c.name == "dr_spread_le_0.1db" and c.passed for c in summary.checks)
 
     def test_failed_point_recorded_as_row(self):
-        # load_config rejects a 150 kHz sweep value, so the config is built
-        # directly to reach a point that fails at run time
+        # a 3100 dBm noise floor loads and renders, but its cluster sums pass
+        # the float range in watts
+        for protocol_on, ok in (("true", "decoded"), ("false", "ok")):
+            cfg = load_config(
+                f"setup=anechoic\nprotocol.enabled={protocol_on}\n"
+                "sweep.param=channel.noise_power_dbm\nsweep.values=3100,-90\n"
+            )
+            rows, summary = run_experiment(cfg)
+            assert [r["status"] for r in rows] == [ok, "error:LevelOverflow"]
+            assert not summary.all_passed
+
+    def test_config_the_load_refuses_is_refused_by_the_run(self):
+        # a 150 kHz sweep value used to give an error:BitRateTooHigh row when
+        # the config was built past load_config; the run judges its points
+        # as the load does
+        text = "setup=wired\nsweep.param=waveform.bit_rate_hz\nsweep.values=1000,150000\n"
+        with pytest.raises(ValidationError) as refused:
+            load_config(text)
         cfg = dataclasses.replace(
-            load_config("setup=wired\nsweep.param=waveform.bit_rate_hz\nsweep.values=1000\n"),
-            sweep_values=(1000.0, 150000.0),
+            load_config(text.replace(",150000", "")), sweep_values=(1000.0, 150000.0)
         )
-        rows, summary = run_experiment(cfg)
-        assert len(rows) == 2
-        assert rows[0]["status"] == "ok"
-        assert rows[1]["status"] == "error:BitRateTooHigh"
-        assert not summary.all_passed
+        with pytest.raises(ValidationError) as run:
+            run_experiment(cfg)
+        assert str(run.value) == str(refused.value)
+        assert "sweep.values: 150000.0: waveform.bit_rate_hz: bit rate" in str(run.value)
+
+    def test_sweep_with_no_dynamic_range_fails_the_spread_check(self):
+        # no node wakes at -15 or -14 dBm, so no row measured a level
+        cfg = "setup=anechoic\nsweep.param=channel.p_tx_dbm\nsweep.values=-15,-14\n"
+        rows, summary = run_experiment(load_config(cfg))
+        assert [r["status"] for r in rows] == ["wake_timeout"] * 2
+        spread = {c.name: c for c in summary.checks}["dr_spread_le_1.5db"]
+        assert not spread.passed and spread.detail == "no dynamic-range values"
+
+    def test_payload_of_another_length_is_all_errors(self):
+        assert cli._payload_ber(b"\x12\x34", b"\x12") == 1.0
+        assert cli._payload_ber(b"\x12\x34", b"\x12\x35") == 1 / 16
+        assert cli._payload_ber(b"\x12\x34", None) is None
 
     def test_node_that_never_woke_has_empty_levels(self):
         cfg = "setup=anechoic\nsweep.param=channel.p_tx_dbm\nsweep.values=-15,15\n"
@@ -298,6 +326,10 @@ class TestMain:
         assert main(["--list-presets"]) == 0
         out = capsys.readouterr().out
         assert "anechoic" in out and "wired" in out
+
+    def test_no_command_is_a_usage_error(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().err.startswith("usage: wptsec")
 
     def test_run_preset_exit_zero(self, tmp_path, capsys):
         out_csv = tmp_path / "out.csv"
@@ -752,6 +784,26 @@ class TestOneRunPerRow:
         assert sizes == ([len(read_trace(trace_path))] if trace else [])
 
     @pytest.mark.parametrize("protocol_on", ["true", "false"])
+    def test_each_point_builds_its_link_once(self, monkeypatch, protocol_on):
+        # the load builds each row's link and the run runs on it; the run
+        # used to build each point a second time
+        links = []
+        build = config.build_scenario
+
+        def recording(*args, **kwargs):
+            links.append(build(*args, **kwargs))
+            return links[-1]
+
+        monkeypatch.setattr(config, "build_scenario", recording)
+        cfg = load_config(
+            f"setup=anechoic\nprotocol.enabled={protocol_on}\n"
+            "sweep.param=channel.p_tx_dbm\nsweep.values=24,20,22\n"
+        )
+        rows, _ = run_experiment(cfg)
+        assert len(rows) == len(links) == 3
+        assert all(link is built for (_, link), built in zip(cfg.points, links))
+
+    @pytest.mark.parametrize("protocol_on", ["true", "false"])
     def test_a_rows_trace_is_freed_before_the_next_point_runs(
         self, tmp_path, monkeypatch, protocol_on
     ):
@@ -760,9 +812,9 @@ class TestOneRunPerRow:
         held = []
         run_point = cli._run_point
 
-        def recording(cfg, seed):
+        def recording(cfg, link):
             assert [ref() for ref in held] == [None] * len(held)
-            cells, trace = run_point(cfg, seed)
+            cells, trace = run_point(cfg, link)
             held.append(weakref.ref(trace))
             return cells, trace
 

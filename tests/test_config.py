@@ -346,6 +346,29 @@ class TestParsing:
         )
         assert cfg.efficiency_curve == ((-20.0, 0.1), (-10.0, 0.3), (0.0, 0.5))
 
+    def test_empty_chunk_in_a_curve_is_skipped(self):
+        cfg = load_config("setup=wired\nchannel.efficiency_curve = -20:0.1;; 0:0.5;")
+        assert cfg.efficiency_curve == ((-20.0, 0.1), (0.0, 0.5))
+
+    @pytest.mark.parametrize(
+        "lines, problem",
+        [
+            (
+                "channel.efficiency_curve = ;",
+                "line 2: channel.efficiency_curve: "
+                "efficiency curve needs at least one p_dbm:eta pair",
+            ),
+            (
+                "sweep.param = channel.p_tx_dbm\nsweep.values = ,",
+                "line 3: sweep.values: expected a comma-separated list of numbers",
+            ),
+        ],
+        ids=["curve", "sweep_values"],
+    )
+    def test_empty_list_rejected(self, lines, problem):
+        with pytest.raises(ParseError, match=f"^{re.escape(problem)}$"):
+            load_config(f"setup=wired\n{lines}")
+
 
 class TestValidation:
     def test_empty_custom_enumerates_missing(self):

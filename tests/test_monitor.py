@@ -188,6 +188,15 @@ class TestLevelOverflow:
             warnings.simplefilter("error")
             assert measure_levels(trace) == (trace.watts[0], 0.0) != (math.inf, 0.0)
 
+    def test_midpoint_past_the_float_range_raises(self):
+        # 1e308 W and 1.7e308 W are each finite, and so is either mean, but
+        # their sum is not
+        trace = EnvelopeTrace(16e3, np.array([3110.0, 3112.3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LevelOverflow, match=r"^levels of 1e\+308 and .* W sum past"):
+                measure_levels(trace)
+
     def test_midpoint_rounded_up_to_the_high_level(self):
         # 3 and 4 times the least subnormal watt: their midpoint, 3.5, rounds
         # to even, onto the high level, so every sample fell low and the high
@@ -570,6 +579,13 @@ class TestResultInvariants:
         ok = DecodeResult(DECODED, b"\x01", 0, 1.0, -40.0, 0)
         with pytest.raises(ValueError):
             AuthDecision(ACCEPTED, None, ok)
+
+    def test_unknown_status_and_verdict_rejected(self):
+        with pytest.raises(ValueError, match="unknown decode status: 'garbled'"):
+            DecodeResult("garbled", None, 0, 1.0, -40.0, None)
+        ok = DecodeResult(DECODED, b"\x01", 0, 1.0, -40.0, 0)
+        with pytest.raises(ValueError, match="unknown verdict: 'maybe'"):
+            AuthDecision("maybe", 0, ok)
 
 
 # --- differential oracles --------------------------------------------------

@@ -20,7 +20,7 @@ from wptsec.channel import (
     NoiseSpec,
     RectifierModel,
 )
-from wptsec.config import build_point, build_tables, load_preset
+from wptsec.config import build_monitor, build_node, build_scenario, build_tables, load_preset
 from wptsec.errors import TableCapacityError, TableExhausted, TableTooLarge
 from wptsec.monitor import (
     ACCEPTED,
@@ -31,6 +31,8 @@ from wptsec.monitor import (
     REJECTED_REPLAY,
     REJECTED_UNKNOWN_KEY,
     WAKE_TIMEOUT,
+    AuthDecision,
+    DecodeResult,
     decode_trace,
     verify,
 )
@@ -39,6 +41,8 @@ from wptsec.protocol import (
     MonitorConfig,
     NodeState,
     PvkTable,
+    SessionEvent,
+    SessionLog,
     fresh_session_scenario,
     generate_table,
     run_session,
@@ -702,7 +706,8 @@ class TestRunSession:
         # not strictly increasing
         cfg = load_preset("anechoic")
         node_table, monitor_table = build_tables(cfg)
-        scenario, monitor, node = build_point(cfg, tables=(node_table, monitor_table))
+        scenario = build_scenario(cfg)
+        node, monitor = build_node(cfg, node_table), build_monitor(cfg, monitor_table)
         with pytest.raises(ValueError, match="dt_s of 1e-300 s is lost next to the latest event"):
             run_session(scenario, node, Attacker(), monitor, dt_s=1e-300, max_time_s=30.0)
         assert node.stored_energy_j == 0.0
@@ -880,6 +885,22 @@ class TestStateValidation:
     def test_monitor_config_oversampling(self):
         with pytest.raises(ValueError):
             MonitorConfig(table=PvkTable(entries=[b"\x01"]), oversampling=4)
+
+    def test_table_entries_equal_only_codes_and_lists(self):
+        entries = PvkTable(entries=[b"\x01", b"\x02"]).entries
+        assert entries.__eq__(3) is NotImplemented
+        assert entries != 3 and entries == [b"\x01", b"\x02"]
+
+    def test_session_log_contract(self):
+        timeout = DecodeResult(WAKE_TIMEOUT, None, 0, None, None, None)
+        decisions = [AuthDecision(REJECTED_NO_SIGNAL, None, timeout)]
+        tied = [SessionEvent(0.5, "wake"), SessionEvent(0.5, "session_end")]
+        with pytest.raises(ValueError, match="^event times must be strictly increasing"):
+            SessionLog(tied, decisions, [], 0.0, 0.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="^energy times must be strictly increasing"):
+            SessionLog([], decisions, [(0.5, 0.0), (0.1, 0.0)], 0.0, 0.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="^a session must end with at least one decision"):
+            SessionLog([], [], [], 0.0, 0.0, 0.0, 0.0)
 
     def test_table_cursor_is_derived_not_accepted(self):
         with pytest.raises(TypeError):

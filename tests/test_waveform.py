@@ -124,6 +124,10 @@ class TestOnAirContract:
             check_oversampling(math.inf, 20e3)
         with pytest.raises(ValueError, match="sample rate must be finite"):
             synthesize_envelope([1, 0], -40.0, -50.0, 20e3, math.inf, SILENT)
+        # a trace took it, and write_trace then raised a stray OverflowError
+        # spelling the rate as an int
+        with pytest.raises(ValueError, match="sample_rate_hz must be > 0 and finite, got inf"):
+            EnvelopeTrace(math.inf, np.array([-40.0]))
 
     def test_trace_past_the_sample_cap_rejected(self, monkeypatch):
         # it rendered every sample it was asked for, so a large enough
@@ -174,6 +178,10 @@ class TestSynthesizeEnvelope:
         trace = synthesize_envelope([1] * 10, -40.0, -60.0, 1e3, 16e3, SILENT)
         assert np.all(trace.samples == trace.samples[0])
         assert trace.samples[0] == pytest.approx(-40.0, abs=1e-9)
+
+    def test_empty_bits_rejected(self):
+        with pytest.raises(ValueError, match="bits must not be empty"):
+            synthesize_envelope([], -40.0, -60.0, 1e3, 16e3, SILENT)
 
     def test_equal_levels_independent_of_bits(self):
         a = synthesize_envelope([1, 0, 1, 1, 0], -50.0, -50.0, 1e3, 16e3, SILENT)
@@ -341,6 +349,11 @@ class TestSquareCmd:
         with pytest.raises(UndersampledError):
             generate_square_cmd(10e3, 1e-3, 50e3)
 
+    @pytest.mark.parametrize("duration_s", [0.0, -1e-3, math.nan])
+    def test_duration_must_be_positive(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s must be > 0"):
+            generate_square_cmd(1e3, duration_s, 16e3)
+
 
 class TestTrace:
     def test_rejects_non_finite(self):
@@ -348,6 +361,10 @@ class TestTrace:
             EnvelopeTrace(1e3, np.array([1.0, float("nan")]))
         with pytest.raises(ValueError):
             EnvelopeTrace(1e3, np.array([float("inf")]))
+
+    def test_rejects_two_dimensional_samples(self):
+        with pytest.raises(ValueError, match="samples must be one-dimensional"):
+            EnvelopeTrace(1e3, np.zeros((2, 2)))
 
     def test_meta_no_newline(self):
         with pytest.raises(ValueError):
