@@ -30,7 +30,7 @@ from .config import (
     load_config,
     load_preset,
 )
-from .errors import EmptyTrace, ParseError, ValidationError
+from .errors import EmptyTrace
 from .monitor import measure_levels
 from .protocol import Attacker, PvkTable, run_session
 from .waveform import EnvelopeTrace, render_envelope, write_trace
@@ -82,10 +82,8 @@ def _payload_ber(expected: bytes | None, got: bytes | None) -> float | None:
         return None
     if len(got) != len(expected):
         return 1.0
-    diff = np.bitwise_xor(
-        np.frombuffer(expected, dtype=np.uint8), np.frombuffer(got, dtype=np.uint8)
-    )
-    return float(np.unpackbits(diff).sum() / (8 * len(expected)))
+    diff = int.from_bytes(expected, "big") ^ int.from_bytes(got, "big")
+    return diff.bit_count() / (8 * len(expected))
 
 
 def _run_point(cfg: ScenarioConfig, link: LinkScenario) -> tuple[dict, EnvelopeTrace | None]:
@@ -271,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.out).write_text(csv_text, encoding="ascii", newline="\n")
         else:
             sys.stdout.write(csv_text)
-    except (ParseError, ValidationError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

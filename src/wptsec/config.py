@@ -423,16 +423,14 @@ def build_point(cfg: ScenarioConfig) -> LinkScenario:
     return scenario
 
 
-def build_scenario(cfg: ScenarioConfig, noise_seed: int | None = None) -> LinkScenario:
-    """LinkScenario for this config; noise_seed overrides cfg.seed. A budget
-    the link cannot compute is marked with the keys of this config that
-    feed the term that failed."""
+def build_scenario(cfg: ScenarioConfig) -> LinkScenario:
+    """LinkScenario for this config, its noise seeded with cfg.seed. A budget
+    the link cannot compute is marked with the config keys that feed it."""
     rect = _made(RectifierModel, cfg, "gamma_low_db", "gamma_high_db", "efficiency_curve")
     if cfg.leakage_kind == "circulator":
         leakage = _made(LeakageModel.circulator, cfg, "circulator_isolation_db")
     else:
         leakage = LeakageModel.coupling(cfg.coupling_floor_dbm, cfg.coupling_ref_tx_dbm)
-    seed = cfg.seed if noise_seed is None else noise_seed
     antennas = {}
     if cfg.topology == "radiated":
         antennas = dict(
@@ -442,7 +440,7 @@ def build_scenario(cfg: ScenarioConfig, noise_seed: int | None = None) -> LinkSc
             dl=_made(LinkGeometry, cfg, "distance_dl_m", "frequency_hz"),
             ul=_made(LinkGeometry, cfg, "distance_ul_m", "frequency_hz"),
         )
-    noise = _made(NoiseSpec, cfg, "noise_power_dbm", rng_seed=seed)
+    noise = _made(NoiseSpec, cfg, "noise_power_dbm", rng_seed=cfg.seed)
     try:
         return LinkScenario(
             name=cfg.setup,

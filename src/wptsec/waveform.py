@@ -42,12 +42,16 @@ FRAME_HEADER_BITS = np.concatenate(
 )
 FRAME_HEADER_BITS.flags.writeable = False
 
-# Cap on the samples of one rendered trace. Rendering and measuring a trace
-# hold a few float64 arrays of its length, 512 MiB each at the cap.
+# Cap on the samples of one rendered trace. A render holds one float64 array
+# of its length and measuring it a few, 512 MiB each at the cap.
 MAX_TRACE_SAMPLES = 2**26
 
 # Floor applied after noise addition so dBm values stay finite.
 POWER_FLOOR_W = 1e-18
+
+# Noise samples drawn at a time, so a render holds one trace-sized array:
+# 64 KiB temporaries, below glibc's 128 KiB mmap threshold; 13 passes per 1e5.
+NOISE_BLOCK = 8192
 
 
 # Both checks are written so that NaN fails them.
@@ -224,11 +228,10 @@ def synthesize_envelope(
     dBm ``samples`` are computed only when read. Identical inputs and seed
     give bit-identical traces. A bit other than 0 or 1 is a ``ValueError``.
 
-    The fluctuation is drawn with the generator's standard-normal fill and
-    scaled in place. ``rng.normal(0.0, floor, n)`` draws the same values z
-    and returns ``0.0 + floor * z``, which differs from ``floor * z`` only in
-    the sign of a zero; adding it to a positive sample erases that sign, so
-    the trace is the same, without normal's per-sample loc and scale.
+    The fluctuation is one ``standard_normal(n)`` draw, taken NOISE_BLOCK
+    samples at a time, and scaled. ``rng.normal(0.0, floor, n)`` would give
+    ``0.0 + floor * z`` for the same z, which differs only in the sign of a
+    zero, and adding it to a positive sample erases that sign.
     """
     bit_arr = as_bits(bits)
     if bit_arr.size == 0:
@@ -248,10 +251,10 @@ def synthesize_envelope(
     floor_w = noise.mean_power_w
     if floor_w > 0.0:
         samples += floor_w
-        fluctuation = noise.generator().standard_normal(samples.size)
-        fluctuation *= floor_w
-        samples += fluctuation
-        del fluctuation
+        rng = noise.generator()
+        for start in range(0, samples.size, NOISE_BLOCK):
+            block = samples[start : start + NOISE_BLOCK]
+            block += rng.standard_normal(block.size) * floor_w
     np.maximum(samples, POWER_FLOOR_W, out=samples)
     return EnvelopeTrace.from_watts(sample_rate_hz, samples, meta=meta)
 

@@ -128,6 +128,12 @@ class TestRunExperiment:
         assert cli._payload_ber(b"\x12\x34", b"\x12\x35") == 1 / 16
         assert cli._payload_ber(b"\x12\x34", None) is None
 
+    def test_payload_ber_of_a_64_byte_payload(self):
+        # MAX_PAYLOAD_BYTES: every bit flipped, then only the last one
+        key = bytes(range(64))
+        assert cli._payload_ber(key, bytes(b ^ 0xFF for b in key)) == 1.0
+        assert cli._payload_ber(key, key[:-1] + bytes([key[-1] ^ 1])) == 1 / 512
+
     def test_node_that_never_woke_has_empty_levels(self):
         cfg = "setup=anechoic\nsweep.param=channel.p_tx_dbm\nsweep.values=-15,15\n"
         rows, summary = run_experiment(load_config(cfg))
@@ -256,7 +262,7 @@ class TestEmitTrace:
         cfg = load_config(text)
         node_table, monitor_table = build_tables(cfg)
         log = run_session(
-            build_scenario(cfg, noise_seed=point_seed(cfg.seed, 0)),
+            build_scenario(cfg).with_noise_seed(point_seed(cfg.seed, 0)),
             build_node(cfg, node_table),
             Attacker(kind=attacker),
             build_monitor(cfg, monitor_table),

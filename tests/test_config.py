@@ -732,7 +732,7 @@ class TestValidation:
 class TestBuilders:
     def test_build_round_trip(self):
         cfg = load_preset("anechoic")
-        scenario = build_scenario(cfg, noise_seed=5)
+        scenario = build_scenario(cfg).with_noise_seed(5)
         assert scenario.noise.rng_seed == 5
         assert scenario.topology == "radiated"
         node_table, monitor_table = build_tables(cfg)

@@ -25,6 +25,8 @@ from wptsec.protocol import MonitorConfig, PvkTable
 from wptsec.waveform import (
     FRAME_HEADER_BITS,
     MAX_BIT_RATE_HZ,
+    MIN_OVERSAMPLING,
+    NOISE_BLOCK,
     POWER_FLOOR_W,
     PREAMBLE_BITS,
     SYNC_BYTE,
@@ -323,6 +325,46 @@ class TestSynthesizeReference:
             differ = scaled.view(np.int64) != want.view(np.int64)
             assert (want[differ] == 0.0).all()
             assert differ.any() == (scale == 5e-324)
+
+
+class TestBlockNoise:
+    # 8 samples is the shortest trace: one bit at MIN_OVERSAMPLING
+    @pytest.mark.parametrize(
+        "n",
+        [MIN_OVERSAMPLING, 640, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1, 3 * NOISE_BLOCK + 5],
+    )
+    @pytest.mark.parametrize("noise_dbm", [-math.inf, -60.0])
+    def test_render_equals_one_whole_draw(self, n, noise_dbm):
+        # the blocks' draws are one standard_normal(n) draw, and each sample
+        # is max((level + floor) + floor * z, POWER_FLOOR_W)
+        n_bits = n // MIN_OVERSAMPLING
+        for seed in range(50):
+            bits = np.random.default_rng(seed).integers(0, 2, n_bits)
+            noise = NoiseSpec(noise_dbm, rng_seed=seed)
+            sample_rate = n / n_bits * 1e3
+            got = synthesize_envelope(bits, -50.0, -60.0, 1e3, sample_rate, noise).watts
+            edges = np.rint(np.arange(n_bits + 1) * (sample_rate / 1e3)).astype(np.int64)
+            want = np.where(bits == 1, dbm_to_watts(-50.0), dbm_to_watts(-60.0))
+            want = np.repeat(want, np.diff(edges))
+            floor_w = noise.mean_power_w
+            if floor_w > 0.0:
+                want = (want + floor_w) + floor_w * noise.generator().standard_normal(n)
+            assert got.size == n
+            assert got.tobytes() == np.maximum(want, POWER_FLOOR_W).tobytes()
+
+    def test_render_holds_one_trace_sized_array(self):
+        # 2^17 samples: the trace, its finiteness mask and a block's draw,
+        # with no second trace-sized array for the noise
+        bits = np.tile(np.uint8([1, 0]), 2**12)  # at 16 samples per bit
+        noise = NoiseSpec(-60.0, rng_seed=1)
+        tracemalloc.start()
+        try:
+            trace = synthesize_envelope(bits, -50.0, -60.0, 20e3, 320e3, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.watts.size == 2**17
+        assert peak <= 1.5 * trace.watts.nbytes, peak / trace.watts.nbytes
 
 
 class TestSquareCmd:
