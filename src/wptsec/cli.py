@@ -12,7 +12,6 @@ code: 0 all checks pass, 1 a check failed, 2 config/IO error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -262,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
             print("error: a config path or --preset is required", file=sys.stderr)
             return 2
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            cfg = cfg.with_seed(args.seed)
         rows, summary = run_experiment(cfg, args.trace_out)
         csv_text = format_csv(rows)
         if args.out:

@@ -133,6 +133,23 @@ class ScenarioConfig:
         coerced = int(value) if kind == "int" else float(value)
         return dataclasses.replace(self, **{attr: coerced})
 
+    def with_seed(self, seed: int) -> "ScenarioConfig":
+        """Copy with the seed replaced, judged by the ``seed`` key's own rule
+        (a ValidationError as the load gives), that keeps this config's
+        points once they are built. A point's build reads the seed only as
+        its link's noise seed, which each row replaces with its own, so each
+        point keeps its link; its config gets the new seed, which its key
+        table is drawn from."""
+        check, message = _CHECKS["seed"]
+        if not check(seed):
+            raise ValidationError([f"seed: {message.format(seed)}"])
+        copy = dataclasses.replace(self, seed=seed)
+        if "points" in vars(self):  # built: functools.cached_property keeps it there
+            vars(copy)["points"] = tuple(
+                (dataclasses.replace(point, seed=seed), link) for point, link in self.points
+            )
+        return copy
+
     def scalar(self, key: str) -> float | int | None:
         """Value of one scalar config key, as the point runs with it."""
         return getattr(self, _SCALAR_KEYS[key][0])

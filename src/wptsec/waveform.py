@@ -41,6 +41,8 @@ FRAME_HEADER_BITS = np.concatenate(
     [np.array(PREAMBLE_BITS, dtype=np.uint8), np.unpackbits(np.uint8([SYNC_BYTE]))]
 )
 FRAME_HEADER_BITS.flags.writeable = False
+# The same 24 bits packed: 3 bytes, which frame_to_bits puts ahead of a payload.
+_FRAME_HEADER_BYTES = np.packbits(FRAME_HEADER_BITS).tobytes()
 
 # Cap on the samples of one rendered trace. A render holds one float64 array
 # of its length and measuring it a few, 512 MiB each at the cap.
@@ -127,40 +129,60 @@ def build_frame(payload_bytes: bytes, bit_rate_hz: float) -> Frame:
 
 def frame_to_bits(frame: Frame) -> np.ndarray:
     """On-air bit sequence: FRAME_HEADER_BITS, then the payload, MSB-first."""
-    payload_bits = np.unpackbits(np.frombuffer(frame.payload, dtype=np.uint8))
-    return np.concatenate([FRAME_HEADER_BITS, payload_bits])
+    return np.unpackbits(np.frombuffer(_FRAME_HEADER_BYTES + frame.payload, dtype=np.uint8))
+
+
+_NOT_FINITE = "trace samples must be finite (no NaN/Inf)"
+
+
+def _finite(values) -> np.ndarray:
+    """Outside input as a one-dimensional float64 array of finite values."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError("samples must be one-dimensional")
+    if values.size and not np.isfinite(values).all():
+        raise ValueError(_NOT_FINITE)
+    return values
 
 
 class EnvelopeTrace:
     """Uniformly sampled received-power envelope, held in the unit it was
-    built in: watts from the render (``from_watts``), else dBm. The other
+    built in: watts from the render or ``from_watts``, else dBm. The other
     view, ``watts`` or ``samples`` (dBm), is computed on first read and
     kept. Either view is a finite float64 array; the meta is ASCII and
     holds no line break that ``str.splitlines`` would split at."""
 
     def __init__(self, sample_rate_hz: float, samples, meta: str = "") -> None:
+        self._dbm, self._watts = self._checked(sample_rate_hz, samples, meta, _finite), None
+
+    @classmethod
+    def from_watts(cls, sample_rate_hz: float, watts, meta: str = "") -> "EnvelopeTrace":
+        """A trace of powers in watts, each finite and > 0."""
+        trace = cls._in_watts(sample_rate_hz, watts, meta, _finite)
+        if trace._watts.size and not np.minimum.reduce(trace._watts) > 0.0:
+            raise ValueError("trace powers must be > 0 W")
+        return trace
+
+    @classmethod
+    def _in_watts(cls, sample_rate_hz: float, watts, meta: str, check) -> "EnvelopeTrace":
+        """A trace held in watts, its values judged by ``check``."""
+        trace = cls.__new__(cls)
+        trace._dbm, trace._watts = None, trace._checked(sample_rate_hz, watts, meta, check)
+        return trace
+
+    def _checked(self, sample_rate_hz: float, values, meta: str, check) -> np.ndarray:
+        """What every trace is built through: the rate check, ``check`` on the
+        values, then the meta checks. Sets the rate and the meta, and returns
+        the array ``check`` returned."""
         if not 0 < sample_rate_hz < np.inf:  # write_trace spells it as an int
             raise ValueError(f"sample_rate_hz must be > 0 and finite, got {sample_rate_hz}")
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if samples.size and not np.isfinite(samples).all():
-            raise ValueError("trace samples must be finite (no NaN/Inf)")
+        values = check(values)
         if meta.splitlines() not in ([], [meta]):  # read_trace splits lines there
             raise ValueError("meta must not contain line breaks")
         if not meta.isascii():
             raise ValueError("meta must be ASCII, as the trace file is")
         self.sample_rate_hz, self.meta = sample_rate_hz, meta
-        self._dbm, self._watts = samples, None
-
-    @classmethod
-    def from_watts(cls, sample_rate_hz: float, watts, meta: str = "") -> "EnvelopeTrace":
-        """A trace of powers in watts, each finite and > 0."""
-        trace = cls(sample_rate_hz, watts, meta)
-        trace._dbm, trace._watts = None, trace._dbm
-        if trace._watts.size and not np.minimum.reduce(trace._watts) > 0.0:
-            raise ValueError("trace powers must be > 0 W")
-        return trace
+        return values
 
     @property
     def samples(self) -> np.ndarray:
@@ -243,20 +265,30 @@ def synthesize_envelope(
         raise InvertedLevels(f"p_high {p_high_dbm} dBm below p_low {p_low_dbm} dBm")
 
     counts = _bit_counts(bit_arr.size, samples_per_bit)
-    levels_w = np.where(bit_arr, dbm_to_watts(p_high_dbm), dbm_to_watts(p_low_dbm))
-    # np.repeat returns a fresh array: every step below works in place on it,
-    # in the order of max(signal + floor + noise, POWER_FLOOR_W)
-    samples = np.repeat(levels_w, counts)
-
+    # Each sample starts as its level plus the floor, summed once per level:
+    # the same IEEE sum as adding the floor to every repeated sample.
+    # ndarray.repeat returns a fresh array: every step below works in place
+    # on it, in the order of max(signal + floor + noise, POWER_FLOOR_W).
     floor_w = noise.mean_power_w
+    hi_w, lo_w = dbm_to_watts(p_high_dbm) + floor_w, dbm_to_watts(p_low_dbm) + floor_w
+    samples = np.where(bit_arr, hi_w, lo_w).repeat(counts)
     if floor_w > 0.0:
-        samples += floor_w
         rng = noise.generator()
         for start in range(0, samples.size, NOISE_BLOCK):
             block = samples[start : start + NOISE_BLOCK]
-            block += rng.standard_normal(block.size) * floor_w
+            z = rng.standard_normal(block.size)
+            z *= floor_w
+            block += z
     np.maximum(samples, POWER_FLOOR_W, out=samples)
-    return EnvelopeTrace.from_watts(sample_rate_hz, samples, meta=meta)
+    return EnvelopeTrace._in_watts(sample_rate_hz, samples, meta, _not_overflowed)
+
+
+def _not_overflowed(watts: np.ndarray) -> np.ndarray:
+    """A render's floored watts, which are > 0 and can only have overflowed:
+    to inf, or to NaN from inf - inf, which the reduce propagates."""
+    if not np.maximum.reduce(watts) < np.inf:
+        raise ValueError(_NOT_FINITE)
+    return watts
 
 
 def render_envelope(

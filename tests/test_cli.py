@@ -727,6 +727,27 @@ class TestMain:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    @pytest.mark.parametrize("text", ["setup=anechoic\n", POWER_SWEEP], ids=["keyed", "sweep"])
+    def test_seed_override_reuses_the_loaded_points(self, tmp_path, monkeypatch, text):
+        # --seed keeps the links the load built, and gives the CSV of a
+        # config that sets that seed: a keyed point's table is drawn from it
+        n_points = len(load_config(text).points)
+        builds = []
+        build = config.build_scenario
+
+        def recording(cfg):
+            builds.append(cfg.seed)
+            return build(cfg)
+
+        monkeypatch.setattr(config, "build_scenario", recording)
+        (tmp_path / "a.cfg").write_text(text)
+        (tmp_path / "b.cfg").write_text(text + "seed = 7\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["run", str(tmp_path / "a.cfg"), "--out", str(a), "--seed", "7"]) == 0
+        assert builds == [0] * n_points
+        assert main(["run", str(tmp_path / "b.cfg"), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestOneRunPerRow:
     @pytest.fixture

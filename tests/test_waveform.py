@@ -42,6 +42,7 @@ from wptsec.waveform import (
 )
 
 SILENT = NoiseSpec.silent()
+NOT_FINITE = "trace samples must be finite (no NaN/Inf)"
 
 # A valid 16x trace at 20 kHz; the rate under test is what makes a call bad.
 GOOD_TRACE = synthesize_envelope(
@@ -353,8 +354,12 @@ class TestBlockNoise:
             assert got.tobytes() == np.maximum(want, POWER_FLOOR_W).tobytes()
 
     def test_render_holds_one_trace_sized_array(self):
-        # 2^17 samples: the trace, its finiteness mask and a block's draw,
-        # with no second trace-sized array for the noise
+        # 2^17 samples: the trace and a block's draw, with no second
+        # trace-sized array for the noise. A process's first standard_normal
+        # draw allocates about 0.85 MB once, so one is made here first; it
+        # is made straight from a generator, not by a render, so the bit
+        # counts this trace's shape caches are still counted.
+        np.random.default_rng(0).standard_normal(8)
         bits = np.tile(np.uint8([1, 0]), 2**12)  # at 16 samples per bit
         noise = NoiseSpec(-60.0, rng_seed=1)
         tracemalloc.start()
@@ -364,7 +369,57 @@ class TestBlockNoise:
         finally:
             tracemalloc.stop()
         assert trace.watts.size == 2**17
-        assert peak <= 1.5 * trace.watts.nbytes, peak / trace.watts.nbytes
+        assert peak <= 1.25 * trace.watts.nbytes, peak / trace.watts.nbytes
+
+
+class TestRenderChecks:
+    # the render checks its own floored watts only for overflow, and its
+    # meta as every trace's; each error keeps the message a render raised
+    # when it built its trace through from_watts. A 3110 dBm floor is
+    # 1e308 W, and numpy's overflow warnings are silenced so that the
+    # check, not the warning, is what fails the render.
+    LOUD = NoiseSpec(3110.0, rng_seed=1)
+
+    def test_overflow_to_inf_rejected(self):
+        # level + floor + floor * z passes the float range for z above 0.8
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
+            synthesize_envelope([1, 0] * 8, -50.0, -60.0, 1e3, 16e3, self.LOUD)
+
+    def test_overflow_to_nan_rejected(self):
+        # 1e308 W levels too: level + floor is inf, and a draw below -1.8
+        # scales to -inf, so that sample is inf - inf, NaN
+        floor_w = self.LOUD.mean_power_w
+        z = self.LOUD.generator().standard_normal(256)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan((dbm_to_watts(3110.0) + floor_w) + floor_w * z).any()
+            with pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
+                synthesize_envelope([1, 0] * 8, 3110.0, 3110.0, 1e3, 16e3, self.LOUD)
+
+    @pytest.mark.parametrize("n", [7, 640, NOISE_BLOCK + 3])
+    def test_a_nan_anywhere_fails_the_overflow_check(self, n):
+        # the check is one max-reduce, through whose SIMD loops a NaN must
+        # propagate wherever it sits
+        for i in sorted({0, 1, n // 2, n - 2, n - 1}):
+            watts = np.full(n, 1e-6)
+            watts[i] = np.nan
+            assert not np.maximum.reduce(watts) < np.inf
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ("a\nb", "meta must not contain line breaks"),
+            ("a\u2028b", "meta must not contain line breaks"),
+            ("b\u00e4nk", "meta must be ASCII, as the trace file is"),
+        ],
+    )
+    def test_meta_checked(self, meta, message):
+        # a link's name is caller input, and the render's meta
+        noise = NoiseSpec(-60.0, rng_seed=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synthesize_envelope([1, 0] * 8, -50.0, -60.0, 1e3, 16e3, noise, meta=meta)
+        # a render that overflows as well is named by its overflow
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
+            synthesize_envelope([1, 0] * 8, -50.0, -60.0, 1e3, 16e3, self.LOUD, meta=meta)
 
 
 class TestSquareCmd:
@@ -436,10 +491,37 @@ class TestTrace:
             assert not np.shares_memory(watts, samples)
         assert samples.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("watts", [[1e-3, 0.0], [-1e-3], [np.inf], [np.nan]])
-    def test_from_watts_rejects_powers_without_a_finite_dbm_figure(self, watts):
-        with pytest.raises(ValueError, match="trace"):
+    @pytest.mark.parametrize(
+        "watts, message",
+        [
+            ([1e-3, 0.0], "trace powers must be > 0 W"),
+            ([-1e-3], "trace powers must be > 0 W"),
+            ([np.inf], NOT_FINITE),
+            ([-np.inf], NOT_FINITE),
+            ([np.nan], NOT_FINITE),
+            # a trace with both faults is named by its finiteness
+            ([0.0, np.nan], NOT_FINITE),
+            ([-1e-3, -np.inf], NOT_FINITE),
+        ],
+    )
+    def test_from_watts_rejects_powers_without_a_finite_dbm_figure(self, watts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             EnvelopeTrace.from_watts(1e3, np.array(watts))
+
+    @pytest.mark.parametrize(
+        "rate, values, meta, message",
+        [
+            (0.0, [np.nan], "a\nb", "sample_rate_hz must be > 0 and finite"),
+            (1e3, [[1.0]], "a\nb", "samples must be one-dimensional"),
+            (1e3, [np.nan], "a\nb", NOT_FINITE),
+            (1e3, [0.0], "a\nb", "meta must not contain line breaks"),
+        ],
+    )
+    def test_checks_run_rate_then_samples_then_meta(self, rate, values, meta, message):
+        # from_watts judges a power > 0 last
+        for build in (EnvelopeTrace, EnvelopeTrace.from_watts):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(rate, np.array(values), meta=meta)
 
 
 class TestTraceFile:
