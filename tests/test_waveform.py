@@ -374,8 +374,8 @@ class TestBlockNoise:
 
 class TestRenderChecks:
     # the render checks its own floored watts only for overflow, and its
-    # meta as every trace's; each error keeps the message a render raised
-    # when it built its trace through from_watts. A 3110 dBm floor is
+    # meta as every trace's; each error has the message EnvelopeTrace
+    # gives for the same fault. A 3110 dBm floor is
     # 1e308 W, and numpy's overflow warnings are silenced so that the
     # check, not the warning, is what fails the render.
     LOUD = NoiseSpec(3110.0, rng_seed=1)
