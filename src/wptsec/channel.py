@@ -135,6 +135,8 @@ class RectifierModel:
         pts = self.efficiency_curve
         if not pts:
             raise EmptyCurve("rectifier has no efficiency curve points")
+        if any(math.isnan(p) for p, _ in pts):
+            raise ValueError("efficiency_curve p_in_dbm must not be nan")
         for (p0, _), (p1, _) in zip(pts, pts[1:]):
             if p1 <= p0:
                 raise ValueError("efficiency_curve must be strictly increasing in p_in_dbm")

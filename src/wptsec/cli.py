@@ -27,7 +27,6 @@ from .config import (
     build_node,
     build_tables,
     load_config,
-    load_preset,
 )
 from .errors import EmptyTrace
 from .monitor import measure_levels
@@ -253,15 +252,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.config and args.preset:
             print("error: give either a config path or --preset, not both", file=sys.stderr)
             return 2
-        if args.config:
-            cfg = load_config(Path(args.config))
-        elif args.preset:
-            cfg = load_preset(args.preset)
-        else:
+        if not (args.config or args.preset):
             print("error: a config path or --preset is required", file=sys.stderr)
             return 2
-        if args.seed is not None:
-            cfg = cfg.with_seed(args.seed)
+        source = Path(args.config) if args.config else f"setup={args.preset}"
+        cfg = load_config(source, seed=args.seed)
         rows, summary = run_experiment(cfg, args.trace_out)
         csv_text = format_csv(rows)
         if args.out:

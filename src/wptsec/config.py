@@ -133,23 +133,6 @@ class ScenarioConfig:
         coerced = int(value) if kind == "int" else float(value)
         return dataclasses.replace(self, **{attr: coerced})
 
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        """Copy with the seed replaced, judged by the ``seed`` key's own rule
-        (a ValidationError as the load gives), that keeps this config's
-        points once they are built. A point's build reads the seed only as
-        its link's noise seed, which each row replaces with its own, so each
-        point keeps its link; its config gets the new seed, which its key
-        table is drawn from."""
-        check, message = _CHECKS["seed"]
-        if not check(seed):
-            raise ValidationError([f"seed: {message.format(seed)}"])
-        copy = dataclasses.replace(self, seed=seed)
-        if "points" in vars(self):  # built: functools.cached_property keeps it there
-            vars(copy)["points"] = tuple(
-                (dataclasses.replace(point, seed=seed), link) for point, link in self.points
-            )
-        return copy
-
     def scalar(self, key: str) -> float | int | None:
         """Value of one scalar config key, as the point runs with it."""
         return getattr(self, _SCALAR_KEYS[key][0])
@@ -348,9 +331,11 @@ def _violations(cfg: ScenarioConfig) -> list[str]:
     return bad
 
 
-def load_config(source: str | Path) -> ScenarioConfig:
+def load_config(source: str | Path, *, seed: int | None = None) -> ScenarioConfig:
     """Parse config text (a ``str``) or a config file (a ``Path``) into a
-    ScenarioConfig whose points (``ScenarioConfig.points``) all build."""
+    ScenarioConfig whose points (``ScenarioConfig.points``) all build.
+    A ``seed`` replaces the config's own before the schema judges it, so it
+    loads exactly as config text that sets ``seed`` to it."""
     text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
     values: dict = {f.name: None for f in _FIELDS}
     conversion_problems = []
@@ -362,6 +347,8 @@ def load_config(source: str | Path) -> ScenarioConfig:
             conversion_problems.append(f"line {lineno}: {key}: {exc}")
     if conversion_problems:
         raise ParseError("; ".join(conversion_problems))
+    if seed is not None:
+        values["seed"] = seed
     if values["setup"] is None:
         raise ValidationError(["setup: missing"])
 

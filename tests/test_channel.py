@@ -510,6 +510,10 @@ class TestValidation:
             RectifierModel(efficiency_curve=((-10.0, 0.1), (-10.0, 0.2)))
         with pytest.raises(ValueError):
             RectifierModel(efficiency_curve=((-10.0, 1.2),))
+        # nan compares false, so no order check catches it
+        for curve in (((-20.0, 0.05), (math.nan, 0.2)), ((math.nan, 0.5),)):
+            with pytest.raises(ValueError, match="nan"):
+                RectifierModel(efficiency_curve=curve)
         with pytest.raises(TypeError):  # no output reads a load resistance
             RectifierModel(load_ohms=10e3)
         # equality of the two states is the allowed degenerate case

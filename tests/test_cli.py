@@ -584,6 +584,15 @@ class TestMain:
                 f"{RECT}: efficiency_curve must be strictly increasing",
             ),
             ("channel.efficiency_curve = 0:1.5", f"{RECT}: efficiency 1.5 outside [0, 1]"),
+            # a nan power loaded and gave a nan stored_energy_j cell
+            (
+                "channel.efficiency_curve = -20:0.05;nan:0.2",
+                f"{RECT}: efficiency_curve p_in_dbm must not be nan",
+            ),
+            (
+                "channel.efficiency_curve = nan:0.5",
+                f"{RECT}: efficiency_curve p_in_dbm must not be nan",
+            ),
             (
                 "channel.gain_src_dbi = inf",
                 "channel.gain_src_dbi: gain_dbi must be finite, got inf",
@@ -727,11 +736,31 @@ class TestMain:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
-    @pytest.mark.parametrize("text", ["setup=anechoic\n", POWER_SWEEP], ids=["keyed", "sweep"])
-    def test_seed_override_reuses_the_loaded_points(self, tmp_path, monkeypatch, text):
-        # --seed keeps the links the load built, and gives the CSV of a
-        # config that sets that seed: a keyed point's table is drawn from it
-        n_points = len(load_config(text).points)
+    @pytest.mark.parametrize(
+        "text, seeds",
+        [
+            ("setup=anechoic\n", [7]),
+            (POWER_SWEEP, [7] * 14),
+            ("setup=anechoic\nsweep.param=seed\nsweep.values=1,2,3\n", [1, 2, 3]),
+            (
+                "setup=custom\nchannel.topology=wired\nchannel.leakage_kind=circulator\n"
+                "channel.circulator_isolation_db=20\nchannel.p_tx_dbm=-15\n"
+                "channel.gamma_low_db=-20\nchannel.gamma_high_db=-3\n"
+                "channel.efficiency_curve=-20:0.05;20:0.5\nchannel.noise_power_dbm=-90\n"
+                "waveform.bit_rate_hz=100e3\nwaveform.oversampling=16\n"
+                "waveform.probe_bits=64\nprotocol.enabled=false\n",
+                [7],
+            ),
+        ],
+        ids=["keyed", "sweep", "seed_sweep", "seedless_custom"],
+    )
+    def test_seed_override_builds_each_point_once_at_its_seed(
+        self, tmp_path, monkeypatch, text, seeds
+    ):
+        # --seed is read as the config's seed: the load builds each point
+        # once, at the seed it runs with (a swept seed keeps its values, and
+        # a config without a seed line takes it), and the CSV is that of a
+        # config that sets that seed
         builds = []
         build = config.build_scenario
 
@@ -744,7 +773,7 @@ class TestMain:
         (tmp_path / "b.cfg").write_text(text + "seed = 7\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["run", str(tmp_path / "a.cfg"), "--out", str(a), "--seed", "7"]) == 0
-        assert builds == [0] * n_points
+        assert builds == seeds
         assert main(["run", str(tmp_path / "b.cfg"), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 

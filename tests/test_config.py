@@ -629,6 +629,9 @@ class TestValidation:
         # numpy's default_rng rejects it, so every keyed point would fail at run time
         for setup in ("wired", "anechoic"):
             assert violations_of(f"setup={setup}\nseed = -1") == ["seed: must be >= 0"]
+            with pytest.raises(ValidationError) as info:
+                load_config(f"setup={setup}", seed=-1)
+            assert info.value.violations == ["seed: must be >= 0"]
 
     def test_sweep_must_name_scalar(self):
         with pytest.raises(ValidationError, match="sweepable scalar"):
