@@ -37,8 +37,12 @@ PREAMBLE_MATCH_MIN = 15
 # sliced bits at the bit centres gives 1 for every bit that matches.
 _PREAMBLE_MISMATCH = 1 - np.array(PREAMBLE_BITS, dtype=np.uint8)[:, np.newaxis]
 _PREAMBLE_MISMATCH.flags.writeable = False
-# The sync byte's bits as bytes, compared with the 8 bits after the preamble.
-_SYNC_BITS = FRAME_HEADER_BITS[len(PREAMBLE_BITS) :].tobytes()
+# The header's bits as bytes, one a bit: decode_frame compares a frame's
+# first 16 with the preamble's and the 8 after them with the sync byte's.
+_HEADER_BITS = FRAME_HEADER_BITS.tobytes()
+_SYNC_BITS = _HEADER_BITS[len(PREAMBLE_BITS) :]
+# 0/1 bytes to the digits int() reads in base 2
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 # Offsets scored at a time in recover_bits, at 18 bytes of temporaries each.
 SYNC_BLOCK = 1 << 13
 # Cap on 2-means passes in measure_levels; traces settle in a handful.
@@ -116,13 +120,14 @@ def _mean(x: np.ndarray, peak: float) -> float:
     float range, is it taken with overflow ignored and then checked."""
     # one temporary at a time: holding both clusters' copies at once makes
     # each 2-means step on a long trace fault in fresh pages
+    # float(sum) / size is the quotient numpy's float64 / int gives
     if peak * (x.size + 1) < math.inf:
-        return float(np.add.reduce(x) / x.size)
+        return float(np.add.reduce(x)) / x.size
     with np.errstate(over="ignore"):
-        total = np.add.reduce(x)
+        total = float(np.add.reduce(x))
     if total == math.inf:
         raise LevelOverflow(f"{x.size} samples of up to {peak} W sum past the float range")
-    return float(total / x.size)
+    return total / x.size
 
 
 def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
@@ -250,21 +255,28 @@ def decode_frame(
     result records ``sync_offset`` and the trace's measured levels as
     given; none has a default, so it never shows a value nobody measured.
     The payload is every whole byte after the sync byte; anything malformed
-    downgrades the status to payload_invalid rather than raising. A bit
-    other than 0 or 1 is not malformed framing but a bad argument:
+    downgrades the status to payload_invalid rather than raising. Bits that
+    ``as_bits`` refuses, a value other than 0 or 1 or an array that is not
+    one-dimensional, are not malformed framing but a bad argument:
     ``ValueError``.
-    """
-    arr = as_bits(bits)
-    n_pre, n_head = len(PREAMBLE_BITS), FRAME_HEADER_BITS.size
-    pre = arr[:n_pre]
-    errors = int(np.count_nonzero(pre != FRAME_HEADER_BITS[: pre.size]))
-    errors += n_pre - pre.size  # missing preamble bits count as errors
 
-    n_bytes = (arr.size - n_head) // 8
-    sync_ok = arr[n_pre:n_head].tobytes() == _SYNC_BITS
+    The bits are read once, as bytes of 0 and 1: preamble errors are the
+    set bits of the XOR of the preamble's bytes and the header's read as
+    integers, the sync byte is one bytes compare, and the payload is its
+    bits read as a base-2 numeral.
+    """
+    raw = as_bits(bits).tobytes()
+    n_pre, n_head = len(PREAMBLE_BITS), len(_HEADER_BITS)
+    pre = raw[:n_pre]
+    want = _HEADER_BITS[: len(pre)]
+    errors = (int.from_bytes(pre, "big") ^ int.from_bytes(want, "big")).bit_count()
+    errors += n_pre - len(pre)  # missing preamble bits count as errors
+
+    n_bytes = (len(raw) - n_head) // 8
     payload = None
-    if sync_ok and 0 < n_bytes <= MAX_PAYLOAD_BYTES:
-        payload = np.packbits(arr[n_head : n_head + 8 * n_bytes]).tobytes()
+    if raw[n_pre:n_head] == _SYNC_BITS and 0 < n_bytes <= MAX_PAYLOAD_BYTES:
+        digits = raw[n_head : n_head + 8 * n_bytes].translate(_BINARY_DIGITS)
+        payload = int(digits, 2).to_bytes(n_bytes, "big")
     return DecodeResult(
         status=PAYLOAD_INVALID if payload is None else DECODED,
         payload=payload,

@@ -46,12 +46,15 @@ DEFAULT_DT_S = 100e-6
 KEY_POLICIES = ("sequential", "random")
 ATTACKER_KINDS = ("none", "replay")
 
-# Cap on the keys of one table. A provisioned table keeps 25 bytes a key at
-# 8-byte keys and 137 at 64-byte keys (the codes twice, in table order and
-# sorted, 4 bytes of index, 4 of tree and 1 of flags), and the monitor's
-# copy 5 more; provisioning peaks at 1.0x what the table keeps at the cap
-# of 8-byte keys and 1.15x at the cap of 3-byte keys (tracemalloc), where
-# one sort holds 1.15 draws a key. At the cap that is 0.11 to 0.58 GB.
+# Cap on the keys of one table. A provisioned table keeps 21 bytes a key at
+# 8-byte keys and 133 at 64-byte keys (the codes twice, in table order and
+# sorted, 4 bytes of index and 1 of flags), and its first draw at a rank
+# above 0 adds a rank tree of 4 more, which the sequential policy and the
+# monitor's copy (1 byte a key of flags) never build. Provisioning peaks at
+# 0.88x what a table that has drawn at random keeps at the cap of 8-byte
+# keys (1.05x a fresh one) and 1.15x at the cap of 3-byte keys
+# (tracemalloc), where one sort holds 1.15 draws a key. At the cap that is
+# 0.11 to 0.58 GB.
 MAX_TABLE_KEYS = 2**22
 
 
@@ -113,11 +116,15 @@ class PvkTable:
 
     A table is built from its entries alone and starts with every entry
     unused. It holds no Python object per entry: ``entries`` is a read-only
-    view of a fixed-width bytes array of the codes, ``used`` a bytearray of
-    0/1 flags, and a Fenwick tree over the unused flags (P. M. Fenwick,
-    Softw. Pract. Exper. 24(3), 1994), an int32 array, finds the k-th unused
-    entry in O(log n); mark_used is its only writer. ``find`` binary-searches
-    the codes sorted into a second array, beside their int32 table indices.
+    view of a fixed-width bytes array of the codes, and ``used`` a bytearray
+    of 0/1 flags. The first unused entry, the ``sequential`` policy's, is
+    ``used.find(0)`` from a hint that only moves forward, since no entry is
+    ever unmarked. The first ``select_unused`` at a rank above 0 builds a
+    Fenwick tree over the unused flags (P. M. Fenwick, Softw. Pract. Exper.
+    24(3), 1994), an int32 array of 4 bytes a key, which finds the k-th
+    unused entry in O(log n); from then on mark_used keeps it current, and
+    until then marks only the flag. ``find`` binary-searches the codes
+    sorted into a second array, beside their int32 table indices.
     """
 
     entries: Sequence[bytes]
@@ -152,15 +159,8 @@ class PvkTable:
         self.entries = _Codes(codes)
         self._keys, self._at = keys, at
         self.used = bytearray(n)
-        # the 1-based tree[i] counts the unused entries in (i - lowbit(i), i],
-        # lowbit(i) of them while all are unused; filled level by level in
-        # place, with no temporary array
-        self._tree = array("i", [0]) * (n + 1)
-        tree = np.frombuffer(self._tree, dtype=np.int32)
-        step = 1
-        while step <= n:
-            tree[step :: 2 * step] = step
-            step *= 2
+        self._tree: array | None = None  # built by the first draw at a rank above 0
+        self._first = 0  # no entry before it is unused
         self._n_unused = n
 
     def __len__(self) -> int:
@@ -204,16 +204,25 @@ class PvkTable:
             return
         used[index] = 1
         self._n_unused -= 1
-        tree, i = self._tree, index + 1
-        while i <= n:
-            tree[i] -= 1
-            i += i & -i
+        tree = self._tree
+        if tree is not None:
+            i = index + 1
+            while i <= n:
+                tree[i] -= 1
+                i += i & -i
 
     def select_unused(self, k: int) -> int:
-        """Index of the k-th (0-based) unused entry in table order."""
+        """Index of the k-th (0-based) unused entry in table order: rank 0
+        by a scan of the flags from the first unused entry, which moves
+        forward, and any other rank through the tree, built on first use."""
         if not 0 <= k < self._n_unused:
             raise IndexError(f"rank {k} outside [0, {self._n_unused})")
+        if k == 0:
+            self._first = self.used.find(0, self._first)
+            return self._first
         tree, n, pos = self._tree, len(self.used), 0
+        if tree is None:
+            tree = self._build_tree()
         step = 1 << (n.bit_length() - 1)
         while step:
             nxt = pos + step
@@ -223,13 +232,36 @@ class PvkTable:
             step >>= 1
         return pos
 
+    def _build_tree(self) -> array:
+        """The Fenwick tree of the unused flags, kept from now on: the
+        1-based tree[i] counts the unused entries in (i - lowbit(i), i],
+        filled level by level in place as if all were unused, with no
+        temporary array, and then each used entry is taken out, one walk
+        per level for all of them at once."""
+        used, n = self.used, len(self.used)
+        self._tree = array("i", [0]) * (n + 1)
+        tree = np.frombuffer(self._tree, dtype=np.int32)
+        step = 1
+        while step <= n:
+            tree[step :: 2 * step] = step
+            step *= 2
+        # each used entry's walk visits distinct nodes, so a level's
+        # positions repeat only across entries: subtract.at counts each
+        pos = np.flatnonzero(np.frombuffer(used, dtype=np.uint8)) + 1
+        while pos.size:
+            np.subtract.at(tree, pos, 1)
+            pos += pos & -pos
+            pos = pos[pos <= n]
+        return self._tree
+
     def copy(self) -> "PvkTable":
-        """Clone with its own used flags and tree. No method mutates the
-        entries or their sort, so the clone shares them without validating
-        again."""
+        """Clone with its own used flags, and its own tree if this table has
+        built one. No method mutates the entries or their sort, so the clone
+        shares them without validating again."""
         clone = copy.copy(self)
         clone.used = bytearray(self.used)
-        clone._tree = array("i", self._tree)
+        if self._tree is not None:
+            clone._tree = array("i", self._tree)
         return clone
 
 

@@ -206,12 +206,16 @@ class EnvelopeTrace:
 
 
 def as_bits(bits) -> np.ndarray:
-    """``bits`` as a uint8 array; any value other than 0 and 1 is a
-    ``ValueError``. Integer, bool and float input holding only 0s and 1s is
-    accepted; a uint8 array is returned as it is."""
+    """``bits`` as a one-dimensional uint8 array. Any other shape is a
+    ``ValueError`` that names it, and so is any value other than 0 and 1.
+    Integer, bool and float input holding only 0s and 1s is accepted; a
+    uint8 array is returned as it is, checked on its bytes: deleting every
+    0 and 1 byte must leave none."""
     arr = np.asarray(bits)
+    if arr.ndim != 1:
+        raise ValueError(f"bits must be one-dimensional, got shape {arr.shape}")
     if arr.dtype == np.uint8:
-        ok = arr.size == 0 or np.maximum.reduce(arr, axis=None) <= 1
+        ok = not arr.tobytes().translate(None, b"\0\1")
     else:
         ok = ((arr == 0) | (arr == 1)).all()
         if ok:

@@ -5,7 +5,9 @@ whatever bytes went in must come back out bit-exact under the stated noise
 margins.
 """
 
+import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -40,6 +42,7 @@ from wptsec.monitor import (
 )
 from wptsec.protocol import PvkTable, generate_table
 from wptsec.waveform import (
+    FRAME_HEADER_BITS,
     MAX_PAYLOAD_BYTES,
     PREAMBLE_BITS,
     EnvelopeTrace,
@@ -322,6 +325,21 @@ class TestDecodeFrame:
         assert result.sync_offset == 3
         assert (result.measured_dr_db, result.threshold_dbm) == (10.0, -45.0)
 
+    @pytest.mark.parametrize(
+        "shape, bits",
+        [
+            ("(2, 40)", np.zeros((2, 40), dtype=np.uint8)),
+            ("()", np.uint8(1)),
+            ("(40, 1)", frame_to_bits(build_frame(b"\x11\xa5", 10e3))[:, np.newaxis]),
+        ],
+        ids=["two_rows", "zero_d", "one_column"],
+    )
+    def test_bits_not_one_dimensional_rejected(self, shape, bits):
+        # numpy's broadcast ValueError for (2, 40), an IndexError for 0-d,
+        # and a payload_invalid with 128 preamble errors for (40, 1)
+        with pytest.raises(ValueError, match=re.escape(f"one-dimensional, got shape {shape}")):
+            decode_frame(bits, 0, **LEVELS)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool, np.float64])
     def test_zero_one_bits_of_any_dtype_decode(self, dtype):
         bits = frame_to_bits(build_frame(b"\x11\xa5", 10e3))
@@ -591,8 +609,9 @@ class TestResultInvariants:
 # --- differential oracles --------------------------------------------------
 #
 # Reference forms of recover_bits, which scores the preamble one bit at a
-# time over every offset, and of measure_levels, through the min, max and
-# mean wrappers. The library must agree with them bit for bit.
+# time over every offset, of measure_levels, through the min, max and mean
+# wrappers, and of decode_frame, on numpy arrays. The library must agree
+# with them bit for bit.
 
 
 def oracle_measure_levels(trace, max_passes=100):
@@ -641,6 +660,30 @@ def oracle_recover_bits(trace, bit_rate_hz, threshold_w):
     idx = sync_offset + centers_of(n_bits)
     idx = idx[idx < sliced.size]
     return sliced[idx], sync_offset
+
+
+def oracle_decode_frame(bits, sync_offset, *, measured_dr_db, threshold_dbm):
+    """decode_frame on a numpy array of 0/1 bits: count_nonzero over the
+    preamble's mismatches, packbits over the payload."""
+    arr = np.asarray(bits, dtype=np.uint8)
+    n_pre, n_head = len(PREAMBLE_BITS), FRAME_HEADER_BITS.size
+    pre = arr[:n_pre]
+    errors = int(np.count_nonzero(pre != FRAME_HEADER_BITS[: pre.size]))
+    errors += n_pre - pre.size  # missing preamble bits count as errors
+
+    n_bytes = (arr.size - n_head) // 8
+    sync_ok = arr[n_pre:n_head].tobytes() == FRAME_HEADER_BITS[n_pre:].tobytes()
+    payload = None
+    if sync_ok and 0 < n_bytes <= MAX_PAYLOAD_BYTES:
+        payload = np.packbits(arr[n_head : n_head + 8 * n_bytes]).tobytes()
+    return DecodeResult(
+        status=PAYLOAD_INVALID if payload is None else DECODED,
+        payload=payload,
+        bit_errors_in_preamble=errors,
+        measured_dr_db=measured_dr_db,
+        threshold_dbm=threshold_dbm,
+        sync_offset=sync_offset,
+    )
 
 
 def outcome(fn, *args):
@@ -712,6 +755,65 @@ class TestDifferentialDecode:
         trace = EnvelopeTrace(frame.sample_rate_hz, np.concatenate([idle, frame.samples]))
         assert_same_decode(trace, 20e3, measure_levels(trace)[0])
         assert decode_trace(trace, 20e3).payload == b"\x5a\xc3\x01"
+
+
+@st.composite
+def recovered_bits(draw):
+    """0 to 600 bits as recover_bits hands them on: random bits, or the bits
+    of a frame of a 1-64-byte payload followed by up to 64 random bits,
+    whole, with 1 or 2 preamble bits flipped, with a broken sync byte, or
+    cut off, mostly within its header."""
+    def random_bits(n):
+        return np.frombuffer(draw(st.binary(min_size=n, max_size=n)), np.uint8) & 1
+
+    kind = draw(st.sampled_from(["random", "whole", "preamble", "sync", "cut"]))
+    if kind == "random":
+        return random_bits(draw(st.integers(0, 600)))
+    payload = draw(st.binary(min_size=1, max_size=MAX_PAYLOAD_BYTES))
+    frame = frame_to_bits(build_frame(payload, 10e3))
+    bits = np.concatenate([frame, random_bits(draw(st.integers(0, 600 - frame.size)))])
+    if kind == "preamble":
+        flips = st.lists(st.integers(0, 15), min_size=1, max_size=2, unique=True)
+        bits[draw(flips)] ^= 1
+    elif kind == "sync":
+        flips = st.lists(st.integers(16, 23), min_size=1, max_size=8, unique=True)
+        bits[draw(flips)] ^= 1
+    elif kind == "cut":
+        bits = bits[: draw(st.one_of(st.integers(0, 24), st.integers(0, bits.size)))]
+    return bits
+
+
+class TestDifferentialFrame:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(bits=recovered_bits(), as_list=st.booleans(), offset=st.integers(0, 10_000))
+    def test_matches_numpy_oracle(self, bits, as_list, offset):
+        # every field as repr spells it, so an int of another type or a
+        # payload of another length shows
+        arg = bits.tolist() if as_list else bits
+        got = decode_frame(arg, offset, **LEVELS)
+        want = oracle_decode_frame(bits, offset, **LEVELS)
+        fields = [f.name for f in dataclasses.fields(DecodeResult)]
+        assert [repr(getattr(got, f)) for f in fields] == [repr(getattr(want, f)) for f in fields]
+        assert type(got.bit_errors_in_preamble) is int
+
+    def test_fixed_frames_of_each_kind(self):
+        # a whole frame, 2 flipped preamble bits, a broken sync byte and two
+        # cut headers, with their status and preamble errors written out
+        frame = frame_to_bits(build_frame(b"\x11", 10e3))
+        flipped = frame.copy()
+        flipped[[1, 4]] ^= 1
+        broken = frame.copy()
+        broken[20] ^= 1
+        for bits, status, errors in [
+            (frame, DECODED, 0),
+            (flipped, DECODED, 2),
+            (broken, PAYLOAD_INVALID, 0),
+            (frame[:10], PAYLOAD_INVALID, 6),
+            (frame[:0], PAYLOAD_INVALID, 16),
+        ]:
+            got = decode_frame(bits, 0, **LEVELS)
+            assert got == oracle_decode_frame(bits, 0, **LEVELS)
+            assert (got.status, got.bit_errors_in_preamble) == (status, errors)
 
 
 def skewed_trace(n=400, seed=0):

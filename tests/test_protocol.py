@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -103,6 +104,35 @@ def assert_find_agrees(table: PvkTable, others: list[bytes]) -> None:
 def unused_indices(table: PvkTable) -> list[int]:
     """The reference scan that select_unused's Fenwick tree must agree with."""
     return [i for i, u in enumerate(table.used) if not u]
+
+
+def assert_selects_the_unused_pool(table: PvkTable) -> None:
+    """select_unused at every rank, and the IndexError at the ranks just
+    outside them, agree with the reference scan."""
+    pool = unused_indices(table)
+    assert table.n_unused == len(pool)
+    assert [table.select_unused(k) for k in range(len(pool))] == pool
+    for k in (-1, len(pool)):
+        with pytest.raises(IndexError, match=re.escape(f"rank {k} outside [0, {len(pool)})")):
+            table.select_unused(k)
+
+
+def provisioning_memory(n_keys: int, key_len: int, seed: int) -> tuple[int, int, int]:
+    """(fresh, kept, peak) under tracemalloc: what a provisioned table keeps,
+    what it keeps once a draw at rank 1 has built its rank tree, and the
+    peak of provisioning. One draw beforehand keeps numpy's one-time
+    generator set-up, about 0.64 MB, out of the figures."""
+    np.random.default_rng(0).integers(0, 2**32, size=1, dtype=np.uint32)
+    tracemalloc.start()
+    try:
+        table = generate_table(n_keys, key_len, rng_seed=seed)
+        fresh, peak = tracemalloc.get_traced_memory()
+        table.select_unused(1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n_keys
+    return fresh, kept, peak
 
 
 class TestPvkTable:
@@ -368,7 +398,9 @@ class TestPvkTable:
     def test_index_holds_no_object_per_key(self):
         # a dict index took a 100k-key table of 4-byte codes to 13.9 MB, and
         # lists of its entries, flags and tree to 7.2 MB, with 1.6 MB more
-        # for a copy; packed, they keep about 2 MB and a copy 0.5 MB
+        # for a copy; packed, they keep about 2 MB and a copy 0.5 MB. One
+        # draw first, as in provisioning_memory, so that it passes run alone
+        np.random.default_rng(0).integers(0, 2**32, size=1, dtype=np.uint32)
         tracemalloc.start()
         try:
             table = generate_table(100_000, 4, rng_seed=6)
@@ -396,29 +428,101 @@ class TestPvkTable:
             assert found is None
             assert peak < 64e3
 
+    # What the table keeps is read once a random draw has built the rank
+    # tree, which a fresh table does not hold yet: 4 bytes a key.
+
     def test_provisioning_peaks_at_the_memory_the_table_keeps(self):
         # the draws and the dedupe dict are gone before the table builds its
         # index; holding them took the peak to about 1.6x what the table keeps
-        tracemalloc.start()
-        try:
-            table = generate_table(100_000, 4, rng_seed=5)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(table) == 100_000
+        fresh, kept, peak = provisioning_memory(100_000, 4, 5)
         assert peak <= 1.2 * kept
+        assert 4 * 100_000 <= kept - fresh <= 4 * 100_000 + 4096
 
     def test_provisioning_64_byte_keys_peaks_at_the_memory_the_table_keeps(self):
         # at 64 bytes a key, one more copy of the codes than the table keeps
         # would take the peak to about 1.47x
-        tracemalloc.start()
-        try:
-            table = generate_table(20_000, 64, rng_seed=3)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(table) == 20_000
+        fresh, kept, peak = provisioning_memory(20_000, 64, 3)
         assert peak <= 1.2 * kept
+        assert 4 * 20_000 <= kept - fresh <= 4 * 20_000 + 4096
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_tree_built_after_marks_in_any_order(self, data):
+        # marks made before the first random draw are taken out of the tree
+        # it builds, and marks after it keep the tree current
+        n = data.draw(st.integers(1, 300), label="n")
+        table = PvkTable(entries=[i.to_bytes(2, "big") for i in range(n)])
+        index = st.integers(0, n - 1)
+        before = data.draw(st.lists(index, max_size=n), label="before")
+        for i in before:
+            table.mark_used(i)
+        assert table._tree is None
+        assert_selects_the_unused_pool(table)
+        assert (table._tree is not None) == (len(set(before)) < n - 1)
+        for i in data.draw(st.lists(index, max_size=n), label="after"):
+            table.mark_used(i)
+            if table.n_unused:
+                assert table.select_unused(table.n_unused - 1) == unused_indices(table)[-1]
+        assert_selects_the_unused_pool(table)
+
+    def test_copies_taken_before_and_after_the_tree_is_built(self):
+        table = PvkTable(entries=[i.to_bytes(1, "big") for i in range(40)])
+        for i in (30, 3, 17, 0):
+            table.mark_used(i)
+        before = table.copy()  # shares no tree: neither has one yet
+        assert table.select_unused(5) == 7
+        after = table.copy()  # its own copy of the built tree
+        assert before._tree is None and after._tree is not None
+        assert after._tree is not table._tree
+        table.mark_used(6)
+        after.mark_used(20)
+        before.mark_used(1)
+        for t, marked in ((table, {6}), (after, {20}), (before, {1})):
+            assert unused_indices(t) == [i for i in range(40) if i not in {30, 3, 17, 0} | marked]
+            assert_selects_the_unused_pool(t)
+        assert before._tree is not None and before._tree is not table._tree
+
+    def test_rank_zero_skips_marks_ahead_of_the_first_unused(self):
+        table = PvkTable(entries=[i.to_bytes(1, "big") for i in range(10)])
+        assert table.select_unused(0) == 0
+        for i in (1, 2, 5):  # ahead of the first unused entry
+            table.mark_used(i)
+        assert table.select_unused(0) == 0
+        table.mark_used(0)
+        assert table.select_unused(0) == 3
+        table.mark_used(4)
+        table.mark_used(3)
+        assert table.select_unused(0) == 6
+        for i in range(6, 10):
+            table.mark_used(i)
+        with pytest.raises(IndexError, match=re.escape("rank 0 outside [0, 0)")):
+            table.select_unused(0)
+        assert table._tree is None
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_index_errors_at_the_ranks_of_before(self, built):
+        # the messages the tree-only select gave, whether or not it is built
+        table = PvkTable(entries=[b"\x01", b"\x02", b"\x03"])
+        if built:
+            assert table.select_unused(2) == 2
+        for k in (-1, 3, 10):
+            with pytest.raises(IndexError, match=re.escape(f"rank {k} outside [0, 3)")):
+                table.select_unused(k)
+        table.mark_used(1)
+        assert_selects_the_unused_pool(table)
+        empty = PvkTable(entries=[])
+        with pytest.raises(IndexError, match=re.escape("rank 0 outside [0, 0)")):
+            empty.select_unused(0)
+
+    def test_sequential_sessions_build_no_tree(self):
+        # a sequential node draws at rank 0 and the monitor only finds and
+        # marks, so neither table pays for a tree, 4 bytes a key
+        node, monitor = session_parts(n_keys=250, seed=2)
+        for seed in range(200):
+            log = run_session(anechoic_scenario(seed=seed), node, Attacker(), monitor)
+            assert log.emitted_key_index == seed and log.final.verdict == ACCEPTED
+        assert node.table.n_unused == monitor.table.n_unused == 50
+        assert node.table._tree is None and monitor.table._tree is None
 
 
 class TestNodeStep:

@@ -286,6 +286,61 @@ def synthesize_reference(bits, p_high_dbm, p_low_dbm, bit_rate_hz, sample_rate_h
     return 10.0 * np.log10(total_w) + 30.0
 
 
+class TestAsBits:
+    @pytest.mark.parametrize("bad", [2, 255])
+    def test_uint8_other_than_zero_or_one_rejected(self, bad):
+        for i in (0, 7, 39):
+            bits = np.zeros(40, dtype=np.uint8)
+            bits[i] = bad
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                waveform.as_bits(bits)
+
+    def test_empty_array_is_an_empty_uint8_array(self):
+        for empty in (np.zeros(0, dtype=np.uint8), np.zeros(0), []):
+            arr = waveform.as_bits(empty)
+            assert arr.dtype == np.uint8 and arr.shape == (0,)
+
+    def test_uint8_array_is_returned_as_it_is(self):
+        bits = np.array([1, 0, 0, 1], dtype=np.uint8)
+        assert waveform.as_bits(bits) is bits
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            [True, False, False, True],
+            np.array([1, 0, 0, 1], dtype=bool),
+            [1, 0, 0, 1],
+            np.array([1, 0, 0, 1], dtype=np.int64),
+            [1.0, 0.0, 0.0, 1.0],
+            np.array([1.0, 0.0, -0.0, 1.0]),
+        ],
+        ids=["bool_list", "bool_array", "int_list", "int_array", "float_list", "float_array"],
+    )
+    def test_zero_one_input_of_any_type_becomes_uint8(self, bits):
+        arr = waveform.as_bits(bits)
+        assert arr.dtype == np.uint8
+        assert arr.tolist() == [1, 0, 0, 1]
+
+    @pytest.mark.parametrize(
+        "bits, shape",
+        [
+            (np.zeros((2, 40), dtype=np.uint8), "(2, 40)"),
+            (np.zeros((40, 1), dtype=np.uint8), "(40, 1)"),
+            (np.uint8(1), "()"),
+            (np.zeros((0, 3), dtype=np.uint8), "(0, 3)"),
+            ([[1, 0], [0, 1]], "(2, 2)"),
+            (1, "()"),
+        ],
+        ids=["two_rows", "one_column", "zero_d_uint8", "empty_2d", "nested_list", "int"],
+    )
+    def test_not_one_dimensional_rejected_by_shape(self, bits, shape):
+        # a (2, 40) array rendered as 1,280 samples, one bit after the other
+        with pytest.raises(ValueError, match=re.escape(f"one-dimensional, got shape {shape}")):
+            waveform.as_bits(bits)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            synthesize_envelope(bits, -40.0, -50.0, 1e3, 16e3, SILENT)
+
+
 class TestSynthesizeReference:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
     @pytest.mark.parametrize("noise_dbm", [-math.inf, -80.0, -45.0])
