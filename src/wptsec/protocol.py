@@ -14,7 +14,7 @@ import copy
 import math
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,17 +109,17 @@ def _sort_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, keys[first]
 
 
-@dataclass
 class PvkTable:
     """Ordered table of one-time key codes of one length, with per-entry
     used flags.
 
     A table is built from its entries alone and starts with every entry
     unused. It holds no Python object per entry: ``entries`` is a read-only
-    view of a fixed-width bytes array of the codes, and ``used`` a bytearray
-    of 0/1 flags. The first unused entry, the ``sequential`` policy's, is
-    ``used.find(0)`` from a hint that only moves forward, since no entry is
-    ever unmarked. The first ``select_unused`` at a rank above 0 builds a
+    view of a fixed-width bytes array of the codes, and the flags are a
+    private bytearray of 0/1 that ``mark_used`` alone writes and ``is_used``
+    and ``n_unused`` read. The ``sequential`` policy's first unused entry is
+    a scan of the flags from a hint that only moves forward, since no entry
+    is ever unmarked. The first ``select_unused`` at a rank above 0 builds a
     Fenwick tree over the unused flags (P. M. Fenwick, Softw. Pract. Exper.
     24(3), 1994), an int32 array of 4 bytes a key, which finds the k-th
     unused entry in O(log n); from then on mark_used keeps it current, and
@@ -127,11 +127,8 @@ class PvkTable:
     sorted into a second array, beside their int32 table indices.
     """
 
-    entries: Sequence[bytes]
-    used: bytearray = field(init=False)
-
-    def __post_init__(self) -> None:
-        codes = list(map(bytes, self.entries))
+    def __init__(self, entries: Sequence[bytes]) -> None:
+        codes = list(map(bytes, entries))
         lengths = set(map(len, codes))
         if len(lengths) > 1:
             raise ValueError(f"key table entries must have one length, got {sorted(lengths)}")
@@ -158,19 +155,19 @@ class PvkTable:
         n = codes.size
         self.entries = _Codes(codes)
         self._keys, self._at = keys, at
-        self.used = bytearray(n)
+        self._used = bytearray(n)
         self._tree: array | None = None  # built by the first draw at a rank above 0
         self._first = 0  # no entry before it is unused
         self._n_unused = n
 
     def __len__(self) -> int:
-        return len(self.used)
+        return len(self._used)
 
     @property
     def key_len_bytes(self) -> int | None:
         """The one length of the table's codes; None for a table without
         codes."""
-        return self.entries.key_len if self.used else None
+        return self.entries.key_len if self._used else None
 
     @property
     def n_unused(self) -> int:
@@ -193,10 +190,10 @@ class PvkTable:
         return index if self.entries[index] == code else None
 
     def is_used(self, index: int) -> bool:
-        return bool(self.used[index])
+        return bool(self._used[index])
 
     def mark_used(self, index: int) -> None:
-        used = self.used
+        used = self._used
         n = len(used)
         if not 0 <= index < n:
             raise IndexError(f"key index {index} outside [0, {n})")
@@ -218,9 +215,9 @@ class PvkTable:
         if not 0 <= k < self._n_unused:
             raise IndexError(f"rank {k} outside [0, {self._n_unused})")
         if k == 0:
-            self._first = self.used.find(0, self._first)
+            self._first = self._used.find(0, self._first)
             return self._first
-        tree, n, pos = self._tree, len(self.used), 0
+        tree, n, pos = self._tree, len(self._used), 0
         if tree is None:
             tree = self._build_tree()
         step = 1 << (n.bit_length() - 1)
@@ -238,7 +235,7 @@ class PvkTable:
         filled level by level in place as if all were unused, with no
         temporary array, and then each used entry is taken out, one walk
         per level for all of them at once."""
-        used, n = self.used, len(self.used)
+        used, n = self._used, len(self._used)
         self._tree = array("i", [0]) * (n + 1)
         tree = np.frombuffer(self._tree, dtype=np.int32)
         step = 1
@@ -255,11 +252,11 @@ class PvkTable:
         return self._tree
 
     def copy(self) -> "PvkTable":
-        """Clone with its own used flags, and its own tree if this table has
-        built one. No method mutates the entries or their sort, so the clone
-        shares them without validating again."""
+        """Clone with a copy of the used flags, and of the tree if this table
+        has built one. No method mutates the entries or their sort, so the
+        clone shares them without validating again."""
         clone = copy.copy(self)
-        clone.used = bytearray(self.used)
+        clone._used = bytearray(self._used)
         if self._tree is not None:
             clone._tree = array("i", self._tree)
         return clone
@@ -379,7 +376,7 @@ class Attacker:
             raise ValueError(f"unknown attacker kind: {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonitorConfig:
     """Communication-node side of a session: its table copy and the
     network-scheduled modulation parameters."""

@@ -11,6 +11,7 @@ the cap on a trace's length.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import re
 from dataclasses import dataclass
@@ -252,7 +253,8 @@ def synthesize_envelope(
     in watts (mean floor plus zero-mean Gaussian fluctuation), and each
     sample is floored at POWER_FLOOR_W. The trace holds those watts; its
     dBm ``samples`` are computed only when read. Identical inputs and seed
-    give bit-identical traces. A bit other than 0 or 1 is a ``ValueError``.
+    give bit-identical traces. A bit other than 0 or 1 is a ``ValueError``,
+    and so is a sample past the float range, with no numpy warning.
 
     The fluctuation is one ``standard_normal(n)`` draw, taken NOISE_BLOCK
     samples at a time, and scaled. ``rng.normal(0.0, floor, n)`` would give
@@ -278,11 +280,15 @@ def synthesize_envelope(
     samples = np.where(bit_arr, hi_w, lo_w).repeat(counts)
     if floor_w > 0.0:
         rng = noise.generator()
-        for start in range(0, samples.size, NOISE_BLOCK):
-            block = samples[start : start + NOISE_BLOCK]
-            z = rng.standard_normal(block.size)
-            z *= floor_w
-            block += z
+        # no standard normal draw reaches 64, so only past this bound can a sum
+        # overflow: the check below names that, and numpy's warnings are silenced
+        loud = not max(hi_w, lo_w) + 64.0 * floor_w < np.inf
+        with np.errstate(over="ignore", invalid="ignore") if loud else contextlib.nullcontext():
+            for start in range(0, samples.size, NOISE_BLOCK):
+                block = samples[start : start + NOISE_BLOCK]
+                z = rng.standard_normal(block.size)
+                z *= floor_w
+                block += z
     np.maximum(samples, POWER_FLOOR_W, out=samples)
     return EnvelopeTrace._in_watts(sample_rate_hz, samples, meta, _not_overflowed)
 
@@ -344,13 +350,6 @@ REPR_EXACT_MIN = 1e-4
 REPR_EXACT_MAX = 1e16
 
 
-def _trace_header(trace: EnvelopeTrace) -> str:
-    rate = trace.sample_rate_hz
-    if rate != int(rate):
-        raise ValueError(f"sample rate must be integral for the file format, got {rate}")
-    return f"sample_rate_hz={int(rate)},unit=dbm,meta={trace.meta}\n"
-
-
 def _sample_chunks(samples: np.ndarray):
     """The sample lines as ASCII bytes, TRACE_CHUNK_SAMPLES at a time, each
     chunk ending in a newline."""
@@ -372,7 +371,10 @@ def _sample_chunks(samples: np.ndarray):
 def write_trace(trace: EnvelopeTrace, path) -> None:
     """Write the trace file one chunk at a time; a non-integral sample rate
     raises before the file is opened."""
-    header = _trace_header(trace).encode("ascii")
+    rate = trace.sample_rate_hz
+    if rate != int(rate):
+        raise ValueError(f"sample rate must be integral for the file format, got {rate}")
+    header = f"sample_rate_hz={int(rate)},unit=dbm,meta={trace.meta}\n".encode("ascii")
     with open(path, "wb") as f:
         f.write(header)
         f.writelines(_sample_chunks(trace.samples))
@@ -401,9 +403,10 @@ def read_trace(path) -> EnvelopeTrace:
             samples = np.fromiter(map(float, filter(None, lines)), dtype=np.float64)
         except ValueError as exc:  # also a byte past the first block that is not ASCII
             raise TraceFormatError(f"bad sample line: {exc}") from None
-    finite = np.isfinite(samples)
-    if not finite.all():
-        i = int(finite.argmin())
-        value = float(samples[i])
-        raise TraceFormatError(f"bad sample line: samples[{i}] is {value!r}, not finite")
-    return EnvelopeTrace(sample_rate_hz=rate, samples=samples, meta=m.group(2))
+    try:
+        return EnvelopeTrace(sample_rate_hz=rate, samples=samples, meta=m.group(2))
+    except ValueError as exc:
+        if str(exc) != _NOT_FINITE:
+            raise
+    i = int(np.isfinite(samples).argmin())  # named only once the trace refused them
+    raise TraceFormatError(f"bad sample line: samples[{i}] is {float(samples[i])!r}, not finite")

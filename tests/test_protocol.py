@@ -103,7 +103,12 @@ def assert_find_agrees(table: PvkTable, others: list[bytes]) -> None:
 
 def unused_indices(table: PvkTable) -> list[int]:
     """The reference scan that select_unused's Fenwick tree must agree with."""
-    return [i for i, u in enumerate(table.used) if not u]
+    return [i for i in range(len(table)) if not table.is_used(i)]
+
+
+def untouched(*tables: PvkTable) -> bool:
+    """No entry of any of ``tables`` is used."""
+    return all(t.n_unused == len(t) for t in tables)
 
 
 def assert_selects_the_unused_pool(table: PvkTable) -> None:
@@ -188,6 +193,23 @@ class TestPvkTable:
             PvkTable(entries=[b"\x01", b"\x01"])
         with pytest.raises(ValueError):
             PvkTable(entries=[b""])
+
+    def test_flags_have_one_writer(self):
+        # a public used bytearray let table.used[0] = 1 flag a key past
+        # n_unused and the rank tree: n_unused still read 4, and
+        # select_unused(3) returned 4, an index past the table
+        table = PvkTable(entries=[b"\x01", b"\x02", b"\x03", b"\x04"])
+        with pytest.raises(AttributeError):
+            table.used[0] = 1
+        assert_selects_the_unused_pool(table)
+        table.mark_used(0)
+        assert_selects_the_unused_pool(table)
+        assert table.select_unused(2) == 3
+
+    def test_repr_does_not_spell_the_table(self):
+        # a generated repr spelled every code and flag: 4,000,088 characters
+        # for a 1,000,000-key table
+        assert len(repr(generate_table(100_000, 4, rng_seed=1))) < 200
 
     def test_copy_is_independent(self):
         table = PvkTable(entries=[b"\x01", b"\x02"])
@@ -375,7 +397,7 @@ class TestPvkTable:
                 tables.append((t.copy(), list(used)))
             assert t.n_unused == used.count(False)
         for t, used in tables:
-            assert list(map(bool, t.used)) == used
+            assert [t.is_used(i) for i in range(n)] == used
             assert t.entries == codes and list(t.entries) == codes and len(t) == n
             assert set(t.entries) == set(codes)
             assert [t.find(code) for code in codes] == list(range(n))
@@ -609,13 +631,13 @@ class TestNodeStep:
         node = NodeState(table=generate_table(4, 2, rng_seed=3), stored_energy_j=50e-6)
         with pytest.raises(ValueError, match="unknown key policy: 'bogus'"):
             charging_session(node, key_policy="bogus")
-        assert node.stored_energy_j == 50e-6 and not any(node.table.used)
+        assert node.stored_energy_j == 50e-6 and untouched(node.table)
 
     def test_nan_dt_rejected(self):
         node = NodeState(table=generate_table(4, 2, rng_seed=3), stored_energy_j=50e-6)
         with pytest.raises(ValueError, match="dt_s must be > 0"):
             charging_session(node, dt_s=math.nan)
-        assert node.stored_energy_j == 50e-6 and not any(node.table.used)
+        assert node.stored_energy_j == 50e-6 and untouched(node.table)
 
     @pytest.mark.parametrize("dt_s, max_time_s", [(1e-320, 30.0), (1e-4, 1e305)])
     def test_uncountable_steps_rejected(self, dt_s, max_time_s):
@@ -624,7 +646,7 @@ class TestNodeStep:
         node = NodeState(table=generate_table(4, 2, rng_seed=3), stored_energy_j=50e-6)
         with pytest.raises(ValueError, match="max_time_s / dt_s must be finite"):
             charging_session(node, dt_s=dt_s, max_time_s=max_time_s)
-        assert node.stored_energy_j == 50e-6 and not any(node.table.used)
+        assert node.stored_energy_j == 50e-6 and untouched(node.table)
 
 
 class TestRunSession:
@@ -786,7 +808,7 @@ class TestRunSession:
         node, monitor = session_parts()
         with pytest.raises(ValueError, match="unknown key policy: 'bogus'"):
             run_session(scenario, node, Attacker(), monitor, key_policy="bogus")
-        assert node.stored_energy_j == 0.0 and not any(node.table.used)
+        assert node.stored_energy_j == 0.0 and untouched(node.table)
 
     def test_nan_dt_rejected(self):
         node, monitor = session_parts()
@@ -802,7 +824,7 @@ class TestRunSession:
         with pytest.raises(ValueError, match=f"^{arg} must be .* finite"):
             run_session(anechoic_scenario(), node, Attacker(), monitor, **{arg: math.inf})
         assert node.stored_energy_j == 5e-6
-        assert not any(node.table.used) and not any(monitor.table.used)
+        assert untouched(node.table, monitor.table)
 
     def test_lost_step_rejected_before_the_ledger(self):
         # dt_s = 1e-300 passes check_session_timing; it banked 9.96e-6 J and
@@ -815,7 +837,7 @@ class TestRunSession:
         with pytest.raises(ValueError, match="dt_s of 1e-300 s is lost next to the latest event"):
             run_session(scenario, node, Attacker(), monitor, dt_s=1e-300, max_time_s=30.0)
         assert node.stored_energy_j == 0.0
-        assert not any(node_table.used) and not any(monitor_table.used)
+        assert untouched(node_table, monitor_table)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_numpy_refuses_rejected_before_the_ledger(self, seed):
@@ -827,7 +849,7 @@ class TestRunSession:
             scenario = fresh_session_scenario(anechoic_scenario(), seed)
             run_session(scenario, node, Attacker(), monitor)
         assert node.stored_energy_j == 0.0
-        assert not any(node.table.used) and not any(monitor.table.used)
+        assert untouched(node.table, monitor.table)
 
     def test_immediate_timeout_keeps_timeline_strict(self):
         node, monitor = session_parts()
@@ -986,6 +1008,13 @@ class TestStateValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             Attacker().kind = "replay"
 
+    def test_monitor_config_is_frozen(self):
+        # a rate set after construction skipped check_oversampling
+        monitor = MonitorConfig(table=PvkTable(entries=[b"\x01"]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            monitor.bit_rate_hz = 1e9
+        assert monitor.sample_rate_hz == 16 * 20e3
+
     def test_monitor_config_oversampling(self):
         with pytest.raises(ValueError):
             MonitorConfig(table=PvkTable(entries=[b"\x01"]), oversampling=4)
@@ -1011,4 +1040,5 @@ class TestStateValidation:
             PvkTable(entries=[b"\x01", b"\x02"], cursor=1)
         with pytest.raises(TypeError):
             PvkTable(entries=[b"\x01", b"\x02"], used=[True, False])
-        assert list(map(bool, PvkTable(entries=[b"\x01", b"\x02"]).used)) == [False, False]
+        table = PvkTable(entries=[b"\x01", b"\x02"])
+        assert [table.is_used(0), table.is_used(1)] == [False, False]

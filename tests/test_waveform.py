@@ -430,14 +430,14 @@ class TestBlockNoise:
 class TestRenderChecks:
     # the render checks its own floored watts only for overflow, and its
     # meta as every trace's; each error has the message EnvelopeTrace
-    # gives for the same fault. A 3110 dBm floor is
-    # 1e308 W, and numpy's overflow warnings are silenced so that the
-    # check, not the warning, is what fails the render.
+    # gives for the same fault. A 3110 dBm floor is 1e308 W; the render
+    # calls are not wrapped in np.errstate, so the RuntimeWarning filter
+    # of the suite fails any render that lets numpy warn of its overflow.
     LOUD = NoiseSpec(3110.0, rng_seed=1)
 
     def test_overflow_to_inf_rejected(self):
         # level + floor + floor * z passes the float range for z above 0.8
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
+        with pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
             synthesize_envelope([1, 0] * 8, -50.0, -60.0, 1e3, 16e3, self.LOUD)
 
     def test_overflow_to_nan_rejected(self):
@@ -447,8 +447,8 @@ class TestRenderChecks:
         z = self.LOUD.generator().standard_normal(256)
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isnan((dbm_to_watts(3110.0) + floor_w) + floor_w * z).any()
-            with pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
-                synthesize_envelope([1, 0] * 8, 3110.0, 3110.0, 1e3, 16e3, self.LOUD)
+        with pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
+            synthesize_envelope([1, 0] * 8, 3110.0, 3110.0, 1e3, 16e3, self.LOUD)
 
     @pytest.mark.parametrize("n", [7, 640, NOISE_BLOCK + 3])
     def test_a_nan_anywhere_fails_the_overflow_check(self, n):
@@ -473,7 +473,7 @@ class TestRenderChecks:
         with pytest.raises(ValueError, match=re.escape(message)):
             synthesize_envelope([1, 0] * 8, -50.0, -60.0, 1e3, 16e3, noise, meta=meta)
         # a render that overflows as well is named by its overflow
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
+        with pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
             synthesize_envelope([1, 0] * 8, -50.0, -60.0, 1e3, 16e3, self.LOUD, meta=meta)
 
 
