@@ -153,7 +153,7 @@ class PvkTable:
         """``codes``: the entries in table order; ``keys``: the same codes in
         ascending order; ``at``: the int32 table index of each of ``keys``."""
         n = codes.size
-        self.entries = _Codes(codes)
+        self._entries = _Codes(codes)
         self._keys, self._at = keys, at
         self._used = bytearray(n)
         self._tree: array | None = None  # built by the first draw at a rank above 0
@@ -164,10 +164,14 @@ class PvkTable:
         return len(self._used)
 
     @property
+    def entries(self) -> _Codes:
+        return self._entries
+
+    @property
     def key_len_bytes(self) -> int | None:
         """The one length of the table's codes; None for a table without
         codes."""
-        return self.entries.key_len if self._used else None
+        return self._entries.key_len if self._used else None
 
     @property
     def n_unused(self) -> int:
@@ -187,7 +191,7 @@ class PvkTable:
         if slot == keys.size:
             return None
         index = self._at.item(slot)
-        return index if self.entries[index] == code else None
+        return index if self._entries[index] == code else None
 
     def is_used(self, index: int) -> bool:
         return bool(self._used[index])

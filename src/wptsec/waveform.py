@@ -11,7 +11,6 @@ the cap on a trace's length.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import re
 from dataclasses import dataclass
@@ -159,16 +158,17 @@ class EnvelopeTrace:
     @classmethod
     def from_watts(cls, sample_rate_hz: float, watts, meta: str = "") -> "EnvelopeTrace":
         """A trace of powers in watts, each finite and > 0."""
-        trace = cls._in_watts(sample_rate_hz, watts, meta, _finite)
+        trace = cls._held(sample_rate_hz, watts, meta, _finite, in_watts=True)
         if trace._watts.size and not np.minimum.reduce(trace._watts) > 0.0:
             raise ValueError("trace powers must be > 0 W")
         return trace
 
     @classmethod
-    def _in_watts(cls, sample_rate_hz: float, watts, meta: str, check) -> "EnvelopeTrace":
-        """A trace held in watts, its values judged by ``check``."""
+    def _held(cls, rate: float, values, meta: str, check, in_watts: bool) -> "EnvelopeTrace":
+        """A trace held in watts, or else in dBm, its values judged by ``check``."""
         trace = cls.__new__(cls)
-        trace._dbm, trace._watts = None, trace._checked(sample_rate_hz, watts, meta, check)
+        values = trace._checked(rate, values, meta, check)
+        trace._dbm, trace._watts = (None, values) if in_watts else (values, None)
         return trace
 
     def _checked(self, sample_rate_hz: float, values, meta: str, check) -> np.ndarray:
@@ -280,22 +280,19 @@ def synthesize_envelope(
     samples = np.where(bit_arr, hi_w, lo_w).repeat(counts)
     if floor_w > 0.0:
         rng = noise.generator()
-        # no standard normal draw reaches 64, so only past this bound can a sum
-        # overflow: the check below names that, and numpy's warnings are silenced
-        loud = not max(hi_w, lo_w) + 64.0 * floor_w < np.inf
-        with np.errstate(over="ignore", invalid="ignore") if loud else contextlib.nullcontext():
+        # a sum past the float range is reported once, by the check below
+        with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, samples.size, NOISE_BLOCK):
                 block = samples[start : start + NOISE_BLOCK]
                 z = rng.standard_normal(block.size)
                 z *= floor_w
                 block += z
     np.maximum(samples, POWER_FLOOR_W, out=samples)
-    return EnvelopeTrace._in_watts(sample_rate_hz, samples, meta, _not_overflowed)
+    return EnvelopeTrace._held(sample_rate_hz, samples, meta, _not_overflowed, in_watts=True)
 
 
 def _not_overflowed(watts: np.ndarray) -> np.ndarray:
-    """A render's floored watts, which are > 0 and can only have overflowed:
-    to inf, or to NaN from inf - inf, which the reduce propagates."""
+    """A render's floored watts, > 0, unless a sum overflowed to inf or NaN."""
     if not np.maximum.reduce(watts) < np.inf:
         raise ValueError(_NOT_FINITE)
     return watts
@@ -403,10 +400,9 @@ def read_trace(path) -> EnvelopeTrace:
             samples = np.fromiter(map(float, filter(None, lines)), dtype=np.float64)
         except ValueError as exc:  # also a byte past the first block that is not ASCII
             raise TraceFormatError(f"bad sample line: {exc}") from None
-    try:
-        return EnvelopeTrace(sample_rate_hz=rate, samples=samples, meta=m.group(2))
-    except ValueError as exc:
-        if str(exc) != _NOT_FINITE:
-            raise
-    i = int(np.isfinite(samples).argmin())  # named only once the trace refused them
-    raise TraceFormatError(f"bad sample line: samples[{i}] is {float(samples[i])!r}, not finite")
+    def finite(x: np.ndarray) -> np.ndarray:  # the trace's one check of its samples
+        if not np.isfinite(x).all():
+            i = int(np.isfinite(x).argmin())  # named only once the check failed
+            raise TraceFormatError(f"bad sample line: samples[{i}] is {float(x[i])!r}, not finite")
+        return x
+    return EnvelopeTrace._held(rate, samples, m.group(2), finite, in_watts=False)

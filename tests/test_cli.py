@@ -91,32 +91,22 @@ class TestRunExperiment:
 
     def test_failed_point_recorded_as_row(self):
         # a 3100 dBm noise floor loads and renders, but its cluster sums pass
-        # the float range in watts
+        # the float range in watts; at 3110 dBm the render's own sums pass it,
+        # which its overflow check names with no numpy warning (numpy warned
+        # twice, and under this suite's RuntimeWarning filter the row read
+        # error:RuntimeWarning)
         for protocol_on, ok in (("true", "decoded"), ("false", "ok")):
             cfg = load_config(
                 f"setup=anechoic\nprotocol.enabled={protocol_on}\n"
-                "sweep.param=channel.noise_power_dbm\nsweep.values=3100,-90\n"
+                "sweep.param=channel.noise_power_dbm\nsweep.values=3100,3110,-90\n"
             )
-            rows, summary = run_experiment(cfg)
-            assert [r["status"] for r in rows] == [ok, "error:LevelOverflow"]
-            assert not summary.all_passed
-
-    def test_render_overflow_is_one_value_error_row(self):
-        # a 3110 dBm noise floor's sums pass the float range in the render,
-        # whose overflow check names the fault; numpy also warned of it
-        # twice, and under this suite's RuntimeWarning filter the row read
-        # error:RuntimeWarning
-        for protocol_on in ("true", "false"):
-            cfg = load_config(
-                f"setup=anechoic\nprotocol.enabled={protocol_on}\n"
-                "sweep.param=channel.noise_power_dbm\nsweep.values=3100,3110\n"
-            )
-            statuses = ["error:LevelOverflow", "error:ValueError"]  # 3100, 3110 dBm
-            assert [r["status"] for r in run_experiment(cfg)[0]] == statuses
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                assert [r["status"] for r in run_experiment(cfg)[0]] == statuses
+                rows, summary = run_experiment(cfg)
             assert not caught
+            statuses = [ok, "error:LevelOverflow", "error:ValueError"]
+            assert [r["status"] for r in rows] == statuses
+            assert not summary.all_passed
 
     def test_config_the_load_refuses_is_refused_by_the_run(self):
         # a 150 kHz sweep value used to give an error:BitRateTooHigh row when

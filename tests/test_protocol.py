@@ -197,10 +197,14 @@ class TestPvkTable:
     def test_flags_have_one_writer(self):
         # a public used bytearray let table.used[0] = 1 flag a key past
         # n_unused and the rank tree: n_unused still read 4, and
-        # select_unused(3) returned 4, an index past the table
+        # select_unused(3) returned 4, an index past the table; a rebound
+        # entries view would leave find searching the old sorted codes
         table = PvkTable(entries=[b"\x01", b"\x02", b"\x03", b"\x04"])
         with pytest.raises(AttributeError):
             table.used[0] = 1
+        with pytest.raises(AttributeError):
+            table.entries = [b"\x05", b"\x06", b"\x07", b"\x08"]
+        assert table.entries == [b"\x01", b"\x02", b"\x03", b"\x04"]
         assert_selects_the_unused_pool(table)
         table.mark_used(0)
         assert_selects_the_unused_pool(table)
