@@ -7,6 +7,15 @@ once: ``--trace-out`` writes the first row's own trace, the probe or
 measured, and never renders it again. Built-in checks mirror the scenario's
 expected behavior (DR spread bounds, accepted verdicts) and drive the exit
 code: 0 all checks pass, 1 a check failed, 2 config/IO error.
+
+A probe sweep of two or more points, on more than one usable CPU, keeps one
+helper thread: while a point renders and is measured, the helper draws the
+next point's noise head, the first three quarters of its standard normals
+and at most ``AHEAD_SAMPLES`` (1 MiB), into an array this thread allocated.
+The helper runs only the generator's ``standard_normal``, never a wptsec
+function; the render scales the head, adds it and draws the rest of the
+noise from the same generator, so every row and trace byte is that of a
+serial run.
 """
 
 from __future__ import annotations
@@ -30,8 +39,8 @@ from .config import (
 )
 from .errors import EmptyTrace
 from .monitor import measure_levels
-from .protocol import Attacker, PvkTable, run_session
-from .waveform import EnvelopeTrace, render_envelope, write_trace
+from .protocol import Attacker, run_session
+from .waveform import NOISE_BLOCK, EnvelopeTrace, render_envelope, trace_length, write_trace
 
 CSV_COLUMNS = (
     "sweep_param",
@@ -47,6 +56,12 @@ CSV_COLUMNS = (
 
 # splitmix64 increment keeps per-point noise seeds distinct and reproducible
 _SEED_STRIDE = 0x9E3779B97F4A7C15
+
+
+# Cap on a probe point's noise head, the draws a helper thread makes for it
+# while the point before it runs: 1 MiB, all that a render's peak grows by
+# (see _NoiseAhead).
+AHEAD_SAMPLES = 16 * NOISE_BLOCK
 
 
 def point_seed(base_seed: int, index: int) -> int:
@@ -84,16 +99,18 @@ def _payload_ber(expected: bytes | None, got: bytes | None) -> float | None:
     return diff.bit_count() / (8 * len(expected))
 
 
-def _run_point(cfg: ScenarioConfig, link: LinkScenario) -> tuple[dict, EnvelopeTrace | None]:
+def _run_point(
+    cfg: ScenarioConfig, link: LinkScenario, ahead=None
+) -> tuple[dict, EnvelopeTrace | None]:
     """The measured cells of one point's row, run on ``link``, and the trace
-    they were measured on: the alternating CMD probe when the protocol is
-    off, otherwise the keyed session's own trace on freshly provisioned
-    tables (None when the node never woke)."""
+    they were measured on: the alternating CMD probe, rendered with the
+    noise head ``ahead`` when one was drawn (see render_envelope), when the
+    protocol is off, otherwise the keyed session's own trace on freshly
+    provisioned tables (None when the node never woke)."""
     if not cfg.protocol_enabled:
         bits = np.zeros(cfg.probe_bits, dtype=np.uint8)
         bits[::2] = 1
-        sample_rate_hz = build_monitor(cfg, PvkTable([])).sample_rate_hz
-        trace = render_envelope(link, bits, cfg.bit_rate_hz, sample_rate_hz)
+        trace = render_envelope(link, bits, cfg.bit_rate_hz, cfg.sample_rate_hz, ahead=ahead)
         threshold_w, dr_db = measure_levels(trace)
         return dict(dr_db=dr_db, threshold_dbm=watts_to_dbm(threshold_w), status="ok"), trace
     node_table, monitor_table = build_tables(cfg)
@@ -127,26 +144,38 @@ def run_experiment(cfg: ScenarioConfig, trace_out=None) -> tuple[list[dict], Sum
     point that fails at run time becomes an error row, never a crash. With
     ``trace_out``, the first row's own trace is written to that path as
     soon as the row is measured (see _write_first_trace); an ``OSError``
-    while writing it propagates.
+    while writing it propagates. A probe sweep draws each point's noise head
+    one point ahead on a helper thread (see _NoiseAhead); a draw that raises
+    is that point's error row.
     """
     rows, trace_failed = [], ()
     key = cfg.sweep_param
     points = sorted(cfg.points, key=lambda p: p[0].scalar(key)) if key else cfg.points
-    for i, (point_cfg, link) in enumerate(points):
-        # the value the point runs with, so an int key's is an int
-        value = point_cfg.scalar(key) if key else None
-        row = dict.fromkeys(CSV_COLUMNS)
-        row.update(sweep_param=key, sweep_value=value, seed=point_seed(cfg.seed, i))
-        try:
-            cells, trace = _run_point(point_cfg, link.with_noise_seed(row["seed"]))
-            row.update(cells)
-        except Exception as exc:  # recorded, not raised: sweeps must finish
-            row["status"] = f"error:{type(exc).__name__}"
-            trace = exc
-        if trace_out and not rows:
-            trace_failed = _write_first_trace(trace, trace_out)
-        del trace  # so it is not held while the next point renders
-        rows.append(row)
+    seeds = [point_seed(cfg.seed, i) for i in range(len(points))]
+    heads = None
+    if not cfg.protocol_enabled and len(points) > 1 and _usable_cpus() > 1:
+        heads = _NoiseAhead(points, seeds)
+    try:
+        for i, (point_cfg, link) in enumerate(points):
+            # the value the point runs with, so an int key's is an int
+            value = point_cfg.scalar(key) if key else None
+            row = dict.fromkeys(CSV_COLUMNS)
+            row.update(sweep_param=key, sweep_value=value, seed=seeds[i])
+            ahead = None
+            try:
+                ahead = heads.take(i) if heads else None  # first: it queues point i + 1
+                cells, trace = _run_point(point_cfg, link.with_noise_seed(seeds[i]), ahead)
+                row.update(cells)
+            except Exception as exc:  # recorded, not raised: sweeps must finish
+                row["status"] = f"error:{type(exc).__name__}"
+                trace = exc
+            if trace_out and not rows:
+                trace_failed = _write_first_trace(trace, trace_out)
+            del trace, ahead  # so neither is held while the next point renders
+            rows.append(row)
+    finally:
+        if heads:
+            heads.close()
 
     checks = [_check_no_errors(rows)]
     if cfg.sweep_param == "channel.p_tx_dbm":
@@ -161,6 +190,99 @@ def run_experiment(cfg: ScenarioConfig, trace_out=None) -> tuple[list[dict], Sum
         else:
             checks.append(_check_verdicts(rows, "accepted", "verdict_accepted"))
     return rows, Summary(checks=tuple(checks) + trace_failed)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    import os  # not at module level either; see _NoiseAhead
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
+class _NoiseAhead:
+    """One helper thread that draws each probe point's noise head while the
+    calling thread renders and measures the point before it.
+
+    The head is the first three quarters of the point's standard normals, at
+    most AHEAD_SAMPLES: the calling thread draws the last quarter itself,
+    which balances the two (per 10^5 samples the draw is about 1.3 ms and
+    the rest of a point 0.85 ms). Everything that reads a point's config or
+    link, the head's allocation included, runs on the calling thread; the
+    helper runs only ``_fill``. Points are taken in order, each once.
+    """
+
+    def __init__(self, points, seeds) -> None:
+        # not at module level: only a probe sweep starts a thread, and numpy
+        # has loaded threading already
+        import threading
+
+        self._points, self._seeds = points, seeds
+        # the queued point's (head, generator) for the helper to fill, None
+        # when it draws no noise, or what building it raised
+        self._task = None
+        self._error = None  # what the helper's last fill raised
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="noise-ahead", daemon=True)
+        self._thread.start()
+        self._queue(0)
+
+    def _queue(self, i: int) -> None:
+        """Build point i's task and hand it to the idle helper."""
+        cfg, link = self._points[i]
+        try:
+            noise = link.with_noise_seed(self._seeds[i]).noise
+            self._task = None
+            if noise.mean_power_w > 0.0:
+                n = trace_length(cfg.probe_bits, cfg.bit_rate_hz, cfg.sample_rate_hz)
+                self._task = (np.empty(min(n - n // 4, AHEAD_SAMPLES)), noise.generator())
+                self._go.release()
+        except Exception as exc:  # point i's own error, raised by take(i)
+            self._task = exc
+
+    def take(self, i: int) -> tuple[np.ndarray, np.random.Generator] | None:
+        """Point i's noise head and its generator, as render_envelope takes
+        them, or None when it draws no noise; raises what building or
+        drawing it raised. Queues point i + 1's head."""
+        task = self._task
+        try:
+            if isinstance(task, Exception):
+                raise task
+            if task is None:
+                return None
+            self._done.acquire()
+            error, self._error = self._error, None
+            if error is not None:
+                raise error
+            return task
+        finally:
+            if i + 1 < len(self._points):
+                self._queue(i + 1)
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            task = self._task
+            if task is None:  # close()
+                return
+            try:
+                self._fill(*task)
+            except BaseException as exc:  # the point's own error, raised by take
+                self._error = exc
+            self._done.release()
+
+    @staticmethod
+    def _fill(head: np.ndarray, rng: np.random.Generator) -> None:
+        """The helper's one task, a draw that cannot warn."""
+        rng.standard_normal(out=head)
+
+    def close(self) -> None:
+        """Stop the helper, once any fill it is running ends."""
+        self._task = None
+        self._go.release()
+        self._thread.join()
 
 
 def _write_first_trace(trace: EnvelopeTrace | Exception | None, path) -> tuple[Check, ...]:

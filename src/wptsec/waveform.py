@@ -54,6 +54,9 @@ POWER_FLOOR_W = 1e-18
 # Noise samples drawn at a time, so a render holds one trace-sized array:
 # 64 KiB temporaries, below glibc's 128 KiB mmap threshold; 13 passes per 1e5.
 NOISE_BLOCK = 8192
+# The noise head of a render that draws all of its noise itself.
+_NO_HEAD = np.empty(0)
+_NO_HEAD.flags.writeable = False
 
 
 # Both checks are written so that NaN fails them.
@@ -238,6 +241,12 @@ def _bit_counts(n_bits: int, samples_per_bit: float) -> np.ndarray:
     return counts
 
 
+def trace_length(n_bits: int, bit_rate_hz: float, sample_rate_hz: float) -> int:
+    """Samples in the render of ``n_bits`` bits: the sum of the per-bit
+    counts the render repeats its levels by."""
+    return int(_bit_counts(n_bits, sample_rate_hz / bit_rate_hz).sum())
+
+
 def synthesize_envelope(
     bits,
     p_high_dbm: float,
@@ -246,6 +255,8 @@ def synthesize_envelope(
     sample_rate_hz: float,
     noise: NoiseSpec,
     meta: str = "",
+    *,
+    ahead: tuple[np.ndarray, np.random.Generator] | None = None,
 ) -> EnvelopeTrace:
     """Render a bit sequence as the monitor-received power envelope.
 
@@ -260,6 +271,12 @@ def synthesize_envelope(
     samples at a time, and scaled. ``rng.normal(0.0, floor, n)`` would give
     ``0.0 + floor * z`` for the same z, which differs only in the sign of a
     zero, and adding it to a positive sample erases that sign.
+
+    ``ahead`` is the noise head drawn before the call and the generator it
+    was drawn from: the first ``standard_normal`` values of
+    ``noise.generator()``, at most one a sample. The render scales the head
+    in place and adds it to the first samples, then draws the rest from that
+    generator, so the trace's bytes are those of a render without it.
     """
     bit_arr = as_bits(bits)
     if bit_arr.size == 0:
@@ -279,10 +296,12 @@ def synthesize_envelope(
     hi_w, lo_w = dbm_to_watts(p_high_dbm) + floor_w, dbm_to_watts(p_low_dbm) + floor_w
     samples = np.where(bit_arr, hi_w, lo_w).repeat(counts)
     if floor_w > 0.0:
-        rng = noise.generator()
+        head, rng = ahead or (_NO_HEAD, noise.generator())
         # a sum past the float range is reported once, by the check below
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, samples.size, NOISE_BLOCK):
+            if head.size:
+                samples[: head.size] += np.multiply(head, floor_w, out=head)
+            for start in range(head.size, samples.size, NOISE_BLOCK):
                 block = samples[start : start + NOISE_BLOCK]
                 z = rng.standard_normal(block.size)
                 z *= floor_w
@@ -299,10 +318,16 @@ def _not_overflowed(watts: np.ndarray) -> np.ndarray:
 
 
 def render_envelope(
-    scenario: LinkScenario, bits, bit_rate_hz: float, sample_rate_hz: float
+    scenario: LinkScenario,
+    bits,
+    bit_rate_hz: float,
+    sample_rate_hz: float,
+    *,
+    ahead: tuple[np.ndarray, np.random.Generator] | None = None,
 ) -> EnvelopeTrace:
     """Envelope the monitor receives while the node backscatters ``bits`` over
-    ``scenario``: its two state levels, its noise, and its name as meta."""
+    ``scenario``: its two state levels, its noise (with the noise head
+    ``ahead``, as synthesize_envelope takes it), and its name as meta."""
     return synthesize_envelope(
         bits,
         scenario.state_level_dbm(True),
@@ -311,6 +336,7 @@ def render_envelope(
         sample_rate_hz,
         scenario.noise,
         meta=scenario.name,
+        ahead=ahead,
     )
 
 

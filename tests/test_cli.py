@@ -2,6 +2,9 @@
 
 import collections
 import dataclasses
+import inspect
+import sys
+import threading
 import warnings
 import weakref
 
@@ -10,7 +13,7 @@ import pytest
 
 from wptsec import cli, config, protocol
 from wptsec.channel import watts_to_dbm
-from wptsec.cli import CSV_COLUMNS, format_csv, main, point_seed, run_experiment
+from wptsec.cli import AHEAD_SAMPLES, CSV_COLUMNS, format_csv, main, point_seed, run_experiment
 from wptsec.config import (
     build_monitor,
     build_node,
@@ -22,7 +25,7 @@ from wptsec.config import (
 from wptsec.errors import ValidationError
 from wptsec.protocol import Attacker, run_session
 from wptsec.monitor import decode_trace, measure_levels
-from wptsec.waveform import read_trace
+from wptsec.waveform import read_trace, write_trace
 
 POWER_SWEEP = (
     "setup=anechoic\n"
@@ -876,9 +879,9 @@ class TestOneRunPerRow:
         held = []
         run_point = cli._run_point
 
-        def recording(cfg, link):
+        def recording(cfg, link, ahead):
             assert [ref() for ref in held] == [None] * len(held)
-            cells, trace = run_point(cfg, link)
+            cells, trace = run_point(cfg, link, ahead)
             held.append(weakref.ref(trace))
             return cells, trace
 
@@ -891,3 +894,215 @@ class TestOneRunPerRow:
             held.clear()
             run_experiment(cfg, trace_out)
             assert len(held) == 3
+
+
+def _serial_run(cfg):
+    """Each point's cells and trace from _run_point, called point by point
+    on this thread, in the order run_experiment runs them."""
+    key = cfg.sweep_param
+    points = sorted(cfg.points, key=lambda p: p[0].scalar(key))
+    return [
+        cli._run_point(point_cfg, link.with_noise_seed(point_seed(cfg.seed, i)))
+        for i, (point_cfg, link) in enumerate(points)
+    ]
+
+
+def _public_functions():
+    """(owner, attribute, value) of each wptsec callable a wptsec module
+    holds by a public name, and of each public attribute of a class a wptsec
+    module defines: its methods, properties and field defaults."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "wptsec"]
+    for module in modules:
+        for name, value in vars(module).items():
+            if name.startswith("_") or not getattr(value, "__module__", "").startswith("wptsec"):
+                continue
+            if not inspect.isclass(value):
+                if callable(value):
+                    yield module, name, value
+            elif value.__module__ == module.__name__:
+                for attr, member in vars(value).items():
+                    if not attr.startswith("_"):
+                        yield value, attr, member
+
+
+class _Fills(list):
+    """Recorded fills, and the indices of those made to raise."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fail: set[int] = set()
+
+
+class TestNoiseAhead:
+    """A probe sweep draws each point's noise head on a helper thread while
+    the point before it runs; every row and trace byte is a serial run's."""
+
+    @pytest.fixture
+    def fills(self, monkeypatch):
+        """The helper's fills, as (thread id, head size), on two usable CPUs
+        whatever the machine has; a fill whose index is in ``fail`` raises."""
+        calls = _Fills()
+        fill = cli._NoiseAhead._fill
+
+        def recording(head, rng):
+            calls.append((threading.get_ident(), head.size))
+            if len(calls) - 1 in calls.fail:
+                raise MemoryError("no room for the head")
+            fill(head, rng)
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli._NoiseAhead, "_fill", staticmethod(recording))
+        return calls
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            # 1,024, 131,072 and 192,000 samples, the short one first: heads
+            # of 768, 98,304 and AHEAD_SAMPLES (the cap) samples
+            "sweep.param=waveform.probe_bits\nsweep.values=12000,64,8192\n",
+            # every point past the cap, so the written trace is too
+            "waveform.probe_bits=12000\nsweep.param=channel.p_tx_dbm\nsweep.values=20,-3,11\n",
+        ],
+        ids=["probe_bits", "long_power"],
+    )
+    def test_sweep_equals_serial_points(self, tmp_path, fills, sweep):
+        cfg = load_config(f"setup=anechoic\nprotocol.enabled=false\n{sweep}")
+        traces = []
+        run_point = cli._run_point
+
+        def recording(point_cfg, link, ahead):
+            cells, trace = run_point(point_cfg, link, ahead)
+            traces.append(trace.watts.tobytes())
+            return cells, trace
+
+        serial = _serial_run(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_run_point", recording)
+            rows, _ = run_experiment(cfg, tmp_path / "t.txt")
+        me = threading.get_ident()
+        assert len(fills) == 3 and all(thread != me for thread, _ in fills)
+        n = [len(trace) for _, trace in serial]
+        assert max(n) - max(n) // 4 > AHEAD_SAMPLES
+        assert [size for _, size in fills] == [min(k - k // 4, AHEAD_SAMPLES) for k in n]
+        assert traces == [trace.watts.tobytes() for _, trace in serial]
+        for row, (cells, _) in zip(rows, serial):
+            assert {k: row[k] for k in cells} == cells
+        write_trace(serial[0][1], tmp_path / "serial.txt")
+        assert (tmp_path / "t.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
+        assert not [t for t in threading.enumerate() if t.name == "noise-ahead"]
+
+    def test_concurrent_sweeps_under_a_short_switch_interval(self, fills):
+        # three sweeps at once, each with its own helper: six threads on
+        # however many cores, switching every 10 us; a head handed to the
+        # wrong point, or read before its draw ended, changes a row
+        cfg = load_config(POWER_SWEEP)
+        want = run_experiment(cfg)
+        got = [None] * 3
+
+        def sweep(k):
+            got[k] = run_experiment(cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=sweep, args=(k,)) for k in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 3
+        assert len(fills) == 4 * 14
+
+    def test_rows_match_a_serial_run(self, monkeypatch, fills):
+        cfg = load_config(POWER_SWEEP)
+        rows, summary = run_experiment(cfg)
+        assert len(fills) == 14
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert run_experiment(cfg) == (rows, summary)
+        assert len(fills) == 14  # one usable CPU: no helper
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "setup=anechoic\nprotocol.enabled=false\n",
+            "setup=anechoic\nsweep.param=channel.p_tx_dbm\nsweep.values=20,24\n",
+        ],
+        ids=["one_point", "keyed_sweep"],
+    )
+    def test_only_a_probe_sweep_starts_the_helper(self, fills, text):
+        run_experiment(load_config(text))
+        assert fills == []
+
+    def test_a_point_without_noise_draws_no_head(self, fills):
+        cfg = load_config(
+            "setup=anechoic\nprotocol.enabled=false\n"
+            "sweep.param=channel.noise_power_dbm\nsweep.values=-90,-inf,-80\n"
+        )
+        rows, _ = run_experiment(cfg)
+        assert len(fills) == 2
+        assert [r["dr_db"] for r in rows] == [cells["dr_db"] for cells, _ in _serial_run(cfg)]
+
+    def test_every_wptsec_call_is_on_the_calling_thread(self, tmp_path, monkeypatch, fills):
+        # the helper runs no public wptsec function, so a tracer that wraps
+        # them keeps one well-nested span stack
+        callers = collections.defaultdict(set)
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                callers[name].add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, attr, member in list(_public_functions()):
+            name = f"{getattr(owner, '__name__', owner)}.{attr}"
+            if isinstance(member, property):
+                member = property(recorded(name, member.fget))
+            elif isinstance(member, (classmethod, staticmethod)):
+                member = type(member)(recorded(name, member.__func__))
+            elif callable(member):
+                member = recorded(name, member)
+            else:
+                continue
+            monkeypatch.setattr(owner, attr, member)
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(POWER_SWEEP)
+        argv = ["run", str(cfg_path), "--out", str(tmp_path / "o.csv")]
+        assert cli.main(argv + ["--trace-out", str(tmp_path / "t.txt")]) == 0
+        me = threading.get_ident()
+        assert len(fills) == 14 and all(thread != me for thread, _ in fills)
+        for name in ("main", "render_envelope", "measure_levels", "write_trace", "generator"):
+            assert any(n.endswith(f".{name}") for n in callers), name
+        assert {n: t for n, t in callers.items() if t != {me}} == {}
+
+    def test_failed_points_are_their_own_rows(self, fills):
+        # as without the helper: with no numpy warning on either thread
+        cfg = load_config(
+            "setup=anechoic\nprotocol.enabled=false\n"
+            "sweep.param=channel.noise_power_dbm\nsweep.values=3110,-90,3100\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows, summary = run_experiment(cfg)
+        assert caught == []
+        assert len(fills) == 3
+        assert [r["status"] for r in rows] == ["ok", "error:LevelOverflow", "error:ValueError"]
+        assert not summary.all_passed
+
+    @pytest.mark.parametrize("failing", [0, 5, 13])
+    def test_a_draw_that_raises_fails_only_its_row(self, tmp_path, fills, failing):
+        cfg = load_config(POWER_SWEEP)
+        want, _ = run_experiment(cfg)
+        fills.clear()
+        fills.fail.add(failing)
+        rows, summary = run_experiment(cfg, tmp_path / "t.txt")
+        assert len(fills) == 14
+        assert rows[failing]["status"] == "error:MemoryError"
+        assert rows[failing]["dr_db"] is None
+        assert rows[:failing] + rows[failing + 1 :] == want[:failing] + want[failing + 1 :]
+        assert (tmp_path / "t.txt").exists() == (failing != 0)
+        assert not summary.all_passed
+        assert not [t for t in threading.enumerate() if t.name == "noise-ahead"]

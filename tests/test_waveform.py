@@ -22,6 +22,7 @@ from wptsec.errors import (
 from wptsec.monitor import decode_trace, recover_bits
 from wptsec import waveform
 from wptsec.protocol import MonitorConfig, PvkTable
+from wptsec.cli import AHEAD_SAMPLES
 from wptsec.waveform import (
     FRAME_HEADER_BITS,
     MAX_BIT_RATE_HZ,
@@ -38,6 +39,7 @@ from wptsec.waveform import (
     generate_square_cmd,
     read_trace,
     synthesize_envelope,
+    trace_length,
     write_trace,
 )
 
@@ -425,6 +427,71 @@ class TestBlockNoise:
             tracemalloc.stop()
         assert trace.watts.size == 2**17
         assert peak <= 1.25 * trace.watts.nbytes, peak / trace.watts.nbytes
+
+
+class TestNoiseHead:
+    """A render handed the head of its noise, drawn before the call, scales
+    it and draws the rest from the head's generator: its bytes are the
+    blockwise render's."""
+
+    @staticmethod
+    def head(noise: NoiseSpec, size: int):
+        rng = noise.generator()
+        return rng.standard_normal(size), rng
+
+    # below the cap, at it, above it by a block and a bit, and 3e5 samples
+    @pytest.mark.parametrize(
+        "n", [640, AHEAD_SAMPLES - 8, AHEAD_SAMPLES, AHEAD_SAMPLES + NOISE_BLOCK + 8, 300_000]
+    )
+    def test_a_head_gives_the_blockwise_bytes(self, n):
+        n_bits = n // MIN_OVERSAMPLING
+        for seed in range(3):
+            bits = np.random.default_rng(seed).integers(0, 2, n_bits)
+            noise = NoiseSpec(-60.0, rng_seed=seed)
+            args = (bits, -50.0, -60.0, 1e3, MIN_OVERSAMPLING * 1e3, noise)
+            want = synthesize_envelope(*args).watts
+            assert trace_length(n_bits, 1e3, MIN_OVERSAMPLING * 1e3) == want.size == n
+            # a whole trace's head, the sweep's, a shorter one and one sample
+            for size in (n, min(n - n // 4, AHEAD_SAMPLES), n // 3, 1):
+                got = synthesize_envelope(*args, ahead=self.head(noise, size)).watts
+                assert got.tobytes() == want.tobytes()
+
+    def test_an_overflowing_head_is_reported_as_without_one(self):
+        # 3110 dBm: the head's scaled draws pass the float range, silently,
+        # and the render's check names the overflow once
+        loud = NoiseSpec(3110.0, rng_seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
+                synthesize_envelope(
+                    [1, 0], -50.0, -60.0, 1e3, 8e3, loud, ahead=self.head(loud, 12)
+                )
+
+    def test_a_head_longer_than_the_trace_is_refused(self):
+        noise = NoiseSpec(-60.0, rng_seed=1)
+        with pytest.raises(ValueError):
+            synthesize_envelope([1, 0], -50.0, -60.0, 1e3, 8e3, noise, ahead=self.head(noise, 17))
+
+    def test_a_head_adds_at_most_its_bytes_to_a_render_peak(self):
+        # the head, allocated and filled before the render, is all a render
+        # with one holds beyond a render without one
+        np.random.default_rng(0).standard_normal(8)  # numpy's first draw allocates once
+        bits = np.tile(np.uint8([1, 0]), AHEAD_SAMPLES // 32)  # at 16 samples per bit
+        noise = NoiseSpec(-60.0, rng_seed=1)
+        args = (bits, -50.0, -60.0, 20e3, 320e3, noise)
+        synthesize_envelope(*args)  # caches the bit counts of this shape
+        peaks = []
+        for with_head in (False, True):
+            tracemalloc.start()
+            try:
+                ahead = self.head(noise, AHEAD_SAMPLES) if with_head else None
+                trace = synthesize_envelope(*args, ahead=ahead)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del ahead
+        assert trace.watts.size == AHEAD_SAMPLES
+        assert peaks[1] - peaks[0] <= AHEAD_SAMPLES * 8, peaks
 
 
 class TestRenderChecks:
