@@ -8,14 +8,14 @@ measured, and never renders it again. Built-in checks mirror the scenario's
 expected behavior (DR spread bounds, accepted verdicts) and drive the exit
 code: 0 all checks pass, 1 a check failed, 2 config/IO error.
 
-A probe sweep of two or more points, on more than one usable CPU, keeps one
-helper thread: while a point renders and is measured, the helper draws the
-next point's noise head, the first three quarters of its standard normals
-and at most ``AHEAD_SAMPLES`` (1 MiB), into an array this thread allocated.
-The helper runs only the generator's ``standard_normal``, never a wptsec
-function; the render scales the head, adds it and draws the rest of the
-noise from the same generator, so every row and trace byte is that of a
-serial run.
+A probe sweep of two or more points keeps one helper thread: while a point
+renders and is measured, the helper draws the next point's noise head, the
+first three quarters of its standard normals and at most ``AHEAD_SAMPLES``
+(1 MiB), into an array this thread allocated. So a sweep holds two heads at
+once, at most 2 MiB beyond a serial run. The helper runs only the
+generator's ``standard_normal``, never a wptsec function; the render scales
+the head, adds it and draws the rest of the noise from the same generator,
+so every row and trace byte is that of a serial run.
 """
 
 from __future__ import annotations
@@ -40,7 +40,14 @@ from .config import (
 from .errors import EmptyTrace
 from .monitor import measure_levels
 from .protocol import Attacker, run_session
-from .waveform import NOISE_BLOCK, EnvelopeTrace, render_envelope, trace_length, write_trace
+from .waveform import (
+    NOISE_BLOCK,
+    EnvelopeTrace,
+    render_envelope,
+    sample_rate,
+    trace_length,
+    write_trace,
+)
 
 CSV_COLUMNS = (
     "sweep_param",
@@ -59,8 +66,8 @@ _SEED_STRIDE = 0x9E3779B97F4A7C15
 
 
 # Cap on a probe point's noise head, the draws a helper thread makes for it
-# while the point before it runs: 1 MiB, all that a render's peak grows by
-# (see _NoiseAhead).
+# while the point before it runs: 1 MiB, all that a render's peak grows by;
+# a sweep holds two heads at once (see _noise_heads).
 AHEAD_SAMPLES = 16 * NOISE_BLOCK
 
 
@@ -110,7 +117,8 @@ def _run_point(
     if not cfg.protocol_enabled:
         bits = np.zeros(cfg.probe_bits, dtype=np.uint8)
         bits[::2] = 1
-        trace = render_envelope(link, bits, cfg.bit_rate_hz, cfg.sample_rate_hz, ahead=ahead)
+        rate_hz = sample_rate(cfg.bit_rate_hz, cfg.oversampling)
+        trace = render_envelope(link, bits, cfg.bit_rate_hz, rate_hz, ahead=ahead)
         threshold_w, dr_db = measure_levels(trace)
         return dict(dr_db=dr_db, threshold_dbm=watts_to_dbm(threshold_w), status="ok"), trace
     node_table, monitor_table = build_tables(cfg)
@@ -145,25 +153,26 @@ def run_experiment(cfg: ScenarioConfig, trace_out=None) -> tuple[list[dict], Sum
     ``trace_out``, the first row's own trace is written to that path as
     soon as the row is measured (see _write_first_trace); an ``OSError``
     while writing it propagates. A probe sweep draws each point's noise head
-    one point ahead on a helper thread (see _NoiseAhead); a draw that raises
-    is that point's error row.
+    one point ahead on a helper thread (see _noise_heads); a draw that
+    raises is that point's error row.
     """
     rows, trace_failed = [], ()
     key = cfg.sweep_param
     points = sorted(cfg.points, key=lambda p: p[0].scalar(key)) if key else cfg.points
     seeds = [point_seed(cfg.seed, i) for i in range(len(points))]
-    heads = None
-    if not cfg.protocol_enabled and len(points) > 1 and _usable_cpus() > 1:
-        heads = _NoiseAhead(points, seeds)
+    heads = _noise_heads(cfg, points, seeds)
     try:
         for i, (point_cfg, link) in enumerate(points):
+            # not zipped with the points: zip would hold the last head while
+            # the next is allocated
+            head = next(heads)
             # the value the point runs with, so an int key's is an int
             value = point_cfg.scalar(key) if key else None
             row = dict.fromkeys(CSV_COLUMNS)
             row.update(sweep_param=key, sweep_value=value, seed=seeds[i])
             ahead = None
             try:
-                ahead = heads.take(i) if heads else None  # first: it queues point i + 1
+                ahead = head.result() if head else None
                 cells, trace = _run_point(point_cfg, link.with_noise_seed(seeds[i]), ahead)
                 row.update(cells)
             except Exception as exc:  # recorded, not raised: sweeps must finish
@@ -171,11 +180,10 @@ def run_experiment(cfg: ScenarioConfig, trace_out=None) -> tuple[list[dict], Sum
                 trace = exc
             if trace_out and not rows:
                 trace_failed = _write_first_trace(trace, trace_out)
-            del trace, ahead  # so neither is held while the next point renders
+            del trace, ahead, head  # so none is held while the next point renders
             rows.append(row)
     finally:
-        if heads:
-            heads.close()
+        heads.close()  # joins the helper
 
     checks = [_check_no_errors(rows)]
     if cfg.sweep_param == "channel.p_tx_dbm":
@@ -192,97 +200,51 @@ def run_experiment(cfg: ScenarioConfig, trace_out=None) -> tuple[list[dict], Sum
     return rows, Summary(checks=tuple(checks) + trace_failed)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    import os  # not at module level either; see _NoiseAhead
+def _noise_heads(cfg: ScenarioConfig, points, seeds):
+    """Each point's noise head in turn: a future of what render_envelope
+    takes as ``ahead``, or None. Only a probe sweep of two or more points
+    has heads. There one helper thread draws point i + 1's head while point
+    i renders and is measured, so two heads are held at once. Everything
+    that reads a point's config or link, the head's allocation included,
+    runs on the calling thread; the helper runs only ``_fill``."""
+    if cfg.protocol_enabled or len(points) < 2:
+        yield from [None] * len(points)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only a probe sweep pays its import
 
+    with ThreadPoolExecutor(1, thread_name_prefix="noise-ahead") as helper:
+        queued = [_draw_head(helper, *points[0], seeds[0])]
+        for point, seed in zip(points[1:], seeds[1:]):
+            queued.append(_draw_head(helper, *point, seed))
+            yield queued.pop(0)
+        yield queued.pop()
+
+
+def _draw_head(helper, cfg: ScenarioConfig, link: LinkScenario, seed: int):
+    """Start drawing, on ``helper``, the noise head of the probe point that
+    runs ``cfg`` on ``link`` with noise seed ``seed``: the first three
+    quarters of its standard normals, at most AHEAD_SAMPLES. The calling
+    thread draws the last quarter itself, which balances the two (per 10^5
+    samples the draw is about 1.3 ms and the rest of a point 0.85 ms).
+    None when the point draws no noise, or when building its head raised:
+    then the point draws all of its noise itself, and raises what it raises
+    there in its own row."""
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask outside Linux
-        return os.cpu_count() or 1
+        noise = link.with_noise_seed(seed).noise
+        if noise.mean_power_w == 0.0:
+            return None
+        rate_hz = sample_rate(cfg.bit_rate_hz, cfg.oversampling)
+        n = trace_length(cfg.probe_bits, cfg.bit_rate_hz, rate_hz)
+        return helper.submit(_fill, np.empty(min(n - n // 4, AHEAD_SAMPLES)), noise.generator())
+    except Exception:
+        return None
 
 
-class _NoiseAhead:
-    """One helper thread that draws each probe point's noise head while the
-    calling thread renders and measures the point before it.
-
-    The head is the first three quarters of the point's standard normals, at
-    most AHEAD_SAMPLES: the calling thread draws the last quarter itself,
-    which balances the two (per 10^5 samples the draw is about 1.3 ms and
-    the rest of a point 0.85 ms). Everything that reads a point's config or
-    link, the head's allocation included, runs on the calling thread; the
-    helper runs only ``_fill``. Points are taken in order, each once.
-    """
-
-    def __init__(self, points, seeds) -> None:
-        # not at module level: only a probe sweep starts a thread, and numpy
-        # has loaded threading already
-        import threading
-
-        self._points, self._seeds = points, seeds
-        # the queued point's (head, generator) for the helper to fill, None
-        # when it draws no noise, or what building it raised
-        self._task = None
-        self._error = None  # what the helper's last fill raised
-        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, name="noise-ahead", daemon=True)
-        self._thread.start()
-        self._queue(0)
-
-    def _queue(self, i: int) -> None:
-        """Build point i's task and hand it to the idle helper."""
-        cfg, link = self._points[i]
-        try:
-            noise = link.with_noise_seed(self._seeds[i]).noise
-            self._task = None
-            if noise.mean_power_w > 0.0:
-                n = trace_length(cfg.probe_bits, cfg.bit_rate_hz, cfg.sample_rate_hz)
-                self._task = (np.empty(min(n - n // 4, AHEAD_SAMPLES)), noise.generator())
-                self._go.release()
-        except Exception as exc:  # point i's own error, raised by take(i)
-            self._task = exc
-
-    def take(self, i: int) -> tuple[np.ndarray, np.random.Generator] | None:
-        """Point i's noise head and its generator, as render_envelope takes
-        them, or None when it draws no noise; raises what building or
-        drawing it raised. Queues point i + 1's head."""
-        task = self._task
-        try:
-            if isinstance(task, Exception):
-                raise task
-            if task is None:
-                return None
-            self._done.acquire()
-            error, self._error = self._error, None
-            if error is not None:
-                raise error
-            return task
-        finally:
-            if i + 1 < len(self._points):
-                self._queue(i + 1)
-
-    def _serve(self) -> None:
-        while True:
-            self._go.acquire()
-            task = self._task
-            if task is None:  # close()
-                return
-            try:
-                self._fill(*task)
-            except BaseException as exc:  # the point's own error, raised by take
-                self._error = exc
-            self._done.release()
-
-    @staticmethod
-    def _fill(head: np.ndarray, rng: np.random.Generator) -> None:
-        """The helper's one task, a draw that cannot warn."""
-        rng.standard_normal(out=head)
-
-    def close(self) -> None:
-        """Stop the helper, once any fill it is running ends."""
-        self._task = None
-        self._go.release()
-        self._thread.join()
+def _fill(head: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.random.Generator]:
+    """The helper's one task, a draw that cannot warn; its result is what
+    render_envelope takes as ``ahead``."""
+    rng.standard_normal(out=head)
+    return head, rng
 
 
 def _write_first_trace(trace: EnvelopeTrace | Exception | None, path) -> tuple[Check, ...]:

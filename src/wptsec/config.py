@@ -133,13 +133,6 @@ class ScenarioConfig:
         coerced = int(value) if kind == "int" else float(value)
         return dataclasses.replace(self, **{attr: coerced})
 
-    @property
-    def sample_rate_hz(self) -> float:
-        """The rate the point's monitor samples at, and its probe is
-        rendered at: ``oversampling`` samples per bit, as
-        ``MonitorConfig.sample_rate_hz`` reads it."""
-        return self.oversampling * self.bit_rate_hz
-
     def scalar(self, key: str) -> float | int | None:
         """Value of one scalar config key, as the point runs with it."""
         return getattr(self, _SCALAR_KEYS[key][0])

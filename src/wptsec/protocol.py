@@ -37,6 +37,7 @@ from .waveform import (
     frame_bits,
     frame_to_bits,
     render_envelope,
+    sample_rate,
 )
 
 DEFAULT_STORAGE_CAPACITY_J = 100e-6
@@ -394,7 +395,7 @@ class MonitorConfig:
 
     @property
     def sample_rate_hz(self) -> float:
-        return self.oversampling * self.bit_rate_hz
+        return sample_rate(self.bit_rate_hz, self.oversampling)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,12 @@ def check_bit_rate(bit_rate_hz: float) -> None:
         )
 
 
+def sample_rate(bit_rate_hz: float, oversampling: int) -> float:
+    """The sample rate of ``oversampling`` samples per bit at ``bit_rate_hz``:
+    the rate a monitor samples at and a probe is rendered at."""
+    return oversampling * bit_rate_hz
+
+
 def check_oversampling(sample_rate_hz: float, bit_rate_hz: float) -> None:
     """check_bit_rate, then reject a sample rate below MIN_OVERSAMPLING per bit
     or one that is not finite."""

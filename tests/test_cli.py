@@ -926,11 +926,16 @@ def _public_functions():
 
 
 class _Fills(list):
-    """Recorded fills, and the indices of those made to raise."""
+    """Recorded fills, the heads they filled and the indices of those made
+    to raise."""
 
     def __init__(self) -> None:
         super().__init__()
+        self.heads: list[weakref.ref] = []
         self.fail: set[int] = set()
+
+    def live_heads(self) -> int:
+        return sum(ref() is not None for ref in self.heads)
 
 
 class TestNoiseAhead:
@@ -939,19 +944,19 @@ class TestNoiseAhead:
 
     @pytest.fixture
     def fills(self, monkeypatch):
-        """The helper's fills, as (thread id, head size), on two usable CPUs
-        whatever the machine has; a fill whose index is in ``fail`` raises."""
+        """The helper's fills, as (thread id, head size); a fill whose index
+        is in ``fail`` raises."""
         calls = _Fills()
-        fill = cli._NoiseAhead._fill
+        fill = cli._fill
 
         def recording(head, rng):
             calls.append((threading.get_ident(), head.size))
+            calls.heads.append(weakref.ref(head))
             if len(calls) - 1 in calls.fail:
                 raise MemoryError("no room for the head")
-            fill(head, rng)
+            return fill(head, rng)
 
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli._NoiseAhead, "_fill", staticmethod(recording))
+        monkeypatch.setattr(cli, "_fill", recording)
         return calls
 
     @pytest.mark.parametrize(
@@ -989,7 +994,7 @@ class TestNoiseAhead:
             assert {k: row[k] for k in cells} == cells
         write_trace(serial[0][1], tmp_path / "serial.txt")
         assert (tmp_path / "t.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
-        assert not [t for t in threading.enumerate() if t.name == "noise-ahead"]
+        assert not [t for t in threading.enumerate() if t.name.startswith("noise-ahead")]
 
     def test_concurrent_sweeps_under_a_short_switch_interval(self, fills):
         # three sweeps at once, each with its own helper: six threads on
@@ -1016,13 +1021,42 @@ class TestNoiseAhead:
         assert got == [want] * 3
         assert len(fills) == 4 * 14
 
-    def test_rows_match_a_serial_run(self, monkeypatch, fills):
-        cfg = load_config(POWER_SWEEP)
-        rows, summary = run_experiment(cfg)
+    def test_a_sweep_holds_at_most_two_heads(self, fills, monkeypatch):
+        # the point's own head and the next point's, being drawn: 2 MiB at
+        # most, whatever the sweep's length
+        live_at_draw, live_at_run = [], []
+        run_point, draw_head = cli._run_point, cli._draw_head
+
+        def recording(point_cfg, link, ahead):
+            live_at_run.append(fills.live_heads())
+            return run_point(point_cfg, link, ahead)
+
+        def drawn(*args):
+            live_at_draw.append(fills.live_heads())
+            head = draw_head(*args)
+            head.result()  # so the fill has recorded the head before it is counted
+            return head
+
+        monkeypatch.setattr(cli, "_run_point", recording)
+        monkeypatch.setattr(cli, "_draw_head", drawn)
+        rows, summary = run_experiment(load_config(POWER_SWEEP))
+        assert summary.all_passed
         assert len(fills) == 14
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        assert run_experiment(cfg) == (rows, summary)
-        assert len(fills) == 14  # one usable CPU: no helper
+        assert live_at_draw == [0] + [1] * 13
+        assert live_at_run == [2] * 13 + [1]
+        assert fills.live_heads() == 0
+
+    def test_a_head_that_cannot_be_built_is_drawn_by_its_point(self, fills, monkeypatch):
+        cfg = load_config(POWER_SWEEP)
+        want = run_experiment(cfg)
+        fills.clear()
+
+        def refused(*args):
+            raise MemoryError("no room for the head")
+
+        monkeypatch.setattr(cli, "trace_length", refused)
+        assert run_experiment(cfg) == want
+        assert fills == []
 
     @pytest.mark.parametrize(
         "text",
@@ -1105,4 +1139,4 @@ class TestNoiseAhead:
         assert rows[:failing] + rows[failing + 1 :] == want[:failing] + want[failing + 1 :]
         assert (tmp_path / "t.txt").exists() == (failing != 0)
         assert not summary.all_passed
-        assert not [t for t in threading.enumerate() if t.name == "noise-ahead"]
+        assert not [t for t in threading.enumerate() if t.name.startswith("noise-ahead")]
