@@ -46,7 +46,6 @@ from .waveform import (
     Frame,
     build_frame,
     frame_to_bits,
-    generate_square_cmd,
     read_trace,
     synthesize_envelope,
     write_trace,
@@ -80,7 +79,6 @@ __all__ = [
     "dynamic_range_db",
     "frame_to_bits",
     "friis_received_power",
-    "generate_square_cmd",
     "generate_table",
     "harvested_dc",
     "leakage_power",

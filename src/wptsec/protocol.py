@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -51,11 +52,11 @@ ATTACKER_KINDS = ("none", "replay")
 # 8-byte keys and 133 at 64-byte keys (the codes twice, in table order and
 # sorted, 4 bytes of index and 1 of flags), and its first draw at a rank
 # above 0 adds a rank tree of 4 more, which the sequential policy and the
-# monitor's copy (1 byte a key of flags) never build. Provisioning peaks at
-# 0.88x what a table that has drawn at random keeps at the cap of 8-byte
-# keys (1.05x a fresh one) and 1.15x at the cap of 3-byte keys
-# (tracemalloc), where one sort holds 1.15 draws a key. At the cap that is
-# 0.11 to 0.58 GB.
+# monitor's copy (1 byte a key of flags) never build. At the cap a table
+# that has drawn at random keeps 0.06 GB at 3-byte keys to 0.58 GB at
+# 64-byte keys. Provisioning peaks (tracemalloc) at 0.84x that at the cap
+# of 8-byte keys (1.00x a fresh table), 1.00x at 4-byte keys, and 1.23x at
+# 3-byte keys, where the sort holds 1.15 draws a key in 8-byte words.
 MAX_TABLE_KEYS = 2**22
 
 
@@ -94,20 +95,54 @@ class _Codes(Sequence):
         return NotImplemented
 
 
-def _sort_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort of a fixed-width bytes array of codes: the int32 order
-    that sorts them and the codes it keeps, when it keeps the first
-    occurrence of each code. If no code repeats, the sort is returned as it
-    is."""
-    # narrowed at once, so that the int64 order (8 bytes a code) is never kept
-    order = np.argsort(codes, kind="stable").astype(np.int32)
-    keys = codes[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    if first.all():
-        return order, keys
-    order = order[first]  # one at a time, so that only one is ever held twice
-    return order, keys[first]
+def _sort_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort of the codes in the rows of a 2-d uint8 array, one code a row:
+    the int32 row order that sorts them, keeping the first occurrence of
+    each code, and the codes it keeps as a fixed-width bytes array.
+
+    Codes of 1-4 bytes are sorted as integers: each row becomes one uint64
+    word, the code read as a big-endian number (the order of its bytes) in
+    the high 32 bits and the row index in the low 32. No two words are
+    equal, so any sort of them gives the one order a stable sort of the
+    codes gives, and a word whose code equals the word before it is a
+    later occurrence. Longer codes take a stable sort of bytes. ``rows``
+    may be a view of a larger array, which is freed once the codes are
+    read if the caller holds no other reference to it."""
+    n, size = rows.shape
+    if size > 4:
+        codes = np.ascontiguousarray(rows).view(f"S{size}").ravel()
+        del rows
+        # narrowed at once, so that the int64 order (8 bytes a code) is never kept
+        order = np.argsort(codes, kind="stable").astype(np.int32)
+        keys = codes[order]
+        del codes
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        if first.all():
+            return order, keys
+        order = order[first]  # one at a time, so that only one is ever held twice
+        return order, keys[first]
+    packed = np.zeros(n, dtype=np.uint64)
+    for j in range(size):
+        packed <<= 8
+        packed |= rows[:, j]
+    del rows
+    packed <<= 32
+    packed |= np.arange(n, dtype=np.uint32)
+    packed.sort()
+    # the halves as strided views, so that neither is copied whole; a mask
+    # takes out the kept ones (compress would build an int64 index of them)
+    index, code = packed.view(np.uint32).reshape(n, 2).T
+    if sys.byteorder == "big":
+        index, code = code, index
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    order, keys = index[first].view(np.int32), code[first]
+    del packed, index, code, first
+    # a code's bytes are the low ones of its number written big-endian
+    keys = keys.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - size :]
+    return order, np.ascontiguousarray(keys).view(f"S{size}").ravel()
 
 
 class PvkTable:
@@ -137,7 +172,7 @@ class PvkTable:
         if not 1 <= size <= MAX_PAYLOAD_BYTES:
             raise ValueError(f"key length {size} outside [1, {MAX_PAYLOAD_BYTES}] bytes")
         table_order = np.frombuffer(b"".join(codes), dtype=f"S{size}")
-        at, keys = _sort_codes(table_order)
+        at, keys = _sort_codes(table_order.view(np.uint8).reshape(-1, size))
         if keys.size != len(codes):
             raise ValueError("key table entries must be unique")
         self._start(table_order, keys, at)
@@ -297,7 +332,8 @@ def generate_table(n_keys: int, key_len_bytes: int, rng_seed: int) -> PvkTable:
     stream a per-key ``integers(0, 256, size=key_len_bytes, dtype=uint8)``
     draws, so the table is the same as drawing one key at a time and keeping
     the first occurrence of each code. One sort of a prefix of that stream
-    dedupes it, and it is the sort ``find`` searches.
+    dedupes it, an integer sort for codes of up to 4 bytes, and it is the
+    sort ``find`` searches.
     """
     check_table_shape(n_keys, key_len_bytes)
     check_seed(rng_seed)
@@ -308,7 +344,7 @@ def _distinct_codes(
     n_keys: int, key_len_bytes: int, rng_seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """generate_table's codes in table order, the same codes sorted, and the
-    int32 table index of each sorted code. One stable sort dedupes the
+    int32 table index of each sorted code. One ``_sort_codes`` dedupes the
     prefix of the code stream expected to hold n_keys distinct codes, plus
     4 * isqrt(n_keys) + 64 draws; a prefix holding too few is drawn again
     from the seed, longer by twice the draws expected for the codes it
@@ -319,18 +355,11 @@ def _distinct_codes(
         # + Euler's constant: finite at n_keys = space (the coupon collector)
         return math.ceil(-space * math.log1p((have - n_keys) / (space - have + 0.5)))
 
-    space, words = 256**key_len_bytes, -(-key_len_bytes // 4)
+    space = 256**key_len_bytes
     prefix = expected_draws(0) + 4 * math.isqrt(n_keys) + 64
     while True:
-        rng = np.random.default_rng(rng_seed)
-        draw = rng.integers(0, 2**32, size=prefix * words, dtype=np.uint32)
-        rows = draw.astype("<u4", copy=False).view(np.uint8).reshape(prefix, 4 * words)
-        # one code an item, in a 1-d array, which a mask selects from without
-        # making an int64 array of the items it keeps
-        drawn = np.ascontiguousarray(rows[:, :key_len_bytes]).view(f"S{key_len_bytes}").ravel()
-        del draw, rows
-        order, keys = _sort_codes(drawn)
-        del drawn
+        # no name here holds the drawn rows, so the sort frees them once read
+        order, keys = _sort_codes(_drawn_rows(rng_seed, prefix, key_len_bytes))
         if keys.size >= n_keys:
             break
         prefix += 2 * expected_draws(keys.size)
@@ -347,6 +376,18 @@ def _distinct_codes(
     codes = np.empty(n_keys, dtype=keys.dtype)
     codes[at] = keys
     return codes, keys, at
+
+
+def _drawn_rows(rng_seed: int, n_codes: int, key_len_bytes: int) -> np.ndarray:
+    """The first n_codes codes of the seed's stream, one a row of a uint8
+    view of the bulk uint32 draws: key_len_bytes cut from the little-endian
+    bytes of each ceil(key_len_bytes / 4) words."""
+    words = -(-key_len_bytes // 4)
+    draw = np.random.default_rng(rng_seed).integers(
+        0, 2**32, size=n_codes * words, dtype=np.uint32
+    )
+    rows = draw.astype("<u4", copy=False).view(np.uint8).reshape(n_codes, 4 * words)
+    return rows[:, :key_len_bytes]
 
 
 @dataclass

@@ -346,20 +346,6 @@ def render_envelope(
     )
 
 
-def generate_square_cmd(freq_hz: float, duration_s: float, sample_rate_hz: float) -> np.ndarray:
-    """Per-sample 50% duty square CMD sequence, high at t=0.
-
-    Duty cycle over whole periods is exactly 0.5 when sample_rate_hz is a
-    multiple of 2*freq_hz (the usual oversampled case).
-    """
-    check_oversampling(sample_rate_hz, freq_hz)
-    if not duration_s > 0:
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    n = int(round(duration_s * sample_rate_hz))
-    half_periods = np.floor(np.arange(n) * (2.0 * freq_hz / sample_rate_hz)).astype(np.int64)
-    return ((half_periods % 2) == 0).astype(np.uint8)
-
-
 # --- trace file format -------------------------------------------------------
 #
 # Line 1: sample_rate_hz=<int>,unit=dbm,meta=<string>

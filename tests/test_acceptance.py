@@ -27,11 +27,13 @@ from wptsec.errors import BitRateTooHigh
 from wptsec.monitor import ACCEPTED, REJECTED_REPLAY, REJECTED_UNKNOWN_KEY, authenticate
 from wptsec.protocol import (
     Attacker,
+    MonitorConfig,
+    PvkTable,
     fresh_session_scenario,
     generate_table,
     run_session,
 )
-from wptsec.waveform import build_frame, frame_to_bits, generate_square_cmd, synthesize_envelope
+from wptsec.waveform import build_frame, frame_to_bits, synthesize_envelope
 
 C = 299_792_458.0
 
@@ -119,7 +121,7 @@ def test_criterion_3_modulation_frequency_insensitivity():
         build_frame(b"\x01\x02", 150e3)
     except BitRateTooHigh:
         try:
-            generate_square_cmd(150e3, 1e-3, 16e6)
+            MonitorConfig(PvkTable([b"\x01"]), bit_rate_hz=150e3)
         except BitRateTooHigh:
             rejected = True
     report(

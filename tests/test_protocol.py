@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from wptsec import monitor as monitor_module
 from wptsec import protocol
@@ -120,6 +121,15 @@ def assert_selects_the_unused_pool(table: PvkTable) -> None:
     for k in (-1, len(pool)):
         with pytest.raises(IndexError, match=re.escape(f"rank {k} outside [0, {len(pool)})")):
             table.select_unused(k)
+
+
+def stable_sort_of_bytes(codes: list[bytes]) -> tuple[list[int], list[bytes]]:
+    """The reference for protocol._sort_codes: a stable argsort of the codes
+    as bytes (Python's sort is stable, and bytes compare as memcmp does),
+    keeping the first occurrence of each code."""
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    kept = [i for k, i in enumerate(order) if k == 0 or codes[i] != codes[order[k - 1]]]
+    return kept, [codes[i] for i in kept]
 
 
 def provisioning_memory(n_keys: int, key_len: int, seed: int) -> tuple[int, int, int]:
@@ -297,17 +307,66 @@ class TestPvkTable:
         }
         sort_codes, calls = protocol._sort_codes, []
 
-        def at_most_five_sorts(codes):
-            calls.append(codes.size)
+        def at_most_five_sorts(rows):
+            calls.append(len(rows))
             if len(calls) > 5:
-                raise AssertionError(f"a sixth sort, of {codes.size} codes")
-            return sort_codes(codes)
+                raise AssertionError(f"a sixth sort, of {len(rows)} codes")
+            return sort_codes(rows)
 
         monkeypatch.setattr(protocol, "_sort_codes", at_most_five_sorts)
         for seed, digest in digests.items():
             calls.clear()
             table = generate_table(65_536, 2, seed)
             assert hashlib.sha256(b"".join(table.entries)).hexdigest() == digest
+
+    @pytest.mark.parametrize("key_len", [1, 2, 3, 4, 5, 8, 64])
+    def test_constructor_sorts_as_provisioning_does(self, key_len):
+        # PvkTable(entries) sorts the codes in table order, generate_table a
+        # prefix of the draws: the same sorted codes and table indices
+        table = generate_table(min(3000, 200**key_len), key_len, rng_seed=key_len)
+        built = PvkTable(entries=list(table.entries))
+        for ours, theirs in ((built._keys, table._keys), (built._at, table._at)):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_sort_codes_agrees_with_a_stable_sort_of_bytes(self, data):
+        # codes of 1-4 bytes take the integer sort, 5-64 the bytes sort;
+        # small alphabets force repeats, zero bytes sit at either end, and a
+        # 1-byte draw may hold the whole code space, shuffled, more than once
+        key_len = data.draw(st.integers(1, 64), label="key_len")
+        alphabet = data.draw(
+            st.sampled_from([b"\x00", b"\x00\xff", b"\x01\x80\xfe", bytes(range(256))]),
+            label="alphabet",
+        )
+        code = st.lists(st.sampled_from(alphabet), min_size=key_len, max_size=key_len).map(bytes)
+        codes = data.draw(st.lists(code, max_size=200), label="codes")
+        if key_len == 1:
+            space = [bytes([b]) for b in range(256)]
+            for _ in range(data.draw(st.integers(0, 2), label="whole spaces")):
+                codes += data.draw(st.permutations(space))
+        # the rows as generate_table hands them over: a view of the leading
+        # bytes of rows of whole 4-byte words, or a contiguous array
+        width = data.draw(st.sampled_from([key_len, 4 * -(-key_len // 4)]), label="width")
+        wide = np.zeros((len(codes), width), dtype=np.uint8)
+        wide[:, :key_len] = np.frombuffer(b"".join(codes), dtype=np.uint8).reshape(-1, key_len)
+        order, keys = protocol._sort_codes(wide[:, :key_len])
+        kept, sorted_codes = stable_sort_of_bytes(codes)
+        assert order.dtype == np.int32 and order.tolist() == kept
+        assert keys.dtype == np.dtype(f"S{key_len}") and keys.shape == (len(kept),)
+        # compared as raw bytes, since a numpy bytes_ item drops trailing zeros
+        assert keys.tobytes() == b"".join(sorted_codes)
+
+    @pytest.mark.parametrize("n_keys, key_len", [(256, 1), (65_536, 2), (100_000, 3), (100_000, 4)])
+    def test_integer_sort_of_a_provisioning_prefix(self, n_keys, key_len):
+        # a whole code space's prefix, with most draws repeats, and a prefix
+        # of the codes still missing
+        rows = protocol._drawn_rows(3, 2 * n_keys, key_len)
+        codes = [row.tobytes() for row in rows]
+        order, keys = protocol._sort_codes(rows)
+        kept, sorted_codes = stable_sort_of_bytes(codes)
+        assert order.tolist() == kept
+        assert keys.tobytes() == b"".join(sorted_codes)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_numpy_refuses_rejected_before_drawing(self, seed):
@@ -345,67 +404,6 @@ class TestPvkTable:
             # tells them apart by their later bytes alone
             codes = {b"\x00\x00" + rng.bytes(key_len - 2) for _ in range(2000)}
             assert_find_agrees(PvkTable(entries=sorted(codes, reverse=True)), others)
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_table_agrees_with_a_list_model(self, data):
-        # random sequences of every operation on a table and on copies made
-        # along the way, each against its own plain list of used flags
-        key_len = data.draw(st.integers(1, 4), label="key_len")
-        if data.draw(st.booleans(), label="generated"):
-            seed = data.draw(st.integers(0, 3), label="seed")
-            table = generate_table(data.draw(st.integers(1, 60)), key_len, seed)
-            codes = list(table.entries)
-        else:
-            # codes ending in zero bytes, which a numpy bytes_ item would drop
-            code = st.one_of(
-                st.binary(min_size=key_len, max_size=key_len),
-                st.binary(max_size=key_len - 1).map(lambda b: b + bytes(key_len - len(b))),
-            )
-            codes = data.draw(st.lists(code, unique=True, min_size=1, max_size=60), label="codes")
-            table = PvkTable(entries=codes)
-        n = len(codes)
-        tables = [(table, [False] * n)]
-        ops = st.sampled_from(["select", "mark", "find", "is_used", "entry", "copy"])
-        for op in data.draw(st.lists(ops, max_size=60), label="ops"):
-            t, used = tables[data.draw(st.integers(0, len(tables) - 1))]
-            pool = [i for i, u in enumerate(used) if not u]
-            if op == "select":
-                if pool:
-                    k = data.draw(st.integers(0, len(pool) - 1))
-                    assert t.select_unused(k) == pool[k]
-                with pytest.raises(IndexError):
-                    t.select_unused(len(pool))
-            elif op == "mark":
-                i = data.draw(st.integers(-1, n))
-                if 0 <= i < n:
-                    t.mark_used(i)
-                    used[i] = True
-                else:
-                    with pytest.raises(IndexError):
-                        t.mark_used(i)
-            elif op == "find":
-                probe = data.draw(st.one_of(st.sampled_from(codes), st.binary(max_size=5)))
-                assert t.find(probe) == (codes.index(probe) if probe in codes else None)
-            elif op == "is_used":
-                i = data.draw(st.integers(-n, n - 1))
-                assert t.is_used(i) is used[i]
-            elif op == "entry":
-                i = data.draw(st.integers(-n - 1, n))
-                if -n <= i < n:
-                    assert type(t.entries[i]) is bytes and t.entries[i] == codes[i]
-                else:
-                    with pytest.raises(IndexError):
-                        t.entries[i]
-            else:
-                tables.append((t.copy(), list(used)))
-            assert t.n_unused == used.count(False)
-        for t, used in tables:
-            assert [t.is_used(i) for i in range(n)] == used
-            assert t.entries == codes and list(t.entries) == codes and len(t) == n
-            assert set(t.entries) == set(codes)
-            assert [t.find(code) for code in codes] == list(range(n))
-            assert t.key_len_bytes == key_len
 
     def test_key_len_bytes_is_the_one_code_length(self):
         assert PvkTable(entries=[]).key_len_bytes is None
@@ -549,6 +547,123 @@ class TestPvkTable:
             assert log.emitted_key_index == seed and log.final.verdict == ACCEPTED
         assert node.table.n_unused == monitor.table.n_unused == 50
         assert node.table._tree is None and monitor.table._tree is None
+
+
+class TableMachine(RuleBasedStateMachine):
+    """One key table, driven by random operations, against a plain model: a
+    list of used flags and a dict from each code to its table index. The
+    table is provisioned by generate_table or built from codes ending in
+    zero bytes, which a numpy bytes_ item would drop. ``copy`` goes on
+    with a copy, and each table left behind must keep the flags it had."""
+
+    @initialize(data=st.data())
+    def provision(self, data):
+        self.key_len = key_len = data.draw(st.integers(1, 5), label="key_len")
+        if data.draw(st.booleans(), label="generated"):
+            n = data.draw(st.integers(1, 80), label="n")
+            self.table = generate_table(n, key_len, data.draw(st.integers(0, 3), label="seed"))
+        else:
+            code = st.one_of(
+                st.binary(min_size=key_len, max_size=key_len),
+                st.binary(max_size=key_len - 1).map(lambda b: b + bytes(key_len - len(b))),
+            )
+            codes = data.draw(st.lists(code, unique=True, min_size=1, max_size=80), label="codes")
+            self.table = PvkTable(entries=codes)
+        self.where = {code: i for i, code in enumerate(self.table.entries)}
+        self.used = [False] * len(self.where)
+        self.left = []  # (table, its flags) for each table a copy went on from
+
+    def pool(self) -> list[int]:
+        return [i for i, used in enumerate(self.used) if not used]
+
+    @rule(data=st.data())
+    def mark_used(self, data):
+        n = len(self.used)
+        index = data.draw(st.integers(-1, n), label="index")
+        if 0 <= index < n:
+            self.table.mark_used(index)
+            self.used[index] = True
+        else:
+            with pytest.raises(IndexError):
+                self.table.mark_used(index)
+
+    @rule(data=st.data())
+    def select_unused(self, data):
+        pool = self.pool()
+        if not pool:
+            with pytest.raises(IndexError):
+                self.table.select_unused(0)
+            return
+        rank = data.draw(st.one_of(st.just(0), st.integers(0, len(pool) - 1)), label="rank")
+        assert self.table.select_unused(rank) == pool[rank]
+
+    @rule(data=st.data())
+    def find_present(self, data):
+        code = data.draw(st.sampled_from(sorted(self.where)), label="code")
+        assert self.table.find(code) == self.where[code]
+
+    @rule(data=st.data())
+    def find_absent(self, data):
+        size = self.key_len
+        absent = st.binary(min_size=size, max_size=size).filter(lambda c: c not in self.where)
+        assert self.table.find(data.draw(absent, label="code")) is None
+
+    @rule(data=st.data())
+    def find_other_length(self, data):
+        present = data.draw(st.sampled_from(sorted(self.where)), label="present")
+        code = data.draw(
+            st.sampled_from([present[:-1], present + b"\x00", b"\x00" + present])
+            | st.binary(max_size=6).filter(lambda c: len(c) != self.key_len),
+            label="code",
+        )
+        assert self.table.find(code) is None
+
+    @rule(data=st.data())
+    def entry(self, data):
+        n = len(self.used)
+        index = data.draw(st.integers(-n - 1, n), label="index")
+        if -n <= index < n:
+            code = self.table.entries[index]
+            assert type(code) is bytes and self.where[code] == index % n
+        else:
+            with pytest.raises(IndexError):
+                self.table.entries[index]
+
+    @rule()
+    def copy(self):
+        self.left.append((self.table, list(self.used)))
+        self.table = self.table.copy()
+
+    @invariant()
+    def flags_and_count_match_the_model(self):
+        n = len(self.used)
+        assert self.table.n_unused == self.used.count(False)
+        assert [self.table.is_used(i) for i in range(-n, n)] == self.used * 2
+        for table, used in self.left:
+            assert table.n_unused == used.count(False)
+            assert [table.is_used(i) for i in range(n)] == used
+
+    @invariant()
+    def select_unused_matches_a_scan(self):
+        # on a copy, which copies the table's tree if it has built one, and
+        # otherwise builds its own, so the table's own tree stays unbuilt
+        # until a draw at a rank above 0 builds it
+        probe, pool = self.table.copy(), self.pool()
+        assert [probe.select_unused(k) for k in range(len(pool))] == pool
+        with pytest.raises(IndexError):
+            probe.select_unused(len(pool))
+
+    @invariant()
+    def entries_match_the_model(self):
+        table = self.table
+        assert len(table) == len(self.where) and table.key_len_bytes == self.key_len
+        assert table.entries == list(self.where)
+
+
+TestTableMachine = TableMachine.TestCase
+TestTableMachine.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None, derandomize=True
+)
 
 
 class TestNodeStep:

@@ -1,5 +1,5 @@
-"""Framing, the on-air rate contract, envelope synthesis, square CMD
-generation, and trace file I/O."""
+"""Framing, the on-air rate contract, envelope synthesis, and trace file
+I/O."""
 
 import dataclasses
 import math
@@ -36,7 +36,6 @@ from wptsec.waveform import (
     build_frame,
     check_oversampling,
     frame_to_bits,
-    generate_square_cmd,
     read_trace,
     synthesize_envelope,
     trace_length,
@@ -61,7 +60,6 @@ RATE_ENTRY_POINTS = {
     "synthesize_envelope": lambda br, k: synthesize_envelope(
         [1, 0, 1], -40.0, -50.0, br, k * 20e3, SILENT
     ),
-    "generate_square_cmd": lambda br, k: generate_square_cmd(br, 1e-3, k * 20e3),
     "MonitorConfig": lambda br, k: MonitorConfig(
         table=PvkTable(entries=[b"\x01"]), bit_rate_hz=br, oversampling=k
     ),
@@ -542,36 +540,6 @@ class TestRenderChecks:
         # a render that overflows as well is named by its overflow
         with pytest.raises(ValueError, match=re.escape(NOT_FINITE)):
             synthesize_envelope([1, 0] * 8, -50.0, -60.0, 1e3, 16e3, self.LOUD, meta=meta)
-
-
-class TestSquareCmd:
-    def test_ten_periods_at_1khz(self):
-        cmd = generate_square_cmd(1e3, 10e-3, 16e3)
-        assert cmd.size == 160
-        rising = np.flatnonzero(np.diff(cmd.astype(int)) == 1)
-        assert rising.size == 9  # 10 periods, first one starts at t=0
-        assert cmd[0] == 1
-
-    def test_ten_periods_at_10khz(self):
-        cmd = generate_square_cmd(10e3, 1e-3, 160e3)
-        assert cmd.size == 160
-        assert np.flatnonzero(np.diff(cmd.astype(int)) == 1).size == 9
-
-    def test_exact_duty_cycle(self):
-        for freq, sr in ((1e3, 16e3), (10e3, 160e3), (100e3, 1.6e6)):
-            cmd = generate_square_cmd(freq, 5 / freq, sr)
-            assert cmd.mean() == 0.5
-
-    def test_ceiling_and_undersampling(self):
-        with pytest.raises(BitRateTooHigh):
-            generate_square_cmd(150e3, 1e-3, 16e6)
-        with pytest.raises(UndersampledError):
-            generate_square_cmd(10e3, 1e-3, 50e3)
-
-    @pytest.mark.parametrize("duration_s", [0.0, -1e-3, math.nan])
-    def test_duration_must_be_positive(self, duration_s):
-        with pytest.raises(ValueError, match="duration_s must be > 0"):
-            generate_square_cmd(1e3, duration_s, 16e3)
 
 
 class TestTrace:
