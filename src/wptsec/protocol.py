@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import math
-import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -122,7 +121,7 @@ def _sort_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return order, keys
         order = order[first]  # one at a time, so that only one is ever held twice
         return order, keys[first]
-    packed = np.zeros(n, dtype=np.uint64)
+    packed = np.zeros(n, dtype="<u8")
     for j in range(size):
         packed <<= 8
         packed |= rows[:, j]
@@ -132,13 +131,11 @@ def _sort_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed.sort()
     # the halves as strided views, so that neither is copied whole; a mask
     # takes out the kept ones (compress would build an int64 index of them)
-    index, code = packed.view(np.uint32).reshape(n, 2).T
-    if sys.byteorder == "big":
-        index, code = code, index
+    index, code = packed.view("<u4").reshape(n, 2).T
     first = np.empty(n, dtype=bool)
     first[:1] = True
     np.not_equal(code[1:], code[:-1], out=first[1:])
-    order, keys = index[first].view(np.int32), code[first]
+    order, keys = index[first].view("<i4"), code[first]
     del packed, index, code, first
     # a code's bytes are the low ones of its number written big-endian
     keys = keys.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - size :]
