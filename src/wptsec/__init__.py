@@ -21,11 +21,10 @@ from .channel import (
     harvested_dc,
     leakage_power,
 )
-from .config import ScenarioConfig, load_config, load_preset
+from .config import ScenarioConfig, load_config
 from .monitor import (
     AuthDecision,
     DecodeResult,
-    authenticate,
     decode_frame,
     decode_trace,
     measure_levels,
@@ -70,7 +69,6 @@ __all__ = [
     "RectifierModel",
     "ScenarioConfig",
     "SessionLog",
-    "authenticate",
     "backscatter_received_power",
     "build_frame",
     "combine_noncoherent",
@@ -83,7 +81,6 @@ __all__ = [
     "harvested_dc",
     "leakage_power",
     "load_config",
-    "load_preset",
     "measure_levels",
     "read_trace",
     "recover_bits",

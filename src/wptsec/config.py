@@ -363,12 +363,6 @@ def load_config(source: str | Path, *, seed: int | None = None) -> ScenarioConfi
     return cfg
 
 
-def load_preset(name: str) -> ScenarioConfig:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return load_config(f"setup={name}")
-
-
 # --- builders ----------------------------------------------------------------
 
 

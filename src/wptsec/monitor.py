@@ -133,8 +133,8 @@ def _mean(x: np.ndarray, peak: float) -> float:
 def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
     """(threshold_w, dr_db) from one 2-means clustering of ``trace.watts``,
     initialized at (min, max): the midpoint of the two cluster means, and
-    their dB spacing (0 for a degenerate trace, inf for a 0 W low level
-    under a positive high one). The watts are read, never written.
+    their dB spacing (0 for a degenerate trace, inf where their ratio
+    passes the float range). The watts are read, never written.
 
     The reductions are the kernels that ``min``, ``max`` and ``mean`` run,
     called without numpy's Python wrappers, so the figures are bit-identical
@@ -142,17 +142,15 @@ def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
     same mask gives the same means: the clustering has converged, and at a
     midpoint that would put every sample in the low cluster.
 
-    Levels past the float range raise ``LevelOverflow``: a sample past it in
-    watts, a cluster sum past it (see ``_mean``), or a midpoint past it.
-    Each of these would otherwise give NaN or inf figures.
+    Levels past the float range raise ``LevelOverflow``: a cluster sum past
+    it (see ``_mean``), or a midpoint past it. Each of these would otherwise
+    give NaN or inf figures; a trace's samples are finite and > 0 W.
     A flat trace takes no sum and keeps its level."""
     if len(trace) == 0:
         raise EmptyTrace("cannot analyze an empty trace")
     lin = trace.watts
     c_lo = float(np.minimum.reduce(lin))
     c_hi = peak = float(np.maximum.reduce(lin))
-    if not peak < math.inf:
-        raise LevelOverflow("a sample passes the float range in watts")
     if c_lo == c_hi:
         return c_hi, 0.0  # the midpoint of c with c is c
     prev = b""
@@ -170,7 +168,7 @@ def measure_levels(trace: EnvelopeTrace) -> tuple[float, float]:
     mid = 0.5 * (c_lo + c_hi)
     if mid == math.inf:
         raise LevelOverflow(f"levels of {c_lo} and {c_hi} W sum past the float range")
-    return mid, math.inf if c_lo == 0.0 else 10.0 * math.log10(c_hi / c_lo)
+    return mid, 10.0 * math.log10(c_hi / c_lo)
 
 
 @functools.lru_cache(maxsize=16)
@@ -322,8 +320,3 @@ def verify(decode: DecodeResult, table: "PvkTable") -> AuthDecision:
         return AuthDecision(verdict=REJECTED_REPLAY, matched_key_index=index, decode=decode)
     table.mark_used(index)
     return AuthDecision(verdict=ACCEPTED, matched_key_index=index, decode=decode)
-
-
-def authenticate(trace: EnvelopeTrace, bit_rate_hz: float, table: "PvkTable") -> AuthDecision:
-    """decode_trace followed by verify."""
-    return verify(decode_trace(trace, bit_rate_hz), table)

@@ -450,16 +450,6 @@ class SessionEvent:
     def verify(cls, time_s: float, decision: AuthDecision) -> "SessionEvent":
         return cls(time_s, "verify", decision.verdict, decision.decode.measured_dr_db)
 
-    def record(self) -> str:
-        parts = [f"time_s={self.time_s!r}", f"event={self.event}"]
-        if self.verdict is not None:
-            parts.append(f"verdict={self.verdict}")
-        if self.measured_dr_db is not None:
-            parts.append(f"measured_dr_db={self.measured_dr_db!r}")
-        if self.stored_energy_j is not None:
-            parts.append(f"stored_energy_j={self.stored_energy_j!r}")
-        return " ".join(parts)
-
 
 @dataclass
 class SessionLog:
@@ -488,9 +478,6 @@ class SessionLog:
     @property
     def final(self) -> AuthDecision:
         return self.decisions[-1]
-
-    def format_records(self) -> list[str]:
-        return [e.record() for e in self.events]
 
 
 # the one decision of every session whose node never woke: nothing was sent,

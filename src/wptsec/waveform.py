@@ -12,6 +12,7 @@ the cap on a trace's length.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -48,7 +49,7 @@ _FRAME_HEADER_BYTES = np.packbits(FRAME_HEADER_BITS).tobytes()
 # of its length and measuring it a few, 512 MiB each at the cap.
 MAX_TRACE_SAMPLES = 2**26
 
-# Floor applied after noise addition so dBm values stay finite.
+# Floor applied after noise addition so every power is > 0 W.
 POWER_FLOOR_W = 1e-18
 
 # Noise samples drawn at a time, so a render holds one trace-sized array:
@@ -144,75 +145,59 @@ def frame_to_bits(frame: Frame) -> np.ndarray:
 _NOT_FINITE = "trace samples must be finite (no NaN/Inf)"
 
 
-def _finite(values) -> np.ndarray:
-    """Outside input as a one-dimensional float64 array of finite values."""
-    values = np.asarray(values, dtype=np.float64)
+def _powers(values) -> np.ndarray:
+    """Outside input as a new one-dimensional float64 array of powers in
+    watts, each finite and > 0."""
+    values = np.array(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("samples must be one-dimensional")
-    if values.size and not np.isfinite(values).all():
-        raise ValueError(_NOT_FINITE)
+    if values.size:
+        if not np.isfinite(values).all():
+            raise ValueError(_NOT_FINITE)
+        if not np.minimum.reduce(values) > 0.0:
+            raise ValueError("trace powers must be > 0 W")
     return values
 
 
 class EnvelopeTrace:
-    """Uniformly sampled received-power envelope, held in the unit it was
-    built in: watts from the render or ``from_watts``, else dBm. The other
-    view, ``watts`` or ``samples`` (dBm), is computed on first read and
-    kept. Either view is a finite float64 array; the meta is ASCII and
-    holds no line break that ``str.splitlines`` would split at."""
+    """Uniformly sampled received-power envelope: ``watts``, a read-only
+    contiguous float64 array of powers, each finite and > 0 W, which the
+    trace owns. The meta is ASCII and holds no line break that
+    ``str.splitlines`` would split at."""
 
-    def __init__(self, sample_rate_hz: float, samples, meta: str = "") -> None:
-        self._dbm, self._watts = self._checked(sample_rate_hz, samples, meta, _finite), None
-
-    @classmethod
-    def from_watts(cls, sample_rate_hz: float, watts, meta: str = "") -> "EnvelopeTrace":
-        """A trace of powers in watts, each finite and > 0."""
-        trace = cls._held(sample_rate_hz, watts, meta, _finite, in_watts=True)
-        if trace._watts.size and not np.minimum.reduce(trace._watts) > 0.0:
-            raise ValueError("trace powers must be > 0 W")
-        return trace
+    def __init__(self, sample_rate_hz: float, watts, meta: str = "") -> None:
+        self._set(sample_rate_hz, watts, meta, _powers)
 
     @classmethod
-    def _held(cls, rate: float, values, meta: str, check, in_watts: bool) -> "EnvelopeTrace":
-        """A trace held in watts, or else in dBm, its values judged by ``check``."""
+    def _held(cls, rate: float, watts: np.ndarray, meta: str, check) -> "EnvelopeTrace":
+        """A trace of ``watts``, a contiguous array no one else writes, as
+        they are, judged by ``check`` alone."""
         trace = cls.__new__(cls)
-        values = trace._checked(rate, values, meta, check)
-        trace._dbm, trace._watts = (None, values) if in_watts else (values, None)
+        trace._set(rate, watts, meta, check)
         return trace
 
-    def _checked(self, sample_rate_hz: float, values, meta: str, check) -> np.ndarray:
+    def _set(self, sample_rate_hz: float, watts, meta: str, check) -> None:
         """What every trace is built through: the rate check, ``check`` on the
-        values, then the meta checks. Sets the rate and the meta, and returns
-        the array ``check`` returned."""
+        powers, then the meta checks. Sets the rate, the watts ``check``
+        returned, made read-only so that no write gets past the checks, and
+        the meta."""
         if not 0 < sample_rate_hz < np.inf:  # write_trace spells it as an int
             raise ValueError(f"sample_rate_hz must be > 0 and finite, got {sample_rate_hz}")
-        values = check(values)
+        watts = check(watts)
         if meta.splitlines() not in ([], [meta]):  # read_trace splits lines there
             raise ValueError("meta must not contain line breaks")
         if not meta.isascii():
             raise ValueError("meta must be ASCII, as the trace file is")
-        self.sample_rate_hz, self.meta = sample_rate_hz, meta
-        return values
+        watts.flags.writeable = False
+        self.sample_rate_hz, self.watts, self.meta = sample_rate_hz, watts, meta
 
     @property
     def samples(self) -> np.ndarray:
-        """The envelope in dBm, as the trace file holds it."""
-        if self._dbm is None:  # log10, *10, +30: the steps that give the files' bytes
-            self._dbm = np.log10(self._watts) * 10.0 + 30.0
-        return self._dbm
-
-    @property
-    def watts(self) -> np.ndarray:
-        """The envelope in watts, as the monitor clusters and slices it:
-        ``channel.dbm_to_watts`` of each dBm sample, on numpy's power kernel."""
-        if self._watts is None:
-            watts = np.subtract(self._dbm, 30.0, dtype=np.float64)
-            watts /= 10.0
-            self._watts = np.power(10.0, watts, out=watts)
-        return self._watts
+        """The envelope in dBm, computed on each read."""
+        return np.log10(self.watts) * 10.0 + 30.0
 
     def __len__(self) -> int:
-        return int((self._dbm if self._watts is None else self._watts).size)
+        return int(self.watts.size)
 
 
 def as_bits(bits) -> np.ndarray:
@@ -313,7 +298,7 @@ def synthesize_envelope(
                 z *= floor_w
                 block += z
     np.maximum(samples, POWER_FLOOR_W, out=samples)
-    return EnvelopeTrace._held(sample_rate_hz, samples, meta, _not_overflowed, in_watts=True)
+    return EnvelopeTrace._held(sample_rate_hz, samples, meta, _not_overflowed)
 
 
 def _not_overflowed(watts: np.ndarray) -> np.ndarray:
@@ -348,39 +333,26 @@ def render_envelope(
 
 # --- trace file format -------------------------------------------------------
 #
-# Line 1: sample_rate_hz=<int>,unit=dbm,meta=<string>
-# Then one sample per line, its bytes exactly repr()'s: the shortest decimal
-# string that round-trips the float64, so write-then-read is bit-exact.
-# orjson's shortest round-trip formatter writes repr()'s bytes for every
-# magnitude in [REPR_EXACT_MIN, REPR_EXACT_MAX) and for zero; outside it
-# the two differ (orjson's 1e16 against repr's 1e+16, 5e-8 against 5e-08,
-# 0.00001 against 1e-05), so a chunk holding such a value is written with
-# repr().
+# Line 1: sample_rate_hz=<int>,unit=w,meta=<string>
+# Then one power in watts per line, spelled as orjson spells the float64: the
+# shortest decimal string that round-trips it (Ryu, integer arithmetic only),
+# so the bytes do not depend on the CPU and write-then-read is bit-exact.
 
-_HEADER_RE = re.compile(r"^sample_rate_hz=(\d+),unit=dbm,meta=(.*)$")
+_HEADER_RE = re.compile(r"^sample_rate_hz=(\d+),unit=([^,]*),meta=(.*)$")
 # Samples formatted at a time: write_trace holds one chunk's text, so its
 # memory does not grow with the trace length.
 TRACE_CHUNK_SAMPLES = 1024
-REPR_EXACT_MIN = 1e-4
-REPR_EXACT_MAX = 1e16
 
 
-def _sample_chunks(samples: np.ndarray):
+def _sample_chunks(watts: np.ndarray):
     """The sample lines as ASCII bytes, TRACE_CHUNK_SAMPLES at a time, each
     chunk ending in a newline."""
-    import orjson  # here, so that only writing a trace loads it
+    import orjson  # here, so that only trace files load it
 
-    for start in range(0, samples.size, TRACE_CHUNK_SAMPLES):
-        # orjson takes only C-contiguous arrays, and a trace's finite float64
-        # samples may be a strided view
-        chunk = np.ascontiguousarray(samples[start : start + TRACE_CHUNK_SAMPLES])
-        mag = np.abs(chunk)
-        if ((mag >= REPR_EXACT_MIN) & (mag < REPR_EXACT_MAX) | (mag == 0.0)).all():
-            # "[a,b,c]" -> "a\nb\nc\n"
-            text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)
-            yield text[1:-1].replace(b",", b"\n") + b"\n"
-        else:
-            yield ("\n".join(map(repr, chunk.tolist())) + "\n").encode("ascii")
+    for start in range(0, watts.size, TRACE_CHUNK_SAMPLES):
+        chunk = watts[start : start + TRACE_CHUNK_SAMPLES]  # contiguous, as orjson needs
+        text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)
+        yield text[1:-1].replace(b",", b"\n") + b"\n"  # "[a,b,c]" -> "a\nb\nc\n"
 
 
 def write_trace(trace: EnvelopeTrace, path) -> None:
@@ -389,38 +361,65 @@ def write_trace(trace: EnvelopeTrace, path) -> None:
     rate = trace.sample_rate_hz
     if rate != int(rate):
         raise ValueError(f"sample rate must be integral for the file format, got {rate}")
-    header = f"sample_rate_hz={int(rate)},unit=dbm,meta={trace.meta}\n".encode("ascii")
+    header = f"sample_rate_hz={int(rate)},unit=w,meta={trace.meta}\n".encode("ascii")
     with open(path, "wb") as f:
         f.write(header)
-        f.writelines(_sample_chunks(trace.samples))
+        f.writelines(_sample_chunks(trace.watts))
+
+
+def _block_powers(text: str) -> list:
+    """The samples of one block of whole lines: one ``orjson.loads`` of its
+    lines as a JSON array, or else, where orjson rejects the block or reads
+    a line as other than one float (an int, ``true``, a list), ``float()`` of
+    each non-blank line, which raises the ValueError that names a bad one."""
+    import orjson
+
+    body = text.rstrip("\n")
+    if "," not in body:  # else one line could hold two numbers
+        try:
+            values = orjson.loads("[" + body.replace("\n", ",") + "]")
+            if set(map(type, values)) <= {float}:
+                return values
+        except orjson.JSONDecodeError:
+            pass
+    return list(map(float, filter(None, text.splitlines())))
+
+
+def _file_powers(watts: np.ndarray) -> np.ndarray:
+    """A trace file's samples, each finite and > 0 W; else a TraceFormatError
+    that names the first bad sample."""
+    if watts.size and not (np.minimum.reduce(watts) > 0.0 and np.maximum.reduce(watts) < np.inf):
+        i = int(((watts > 0.0) & (watts < np.inf)).argmin())  # NaN fails both
+        x = float(watts[i])
+        what = "not > 0 W" if math.isfinite(x) else "not finite"
+        raise TraceFormatError(f"bad sample line: samples[{i}] is {x!r}, {what}")
+    return watts
 
 
 def read_trace(path) -> EnvelopeTrace:
     """Read the trace file about 64 KB of whole lines at a time, split as
-    str.splitlines splits them: the header, then one sample per non-blank
-    line, converted as they come so only the samples array is held. A byte
-    that is not ASCII, a header without a sample rate > 0 that is finite as a
-    float, or a line that is not one finite float is a TraceFormatError."""
+    str.splitlines splits them: the header, then one power per non-blank
+    line, each block parsed as it comes so only the samples array is held.
+    A byte that is not ASCII, a header without a sample rate > 0 that is
+    finite as a float, a unit other than ``w``, or a line that is not one
+    finite float > 0 is a TraceFormatError."""
     with open(path, encoding="ascii") as f:
-        blocks = iter(lambda: "".join(f.readlines(1 << 16)), "")
-        lines = chain.from_iterable(map(str.splitlines, blocks))
+        blocks = iter(lambda: f.read(1 << 16) + f.readline(), "")
         try:
-            header = next(lines, None)
+            lines = next(blocks, "").splitlines()
         except UnicodeDecodeError as exc:
             raise TraceFormatError(f"trace file is not ASCII: {exc}") from None
-        if header is None:
+        if not lines:
             raise TraceFormatError("empty trace file")
-        m = _HEADER_RE.match(header)
+        m = _HEADER_RE.match(lines[0])
         rate = float(m.group(1)) if m else 0.0  # float(int(digits)), or inf past the range
         if not 0.0 < rate < np.inf:
-            raise TraceFormatError(f"bad trace header: {header!r}")
+            raise TraceFormatError(f"bad trace header: {lines[0]!r}")
+        if m.group(2) != "w":
+            raise TraceFormatError(f"trace unit {m.group(2)!r} is not 'w' (watts)")
         try:
-            samples = np.fromiter(map(float, filter(None, lines)), dtype=np.float64)
+            rest = chain(["\n".join(lines[1:])], blocks)
+            watts = np.fromiter(chain.from_iterable(map(_block_powers, rest)), dtype=np.float64)
         except ValueError as exc:  # also a byte past the first block that is not ASCII
             raise TraceFormatError(f"bad sample line: {exc}") from None
-    def finite(x: np.ndarray) -> np.ndarray:  # the trace's one check of its samples
-        if not np.isfinite(x).all():
-            i = int(np.isfinite(x).argmin())  # named only once the check failed
-            raise TraceFormatError(f"bad sample line: samples[{i}] is {float(x[i])!r}, not finite")
-        return x
-    return EnvelopeTrace._held(rate, samples, m.group(2), finite, in_watts=False)
+    return EnvelopeTrace._held(rate, watts, m.group(3), _file_powers)

@@ -1,8 +1,19 @@
-"""Shared fixtures."""
+"""Shared fixtures, and dbm_trace, the one way tests build a trace from dBm."""
 
+import numpy as np
 import pytest
 
 from wptsec import channel, cli, monitor
+from wptsec.waveform import EnvelopeTrace
+
+
+def dbm_trace(sample_rate_hz, dbm, meta=""):
+    """A trace of the powers ``dbm`` in watts: subtract 30, divide by 10,
+    then 10 to that power on numpy's power kernel, as channel.dbm_to_watts
+    spells it."""
+    watts = np.subtract(dbm, 30.0, dtype=np.float64)
+    watts /= 10.0
+    return EnvelopeTrace(sample_rate_hz, np.power(10.0, watts, out=watts), meta)
 
 
 @pytest.fixture

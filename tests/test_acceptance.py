@@ -22,9 +22,9 @@ from wptsec.channel import (
     leakage_power,
 )
 from wptsec.cli import format_csv, main, run_experiment
-from wptsec.config import build_monitor, build_node, build_scenario, load_config, load_preset
+from wptsec.config import build_monitor, build_node, build_scenario, load_config
 from wptsec.errors import BitRateTooHigh
-from wptsec.monitor import ACCEPTED, REJECTED_REPLAY, REJECTED_UNKNOWN_KEY, authenticate
+from wptsec.monitor import ACCEPTED, REJECTED_REPLAY, REJECTED_UNKNOWN_KEY, decode_trace, verify
 from wptsec.protocol import (
     Attacker,
     MonitorConfig,
@@ -47,7 +47,7 @@ def report(num: int, name: str, passed: bool, detail: str = "") -> None:
 
 
 def anechoic_keyed_parts(n_keys: int, table_seed: int):
-    cfg = load_preset("anechoic")
+    cfg = load_config("setup=anechoic")
     scenario = build_scenario(cfg)
     table = generate_table(n_keys, 2, rng_seed=table_seed)
     node = build_node(cfg, table)
@@ -88,7 +88,7 @@ def test_criterion_2_dynamic_range_power_sweep():
     spread = max(drs) - min(drs)
 
     # monotone part: fixed backscatter levels, rising leakage floor
-    scenario = build_scenario(load_preset("anechoic"))
+    scenario = build_scenario(load_config("setup=anechoic"))
     bs_hi = scenario.backscatter_dbm(True)
     bs_lo = scenario.backscatter_dbm(False)
     monotone = True
@@ -224,7 +224,7 @@ def test_criterion_6_loopback_property_suite():
             320e3,
             NoiseSpec(-60.0, 7_000_000 + i),
         )
-        decision = authenticate(trace, 20e3, monitor_table)
+        decision = verify(decode_trace(trace, 20e3), monitor_table)
         accepts += decision.verdict == ACCEPTED
     report(
         6,
@@ -236,7 +236,7 @@ def test_criterion_6_loopback_property_suite():
 
 
 def test_criterion_7_replay_defense():
-    scenario = build_scenario(load_preset("anechoic"))
+    scenario = build_scenario(load_config("setup=anechoic"))
     p_hi = scenario.state_level_dbm(True)
     p_lo = scenario.state_level_dbm(False)
     table = generate_table(1000, 2, rng_seed=77)
@@ -252,8 +252,8 @@ def test_criterion_7_replay_defense():
             320e3,
             NoiseSpec(-90.0, 9_100_000 + i),
         )
-        first = authenticate(trace, 20e3, monitor_table)
-        second = authenticate(trace, 20e3, monitor_table)
+        first = verify(decode_trace(trace, 20e3), monitor_table)
+        second = verify(decode_trace(trace, 20e3), monitor_table)
         if first.verdict == ACCEPTED and second.verdict == REJECTED_REPLAY:
             replays_rejected += 1
         if second.verdict == ACCEPTED:
@@ -280,7 +280,7 @@ def test_criterion_7_replay_defense():
             320e3,
             NoiseSpec(-90.0, 40_000 + checked),
         )
-        decision = authenticate(trace, 20e3, monitor_table)
+        decision = verify(decode_trace(trace, 20e3), monitor_table)
         if decision.verdict == ACCEPTED:
             unknown_accepts += 1
         elif decision.verdict != REJECTED_UNKNOWN_KEY:

@@ -20,7 +20,6 @@ from wptsec.config import (
     build_scenario,
     build_tables,
     load_config,
-    load_preset,
 )
 from wptsec.errors import ValidationError
 from wptsec.protocol import Attacker, run_session
@@ -66,7 +65,7 @@ def written_trace(tmp_path, config_text, name="trace.txt"):
 
 class TestRunExperiment:
     def test_single_anechoic_session_row(self):
-        rows, summary = run_experiment(load_preset("anechoic"))
+        rows, summary = run_experiment(load_config("setup=anechoic"))
         assert len(rows) == 1
         row = rows[0]
         assert row["verdict"] == "accepted"
@@ -172,7 +171,7 @@ class TestRunExperiment:
         assert summary.all_passed
 
     def test_probe_point_clusters_once(self, clustering_calls):
-        rows, _ = run_experiment(load_preset("wired"))
+        rows, _ = run_experiment(load_config("setup=wired"))
         assert len(clustering_calls) == 1
         threshold_w, dr_db = measure_levels(clustering_calls[0])
         assert rows[0]["threshold_dbm"] == watts_to_dbm(threshold_w)
@@ -212,13 +211,13 @@ class TestCsv:
             "status",
             "seed",
         )
-        rows, _ = run_experiment(load_preset("wired"))
+        rows, _ = run_experiment(load_config("setup=wired"))
         text = format_csv(rows)
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
         assert len(text.splitlines()) == 2
 
     def test_empty_cells_for_non_session_rows(self):
-        rows, _ = run_experiment(load_preset("wired"))
+        rows, _ = run_experiment(load_config("setup=wired"))
         line = format_csv(rows).splitlines()[1]
         cells = line.split(",")
         assert cells[CSV_COLUMNS.index("verdict")] == ""
@@ -245,7 +244,7 @@ class TestEmitTrace:
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
     def test_emitted_frame_decodes(self, tmp_path):
-        cfg = load_preset("anechoic")
+        cfg = load_config("setup=anechoic")
         result = decode_trace(written_trace(tmp_path, "setup=anechoic\n"), cfg.bit_rate_hz)
         assert result.status == "decoded"
         assert len(result.payload) == cfg.key_len_bytes
@@ -285,13 +284,14 @@ class TestEmitTrace:
         trace = written_trace(tmp_path, text)
         assert trace.sample_rate_hz == log.trace.sample_rate_hz
         assert trace.meta == log.trace.meta == cfg.setup
-        assert np.array_equal(trace.samples, log.trace.samples)
+        assert trace.watts.tobytes() == log.trace.watts.tobytes()
 
     @pytest.mark.parametrize("protocol", ["true", "false"])
     def test_sweep_trace_is_the_first_rows_own(self, tmp_path, protocol, clustering_calls):
         # the first row is the lowest sweep value at point_seed(seed, 0); the
-        # file holds, bit for bit, the dBm samples of the trace that row was
-        # measured on, whichever mode it runs
+        # file holds, bit for bit, the watts of the trace that row was
+        # measured on, whichever mode it runs, so the trace read back gives
+        # the row's own figures
         text = (
             f"setup=anechoic\nprotocol.enabled={protocol}\n"
             "sweep.param=channel.p_tx_dbm\nsweep.values=24,20\n"
@@ -301,21 +301,13 @@ class TestEmitTrace:
         assert rows[0]["sweep_value"] == 20.0
         own = clustering_calls[0]
         trace = written_trace(tmp_path, text)
-        assert trace.samples.tobytes() == own.samples.tobytes()
+        assert trace.watts.tobytes() == own.watts.tobytes()
         want = (rows[0]["threshold_dbm"], rows[0]["dr_db"])
         if protocol == "true":
-            result, own_result = (decode_trace(t, cfg.bit_rate_hz) for t in (trace, own))
-            assert result.status == own_result.status == rows[0]["status"] == "decoded"
-            assert (result.payload, result.sync_offset) == (
-                own_result.payload,
-                own_result.sync_offset,
-            )
-            # the row was measured on the render's watts, the file's levels
-            # on its dBm read back as watts: within a relative 1e-14 of the
-            # render's (3.1e-15 on this trace), which moves a level by at
-            # most 10*log10(1 + 1e-14) = 4.3e-14 dB and the DR by twice that
-            levels = (result.threshold_dbm, result.measured_dr_db)
-            assert levels == pytest.approx(want, rel=0.0, abs=1e-12)
+            result = decode_trace(trace, cfg.bit_rate_hz)
+            assert result == decode_trace(own, cfg.bit_rate_hz)
+            assert result.status == rows[0]["status"] == "decoded"
+            assert (result.threshold_dbm, result.measured_dr_db) == want
         else:
             threshold_w, dr_db = measure_levels(trace)
             assert (watts_to_dbm(threshold_w), dr_db) == want
@@ -831,9 +823,9 @@ class TestOneRunPerRow:
     @pytest.mark.parametrize(
         "text", ["setup=anechoic\n", POWER_SWEEP], ids=["anechoic", "power_sweep"]
     )
-    def test_dbm_only_for_the_written_trace(self, tmp_path, monkeypatch, text, trace):
-        # rows are measured and decoded in watts: the one per-sample dBm
-        # conversion of a run is the written trace's
+    def test_no_per_sample_dbm_in_a_run(self, tmp_path, monkeypatch, text, trace):
+        # rows are measured and decoded in watts, and the trace file holds
+        # watts: no run converts a sample to dBm, with --trace-out or without
         sizes = []
         log10 = np.log10
 
@@ -848,7 +840,8 @@ class TestOneRunPerRow:
         if trace:
             argv += ["--trace-out", str(trace_path)]
         assert main(argv) == 0
-        assert sizes == ([len(read_trace(trace_path))] if trace else [])
+        assert sizes == []
+        assert not trace or len(read_trace(trace_path)) > 0
 
     @pytest.mark.parametrize("protocol_on", ["true", "false"])
     def test_each_point_builds_its_link_once(self, monkeypatch, protocol_on):

@@ -12,7 +12,6 @@ from wptsec.config import (
     build_scenario,
     build_tables,
     load_config,
-    load_preset,
 )
 from wptsec.errors import ParseError, ValidationError
 from wptsec.protocol import ATTACKER_KINDS, KEY_POLICIES
@@ -194,7 +193,7 @@ class TestSchema:
         )
         assert custom.frequency_hz is None and custom.n_keys is None
         assert build_scenario(custom).state_level_dbm(True) == build_scenario(
-            load_preset("wired")
+            load_config("setup=wired")
         ).state_level_dbm(True)
         assert violations_of("setup=wired\nchannel.frequency_hz = 876e6") == [
             "channel.frequency_hz: not applicable when channel.topology = wired"
@@ -218,7 +217,7 @@ class TestPresets:
         ],
     )
     def test_preset_resolves_only_the_keys_it_reads(self, setup, unread):
-        cfg = load_preset(setup)
+        cfg = load_config(f"setup={setup}")
         for key, (attr, _) in config._SCHEMA.items():
             if key in unread | {"sweep.param", "sweep.values"}:
                 assert getattr(cfg, attr) is None, key
@@ -275,13 +274,12 @@ class TestPresets:
         assert cfg.protocol_enabled is False
         assert cfg.topology == "wired"
 
-    def test_load_preset_helper(self):
-        assert load_preset("wired") == load_config("setup=wired")
-        with pytest.raises(ValueError):
-            load_preset("underwater")
+    def test_unknown_setup_rejected(self):
+        with pytest.raises(ParseError, match="setup: expected one of"):
+            load_config("setup=underwater")
 
     def test_preset_leakage_calibration_identity(self):
-        scenario = build_scenario(load_preset("anechoic"))
+        scenario = build_scenario(load_config("setup=anechoic"))
         assert scenario.leakage_dbm() == -57.0
 
     def test_preset_overrides(self):
@@ -734,7 +732,7 @@ class TestValidation:
 
 class TestBuilders:
     def test_build_round_trip(self):
-        cfg = load_preset("anechoic")
+        cfg = load_config("setup=anechoic")
         scenario = build_scenario(cfg).with_noise_seed(5)
         assert scenario.noise.rng_seed == 5
         assert scenario.topology == "radiated"
@@ -746,12 +744,12 @@ class TestBuilders:
         assert monitor.sample_rate_hz == 16 * 20e3
 
     def test_wired_scenario_levels(self):
-        scenario = build_scenario(load_preset("wired"))
+        scenario = build_scenario(load_config("setup=wired"))
         assert scenario.node_input_dbm() == -15.0
         assert scenario.backscatter_dbm(True) == -15.0 - 3.0
         assert scenario.leakage_dbm() == -35.0
 
     def test_with_override_coerces_ints(self):
-        cfg = load_preset("wired")
+        cfg = load_config("setup=wired")
         assert cfg.with_override("waveform.oversampling", 32.0).oversampling == 32
         assert cfg.with_override("channel.p_tx_dbm", -3.0).p_tx_dbm == -3.0

@@ -141,11 +141,11 @@ def test_energy_ledger_matches_golden_digest():
 PRESET_SHA256 = {
     "anechoic": (
         "44b155df6c22b9515b4c5a6197a069f11023f123b2bdeb75bfb704c5ec175319",
-        "76ba22288e553df72b2aca69eb4cd749a1ab0dd7957a4a502aaefdcad7b5672a",
+        "aeedd272a3d6445bf61342920d3d47059ec48af7613d428785f4d8a626212248",
     ),
     "wired": (
         "00c305a46457e27b3b2cadf046baca845f466b242e0922b6410aca56ccc194de",
-        "a9d465428c6e5f82193eb84ba1c156ded130596271aa4e692182977ede3b76cc",
+        "f3a01c1350bee89a820ced4a917d1c55baf0f5580432516ebcdc0150875df4a1",
     ),
 }
 PRESET_STDERR = {
@@ -155,21 +155,19 @@ PRESET_STDERR = {
 }
 
 
-@pytest.mark.parametrize("preset", sorted(PRESET_SHA256))
-def test_preset_outputs_match_golden_digests(preset, tmp_path, capsys):
-    csv_path, trace_path = tmp_path / "out.csv", tmp_path / "out.trace"
+def preset_digests(preset: str, out_dir: Path) -> list[str]:
+    """sha256 of the CSV and of the --trace-out file of
+    `wptsec run --preset <preset>`."""
+    csv_path, trace_path = out_dir / f"{preset}.csv", out_dir / f"{preset}.trace"
     argv = ["run", "--preset", preset, "--out", str(csv_path), "--trace-out", str(trace_path)]
     assert main(argv) == 0
-    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, trace_path))
-    assert digests == PRESET_SHA256[preset]
+    return [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, trace_path)]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_SHA256))
+def test_preset_outputs_match_golden_digests(preset, tmp_path, capsys):
+    assert tuple(preset_digests(preset, tmp_path)) == PRESET_SHA256[preset]
     assert capsys.readouterr().err == PRESET_STDERR[preset]
-
-
-def preset_csv_digest(preset: str, out_dir: Path) -> str:
-    """sha256 of the CSV of `wptsec run --preset <preset>`."""
-    path = out_dir / f"{preset}.csv"
-    assert main(["run", "--preset", preset, "--out", str(path)]) == 0
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def active_dispatch_targets() -> list[str]:
@@ -194,17 +192,17 @@ from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import test_golden as g
 with tempfile.TemporaryDirectory() as out:
-    csvs = [g.preset_csv_digest(p, Path(out)) for p in sorted(g.PRESET_SHA256)]
-print(json.dumps([g.active_dispatch_targets(), g.golden_session_digests(), csvs]))
+    presets = [g.preset_digests(p, Path(out)) for p in sorted(g.PRESET_SHA256)]
+print(json.dumps([g.active_dispatch_targets(), g.golden_session_digests(), presets]))
 """
 
 
 def test_outputs_do_not_depend_on_simd_dispatch(tmp_path):
-    # the session lines and both presets' CSVs are the same with numpy's
-    # AVX-512 kernels switched off: they are computed from the render's
-    # watts (noise draw, adds, multiplies, maxima, compares, cluster sums)
-    # and Python's scalar math. The trace files are left out: they are
-    # written with np.log10, whose bits depend on the dispatch target
+    # the session lines and both presets' CSVs and trace files are the same
+    # with numpy's AVX-512 kernels switched off: they are computed from the
+    # render's watts (noise draw, adds, multiplies, maxima, compares,
+    # cluster sums) and Python's scalar math, and a trace file spells those
+    # watts with orjson's integer-only shortest formatter
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
     src = str(Path(wptsec.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -215,7 +213,7 @@ def test_outputs_do_not_depend_on_simd_dispatch(tmp_path):
         text=True,
         check=True,
     )
-    targets, sessions, csvs = json.loads(run.stdout)
+    targets, sessions, presets = json.loads(run.stdout)
     assert not set(targets) & set(AVX512_TARGETS)
     assert tuple(sessions) == golden_session_digests()
-    assert csvs == [preset_csv_digest(p, tmp_path) for p in sorted(PRESET_SHA256)]
+    assert presets == [preset_digests(p, tmp_path) for p in sorted(PRESET_SHA256)]

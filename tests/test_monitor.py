@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dbm_trace
 from wptsec import monitor
 from wptsec.channel import NoiseSpec, dbm_to_watts, watts_to_dbm
 from wptsec.errors import EmptyTrace, LevelOverflow, NoSync, UndersampledError
@@ -33,7 +34,6 @@ from wptsec.monitor import (
     AuthDecision,
     DecodeResult,
     _bit_centers,
-    authenticate,
     decode_frame,
     decode_trace,
     measure_levels,
@@ -59,7 +59,7 @@ LEVELS = dict(measured_dr_db=10.0, threshold_dbm=-45.0)
 
 def two_level_trace(n_high, n_low, p_high=-40.0, p_low=-50.0, rate=16e3):
     samples = np.array([p_high] * n_high + [p_low] * n_low)
-    return EnvelopeTrace(rate, samples)
+    return dbm_trace(rate, samples)
 
 
 def clean_frame_trace(payload, bit_rate=20e3, oversampling=16, p_high=-40.0, p_low=-50.0,
@@ -75,7 +75,7 @@ class TestThreshold:
         assert measure_levels(trace)[0] == pytest.approx(5.5e-8, rel=1e-12)
 
     def test_constant_trace_degenerate(self):
-        trace = EnvelopeTrace(16e3, np.full(64, -47.3))
+        trace = dbm_trace(16e3, np.full(64, -47.3))
         assert measure_levels(trace)[0] == trace.watts[0]
         result = decode_trace(trace, 1e3)
         assert result.status == NO_SYNC
@@ -83,14 +83,14 @@ class TestThreshold:
     def test_permutation_invariant(self):
         trace = two_level_trace(30, 34)
         rng = np.random.default_rng(8)
-        shuffled = EnvelopeTrace(16e3, rng.permutation(trace.samples))
+        shuffled = EnvelopeTrace(16e3, rng.permutation(trace.watts))
         assert measure_levels(shuffled)[0] == measure_levels(trace)[0]
 
     def test_permutation_invariant_noisy(self):
         noise = NoiseSpec(-65.0, rng_seed=5)
         trace = synthesize_envelope([1, 0] * 16, -40.0, -52.0, 1e3, 16e3, noise)
         rng = np.random.default_rng(9)
-        shuffled = EnvelopeTrace(16e3, rng.permutation(trace.samples))
+        shuffled = EnvelopeTrace(16e3, rng.permutation(trace.watts))
         assert measure_levels(shuffled)[0] == pytest.approx(
             measure_levels(trace)[0], rel=1e-10
         )
@@ -99,7 +99,7 @@ class TestThreshold:
         # +7.25 dB on every sample scales every power, and so the threshold
         noise = NoiseSpec(-65.0, rng_seed=5)
         trace = synthesize_envelope([1, 0] * 16, -40.0, -52.0, 1e3, 16e3, noise)
-        shifted = EnvelopeTrace(16e3, trace.samples + 7.25)
+        shifted = dbm_trace(16e3, trace.samples + 7.25)
         assert measure_levels(shifted)[0] == pytest.approx(
             measure_levels(trace)[0] * 10.0**0.725, rel=1e-10
         )
@@ -119,27 +119,24 @@ class TestDynamicRange:
         assert measure_levels(trace)[1] == pytest.approx(10.0, abs=1e-9)
 
     def test_constant_trace_zero(self):
-        trace = EnvelopeTrace(16e3, np.full(32, -44.0))
+        trace = dbm_trace(16e3, np.full(32, -44.0))
         assert measure_levels(trace)[1] == 0.0
 
-    def test_zero_watt_low_level_is_an_infinite_range(self):
-        # -3300 dBm is 0.0 W once converted; the range divided by it and
-        # raised ZeroDivisionError
-        levels = two_level_trace(8, 8, p_high=-50.0, p_low=-3300.0)
-        threshold, dr = measure_levels(levels)
-        assert dr == math.inf
-        assert threshold == 0.5 * levels.watts[0] and levels.watts[-1] == 0.0
+    def test_level_ratio_past_the_float_range_is_an_infinite_range(self):
+        # 1e-5 W over the least subnormal watt passes the float range
         bits = frame_to_bits(build_frame(b"\x5a\xc3", 1e3))
-        trace = EnvelopeTrace(16e3, np.repeat(np.where(bits, -50.0, -3300.0), 16))
+        trace = EnvelopeTrace(16e3, np.repeat(np.where(bits, 1e-5, 5e-324), 16))
+        threshold, dr = measure_levels(trace)
+        assert dr == math.inf and threshold == 0.5 * (1e-5 + 5e-324)
         result = decode_trace(trace, 1e3)
         assert (result.status, result.payload) == (DECODED, b"\x5a\xc3")
         assert result.measured_dr_db == math.inf
 
 
 class TestLevelOverflow:
-    """Levels past the float range in watts (a sample, a cluster's sum, the
-    midpoint of the two means) raise LevelOverflow, and only those: every
-    trace whose figures are finite keeps them."""
+    """Levels past the float range in watts (a cluster's sum, the midpoint
+    of the two means) raise LevelOverflow, and only those: every trace whose
+    figures are finite keeps them."""
 
     def test_cluster_sums_past_the_float_range_raise(self):
         # 3090 dBm is 1e306 W: 10^4 such samples summed to inf, the high level
@@ -152,11 +149,12 @@ class TestLevelOverflow:
             with pytest.raises(LevelOverflow):
                 decode_trace(trace, 1e3)
 
-    def test_sample_past_the_float_range_raises(self):
-        trace = two_level_trace(8, 8, p_high=3200.0, p_low=-50.0)
+    def test_sample_past_the_float_range_makes_no_trace(self):
+        # 3200 dBm is past the float range in watts: no trace holds it, so
+        # the clustering never sees it
         with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
-            with pytest.raises(LevelOverflow):
-                measure_levels(trace)
+            with pytest.raises(ValueError, match=re.escape("trace samples must be finite")):
+                two_level_trace(8, 8, p_high=3200.0, p_low=-50.0)
 
     @pytest.mark.parametrize("n_high, n_low", [(2, 1), (3, 7), (500, 500), (1000, 1), (1, 1000)])
     def test_raises_exactly_where_the_oracle_overflows(self, n_high, n_low):
@@ -186,7 +184,7 @@ class TestLevelOverflow:
         # 10^4 samples of 1e306 W would sum past the float range, but a flat
         # trace is not clustered; at 1e308 W the midpoint c + c overflowed
         # and the threshold read inf
-        trace = EnvelopeTrace(16e3, np.full(10_000, p_dbm))
+        trace = dbm_trace(16e3, np.full(10_000, p_dbm))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert measure_levels(trace) == (trace.watts[0], 0.0) != (math.inf, 0.0)
@@ -194,7 +192,7 @@ class TestLevelOverflow:
     def test_midpoint_past_the_float_range_raises(self):
         # 1e308 W and 1.7e308 W are each finite, and so is either mean, but
         # their sum is not
-        trace = EnvelopeTrace(16e3, np.array([3110.0, 3112.3]))
+        trace = dbm_trace(16e3, np.array([3110.0, 3112.3]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(LevelOverflow, match=r"^levels of 1e\+308 and .* W sum past"):
@@ -228,7 +226,7 @@ class TestRecoverBits:
         frame_bits = frame_to_bits(build_frame(payload, bit_rate))
         trace = clean_frame_trace(payload)
         pad = np.full(round(3.7 * oversampling), -50.0)
-        padded = EnvelopeTrace(trace.sample_rate_hz, np.concatenate([pad, trace.samples]))
+        padded = dbm_trace(trace.sample_rate_hz, np.concatenate([pad, trace.samples]))
         threshold_w, dr_db = measure_levels(padded)
         bits, sync_offset = recover_bits(padded, bit_rate, threshold_w)
         assert sync_offset > 0
@@ -266,7 +264,7 @@ class TestRecoverBits:
         bits = frame_to_bits(build_frame(b"\x5a", 20e3))
         for threshold in pool.tolist() + [5e-324, 1e-310, sys.float_info.max / 10.0]:
             watts = np.repeat(np.where(bits, 10.0 * threshold, threshold), 16)
-            trace = EnvelopeTrace.from_watts(320e3, watts)
+            trace = EnvelopeTrace(320e3, watts)
             got, sync_offset = recover_bits(trace, 20e3, threshold)
             assert sync_offset == 0 and np.array_equal(got, bits)
 
@@ -352,7 +350,7 @@ class TestDecodeFrame:
 class TestSinglePass:
     def test_decode_trace_clusters_once(self, clustering_calls):
         decoded = clean_frame_trace(b"\x5a\xc3")
-        flat = EnvelopeTrace(16e3, np.full(64, -47.3))
+        flat = dbm_trace(16e3, np.full(64, -47.3))
         for trace, bit_rate, status in ((decoded, 20e3, DECODED), (flat, 1e3, NO_SYNC)):
             clustering_calls.clear()
             result = decode_trace(trace, bit_rate)
@@ -381,7 +379,7 @@ class TestSinglePass:
         for name in ("measure_levels", "recover_bits"):
             monkeypatch.setattr(monitor, name, recorded(name))
         decoded = clean_frame_trace(b"\x5a\xc3")
-        flat = EnvelopeTrace(16e3, np.full(64, -47.3))
+        flat = dbm_trace(16e3, np.full(64, -47.3))
         for trace, bit_rate, status in ((decoded, 20e3, DECODED), (flat, 1e3, NO_SYNC)):
             calls.clear()
             assert decode_trace(trace, bit_rate).status == status
@@ -409,7 +407,7 @@ def idle_frame_trace(payload, idle_samples, clock_offset, noise_seed):
     noise = NoiseSpec(-60.0, noise_seed)
     trace = synthesize_envelope(bits, -30.0, -40.0, 20e3 * (1 + clock_offset), 320e3, noise)
     idle = np.full(idle_samples, -40.0)
-    return EnvelopeTrace(320e3, np.concatenate([idle, trace.samples]))
+    return dbm_trace(320e3, np.concatenate([idle, trace.samples]))
 
 
 PAYLOADS = st.binary(min_size=1, max_size=MAX_PAYLOAD_BYTES)
@@ -564,7 +562,7 @@ class TestLoopbackInvariant:
             trace = clean_frame_trace(
                 payload, p_high=-50.0, p_low=-50.0, noise=NoiseSpec(-60.0, 9000 + i)
             )
-            decision = authenticate(trace, 20e3, monitor_table)
+            decision = verify(decode_trace(trace, 20e3), monitor_table)
             accepts += decision.verdict == ACCEPTED
         assert accepts == 0
 
@@ -724,7 +722,7 @@ def captures(draw):
     after = np.full(draw(st.integers(0, 2000)), idle_level)
     samples = np.concatenate([before, frame.samples, after])
     samples = samples[: draw(st.integers(0, 10_000))]
-    return EnvelopeTrace(sample_rate, samples), bit_rate
+    return dbm_trace(sample_rate, samples), bit_rate
 
 
 class TestDifferentialDecode:
@@ -752,7 +750,7 @@ class TestDifferentialDecode:
         # block, on either side of its edge, or both past it
         frame = clean_frame_trace(b"\x5a\xc3\x01", p_high=-30.0, p_low=-40.0)
         idle = np.full(SYNC_BLOCK + shift, -40.0)
-        trace = EnvelopeTrace(frame.sample_rate_hz, np.concatenate([idle, frame.samples]))
+        trace = dbm_trace(frame.sample_rate_hz, np.concatenate([idle, frame.samples]))
         assert_same_decode(trace, 20e3, measure_levels(trace)[0])
         assert decode_trace(trace, 20e3).payload == b"\x5a\xc3\x01"
 
@@ -819,7 +817,7 @@ class TestDifferentialFrame:
 def skewed_trace(n=400, seed=0):
     """Uniform dBm levels over 90 dB: 2-means takes several passes to settle."""
     samples = np.sort(np.random.default_rng(seed).uniform(-90.0, 0.0, n))
-    return EnvelopeTrace(16e3, samples)
+    return dbm_trace(16e3, samples)
 
 
 class TestLevelsOracle:
@@ -835,10 +833,10 @@ class TestLevelsOracle:
         n_high, n_low = rng.integers(1, 300, size=2)
         p_low = rng.uniform(-90.0, -20.0)
         trace = two_level_trace(n_high, n_low, p_low + rng.uniform(0.1, 40.0), p_low)
-        trace = EnvelopeTrace(trace.sample_rate_hz, rng.permutation(trace.samples))
+        trace = EnvelopeTrace(trace.sample_rate_hz, rng.permutation(trace.watts))
         self.assert_matches(trace)
         noisy = trace.samples + rng.normal(0.0, rng.uniform(0.01, 3.0), len(trace))
-        self.assert_matches(EnvelopeTrace(trace.sample_rate_hz, noisy))
+        self.assert_matches(dbm_trace(trace.sample_rate_hz, noisy))
 
     @pytest.mark.parametrize(
         "samples",
@@ -854,7 +852,7 @@ class TestLevelsOracle:
         ],
     )
     def test_degenerate_traces(self, samples):
-        self.assert_matches(EnvelopeTrace(16e3, np.array(samples)))
+        self.assert_matches(dbm_trace(16e3, np.array(samples)))
 
     def test_long_probe(self):
         # the alternating probe of a power sweep point: 10^5 noisy samples
@@ -884,7 +882,7 @@ class TestGeometryCaches:
     def test_bounded_after_300_lengths(self):
         for n in range(300):
             trace = clean_frame_trace(b"\x5a", oversampling=8 + n % 7)
-            trace = EnvelopeTrace(trace.sample_rate_hz, trace.samples[: 200 + n])
+            trace = EnvelopeTrace(trace.sample_rate_hz, trace.watts[: 200 + n])
             decode_trace(trace, 20e3)
             synthesize_envelope([1, 0] * (n + 1), -40.0, -50.0, 20e3, 160e3, SILENT)
         for cache in GEOMETRY_CACHES:
@@ -903,7 +901,7 @@ def test_recover_bits_memory_per_sample():
     frame = clean_frame_trace(b"\x5a\xc3", p_high=-30.0, p_low=-40.0)
     samples = np.full(10**6, -40.0)
     samples[-len(frame) :] = frame.samples
-    trace = EnvelopeTrace(frame.sample_rate_hz, samples)
+    trace = dbm_trace(frame.sample_rate_hz, samples)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

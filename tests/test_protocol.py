@@ -22,7 +22,7 @@ from wptsec.channel import (
     NoiseSpec,
     RectifierModel,
 )
-from wptsec.config import build_monitor, build_node, build_scenario, build_tables, load_preset
+from wptsec.config import build_monitor, build_node, build_scenario, build_tables, load_config
 from wptsec.errors import TableCapacityError, TableExhausted, TableTooLarge
 from wptsec.monitor import (
     ACCEPTED,
@@ -965,7 +965,7 @@ class TestRunSession:
         # dt_s = 1e-300 passes check_session_timing; it banked 9.96e-6 J and
         # burned key 0 in both tables before SessionLog found the event times
         # not strictly increasing
-        cfg = load_preset("anechoic")
+        cfg = load_config("setup=anechoic")
         node_table, monitor_table = build_tables(cfg)
         scenario = build_scenario(cfg)
         node, monitor = build_node(cfg, node_table), build_monitor(cfg, monitor_table)
@@ -1000,7 +1000,7 @@ class TestRunSession:
         b_node, b_mon = session_parts()
         log_a = run_session(anechoic_scenario(seed=50), a_node, Attacker(), a_mon)
         log_b = run_session(anechoic_scenario(seed=50), b_node, Attacker(), b_mon)
-        assert log_a.format_records() == log_b.format_records()
+        assert log_a.events == log_b.events
         assert np.array_equal(log_a.trace.samples, log_b.trace.samples)
 
     def test_random_key_policy_session(self):
@@ -1086,15 +1086,16 @@ class TestRunSession:
             (REJECTED_NO_SIGNAL, REJECTED_NO_SIGNAL, PAYLOAD_INVALID),
         }
 
-    def test_record_field_names(self):
+    def test_event_fields(self):
         node, monitor = session_parts()
         log = run_session(anechoic_scenario(seed=52), node, Attacker(), monitor)
-        verify_lines = [r for r in log.format_records() if "event=verify" in r]
-        assert verify_lines and all(
-            "time_s=" in r and "verdict=" in r and "measured_dr_db=" in r for r in verify_lines
+        verifies = [e for e in log.events if e.event == "verify"]
+        assert verifies and all(
+            e.verdict is not None and e.measured_dr_db is not None for e in verifies
         )
-        start = log.format_records()[0]
-        assert start.startswith("time_s=0.0 event=session_start stored_energy_j=")
+        start = log.events[0]
+        assert (start.time_s, start.event) == (0.0, "session_start")
+        assert start.stored_energy_j is not None
 
 
 class TestFreshSessionScenario:

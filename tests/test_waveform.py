@@ -4,11 +4,17 @@ I/O."""
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import dbm_trace
 
 from wptsec.channel import NoiseSpec, dbm_to_watts
 from wptsec.errors import (
@@ -53,9 +59,9 @@ GOOD_TRACE = synthesize_envelope(
 # Every entry point that takes a bit rate, called with a bit rate and an
 # oversampling factor k; where it also takes a sample rate, that is k x 20 kHz.
 RATE_ENTRY_POINTS = {
-    "decode_trace": lambda br, k: decode_trace(EnvelopeTrace(k * 20e3, GOOD_TRACE.samples), br),
+    "decode_trace": lambda br, k: decode_trace(EnvelopeTrace(k * 20e3, GOOD_TRACE.watts), br),
     "recover_bits": lambda br, k: recover_bits(
-        EnvelopeTrace(k * 20e3, GOOD_TRACE.samples), br, dbm_to_watts(-45.0)
+        EnvelopeTrace(k * 20e3, GOOD_TRACE.watts), br, dbm_to_watts(-45.0)
     ),
     "synthesize_envelope": lambda br, k: synthesize_envelope(
         [1, 0, 1], -40.0, -50.0, br, k * 20e3, SILENT
@@ -117,7 +123,7 @@ class TestOnAirContract:
 
     def test_nan_sample_rate_rejected(self):
         with pytest.raises(ValueError, match="sample_rate_hz must be > 0"):
-            EnvelopeTrace(math.nan, [-40.0])
+            EnvelopeTrace(math.nan, [1e-7])
         with pytest.raises(UndersampledError):
             synthesize_envelope([1, 0], -40.0, -50.0, 20e3, math.nan, SILENT)
 
@@ -130,7 +136,7 @@ class TestOnAirContract:
         # a trace took it, and write_trace then raised a stray OverflowError
         # spelling the rate as an int
         with pytest.raises(ValueError, match="sample_rate_hz must be > 0 and finite, got inf"):
-            EnvelopeTrace(math.inf, np.array([-40.0]))
+            EnvelopeTrace(math.inf, np.array([1e-7]))
 
     def test_trace_past_the_sample_cap_rejected(self, monkeypatch):
         # it rendered every sample it was asked for, so a large enough
@@ -268,7 +274,7 @@ class TestSynthesizeEnvelope:
 
 
 def synthesize_reference(bits, p_high_dbm, p_low_dbm, bit_rate_hz, sample_rate_hz, noise):
-    """synthesize_envelope's samples in expression form, one new array per step."""
+    """synthesize_envelope's watts in expression form, one new array per step."""
     bit_arr = np.asarray(bits, dtype=np.uint8)
     edges = np.rint(np.arange(bit_arr.size + 1) * (sample_rate_hz / bit_rate_hz))
     counts = np.diff(edges.astype(np.int64))
@@ -282,8 +288,7 @@ def synthesize_reference(bits, p_high_dbm, p_low_dbm, bit_rate_hz, sample_rate_h
     if floor_w > 0.0:
         rng = noise.generator()
         signal_w = signal_w + floor_w + rng.normal(0.0, floor_w, signal_w.size)
-    total_w = np.maximum(signal_w, POWER_FLOOR_W)
-    return 10.0 * np.log10(total_w) + 30.0
+    return np.maximum(signal_w, POWER_FLOOR_W)
 
 
 class TestAsBits:
@@ -351,11 +356,11 @@ class TestSynthesizeReference:
         bits = np.random.default_rng(seed).integers(0, 2, 97)
         for bit_rate, sample_rate in ((20e3, 320e3), (3e3, 25e3)):
             args = (bits, -50.0, -60.0, bit_rate, sample_rate, noise)
-            got = synthesize_envelope(*args).samples
+            got = synthesize_envelope(*args).watts
             want = synthesize_reference(*args)
             assert got.dtype == want.dtype and np.array_equal(got, want)
         if noise_dbm == -45.0:
-            assert np.any(got == 10.0 * math.log10(POWER_FLOOR_W) + 30.0)
+            assert np.any(got == POWER_FLOOR_W)
 
     @pytest.mark.parametrize("seed", [1, 7, 2**40 + 3])
     @pytest.mark.parametrize("noise_dbm", [-math.inf, -3200.0, -57.0])
@@ -366,7 +371,7 @@ class TestSynthesizeReference:
         # are zeros of either sign
         bits = np.random.default_rng(seed).integers(0, 2, 6250)
         args = (bits, -50.0, -60.0, 20e3, sample_rate, NoiseSpec(noise_dbm, rng_seed=seed))
-        got = synthesize_envelope(*args).samples
+        got = synthesize_envelope(*args).watts
         assert got.size >= 100_000
         assert got.tobytes() == synthesize_reference(*args).tobytes()
 
@@ -562,21 +567,35 @@ class TestTrace:
         with pytest.raises(ValueError, match="meta must be ASCII"):
             EnvelopeTrace(1e3, np.array([1.0]), meta="b\u00e4nk")
 
+    def test_watts_are_a_read_only_copy_and_samples_their_dbm_view(self):
+        # a write to the caller's array, or to the trace's, cannot put a
+        # power past the trace's checks
+        watts = np.array([1e-7, 1e-8, POWER_FLOOR_W, 5e-324, sys.float_info.max])
+        trace = EnvelopeTrace(1e3, watts)
+        assert trace.watts.tobytes() == watts.tobytes() and len(trace) == 5
+        assert not np.shares_memory(trace.watts, watts)
+        with pytest.raises(ValueError, match="read-only"):
+            trace.watts[0] = 0.0
+        # computed on each read, with nothing held beside the watts
+        assert trace.samples is not trace.samples
+        assert trace.samples.tobytes() == (10.0 * np.log10(watts) + 30.0).tobytes()
+        assert vars(trace).keys() == {"sample_rate_hz", "watts", "meta"}
+
     def test_rendered_trace_is_held_in_watts(self):
         noise = NoiseSpec(-60.0, rng_seed=2)
         trace = synthesize_envelope([1, 0, 0, 1], -40.0, -50.0, 1e3, 16e3, noise)
-        watts, samples = trace.watts, trace.samples
-        assert trace.watts is watts and trace.samples is samples  # each computed once
-        assert samples.tobytes() == (10.0 * np.log10(watts) + 30.0).tobytes()
-        assert len(trace) == watts.size == samples.size == 64
+        assert vars(trace).keys() == {"sample_rate_hz", "watts", "meta"}
+        assert trace.watts.dtype == np.float64 and len(trace) == trace.watts.size == 64
+        assert not trace.watts.flags.writeable
 
     def test_dbm_trace_watts_are_the_power_expression(self):
-        # channel.dbm_to_watts's expression, on numpy's power kernel
+        # the test helper's steps are channel.dbm_to_watts's expression, on
+        # numpy's power kernel, and leave their input alone
         rng = np.random.default_rng(4)
-        samples = np.concatenate([rng.normal(-60.0, 40.0, 5000), [-3300.0, 0.0, 30.0, 3000.0]])
+        samples = np.concatenate([rng.normal(-60.0, 40.0, 5000), [-3200.0, 0.0, 30.0, 3000.0]])
         before = samples.copy()
         for dbm in (samples, samples[::3]):
-            watts = EnvelopeTrace(1e3, dbm).watts
+            watts = dbm_trace(1e3, dbm).watts
             assert watts.tobytes() == (10.0 ** ((dbm - 30.0) / 10.0)).tobytes()
             assert not np.shares_memory(watts, samples)
         assert samples.tobytes() == before.tobytes()
@@ -586,6 +605,7 @@ class TestTrace:
         [
             ([1e-3, 0.0], "trace powers must be > 0 W"),
             ([-1e-3], "trace powers must be > 0 W"),
+            ([-0.0], "trace powers must be > 0 W"),
             ([np.inf], NOT_FINITE),
             ([-np.inf], NOT_FINITE),
             ([np.nan], NOT_FINITE),
@@ -594,9 +614,9 @@ class TestTrace:
             ([-1e-3, -np.inf], NOT_FINITE),
         ],
     )
-    def test_from_watts_rejects_powers_without_a_finite_dbm_figure(self, watts, message):
+    def test_rejects_powers_without_a_finite_dbm_figure(self, watts, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            EnvelopeTrace.from_watts(1e3, np.array(watts))
+            EnvelopeTrace(1e3, np.array(watts))
 
     @pytest.mark.parametrize(
         "rate, values, meta, message",
@@ -604,61 +624,114 @@ class TestTrace:
             (0.0, [np.nan], "a\nb", "sample_rate_hz must be > 0 and finite"),
             (1e3, [[1.0]], "a\nb", "samples must be one-dimensional"),
             (1e3, [np.nan], "a\nb", NOT_FINITE),
-            (1e3, [0.0], "a\nb", "meta must not contain line breaks"),
+            (1e3, [0.0], "a\nb", "trace powers must be > 0 W"),
+            (1e3, [1.0], "a\nb", "meta must not contain line breaks"),
         ],
     )
     def test_checks_run_rate_then_samples_then_meta(self, rate, values, meta, message):
-        # from_watts judges a power > 0 last
-        for build in (EnvelopeTrace, EnvelopeTrace.from_watts):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                build(rate, np.array(values), meta=meta)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EnvelopeTrace(rate, np.array(values), meta=meta)
+
+
+def orjson_file(trace) -> bytes:
+    """The trace file written one line per sample, each orjson's spelling."""
+    header = f"sample_rate_hz={int(trace.sample_rate_hz)},unit=w,meta={trace.meta}\n"
+    return header.encode("ascii") + b"".join(orjson.dumps(w) + b"\n" for w in trace.watts.tolist())
+
+
+def powers(size, seed):
+    """size powers, log-uniform from 1 pW to 10 mW."""
+    return 10.0 ** np.random.default_rng(seed).uniform(-12.0, -2.0, size)
 
 
 class TestTraceFile:
     def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(11)
-        samples = rng.uniform(-90, -20, size=257)
-        trace = EnvelopeTrace(320000.0, samples, meta="roundtrip, with commas=and equals")
+        trace = EnvelopeTrace(320000.0, powers(257, 11), meta="roundtrip, with commas=and equals")
         path = tmp_path / "trace.txt"
         write_trace(trace, path)
         back = read_trace(path)
         assert back.sample_rate_hz == trace.sample_rate_hz
         assert back.meta == trace.meta
-        assert np.array_equal(back.samples, trace.samples)
+        assert back.watts.tobytes() == trace.watts.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        watts=st.lists(
+            st.floats(min_value=5e-324, max_value=sys.float_info.max), min_size=0, max_size=50
+        )
+    )
+    @example(watts=[POWER_FLOOR_W, 5e-324, sys.float_info.max])
+    def test_write_then_read_keeps_every_bit(self, tmp_path_factory, watts):
+        # from the least subnormal watt to the largest float
+        path = tmp_path_factory.mktemp("trace") / "t.txt"
+        trace = EnvelopeTrace(1000.0, np.array(watts, dtype=np.float64), meta="bits")
+        write_trace(trace, path)
+        back = read_trace(path)
+        assert back.watts.tobytes() == trace.watts.tobytes()
+        assert path.read_bytes() == orjson_file(trace)
+
+    def test_read_back_render_decodes_as_rendered(self, tmp_path):
+        # noisy keyed frames: the file holds the watts the row was measured
+        # on, so each read-back trace decodes to the rendered trace's result,
+        # its levels' last digits included
+        path = tmp_path / "t.txt"
+        for seed in range(40):
+            code = np.random.default_rng(seed).bytes(2)
+            bits = frame_to_bits(build_frame(code, 20e3))
+            noise = NoiseSpec(-62.0, rng_seed=seed)
+            trace = synthesize_envelope(bits, -50.0, -60.0, 20e3, 320e3, noise, meta="keyed")
+            write_trace(trace, path)
+            back = read_trace(path)
+            assert back.watts.tobytes() == trace.watts.tobytes()
+            assert decode_trace(back, 20e3) == decode_trace(trace, 20e3)
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "t.txt"
-        write_trace(EnvelopeTrace(16000.0, np.array([-40.0, -50.0]), meta="demo"), path)
+        write_trace(EnvelopeTrace(16000.0, np.array([1e-7, 2.5e-5]), meta="demo"), path)
         lines = path.read_text(encoding="ascii").splitlines()
-        assert lines[0] == "sample_rate_hz=16000,unit=dbm,meta=demo"
-        assert lines[1] == "-40.0"
-        assert len(lines) == 3
+        assert lines == ["sample_rate_hz=16000,unit=w,meta=demo", "1e-7", "0.000025"]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
         for text in (
-            "sample_rate=16000,unit=dbm,meta=x\n-40.0\n",
+            "sample_rate=16000,unit=w,meta=x\n1e-7\n",
             "",
-            "sample_rate_hz=16000,unit=dbm,meta=x\nnot-a-number\n",
+            "\n1e-7\n",
+            "sample_rate_hz=16000,meta=x\n1e-7\n",
+            "sample_rate_hz=16000,unit=w,meta=x\nnot-a-number\n",
         ):
             path.write_text(text, encoding="ascii")
             with pytest.raises(TraceFormatError):
                 read_trace(path)
 
+    @pytest.mark.parametrize("unit", ["dbm", "W", "mw", ""])
+    def test_unit_other_than_watts_refused(self, tmp_path, unit):
+        # nothing converts another unit: a dBm file of -40.0 is refused,
+        # not read as -40 W
+        path = tmp_path / "t.txt"
+        path.write_text(f"sample_rate_hz=16000,unit={unit},meta=x\n-40.0\n", encoding="ascii")
+        with pytest.raises(TraceFormatError, match=re.escape(f"trace unit {unit!r} is not 'w'")):
+            read_trace(path)
+
     def test_sample_lines_accepted_and_rejected(self, tmp_path):
         def load(body):
             path = tmp_path / "t.txt"
-            path.write_text("sample_rate_hz=16000,unit=dbm,meta=x\n" + body, encoding="ascii")
+            path.write_text("sample_rate_hz=16000,unit=w,meta=x\n" + body, encoding="ascii")
             return read_trace(path)
 
-        assert load("\n-40.0\n\n -50.5 \n\n").samples.tolist() == [-40.0, -50.5]
+        assert load("\n1e-7\n\n 2.5e-5 \n\n").watts.tolist() == [1e-7, 2.5e-5]
+        # float()'s spellings that orjson rejects or reads as an int
+        assert load("1\n+2e-7\n1.\n.5\n01\n1_0\n").watts.tolist() == [1, 2e-7, 1, 0.5, 1, 10]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             header_only = load("")
-        assert header_only.samples.shape == (0,)
-        for bad in ("# comment\n", "-40.0 -50.0\n", "-40.0,-50.0\n", "  \n", "x\n"):
+        assert header_only.watts.shape == (0,)
+        bad_lines = ("# comment\n", "1e-7 2e-7\n", "1e-7,2e-7\n", "  \n", "x\n")
+        # JSON that orjson reads as other than one float
+        bad_lines += ("true\n", "null\n", "[1e-7]\n", '"1e-7"\n', "{}\n")
+        for bad in bad_lines:
             with pytest.raises(TraceFormatError, match="bad sample line"):
-                load("-40.0\n" + bad)
+                load("1e-7\n" + bad)
 
     @pytest.mark.parametrize(
         "line, value",
@@ -672,9 +745,21 @@ class TestTraceFile:
     )
     def test_non_finite_sample_is_a_format_error(self, tmp_path, line, value):
         path = tmp_path / "t.txt"
-        body = f"-40.0\n\n-41.0\n{line}\nnan\n"
-        path.write_text("sample_rate_hz=16000,unit=dbm,meta=x\n" + body, encoding="ascii")
+        body = f"1e-7\n\n2e-7\n{line}\nnan\n"
+        path.write_text("sample_rate_hz=16000,unit=w,meta=x\n" + body, encoding="ascii")
         want = re.escape(f"bad sample line: samples[2] is {value}, not finite")
+        with pytest.raises(TraceFormatError, match=want):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "line, value",
+        [("0", "0.0"), ("0.0", "0.0"), ("-0.0", "-0.0"), ("-1e-9", "-1e-09"), ("1e-400", "0.0")],
+    )
+    def test_power_not_above_zero_is_a_format_error(self, tmp_path, line, value):
+        path = tmp_path / "t.txt"
+        body = f"1e-7\n\n2e-7\n{line}\n0\n"
+        path.write_text("sample_rate_hz=16000,unit=w,meta=x\n" + body, encoding="ascii")
+        want = re.escape(f"bad sample line: samples[2] is {value}, not > 0 W")
         with pytest.raises(TraceFormatError, match=want):
             read_trace(path)
 
@@ -685,7 +770,7 @@ class TestTraceFile:
         path = tmp_path / "t.txt"
         for meta in [f"a{chr(code)}b" for code in range(128)] + ["ab\r", "\x0c", "a\r\nb"]:
             try:
-                trace = EnvelopeTrace(1e3, np.array([-40.0]), meta=meta)
+                trace = EnvelopeTrace(1e3, np.array([1e-7]), meta=meta)
             except ValueError as exc:
                 assert meta.splitlines() != [meta]
                 assert str(exc) == "meta must not contain line breaks"
@@ -696,7 +781,7 @@ class TestTraceFile:
     def test_zero_rate_is_a_format_error(self, tmp_path):
         # the trace's own check raised a plain ValueError
         path = tmp_path / "t.txt"
-        path.write_text("sample_rate_hz=0,unit=dbm,meta=x\n-40.0\n", encoding="ascii")
+        path.write_text("sample_rate_hz=0,unit=w,meta=x\n1e-7\n", encoding="ascii")
         with pytest.raises(TraceFormatError, match="bad trace header"):
             read_trace(path)
 
@@ -705,8 +790,8 @@ class TestTraceFile:
         # are still a float
         path = tmp_path / "t.txt"
         for digits, ok in ((400, False), (308, True)):
-            header = f"sample_rate_hz={'9' * digits},unit=dbm,meta=x\n"
-            path.write_text(header + "-40.0\n", encoding="ascii")
+            header = f"sample_rate_hz={'9' * digits},unit=w,meta=x\n"
+            path.write_text(header + "1e-7\n", encoding="ascii")
             if ok:
                 assert read_trace(path).sample_rate_hz == float("9" * digits)
             else:
@@ -717,19 +802,19 @@ class TestTraceFile:
         # in the header or in the first block of lines it raised
         # UnicodeDecodeError; past the first block it is a bad sample line
         path = tmp_path / "t.txt"
-        header = b"sample_rate_hz=16000,unit=dbm,meta=x\n"
-        far = b"-40.0\n" * 20_000
+        header = b"sample_rate_hz=16000,unit=w,meta=x\n"
+        far = b"1e-7\n" * 20_000
         for text in (
-            b"sample_rate_hz=16000,unit=dbm,meta=b\xc3\xa4nk\n-40.0\n",
-            header + b"-40.0\n\xff\n",
-            header + far + b"-4\x800\n",
+            b"sample_rate_hz=16000,unit=w,meta=b\xc3\xa4nk\n1e-7\n",
+            header + b"1e-7\n\xff\n",
+            header + far + b"1e\x80-7\n",
         ):
             path.write_bytes(text)
             with pytest.raises(TraceFormatError):
                 read_trace(path)
 
     def test_non_integral_rate_rejected(self, tmp_path):
-        trace = EnvelopeTrace(16000.5, np.array([-40.0]))
+        trace = EnvelopeTrace(16000.5, np.array([1e-7]))
         path = tmp_path / "t.txt"
         with pytest.raises(ValueError):
             write_trace(trace, path)
@@ -737,79 +822,68 @@ class TestTraceFile:
 
     @pytest.mark.parametrize("n_samples", [0, 250_000])
     def test_write_equals_format(self, tmp_path, n_samples):
-        # 250k samples span 31 chunks and end in a partial one; the reference
-        # is the file written one line per sample
-        samples = np.random.default_rng(5).uniform(-90, -20, size=n_samples)
-        trace = EnvelopeTrace(320000.0, samples, meta="chunks")
+        # 250k samples span 245 chunks and end in a partial one; the
+        # reference is the file written one line per sample
+        trace = EnvelopeTrace(320000.0, powers(n_samples, 5), meta="chunks")
         path = tmp_path / "t.txt"
         write_trace(trace, path)
-        lines = "".join(f"{float(s)!r}\n" for s in samples)
-        want = f"sample_rate_hz=320000,unit=dbm,meta=chunks\n{lines}".encode("ascii")
-        assert path.read_bytes() == want
+        assert path.read_bytes() == orjson_file(trace)
 
-    @staticmethod
-    def _repr_file(trace):
-        lines = "".join(f"{float(s)!r}\n" for s in trace.samples)
-        return f"sample_rate_hz={int(trace.sample_rate_hz)},unit=dbm,meta={trace.meta}\n{lines}"
-
-    def test_write_equals_repr_across_the_fallback_boundary(self, tmp_path):
-        # the writer's fast formatter spells exponents unlike repr outside
-        # [1e-4, 1e16), so each case here must still give repr's bytes; a
-        # value written alone takes the path its own magnitude selects
+    def test_every_magnitude_reads_back_from_its_spelling(self, tmp_path):
+        # orjson spells 1e16 and 5e-8 unlike repr (1e+16, 5e-08): the file's
+        # spelling is orjson's at every magnitude, and float() reads it back
         decades = [
-            m * 10.0**e for e in range(-8, 21) for m in (1.0, 1.2345678901234567, 9.87654321)
+            m * 10.0**e for e in range(-323, 308) for m in (1.0, 1.2345678901234567, 9.87654321)
         ]
-        decades += [np.nextafter(10.0**e, 0.0) for e in range(-8, 21)]
-        extremes = [0.0, -0.0, 5e-324, 1.7976931348623157e308]
-        in_range = np.random.default_rng(8).uniform(-90, -20, size=3 * 1024)
-        in_range[1024 + 517] = -3.2e-5  # one value past the boundary, in the middle chunk
+        decades += [np.nextafter(10.0**e, 0.0) for e in range(-300, 309)]
+        watts = np.array(decades + [5e-324, sys.float_info.max, POWER_FLOOR_W])
+        trace = EnvelopeTrace(320000.0, watts, meta="decades")
         path = tmp_path / "t.txt"
-        for samples in [[v] for v in decades + extremes] + [in_range]:
-            samples = np.array(samples, dtype=np.float64)
-            for signed in (samples, -samples):
-                trace = EnvelopeTrace(320000.0, signed, meta="boundary")
-                write_trace(trace, path)
-                assert path.read_bytes() == self._repr_file(trace).encode("ascii")
+        write_trace(trace, path)
+        assert path.read_bytes() == orjson_file(trace)
+        lines = path.read_text(encoding="ascii").splitlines()[1:]
+        assert np.array(list(map(float, lines))).tobytes() == watts.tobytes()
+        assert read_trace(path).watts.tobytes() == watts.tobytes()
 
     def test_strided_samples_write(self, tmp_path):
-        # a view that is not contiguous in memory writes as its copy does
-        samples = np.random.default_rng(6).uniform(-90, -20, size=5000)
-        trace = EnvelopeTrace(1000.0, samples[::2], meta="strided")
-        assert not trace.samples.flags.c_contiguous
+        # a view that is not contiguous in memory writes as its copy does:
+        # the trace holds a contiguous copy, as orjson needs
+        watts = powers(5000, 6)
+        trace = EnvelopeTrace(1000.0, watts[::2], meta="strided")
+        assert trace.watts.flags.c_contiguous
         path = tmp_path / "t.txt"
         write_trace(trace, path)
-        assert path.read_bytes() == self._repr_file(trace).encode("ascii")
-        assert np.array_equal(read_trace(path).samples, samples[::2])
+        assert path.read_bytes() == orjson_file(trace)
+        assert read_trace(path).watts.tobytes() == watts[::2].tobytes()
 
     def test_write_memory_does_not_grow_with_length(self, tmp_path):
-        samples = np.random.default_rng(5).uniform(-90, -20, size=250_000)
-        trace = EnvelopeTrace(320000.0, samples, meta="chunks")
+        trace = EnvelopeTrace(320000.0, powers(250_000, 5), meta="chunks")
         tracemalloc.start()
         try:
             write_trace(trace, tmp_path / "t.txt")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20  # the whole text is 4.6 MB
+        assert peak < 4 * 2**20  # the whole text is 5.6 MB
 
     def test_read_memory_does_not_grow_with_length(self, tmp_path):
-        samples = np.random.default_rng(5).uniform(-90, -20, size=250_000)
+        watts = powers(250_000, 5)
         path = tmp_path / "t.txt"
-        write_trace(EnvelopeTrace(320000.0, samples, meta="chunks"), path)
+        write_trace(EnvelopeTrace(320000.0, watts, meta="chunks"), path)
         tracemalloc.start()
         try:
             back = read_trace(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20  # the samples alone are 2 MB, the text 4.6 MB
-        assert np.array_equal(back.samples, samples)
+        assert peak < 4 * 2**20  # the samples alone are 2 MB, the text 5.6 MB
+        assert back.watts.tobytes() == watts.tobytes()
 
     def test_write_non_integral_rate_leaves_file_alone(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"keep me\n")
         with pytest.raises(ValueError, match="sample rate must be integral"):
-            write_trace(EnvelopeTrace(16000.5, np.array([-40.0])), path)
+            write_trace(EnvelopeTrace(16000.5, np.array([1e-7])), path)
         assert path.read_bytes() == b"keep me\n"
 
     def test_write_read_synthesized(self, tmp_path):
